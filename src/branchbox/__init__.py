@@ -3,33 +3,27 @@
 A particle in a 1-d box is modeled as an ensemble of tagged Gaussian
 packets: each packet spreads for one decoherence period, splits into
 localized offspring on a fixed position lattice, and never recombines.
-The package provides the branching engine (weighted, counted and
-collapse bookkeeping), ensemble statistics against classical oracles,
-an independent grid density-matrix oracle, and a seeded scenario CLI.
+The package provides the branching engine (weighted and collapse
+evolution, plus born_test's single counted event), ensemble statistics
+against classical oracles, an independent grid density-matrix oracle,
+and a seeded scenario CLI.
 """
 
 from .model import (
     DEFAULT_BIN_WIDTH_FRACTION,
-    GaussianPacket,
     PhysicalParams,
     bin_weights,
     reflect_center,
     spread_variance,
-    step_offset_variance,
 )
 from .branching import (
-    Branch,
     CollapseBatch,
     Ensemble,
-    TagPath,
     TagReport,
     apportion_counts,
-    cap_resample,
-    decohere_branch,
     evolve_ensemble_step,
     exact_weighted_reference,
     midbox_ensemble,
-    prune_to_collapse,
     run_collapse_trajectories,
     trajectory_seed,
     verify_tag_uniqueness,
@@ -37,7 +31,6 @@ from .branching import (
 from .stats import (
     ChiSquareResult,
     DiffusionEstimate,
-    EquilibrationReport,
     ExpectationComparison,
     VarianceSeries,
     chi_square_frequencies,
@@ -45,7 +38,6 @@ from .stats import (
     effective_branch_count,
     ensemble_position_mean,
     ensemble_position_variance,
-    equilibration_report,
     expectation_compare,
     fit_diffusion,
     pool_small_cells,
@@ -69,7 +61,6 @@ from .density import (
     pure_density,
     random_mixed_state,
     superpose,
-    unitary_step,
     von_neumann_entropy,
 )
 from .config import ConfigError, RunConfig, default_config, parse_config
@@ -79,30 +70,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_BIN_WIDTH_FRACTION",
-    "GaussianPacket",
     "PhysicalParams",
     "bin_weights",
     "reflect_center",
     "spread_variance",
-    "step_offset_variance",
-    "Branch",
     "CollapseBatch",
     "Ensemble",
-    "TagPath",
     "TagReport",
     "apportion_counts",
-    "cap_resample",
-    "decohere_branch",
     "evolve_ensemble_step",
     "exact_weighted_reference",
     "midbox_ensemble",
-    "prune_to_collapse",
     "run_collapse_trajectories",
     "trajectory_seed",
     "verify_tag_uniqueness",
     "ChiSquareResult",
     "DiffusionEstimate",
-    "EquilibrationReport",
     "ExpectationComparison",
     "VarianceSeries",
     "chi_square_frequencies",
@@ -110,7 +93,6 @@ __all__ = [
     "effective_branch_count",
     "ensemble_position_mean",
     "ensemble_position_variance",
-    "equilibration_report",
     "expectation_compare",
     "fit_diffusion",
     "pool_small_cells",
@@ -132,7 +114,6 @@ __all__ = [
     "pure_density",
     "random_mixed_state",
     "superpose",
-    "unitary_step",
     "von_neumann_entropy",
     "ConfigError",
     "RunConfig",

@@ -7,35 +7,35 @@ the parent's lineage.  Tags are what make branches permanently
 distinguishable: two components with different lineages never interfere
 again, no matter where their packets sit.
 
-Three ensemble modes share the event machinery:
+``evolve_ensemble_step`` runs two ensemble modes:
 
 * ``weighted``  - branches carry Born weights; the ensemble is the full
                   decoherent mixture.
-* ``count``     - branches carry integer multiplicities; each event
-                  apportions ``multiplicity * fanout`` units over the
-                  offspring, so unweighted branch counting reproduces the
-                  Born weights to within one unit per bin.
 * ``collapse``  - one surviving branch; each event keeps a single
                   offspring drawn with probability proportional to its
                   weight (decoherence plus random pruning).
 
-Large ensembles are stored as flat arrays.  Full lineage tuples are kept
-only on explicitly constructed ensembles; evolved ensembles compress
-ancestry to (uid, parent uid, last event, depth, 64-bit lineage hash),
-which is enough for uniqueness checks, reproducible per-branch random
-streams and no-recoherence bookkeeping without O(depth) memory per
-branch.
+A third mode, ``count``, carries integer multiplicities instead of
+weights.  It exists only for born_test's single event, whose leaves get
+``apportion_counts`` of the parent's multiplicity, so unweighted branch
+counting reproduces the Born weights to within one unit per bin; the
+engine does not evolve count-mode ensembles.
+
+Ensembles are stored as flat arrays and compress ancestry to (uid,
+parent uid, last event, depth, 64-bit lineage hash), which is enough for
+uniqueness checks, reproducible per-branch random streams and
+no-recoherence bookkeeping without O(depth) memory per branch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .model import GaussianPacket, PhysicalParams, bin_weights, reflect_center, spread_variance
+from .model import PhysicalParams, bin_weights, reflect_center, spread_variance
 from .rng import (
     KEY_CAP,
     KEY_PRUNE,
@@ -48,16 +48,11 @@ from .rng import (
 
 __all__ = [
     "MODES",
-    "TagPath",
-    "Branch",
     "Ensemble",
     "TagReport",
     "CollapseBatch",
     "apportion_counts",
-    "decohere_branch",
     "evolve_ensemble_step",
-    "prune_to_collapse",
-    "cap_resample",
     "verify_tag_uniqueness",
     "midbox_ensemble",
     "run_collapse_trajectories",
@@ -67,65 +62,6 @@ __all__ = [
 
 MODES = ("weighted", "count", "collapse")
 
-# Count-mode totals are re-apportioned through float weights, so they must
-# stay exactly representable in a double.
-_MAX_EXACT_COUNT = 2**53
-
-
-# ---------------------------------------------------------------------------
-# tags
-
-
-@dataclass(frozen=True)
-class TagPath:
-    """Decoherence lineage of a branch.
-
-    ``root`` distinguishes branches that already existed at t=0;
-    ``lineage`` is the ordered tuple of (event_time, offspring_index)
-    pairs appended by each decoherence event.  Event times must be
-    strictly increasing.  There are never two live branches with the
-    same path: an event always writes a fresh index, which is the
-    model's no-recoherence guarantee.
-    """
-
-    root: int = 0
-    lineage: tuple[tuple[float, int], ...] = ()
-
-    def __post_init__(self):
-        last = -math.inf
-        for t, j in self.lineage:
-            if not t > last:
-                raise ValueError("lineage event times must be strictly increasing")
-            if j < 0:
-                raise ValueError("offspring index must be >= 0")
-            last = t
-
-    def extended(self, event_time: float, offspring_index: int) -> "TagPath":
-        return TagPath(self.root, self.lineage + ((float(event_time), int(offspring_index)),))
-
-    def hash64(self) -> np.uint64:
-        h = lineage_hash_root(self.root)
-        for t, j in self.lineage:
-            h = lineage_hash_child(h, t, j)
-        return h
-
-
-@dataclass(frozen=True)
-class Branch:
-    """One decoherent component: a packet plus its tag and statistical mass."""
-
-    packet: GaussianPacket
-    tag: TagPath
-    weight: float = 1.0
-    multiplicity: int = 1
-    birth_time: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.weight) and self.weight > 0):
-            raise ValueError(f"branch weight must be > 0, got {self.weight}")
-        if self.multiplicity < 1:
-            raise ValueError(f"branch multiplicity must be >= 1, got {self.multiplicity}")
-
 
 @dataclass(frozen=True)
 class TagReport:
@@ -133,7 +69,6 @@ class TagReport:
     n_branches: int
     message: str
     duplicate_indices: tuple[int, int] | None = None
-    duplicate_lineage: TagPath | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +82,7 @@ class Ensemble:
     ``weight`` is meaningful in weighted/collapse modes, ``multiplicity``
     in count mode; the other is None.  ``offspring_index`` is -1 and
     ``parent_uid`` is -1 for initial branches that have not been through
-    a decoherence event.  ``lineages`` carries full TagPath objects only
-    when the ensemble was built from Branch values.
+    a decoherence event.
     """
 
     mode: str
@@ -164,7 +98,6 @@ class Ensemble:
     lineage_hash: np.ndarray
     depth: np.ndarray
     next_uid: int
-    lineages: tuple[TagPath, ...] | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -206,63 +139,6 @@ class Ensemble:
             return self.multiplicity.astype(float)
         return self.weight
 
-    def total_count(self) -> int:
-        if self.mode != "count":
-            raise ValueError("total_count is defined for count mode only")
-        return int(self.multiplicity.sum())
-
-    def to_branches(self) -> list[Branch]:
-        """Materialize Branch values; requires retained lineages."""
-        if self.lineages is None:
-            raise ValueError(
-                "full lineages are not retained through evolution; "
-                "use the tag arrays (uid, parent_uid, lineage_hash) instead"
-            )
-        out = []
-        for i, tag in enumerate(self.lineages):
-            packet = GaussianPacket(
-                float(self.center[i]), float(self.variance[i]),
-                age=self.time - float(self.birth_time[i]),
-            )
-            out.append(Branch(
-                packet=packet,
-                tag=tag,
-                weight=1.0 if self.mode == "count" else float(self.weight[i]),
-                multiplicity=int(self.multiplicity[i]) if self.mode == "count" else 1,
-                birth_time=float(self.birth_time[i]),
-            ))
-        return out
-
-    @staticmethod
-    def from_branches(branches: Sequence[Branch], mode: str, time: float) -> "Ensemble":
-        if mode not in MODES:
-            raise ValueError(f"unknown ensemble mode '{mode}'")
-        if not branches:
-            raise ValueError("ensemble must contain at least one branch")
-        n = len(branches)
-        center = np.array([b.packet.center for b in branches], float)
-        variance = np.array([b.packet.variance for b in branches], float)
-        birth = np.array([b.birth_time for b in branches], float)
-        lineages = tuple(b.tag for b in branches)
-        hashes = np.array([t.hash64() for t in lineages], np.uint64)
-        depth = np.array([len(t.lineage) for t in lineages], np.int32)
-        oi = np.array(
-            [t.lineage[-1][1] if t.lineage else -1 for t in lineages], np.int32
-        )
-        weight = mult = None
-        if mode == "count":
-            mult = np.array([b.multiplicity for b in branches], np.int64)
-        else:
-            weight = np.array([b.weight for b in branches], float)
-        return Ensemble(
-            mode=mode, time=float(time), center=center, variance=variance,
-            weight=weight, multiplicity=mult, birth_time=birth,
-            uid=np.arange(n, dtype=np.int64),
-            parent_uid=np.full(n, -1, np.int64),
-            offspring_index=oi, lineage_hash=hashes, depth=depth,
-            next_uid=n, lineages=lineages,
-        )
-
 
 def midbox_ensemble(
     p: PhysicalParams,
@@ -281,12 +157,18 @@ def midbox_ensemble(
     if center is None:
         bw = p.bin_width()
         center = round((p.L / 2.0) / bw) * bw
-    packet = GaussianPacket(center=float(center), variance=p.w**2, age=0.0)
-    branch = Branch(
-        packet=packet, tag=TagPath(root=0),
-        weight=1.0, multiplicity=max(1, int(multiplicity)), birth_time=time,
+    count = mode == "count"
+    return Ensemble(
+        mode=mode, time=float(time),
+        center=np.array([float(center)]), variance=np.array([p.w**2]),
+        weight=None if count else np.ones(1),
+        multiplicity=np.array([max(1, int(multiplicity))], np.int64) if count else None,
+        birth_time=np.array([float(time)]),
+        uid=np.zeros(1, np.int64), parent_uid=np.full(1, -1, np.int64),
+        offspring_index=np.full(1, -1, np.int32),
+        lineage_hash=lineage_hash_root(np.zeros(1, np.uint64)),
+        depth=np.zeros(1, np.int32), next_uid=1,
     )
-    return Ensemble.from_branches([branch], mode, time)
 
 
 # ---------------------------------------------------------------------------
@@ -329,105 +211,6 @@ def apportion_counts(weights, total: int) -> np.ndarray:
     return counts
 
 
-def _apportion_rows(weights: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Row-wise largest remainder: weights (n,k) shared or per-row, totals (n,)."""
-    scaled = weights * totals[:, None].astype(float)
-    counts = np.floor(scaled).astype(np.int64)
-    leftover = totals - counts.sum(axis=1)
-    remainders = scaled - counts
-    # stable descending sort of remainders resolves ties toward lower index
-    order = np.argsort(-remainders, axis=1, kind="stable")
-    take = np.arange(weights.shape[1])[None, :] < np.maximum(leftover, 0)[:, None]
-    rows = np.repeat(np.arange(weights.shape[0]), weights.shape[1])
-    counts[rows[take.ravel()], order.ravel()[take.ravel()]] += 1
-    for i in np.flatnonzero(leftover < 0):  # roundoff overshoot, see above
-        counts[i] = apportion_counts(weights[i] / weights[i].sum(), int(totals[i]))
-    return counts
-
-
-# ---------------------------------------------------------------------------
-# event primitives (object layer)
-
-
-def decohere_branch(
-    b: Branch,
-    p: PhysicalParams,
-    mode: str,
-    fanout: int,
-    rng: np.random.Generator | None = None,
-    *,
-    event_time: float,
-    bin_width: float | None = None,
-) -> list[Branch]:
-    """Split one spread branch into tagged localized offspring.
-
-    Offspring centers are the lattice bin centers of the center-offset
-    distribution Gaussian(center, variance - w^2), reflected into the
-    box; every offspring is a fresh width-w packet carrying the parent's
-    tag extended by (event_time, bin index).  ``rng`` is accepted for a
-    uniform event-operation signature but unused: offspring weights and
-    count apportionment are deterministic.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode '{mode}'")
-    if fanout < 1:
-        raise ValueError(f"fanout must be >= 1, got {fanout}")
-    w2 = p.w**2
-    offset_var = b.packet.variance - w2
-    if offset_var <= 0:
-        raise ValueError(
-            f"branch variance {b.packet.variance} must exceed w^2={w2} to decohere"
-        )
-    bw = p.bin_width() if bin_width is None else float(bin_width)
-    centers, wts = bin_weights(b.packet.center, offset_var, bw)
-    folded = reflect_center(centers, p.L)
-
-    if mode == "count":
-        counts = apportion_counts(wts, b.multiplicity * fanout)
-    out = []
-    for j in range(len(wts)):
-        if mode == "count" and counts[j] == 0:
-            continue
-        packet = GaussianPacket(center=float(folded[j]), variance=w2, age=0.0)
-        out.append(Branch(
-            packet=packet,
-            tag=b.tag.extended(event_time, j),
-            weight=b.weight * float(wts[j]) if mode != "count" else 1.0,
-            multiplicity=int(counts[j]) if mode == "count" else 1,
-            birth_time=float(event_time),
-        ))
-    return out
-
-
-def _pick_index(cumulative: np.ndarray, u) -> np.ndarray | int:
-    """Inverse-CDF selection; cumulative is an inclusive cumsum of masses."""
-    idx = np.searchsorted(cumulative, np.asarray(u) * cumulative[-1], side="left")
-    return np.minimum(idx, cumulative.size - 1)
-
-
-def prune_to_collapse(
-    offspring: Sequence[Branch], rng: np.random.Generator
-) -> Branch:
-    """Keep exactly one offspring, drawn proportionally to its mass.
-
-    The survivor's statistical mass is renormalized to 1; no experimental
-    expectation changes under this pruning because the selection uses the
-    Born weights themselves and nothing else from the state.
-    """
-    if not offspring:
-        raise ValueError("cannot prune an empty offspring list")
-    # weight is 1 in count mode and multiplicity is 1 otherwise, so the
-    # product is the branch mass in every mode
-    masses = np.array([b.weight * b.multiplicity for b in offspring], float)
-    cum = np.cumsum(masses)
-    j = int(_pick_index(cum, rng.random()))
-    chosen = offspring[j]
-    return Branch(
-        packet=chosen.packet, tag=chosen.tag,
-        weight=1.0, multiplicity=1, birth_time=chosen.birth_time,
-    )
-
-
 # ---------------------------------------------------------------------------
 # capping
 
@@ -451,42 +234,6 @@ def _stratified_hits(weights: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np
     return np.unique(np.minimum(raw, weights.size - 1), return_counts=True)
 
 
-def _rebuild_capped(e: Ensemble, idx: np.ndarray, shares: np.ndarray) -> Ensemble:
-    weight = mult = None
-    if e.mode == "count":
-        mult = apportion_counts(shares, e.total_count())
-        keep2 = mult > 0  # re-apportionment may zero out tiny survivors
-        idx, mult = idx[keep2], mult[keep2]
-    else:
-        weight = shares
-    return Ensemble(
-        mode=e.mode, time=e.time,
-        center=e.center[idx], variance=e.variance[idx],
-        weight=weight, multiplicity=mult,
-        birth_time=e.birth_time[idx], uid=e.uid[idx],
-        parent_uid=e.parent_uid[idx], offspring_index=e.offspring_index[idx],
-        lineage_hash=e.lineage_hash[idx], depth=e.depth[idx],
-        next_uid=e.next_uid, lineages=None,
-    )
-
-
-def cap_resample(e: Ensemble, max_branches: int, rng: np.random.Generator) -> Ensemble:
-    """Thin an ensemble to at most ``max_branches`` branches.
-
-    Survivors are picked by stratified weighted resampling and carry
-    equal shares of the total per probe hit, so every ensemble statistic
-    stays an exactly unbiased estimate of the uncapped one.  Under the
-    cap the ensemble is returned unchanged.
-    """
-    if max_branches < 1:
-        raise ValueError(f"max_branches must be >= 1, got {max_branches}")
-    if e.n_branches <= max_branches:
-        return e
-    m = e.masses()
-    idx, hits = _stratified_hits(m / m.sum(), rng.random(max_branches))
-    return _rebuild_capped(e, idx, hits / float(max_branches))
-
-
 def _cap_probe_phases(max_branches: int, step_seed: np.uint64) -> np.ndarray:
     return unit_uniform(mix(
         step_seed ^ KEY_CAP, np.arange(max_branches, dtype=np.uint64)
@@ -494,55 +241,55 @@ def _cap_probe_phases(max_branches: int, step_seed: np.uint64) -> np.ndarray:
 
 
 def _cap_keyed(e: Ensemble, max_branches: int, step_seed: np.uint64) -> Ensemble:
-    """Cap with probe phases derived from (step seed, probe index)."""
+    """Thin a weighted ensemble to at most ``max_branches`` branches.
+
+    Survivors are picked by stratified resampling with probe phases
+    derived from (step seed, probe index), and carry equal shares of the
+    total per probe hit, so every ensemble statistic stays an exactly
+    unbiased estimate of the uncapped one.  Under the cap the ensemble is
+    returned unchanged.
+    """
     if e.n_branches <= max_branches:
         return e
-    m = e.masses()
     idx, hits = _stratified_hits(
-        m / m.sum(), _cap_probe_phases(max_branches, step_seed)
+        e.weight / e.weight.sum(), _cap_probe_phases(max_branches, step_seed)
     )
-    return _rebuild_capped(e, idx, hits / float(max_branches))
+    return Ensemble(
+        mode=e.mode, time=e.time,
+        center=e.center[idx], variance=e.variance[idx],
+        weight=hits / float(max_branches), multiplicity=None,
+        birth_time=e.birth_time[idx], uid=e.uid[idx],
+        parent_uid=e.parent_uid[idx], offspring_index=e.offspring_index[idx],
+        lineage_hash=e.lineage_hash[idx], depth=e.depth[idx],
+        next_uid=e.next_uid,
+    )
 
 
 # ---------------------------------------------------------------------------
 # evolution
 
 
-def _materialize_offspring(
-    e: Ensemble, p: PhysicalParams, new_var: np.ndarray, fanout: int,
-    bw: float, rel: np.ndarray | None, kern: np.ndarray | None,
-):
+def _pick_index(cumulative: np.ndarray, u) -> np.ndarray | int:
+    """Inverse-CDF selection; cumulative is an inclusive cumsum of masses."""
+    idx = np.searchsorted(cumulative, np.asarray(u) * cumulative[-1], side="left")
+    return np.minimum(idx, cumulative.size - 1)
+
+
+def _materialize_offspring(e: Ensemble, p: PhysicalParams, new_var: np.ndarray, bw: float):
     """Flat (center, mass, parent_row, offspring_index) for all offspring.
 
-    Centers are unreflected; mass is Born weight or apportioned count per
-    row.  rel/kern carry the shared offset kernel when the ensemble is
-    lattice-aligned with uniform variance; otherwise each branch is
-    rebinned individually.
+    Centers are unreflected and mass is the Born weight per row.  Each
+    branch is rebinned individually; this serves ensembles that are not
+    lattice-aligned with uniform variance.
     """
-    n = e.n_branches
     w2 = p.w**2
-    if rel is not None:
-        nk = rel.size
-        center = (e.center[:, None] + rel[None, :]).ravel()
-        parent_row = np.repeat(np.arange(n), nk)
-        oi = np.tile(np.arange(nk, dtype=np.int64), n)
-        if e.mode == "count":
-            mass = _apportion_rows(
-                np.broadcast_to(kern, (n, nk)), e.multiplicity * fanout
-            ).ravel()
-        else:
-            mass = (e.weight[:, None] * kern[None, :]).ravel()
-        return center, mass, parent_row, oi
     cs, ms, rows, ois = [], [], [], []
-    for i in range(n):
+    for i in range(e.n_branches):
         c_i, w_i = bin_weights(float(e.center[i]), float(new_var[i]) - w2, bw)
         cs.append(c_i)
         rows.append(np.full(c_i.size, i, np.int64))
         ois.append(np.arange(c_i.size, dtype=np.int64))
-        if e.mode == "count":
-            ms.append(apportion_counts(w_i, int(e.multiplicity[i]) * fanout))
-        else:
-            ms.append(float(e.weight[i]) * w_i)
+        ms.append(float(e.weight[i]) * w_i)
     return (
         np.concatenate(cs), np.concatenate(ms),
         np.concatenate(rows), np.concatenate(ois),
@@ -559,18 +306,25 @@ def evolve_ensemble_step(
     timing: str = "deterministic",
     bin_width: float | None = None,
 ) -> Ensemble:
-    """Advance the ensemble through one decoherence period.
+    """Advance a weighted or collapse ensemble through one decoherence period.
 
     Every branch spreads for the period, then decoheres into tagged
-    offspring; collapse mode prunes back to a single branch, the other
-    modes cap the branch count with an unbiased systematic resample when
+    offspring; collapse mode prunes back to a single branch, weighted
+    mode caps the branch count with an unbiased stratified resample when
     it exceeds ``cap``.  One uint64 is drawn from ``rng`` per step;
     timing and capping are keyed off it alone and pruning additionally
     off the branch lineage, so results do not depend on internal
     batching; in particular the capped weighted fast path below selects
     survivors before materializing offspring rows and is bit-identical
-    to materializing everything and then capping.
+    to materializing everything and then capping.  ``fanout`` is
+    validated but does not affect the step.  Count-mode ensembles are
+    rejected.
     """
+    if e.mode == "count":
+        raise ValueError(
+            "count-mode ensembles hold a single counted event and do not "
+            "evolve; use weighted or collapse mode"
+        )
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     if fanout < 1:
@@ -587,16 +341,7 @@ def evolve_ensemble_step(
     t_event = e.time + dt
     bw = p.bin_width() if bin_width is None else float(bin_width)
 
-    if e.mode == "count":
-        total = e.total_count()
-        if total * fanout > _MAX_EXACT_COUNT:
-            raise OverflowError(
-                f"count-mode total {total} * fanout {fanout} exceeds the exact "
-                f"integer range of a double ({_MAX_EXACT_COUNT}); use weighted mode "
-                "for long runs"
-            )
-
-    new_var = spread_variance_array(e.variance, dt, p)
+    new_var = spread_variance(e.variance, dt, p)
     w2 = p.w**2
     n = e.n_branches
     uniform = bool(new_var.min() == new_var.max())
@@ -624,10 +369,10 @@ def evolve_ensemble_step(
                 [lineage_hash_child(e.lineage_hash[0], t_event, j)], np.uint64
             ),
             depth=e.depth[:1] + 1,
-            next_uid=int(e.next_uid + wts.size), lineages=None,
+            next_uid=int(e.next_uid + wts.size),
         )
 
-    if e.mode == "weighted" and rel is not None:
+    if rel is not None:
         # shared-kernel path; when over cap, survivors are selected from
         # implicit (parent, bin) row indices and only their rows built
         nk = rel.size
@@ -654,50 +399,27 @@ def evolve_ensemble_step(
                 e.lineage_hash[pr], t_event, oi.astype(np.uint64)
             ),
             depth=e.depth[pr] + 1,
-            next_uid=int(e.next_uid + noff), lineages=None,
+            next_uid=int(e.next_uid + noff),
         )
 
-    # count mode, or off-lattice weighted: materialize all rows, then cap
-    center, mass, parent_row, oi = _materialize_offspring(
-        e, p, new_var, fanout, bw, rel, kern
-    )
-    uid = e.next_uid + np.arange(center.size, dtype=np.int64)
-    next_uid = int(e.next_uid + center.size)
-    weight = mult = None
-    if e.mode == "count":
-        keep = mass > 0
-        center, mass, parent_row, oi, uid = (
-            center[keep], mass[keep], parent_row[keep], oi[keep], uid[keep]
-        )
-        mult = mass.astype(np.int64)
-    else:
-        weight = mass / mass.sum()
+    # off-lattice: materialize all rows, then cap
+    center, mass, parent_row, oi = _materialize_offspring(e, p, new_var, bw)
     out = Ensemble(
-        mode=e.mode, time=t_event,
+        mode="weighted", time=t_event,
         center=reflect_center(center, p.L),
         variance=np.full(center.size, w2),
-        weight=weight, multiplicity=mult,
+        weight=mass / mass.sum(), multiplicity=None,
         birth_time=np.full(center.size, t_event),
-        uid=uid, parent_uid=e.uid[parent_row],
+        uid=e.next_uid + np.arange(center.size, dtype=np.int64),
+        parent_uid=e.uid[parent_row],
         offspring_index=oi.astype(np.int32),
         lineage_hash=lineage_hash_child(
             e.lineage_hash[parent_row], t_event, oi.astype(np.uint64)
         ),
         depth=e.depth[parent_row] + 1,
-        next_uid=next_uid, lineages=None,
+        next_uid=int(e.next_uid + center.size),
     )
-    if out.n_branches > cap:
-        out = _cap_keyed(out, cap, step_seed)
-    return out
-
-
-def spread_variance_array(var0: np.ndarray, dt: float, p: PhysicalParams) -> np.ndarray:
-    """Vectorized free-spreading law (see model.spread_variance)."""
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    if np.any(var0 <= 0):
-        raise ValueError("variances must be > 0")
-    return var0 + (dt * p.hbar / (p.m * np.sqrt(var0))) ** 2
+    return _cap_keyed(out, cap, step_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +440,6 @@ def verify_tag_uniqueness(e: Ensemble) -> TagReport:
             dup_value = arr[first[np.argmax(counts)]]
             where = np.flatnonzero(arr == dup_value)
             i, j = int(where[0]), int(where[1])
-            lineage = e.lineages[i] if e.lineages is not None else None
             return TagReport(
                 passed=False, n_branches=n,
                 message=(
@@ -726,7 +447,7 @@ def verify_tag_uniqueness(e: Ensemble) -> TagReport:
                     f"(last event t={e.birth_time[i]!r}, offspring index "
                     f"{int(e.offspring_index[i])})"
                 ),
-                duplicate_indices=(i, j), duplicate_lineage=lineage,
+                duplicate_indices=(i, j),
             )
     return TagReport(passed=True, n_branches=n, message="all lineages distinct")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .branching import MODES, _MAX_EXACT_COUNT
+from .branching import MODES
 from .model import PhysicalParams
 
 __all__ = [
@@ -50,6 +50,8 @@ class RunConfig:
     params: PhysicalParams = field(default_factory=PhysicalParams)
     mode: str = "weighted"
     steps: int = 200
+    # changes no series row, metric or check (the engine ignores it and
+    # born_test's total is fixed at 10000); kept because bench/worker.py reads it
     fanout: int = 8
     max_branches: int = 100_000
     bins: int = 20
@@ -134,15 +136,10 @@ class RunConfig:
         if self.scenario in ("peres_test", "liouville_check") and self.mode != "weighted":
             raise ConfigError(f"mode: {self.scenario} does not use mode = {self.mode}")
         if self.mode == "count" and self.scenario != "born_test":
-            # total multiplicity grows by fanout every step regardless of
-            # capping; refuse runs that would leave exact-integer range.
-            # born_test is exempt: it performs one event on a fixed total.
-            if self.steps * math.log(self.fanout) > math.log(_MAX_EXACT_COUNT):
-                raise ConfigError(
-                    f"steps: count-mode totals grow as fanout^steps and "
-                    f"{self.fanout}^{self.steps} exceeds the exact integer range; "
-                    "use weighted mode for long runs"
-                )
+            raise ConfigError(
+                f"mode: count mode holds born_test's single event; {self.scenario} "
+                "evolves ensembles and requires mode = weighted or collapse"
+            )
 
 
 def default_config() -> RunConfig:

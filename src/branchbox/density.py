@@ -35,7 +35,6 @@ __all__ = [
     "pure_density",
     "mixture_density",
     "random_mixed_state",
-    "unitary_step",
     "UnitaryPropagator",
     "evolve_wavefunction",
     "grw_localization_channel",
@@ -269,17 +268,6 @@ class UnitaryPropagator:
         return GridDensityMatrix(0.5 * (out + out.conj().T), rho.dx)
 
 
-def unitary_step(
-    rho: GridDensityMatrix, dt: float, hamiltonian: np.ndarray, p: PhysicalParams
-) -> GridDensityMatrix:
-    """Exact-to-roundoff unitary step via eigendecomposition of H.
-
-    For many steps against one Hamiltonian, build a UnitaryPropagator
-    once instead; this convenience form re-diagonalizes per call.
-    """
-    return UnitaryPropagator(hamiltonian, p).step(rho, dt)
-
-
 def evolve_wavefunction(
     psi: GridWavefunction, t: float, hamiltonian: np.ndarray, p: PhysicalParams
 ) -> GridWavefunction:
@@ -337,9 +325,7 @@ def von_neumann_entropy(rho: GridDensityMatrix) -> float:
 
 
 def _grid_density(state) -> tuple[np.ndarray, np.ndarray, float]:
-    if isinstance(state, GridWavefunction):
-        return state.positions(), state.density(), state.box_length
-    if isinstance(state, GridDensityMatrix):
+    if isinstance(state, (GridWavefunction, GridDensityMatrix)):
         return state.positions(), state.density(), state.box_length
     raise TypeError(
         f"state must be a GridWavefunction or GridDensityMatrix, got {type(state).__name__}"

@@ -26,9 +26,7 @@ from scipy.special import ndtr
 
 __all__ = [
     "PhysicalParams",
-    "GaussianPacket",
     "spread_variance",
-    "step_offset_variance",
     "bin_weights",
     "reflect_center",
     "DEFAULT_BIN_WIDTH_FRACTION",
@@ -87,42 +85,17 @@ class PhysicalParams:
         return self.delta2() / (2.0 * self.tau)
 
 
-@dataclass(frozen=True)
-class GaussianPacket:
-    """A localized component: Gaussian position density N(center, variance).
-
-    ``age`` is the time elapsed since the packet was (re)localized.  The
-    packet is at rest; its variance encodes all spreading since birth.
-    """
-
-    center: float
-    variance: float
-    age: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.center)):
-            raise ValueError("packet center must be finite")
-        if not (math.isfinite(self.variance) and self.variance > 0):
-            raise ValueError(f"packet variance must be > 0, got {self.variance}")
-        if self.age < 0:
-            raise ValueError("packet age must be >= 0")
-
-
-def spread_variance(var0: float, dt: float, p: PhysicalParams) -> float:
+def spread_variance(var0, dt: float, p: PhysicalParams):
     """Free-spreading law: variance after evolving for dt from variance var0.
 
     Exact convention for this model: Var(dt) = var0 + (dt*hbar/(m*sqrt(var0)))**2.
+    ``var0`` may be a scalar or an array of per-branch variances.
     """
-    if not (var0 > 0):
-        raise ValueError(f"var0 must be > 0, got {var0}")
+    if not np.all(np.asarray(var0) > 0):
+        raise ValueError(f"var0 must be > 0, got min {np.min(var0)}")
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    return var0 + (dt * p.hbar / (p.m * math.sqrt(var0))) ** 2
-
-
-def step_offset_variance(p: PhysicalParams) -> float:
-    """Variance delta^2 added to a fresh width-w packet over one period tau."""
-    return p.delta2()
+    return var0 + (dt * p.hbar / (p.m * np.sqrt(var0))) ** 2
 
 
 def reflect_center(x, L: float):

@@ -31,10 +31,8 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from .branching import (
-    Branch,
     Ensemble,
-    TagPath,
-    decohere_branch,
+    apportion_counts,
     evolve_ensemble_step,
     exact_weighted_reference,
     midbox_ensemble,
@@ -58,8 +56,8 @@ from .density import (
     superpose,
     von_neumann_entropy,
 )
-from .model import GaussianPacket, bin_weights, spread_variance
-from .rng import mix
+from .model import PhysicalParams, bin_weights, reflect_center, spread_variance
+from .rng import lineage_hash_child, mix
 from .stats import (
     VarianceSeries,
     chi_square_frequencies,
@@ -338,6 +336,31 @@ def _scenario_freespread(c: RunConfig):
     return rows, metrics, checks
 
 
+def _born_event(p: PhysicalParams, initial: Ensemble, dt: float):
+    """born_test's count-mode event: the leaf's multiplicity, apportioned.
+
+    Returns the kernel weights, the counts over the full kernel support
+    (zeros included) and the leaves; a zero-count leaf gets no branch.
+    """
+    w2 = p.w**2
+    centers, weights = bin_weights(
+        float(initial.center[0]), spread_variance(w2, dt, p) - w2, p.bin_width()
+    )
+    counts = apportion_counts(weights, int(initial.multiplicity[0]))
+    j = np.flatnonzero(counts)
+    after = Ensemble(
+        mode="count", time=dt, center=reflect_center(centers[j], p.L),
+        variance=np.full(j.size, w2), weight=None, multiplicity=counts[j],
+        birth_time=np.full(j.size, dt), uid=initial.next_uid + j,
+        parent_uid=np.full(j.size, initial.uid[0]),
+        offspring_index=j.astype(np.int32),
+        lineage_hash=lineage_hash_child(initial.lineage_hash[0], dt, j.astype(np.uint64)),
+        depth=np.full(j.size, initial.depth[0] + 1),
+        next_uid=int(initial.next_uid + weights.size),
+    )
+    return weights, counts, after
+
+
 def _scenario_born(c: RunConfig):
     p = c.params
     bw = p.bin_width()
@@ -347,25 +370,9 @@ def _scenario_born(c: RunConfig):
     # at this interval the offset std is w/3 and the kernel spans exactly
     # 8 bins of width w/2 around the edge-centered parent
     dt_event = p.m * p.w**2 / (3.0 * p.hbar)
-    multiplicity = BORN_TOTAL_COUNT // c.fanout
-    initial = midbox_ensemble(p, "count", multiplicity=multiplicity, center=edge_center)
+    initial = midbox_ensemble(p, "count", multiplicity=BORN_TOTAL_COUNT, center=edge_center)
 
-    def one_event(dt: float):
-        spread = GaussianPacket(
-            center=edge_center, variance=spread_variance(p.w**2, dt, p), age=dt
-        )
-        parent = Branch(packet=spread, tag=TagPath(root=0), multiplicity=multiplicity)
-        offspring = decohere_branch(parent, p, "count", c.fanout, event_time=dt)
-        after = Ensemble.from_branches(offspring, "count", dt)
-        _, weights = bin_weights(edge_center, spread.variance - p.w**2, bw)
-        # leaves whose apportioned count rounds to zero are dropped by the
-        # event; scatter realized counts over the full kernel support so
-        # those compare as 0 against their (sub-resolution) weights
-        counts = np.zeros(weights.size)
-        counts[after.offspring_index] = after.multiplicity
-        return weights, counts, after
-
-    weights, counts, after = one_event(dt_event)
+    weights, counts, after = _born_event(p, initial, dt_event)
     fractions = counts / counts.sum()
     max_dev = float(np.abs(fractions - weights).max())
 
@@ -388,7 +395,7 @@ def _scenario_born(c: RunConfig):
     # against the weights realized at that interval
     rng = np.random.Generator(np.random.PCG64(c.seed))
     dt_random = float(rng.exponential(p.tau))
-    weights_r, counts_r, _ = one_event(dt_random)
+    weights_r, counts_r, _ = _born_event(p, initial, dt_random)
     obs, exp = pool_small_cells(counts_r, weights_r)
     chi = chi_square_frequencies(obs, exp, alpha=0.001)
     metrics["random_dt"] = dt_random

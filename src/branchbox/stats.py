@@ -29,7 +29,6 @@ from .model import PhysicalParams
 __all__ = [
     "VarianceSeries",
     "DiffusionEstimate",
-    "EquilibrationReport",
     "ChiSquareResult",
     "ExpectationComparison",
     "ensemble_position_mean",
@@ -38,7 +37,6 @@ __all__ = [
     "position_histogram",
     "tv_to_uniform",
     "coarse_entropy",
-    "equilibration_report",
     "fit_diffusion",
     "chi_square_frequencies",
     "pool_small_cells",
@@ -82,13 +80,6 @@ class DiffusionEstimate:
     stderr: float
     intercept: float
     n_samples: int
-
-
-@dataclass(frozen=True)
-class EquilibrationReport:
-    tv_distance: float
-    coarse_entropy: float
-    n_bins: int
 
 
 @dataclass(frozen=True)
@@ -221,13 +212,6 @@ def coarse_entropy(h: np.ndarray) -> float:
         raise ValueError("densities must be >= 0 and sum to 1")
     pos = h[h > 0]
     return float(-(pos @ np.log(pos)))
-
-
-def equilibration_report(e: Ensemble, p: PhysicalParams, k: int) -> EquilibrationReport:
-    h = position_histogram(e, p, k)
-    return EquilibrationReport(
-        tv_distance=tv_to_uniform(h), coarse_entropy=coarse_entropy(h), n_bins=k
-    )
 
 
 # ---------------------------------------------------------------------------

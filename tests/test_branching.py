@@ -7,25 +7,20 @@ import pytest
 from scipy import stats as sps
 
 from branchbox.branching import (
-    Branch,
     Ensemble,
-    TagPath,
     _cap_keyed,
-    _cap_probe_phases,
     _stratified_hits,
     apportion_counts,
-    cap_resample,
-    decohere_branch,
     evolve_ensemble_step,
     exact_weighted_reference,
     midbox_ensemble,
-    prune_to_collapse,
     run_collapse_trajectories,
     trajectory_seed,
     verify_tag_uniqueness,
 )
-from branchbox.model import GaussianPacket, PhysicalParams, bin_weights, spread_variance
-from branchbox.rng import lineage_hash_child, lineage_hash_root
+from branchbox.model import PhysicalParams, bin_weights, spread_variance
+from branchbox.rng import lineage_hash_child, lineage_hash_root, mix
+from branchbox.runner import BORN_TOTAL_COUNT, _born_event
 from branchbox.stats import ensemble_position_mean, ensemble_position_variance
 
 import reference
@@ -37,36 +32,18 @@ def gen(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-# ---------------------------------------------------------------------------
-# tags and branches
-
-
-def test_tagpath_extension_and_hash():
-    t = TagPath(root=3)
-    t2 = t.extended(1.0, 4).extended(2.0, 0)
-    assert t2.lineage == ((1.0, 4), (2.0, 0))
-    expected = lineage_hash_child(
-        lineage_hash_child(lineage_hash_root(3), 1.0, 4), 2.0, 0
+def initial_ensemble(centers, weights, mode="weighted", roots=None):
+    """Unit-variance branches at t = 0 with root lineages (default 0..n-1)."""
+    n = len(centers)
+    roots = np.arange(n) if roots is None else np.asarray(roots)
+    return Ensemble(
+        mode=mode, time=0.0, center=np.array(centers, float),
+        variance=np.ones(n), weight=np.array(weights, float), multiplicity=None,
+        birth_time=np.zeros(n), uid=np.arange(n), parent_uid=np.full(n, -1),
+        offspring_index=np.full(n, -1),
+        lineage_hash=lineage_hash_root(roots.astype(np.uint64)),
+        depth=np.zeros(n, np.int32), next_uid=n,
     )
-    assert int(t2.hash64()) == int(expected)
-
-
-def test_tagpath_rejects_bad_lineages():
-    with pytest.raises(ValueError):
-        TagPath(lineage=((2.0, 0), (1.0, 1)))  # times must increase
-    with pytest.raises(ValueError):
-        TagPath(lineage=((1.0, 0), (1.0, 1)))  # strictly
-    with pytest.raises(ValueError):
-        TagPath(lineage=((1.0, -2),))
-
-
-def test_branch_validation():
-    pk = GaussianPacket(1.0, 1.0)
-    Branch(packet=pk, tag=TagPath())
-    with pytest.raises(ValueError):
-        Branch(packet=pk, tag=TagPath(), weight=0.0)
-    with pytest.raises(ValueError):
-        Branch(packet=pk, tag=TagPath(), multiplicity=0)
 
 
 # ---------------------------------------------------------------------------
@@ -93,42 +70,20 @@ def test_midbox_snaps_odd_geometry():
 
 def test_midbox_count_mode_multiplicity():
     e = midbox_ensemble(P, "count", multiplicity=1250)
-    assert e.total_count() == 1250
+    assert int(e.multiplicity.sum()) == 1250
     assert e.weight is None
     np.testing.assert_array_equal(e.masses(), [1250.0])
 
 
-def test_ensemble_round_trip_through_branches():
-    pk = GaussianPacket(4.0, 1.0, age=0.5)
-    branches = [
-        Branch(pk, TagPath(0).extended(1.0, 2), weight=0.25, birth_time=0.5),
-        Branch(GaussianPacket(6.0, 2.0), TagPath(1), weight=0.75, birth_time=1.0),
-    ]
-    e = Ensemble.from_branches(branches, "weighted", 1.0)
-    assert e.n_branches == 2
-    np.testing.assert_array_equal(e.center, [4.0, 6.0])
-    np.testing.assert_array_equal(e.depth, [1, 0])
-    np.testing.assert_array_equal(e.offspring_index, [2, -1])
-    back = e.to_branches()
-    assert back[0].tag == branches[0].tag
-    assert back[0].weight == 0.25
-    assert back[0].packet.age == pytest.approx(0.5)
-
-
 def test_ensemble_validation():
-    ok = midbox_ensemble(P)
     with pytest.raises(ValueError):
-        Ensemble.from_branches([], "weighted", 0.0)
+        initial_ensemble([], [])
     # weights must sum to one
-    bad = [Branch(GaussianPacket(1.0, 1.0), TagPath(i), weight=0.4) for i in range(2)]
     with pytest.raises(ValueError):
-        Ensemble.from_branches(bad, "weighted", 0.0)
+        initial_ensemble([1.0, 1.0], [0.4, 0.4])
     # collapse mode holds exactly one branch
-    two = [Branch(GaussianPacket(1.0, 1.0), TagPath(i), weight=0.5) for i in range(2)]
     with pytest.raises(ValueError):
-        Ensemble.from_branches(two, "collapse", 0.0)
-    with pytest.raises(ValueError):
-        ok.total_count()
+        initial_ensemble([1.0, 1.0], [0.5, 0.5], mode="collapse")
 
 
 # ---------------------------------------------------------------------------
@@ -182,58 +137,27 @@ def test_apportion_rejects_bad_inputs():
 # decoherence events
 
 
-def test_decohere_offspring_follow_kernel():
-    b = Branch(GaussianPacket(10.0, 2.0), TagPath(0), weight=0.5, birth_time=0.0)
-    out = decohere_branch(b, P, "weighted", 8, event_time=1.0)
-    exp_c, exp_w = bin_weights(10.0, 2.0 - P.w**2, P.bin_width())
-    assert len(out) == exp_c.size
-    for j, o in enumerate(out):
-        assert o.packet.center == exp_c[j]  # no wall contact here
-        assert o.packet.variance == P.w**2
-        assert o.packet.age == 0.0
-        assert o.weight == pytest.approx(0.5 * exp_w[j], rel=1e-15)
-        assert o.tag == b.tag.extended(1.0, j)
-        assert o.birth_time == 1.0
-
-
 def test_decohere_count_conserves_multiplicity():
-    b = Branch(GaussianPacket(10.0, 2.0), TagPath(0), multiplicity=1000)
-    out = decohere_branch(b, P, "count", 8, event_time=1.0)
-    assert sum(o.multiplicity for o in out) == 8000
-    assert all(o.multiplicity >= 1 for o in out)  # zero-count bins dropped
-    exp_c, _ = bin_weights(10.0, 1.0, 0.5)
-    assert len(out) < exp_c.size  # far tails get no units at this total
-
-
-def test_decohere_folds_into_box():
-    b = Branch(GaussianPacket(0.5, 3.0), TagPath(0))
-    out = decohere_branch(b, P, "weighted", 8, event_time=1.0)
-    centers = np.array([o.packet.center for o in out])
-    assert np.all((centers >= 0) & (centers <= P.L))
-
-
-def test_decohere_requires_spread_beyond_width():
-    b = Branch(GaussianPacket(10.0, P.w**2), TagPath(0))
-    with pytest.raises(ValueError):
-        decohere_branch(b, P, "weighted", 8, event_time=1.0)
-
-
-def test_prune_selects_by_mass():
-    packets = [GaussianPacket(float(i), 1.0) for i in range(3)]
-    weights = [0.6, 0.3, 0.1]
-    branches = [
-        Branch(pk, TagPath(i), weight=w)
-        for i, (pk, w) in enumerate(zip(packets, weights))
-    ]
-    rng = gen(5)
-    picks = np.zeros(3)
-    n = 20_000
-    for _ in range(n):
-        b = prune_to_collapse(branches, rng)
-        assert b.weight == 1.0 and b.multiplicity == 1
-        picks[int(b.packet.center)] += 1
-    res = sps.chisquare(picks, np.array(weights) * n)
-    assert res.pvalue > 1e-4
+    # count mode's only event: born_test's parent, one leaf holding the
+    # whole count on a bin edge, apportioned over its offspring
+    initial = midbox_ensemble(P, "count", multiplicity=BORN_TOTAL_COUNT, center=10.25)
+    zero_leaves = 0
+    for dt in (P.m * P.w**2 / (3.0 * P.hbar), 0.9, 2.5):
+        weights, counts, after = _born_event(P, initial, dt)
+        assert counts.sum() == BORN_TOTAL_COUNT
+        assert after.multiplicity.sum() == BORN_TOTAL_COUNT
+        assert np.all(np.abs(counts / BORN_TOTAL_COUNT - weights) <= 1.0 / BORN_TOTAL_COUNT)
+        # zero-count leaves hold no branch
+        kept = np.flatnonzero(counts)
+        np.testing.assert_array_equal(after.offspring_index, kept)
+        np.testing.assert_array_equal(after.multiplicity, counts[kept])
+        zero_leaves += int((counts == 0).sum())
+        np.testing.assert_array_equal(
+            after.lineage_hash,
+            lineage_hash_child(initial.lineage_hash[0], dt, kept.astype(np.uint64)),
+        )
+        assert np.unique(after.lineage_hash).size == after.n_branches
+    assert zero_leaves > 0  # the wide kernels have tails below one unit
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +202,8 @@ def test_stratified_hits_heavy_branch_always_survives():
 def test_cap_resample_identity_below_cap():
     e = midbox_ensemble(P)
     e = evolve_ensemble_step(e, P, 8, 10**9, gen(1))
-    assert cap_resample(e, e.n_branches, gen(2)) is e
-    assert cap_resample(e, e.n_branches + 5, gen(2)) is e
+    assert _cap_keyed(e, e.n_branches, np.uint64(2)) is e
+    assert _cap_keyed(e, e.n_branches + 5, np.uint64(2)) is e
 
 
 def test_cap_resample_weighted_invariants():
@@ -287,7 +211,7 @@ def test_cap_resample_weighted_invariants():
     for _ in range(3):
         e = evolve_ensemble_step(e, P, 8, 10**9, gen(3))
     assert e.n_branches > 400
-    capped = cap_resample(e, 100, gen(4))
+    capped = _cap_keyed(e, 100, np.uint64(4))
     assert capped.n_branches <= 100
     assert capped.weight.sum() == pytest.approx(1.0, abs=1e-12)
     # survivors keep their identity arrays aligned
@@ -297,29 +221,14 @@ def test_cap_resample_weighted_invariants():
     assert e.lineage_hash[orig] == capped.lineage_hash[i]
 
 
-def test_cap_resample_count_mode_preserves_total():
-    e = midbox_ensemble(P, "count", multiplicity=10**6)
-    for _ in range(2):
-        e = evolve_ensemble_step(e, P, 8, 10**9, gen(5))
-    total = e.total_count()
-    capped = cap_resample(e, 50, gen(6))
-    assert capped.total_count() == total
-    assert capped.n_branches <= 50
-
-
 def test_cap_equal_masses_is_exchangeable():
     # 2K equal-mass branches: every branch must survive equally often
     k = 16
-    branches = [
-        Branch(GaussianPacket(float(i), 1.0), TagPath(i), weight=1.0 / (2 * k))
-        for i in range(2 * k)
-    ]
-    e = Ensemble.from_branches(branches, "weighted", 0.0)
-    rng = gen(7)
+    e = initial_ensemble(np.arange(2.0 * k), np.full(2 * k, 1.0 / (2 * k)))
     seen = np.zeros(2 * k)
     trials = 4000
-    for _ in range(trials):
-        capped = cap_resample(e, k, rng)
+    for t in range(trials):
+        capped = _cap_keyed(e, k, mix(np.uint64(7), np.uint64(t)))
         seen[capped.uid] += 1
     freq = seen / trials
     # marginal inclusion probability is exactly 1/2 for every branch
@@ -334,7 +243,7 @@ def test_capped_mean_unbiased_over_seeds():
         e = evolve_ensemble_step(e, P, 8, 10**9, gen(8))
     target = ensemble_position_mean(e)
     means = np.array([
-        ensemble_position_mean(cap_resample(e, 300, gen(100 + s)))
+        ensemble_position_mean(_cap_keyed(e, 300, np.uint64(100 + s)))
         for s in range(50)
     ])
     se = means.std(ddof=1) / math.sqrt(means.size)
@@ -351,7 +260,7 @@ def test_capped_variance_unbiased_over_seeds():
     target = float(m @ e.center**2)
     vals = []
     for s in range(50):
-        c = cap_resample(e, 300, gen(500 + s))
+        c = _cap_keyed(e, 300, np.uint64(500 + s))
         mc = c.masses() / c.masses().sum()
         vals.append(float(mc @ c.center**2))
     vals = np.array(vals)
@@ -443,29 +352,6 @@ def test_evolve_fast_path_matches_materialize_then_cap():
     np.testing.assert_array_equal(capped.parent_uid, manual.parent_uid)
 
 
-def test_evolve_count_total_is_exact():
-    e = midbox_ensemble(P, "count", multiplicity=1)
-    r = gen(34)
-    for k in range(6):
-        e = evolve_ensemble_step(e, P, 8, 2000, r)
-        assert e.total_count() == 8 ** (k + 1)
-
-
-def test_evolve_count_large_total_tracks_weights():
-    e = midbox_ensemble(P, "count", multiplicity=10**9)
-    out = evolve_ensemble_step(e, P, 1, 10**9, gen(35))
-    rel, kern = bin_weights(0.0, 1.0, 0.5)
-    fractions = out.multiplicity / out.multiplicity.sum()
-    sel = kern >= 1e-9  # bins that receive at least ~1 unit
-    np.testing.assert_allclose(fractions, kern[sel], atol=1e-9)
-
-
-def test_evolve_count_overflow_guard():
-    e = midbox_ensemble(P, "count", multiplicity=2**52)
-    with pytest.raises(OverflowError):
-        evolve_ensemble_step(e, P, 8, 10**9, gen(36))
-
-
 def test_evolve_wall_reflection_keeps_box():
     e = midbox_ensemble(P, center=0.5)
     r = gen(37)
@@ -501,6 +387,9 @@ def test_evolve_rejects_bad_arguments():
         evolve_ensemble_step(e, P, 8, 100, gen(40), timing="jittered")
     with pytest.raises(ValueError):
         evolve_ensemble_step(e, PhysicalParams(tau=0.0), 8, 100, gen(40))
+    # count mode holds born_test's single event; the engine refuses it
+    with pytest.raises(ValueError, match="count-mode"):
+        evolve_ensemble_step(midbox_ensemble(P, "count"), P, 8, 100, gen(40))
 
 
 def test_evolve_collapse_stays_single_and_lattice_bound():
@@ -671,15 +560,11 @@ def test_uniqueness_passes_for_engine_output():
 
 
 def test_uniqueness_catches_duplicate_lineage():
-    pk = GaussianPacket(1.0, 1.0)
-    dup = [
-        Branch(pk, TagPath(0), weight=0.5),
-        Branch(pk, TagPath(0), weight=0.5),
-    ]
-    rep = verify_tag_uniqueness(Ensemble.from_branches(dup, "weighted", 0.0))
+    # distinct uids, same root lineage
+    dup = initial_ensemble([1.0, 1.0], [0.5, 0.5], roots=[0, 0])
+    rep = verify_tag_uniqueness(dup)
     assert not rep.passed
     assert rep.duplicate_indices == (0, 1)
-    assert rep.duplicate_lineage == TagPath(0)
 
 
 def test_uniqueness_catches_duplicate_uid():

@@ -60,10 +60,10 @@ def test_parse_empty_document_gives_defaults():
 
 
 def test_overrides_apply_on_top():
-    c = parse_config(GOOD_DOC, {"steps": 12, "seed": "11", "mode": "count"})
+    c = parse_config(GOOD_DOC, {"steps": 12, "seed": "11", "mode": "collapse"})
     assert c.steps == 12
     assert c.seed == 11
-    assert c.mode == "count"
+    assert c.mode == "collapse"
     assert c.max_branches == 5000  # untouched document value survives
 
 
@@ -163,10 +163,14 @@ def test_scenario_rules_liouville():
         parse_config("", {"scenario": "liouville_check", "mode": "collapse"})
 
 
-def test_count_mode_growth_guard():
-    with pytest.raises(ConfigError, match="fanout\\^steps"):
-        parse_config("", {"mode": "count", "steps": 200})
-    parse_config("", {"mode": "count", "steps": 17})  # 8^17 still exact
+@pytest.mark.parametrize("scenario", [
+    "midbox", "freespread", "peres_test", "collapse_compare", "liouville_check",
+])
+def test_count_mode_is_born_only(scenario):
+    # count mode holds born_test's single event; no other scenario runs it
+    valid = {"freespread": {"L": 10_000.0}, "peres_test": {"L": 40.0}}.get(scenario, {})
+    with pytest.raises(ConfigError, match="^mode: "):
+        parse_config("", {"scenario": scenario, "mode": "count"} | valid)
 
 
 def test_config_lines_round_trip():

@@ -21,7 +21,6 @@ from branchbox.density import (
     pure_density,
     random_mixed_state,
     superpose,
-    unitary_step,
     von_neumann_entropy,
 )
 from branchbox.model import PhysicalParams
@@ -166,7 +165,7 @@ def test_unitary_step_preserves_state_properties():
     rng = np.random.Generator(np.random.PCG64(9))
     rho = random_mixed_state(n, P, rng, rank=3)
     s0 = von_neumann_entropy(rho)
-    out = unitary_step(rho, 0.7, h, P)
+    out = UnitaryPropagator(h, P).step(rho, 0.7)
     assert float(np.trace(out.elements).real) * out.dx == pytest.approx(1.0, abs=1e-10)
     assert abs(von_neumann_entropy(out) - s0) < 1e-10
 

@@ -7,12 +7,10 @@ import pytest
 
 from branchbox.model import (
     DEFAULT_BIN_WIDTH_FRACTION,
-    GaussianPacket,
     PhysicalParams,
     bin_weights,
     reflect_center,
     spread_variance,
-    step_offset_variance,
 )
 
 import reference
@@ -60,18 +58,6 @@ def test_tau_zero_allowed_but_no_diffusion_constant():
         p.diffusion_constant()
 
 
-def test_packet_validation():
-    GaussianPacket(center=1.0, variance=0.5, age=2.0)
-    with pytest.raises(ValueError):
-        GaussianPacket(center=math.nan, variance=1.0)
-    with pytest.raises(ValueError):
-        GaussianPacket(center=0.0, variance=0.0)
-    with pytest.raises(ValueError):
-        GaussianPacket(center=0.0, variance=-1.0)
-    with pytest.raises(ValueError):
-        GaussianPacket(center=0.0, variance=1.0, age=-0.1)
-
-
 # ---------------------------------------------------------------------------
 # spreading law
 
@@ -81,6 +67,10 @@ def test_spread_variance_matches_formula():
     for var0, dt in [(1.0, 1.0), (0.25, 0.5), (4.0, 2.5), (1.0, 0.0)]:
         expected = var0 + (dt * p.hbar / (p.m * math.sqrt(var0))) ** 2
         assert spread_variance(var0, dt, p) == pytest.approx(expected, rel=1e-15)
+    # per-branch variance arrays follow the same law elementwise
+    var0 = np.array([1.0, 0.25, 4.0])
+    expected = [spread_variance(float(v), 0.5, p) for v in var0]
+    np.testing.assert_array_equal(spread_variance(var0, 0.5, p), expected)
 
 
 def test_spread_variance_unit_case():
@@ -89,7 +79,6 @@ def test_spread_variance_unit_case():
     assert spread_variance(p.w**2, p.tau, p) == pytest.approx(
         p.w**2 + p.delta2(), rel=1e-15
     )
-    assert step_offset_variance(p) == p.delta2()
 
 
 def test_spread_variance_monotone_in_dt():
@@ -104,6 +93,8 @@ def test_spread_variance_rejects_bad_inputs():
         spread_variance(0.0, 1.0, p)
     with pytest.raises(ValueError):
         spread_variance(1.0, -0.1, p)
+    with pytest.raises(ValueError):
+        spread_variance(np.array([1.0, 0.0]), 1.0, p)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from branchbox.branching import Branch, CollapseBatch, Ensemble, TagPath, midbox_ensemble
-from branchbox.model import GaussianPacket, PhysicalParams
+from branchbox.branching import CollapseBatch, Ensemble, midbox_ensemble
+from branchbox.model import PhysicalParams
+from branchbox.rng import lineage_hash_root
 from branchbox.stats import (
     VarianceSeries,
     chi_square_frequencies,
@@ -15,7 +16,6 @@ from branchbox.stats import (
     effective_branch_count,
     ensemble_position_mean,
     ensemble_position_variance,
-    equilibration_report,
     expectation_compare,
     fit_diffusion,
     pool_small_cells,
@@ -32,11 +32,15 @@ P = PhysicalParams()
 
 
 def weighted_ensemble(centers, variances, weights, time=0.0):
-    branches = [
-        Branch(GaussianPacket(c, v), TagPath(i), weight=w)
-        for i, (c, v, w) in enumerate(zip(centers, variances, weights))
-    ]
-    return Ensemble.from_branches(branches, "weighted", time)
+    n = len(centers)
+    return Ensemble(
+        mode="weighted", time=float(time), center=np.array(centers, float),
+        variance=np.array(variances, float), weight=np.array(weights, float),
+        multiplicity=None, birth_time=np.zeros(n), uid=np.arange(n),
+        parent_uid=np.full(n, -1), offspring_index=np.full(n, -1),
+        lineage_hash=lineage_hash_root(np.arange(n, dtype=np.uint64)),
+        depth=np.zeros(n, np.int32), next_uid=n,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +153,6 @@ def test_density_vector_validation(bad):
         tv_to_uniform(bad)
     with pytest.raises(ValueError):
         coarse_entropy(bad)
-
-
-def test_equilibration_report_consistency():
-    e = midbox_ensemble(P)
-    rep = equilibration_report(e, P, 20)
-    h = position_histogram(e, P, 20)
-    assert rep.tv_distance == tv_to_uniform(h)
-    assert rep.coarse_entropy == coarse_entropy(h)
-    assert rep.n_bins == 20
 
 
 # ---------------------------------------------------------------------------
