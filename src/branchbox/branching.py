@@ -215,23 +215,61 @@ def apportion_counts(weights, total: int) -> np.ndarray:
 # capping
 
 
-def _stratified_hits(weights: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stratified resampling: one CDF probe per stride, independent phases.
+def _stratified_hits(
+    row_mass: np.ndarray,
+    u: np.ndarray,
+    *,
+    group_start: np.ndarray | None = None,
+    parent_mass: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two-level stratified resampling: one CDF probe per stride, independent phases.
 
-    Probe j lands at (u[j] + j) / K and is absorbed by the branch whose
-    CDF cell contains it, so branch i collects K * weights[i] probes in
-    expectation (exactly unbiased, total exactly preserved) and at most
-    K distinct branches survive.  The phases must be independent: a
-    shared phase (plain systematic resampling) locks equal-weight
-    parents to the same offspring pick and the ensemble stops mixing.
-    Returns (surviving indices, probe hits per survivor).
+    Rows come in groups.  By default ``row_mass`` holds every row and
+    ``group_start`` the first row of each contiguous group (one group if
+    omitted).  With ``parent_mass`` instead, every parent g has the same
+    implicit rows: row (g, b) has mass parent_mass[g] * row_mass[b] and
+    flat index g * row_mass.size + b, and no array of all rows is built.
+
+    Probe j lands at (u[j] + j) / K of the total mass.  The first level
+    finds its group on the group CDF; the second searches the probe's
+    fraction of the way through that group's cell, clipped to [0, 1], on
+    the group's row CDF, normalised to end at exactly 1.  Grouped rows
+    keep every group's row CDF in one array, group g's shifted up by g,
+    so one search serves all groups; shared rows search the one shared
+    CDF.  Resolved this way the probes land where a flat search of all
+    rows puts them, so row i collects K * mass_i / total probes in
+    expectation (exactly unbiased, total exactly K), at most K distinct
+    rows survive and zero-mass rows or groups are never hit.  The flat
+    indices come out sorted, so hits are run lengths.  The phases must
+    lie in (0, 1) and be independent: a shared phase (plain systematic
+    resampling) locks equal-weight parents to the same offspring pick and
+    the ensemble stops mixing.  Returns (surviving flat indices, strictly
+    increasing; probe hits per survivor).
     """
-    keep = u.size
-    cdf = np.cumsum(weights)
-    pos = (u + np.arange(keep, dtype=float)) / keep
-    raw = np.searchsorted(cdf, pos, side="left")
-    # accumulated rounding can leave cdf[-1] a hair under the last probe
-    return np.unique(np.minimum(raw, weights.size - 1), return_counts=True)
+    k = u.size
+    cum = np.cumsum(row_mass)
+    if parent_mass is None:
+        start = np.zeros(1, np.int64) if group_start is None else group_start
+        group = np.repeat(np.arange(start.size), np.diff(start, append=row_mass.size))
+        edge = np.append(np.concatenate(([0.0], cum))[start], cum[-1])
+        span = np.diff(edge)
+        # (cum - edge) / span is exactly 1 on each group's last row
+        row_cdf = group + (cum - edge[group]) / np.where(span > 0, span, 1.0)[group]
+    else:
+        edge = np.concatenate(([0.0], np.cumsum(parent_mass)))
+        row_cdf = cum / cum[-1]
+    edge /= edge[-1]
+    pos = (u + np.arange(k, dtype=float)) / k
+    cell = np.searchsorted(edge, pos, side="left") - 1
+    lo = edge[cell]
+    frac = np.clip((pos - lo) / (edge[cell + 1] - lo), 0.0, 1.0)
+    shift, base = (cell, 0) if parent_mass is None else (0, cell * row_mass.size)
+    # a fraction lost to rounding against the offset still lands past the
+    # previous group's last entry and this group's zero-mass lead rows
+    probe = np.maximum(shift + frac, np.nextafter(shift, np.inf))
+    idx = base + np.searchsorted(row_cdf, probe, side="left")
+    first = np.flatnonzero(np.diff(idx, prepend=-1))
+    return idx[first], np.diff(first, append=k)
 
 
 def _cap_probe_phases(max_branches: int, step_seed: np.uint64) -> np.ndarray:
@@ -243,16 +281,25 @@ def _cap_probe_phases(max_branches: int, step_seed: np.uint64) -> np.ndarray:
 def _cap_keyed(e: Ensemble, max_branches: int, step_seed: np.uint64) -> Ensemble:
     """Thin a weighted ensemble to at most ``max_branches`` branches.
 
-    Survivors are picked by stratified resampling with probe phases
-    derived from (step seed, probe index), and carry equal shares of the
-    total per probe hit, so every ensemble statistic stays an exactly
-    unbiased estimate of the uncapped one.  Under the cap the ensemble is
-    returned unchanged.
+    Survivors are picked by two-level stratified resampling with probe
+    phases derived from (step seed, probe index): branches are grouped
+    into contiguous runs of equal ``parent_uid`` (an engine step's
+    offspring of one parent), each probe finds its group on the group
+    CDF and then its branch on that group's own CDF.  Evolving a
+    lattice-aligned ensemble past the cap makes the same selection from
+    the parents' CDF and the shared kernel CDF without building the
+    offspring, and a hand-built ensemble, whose branches share one
+    parent uid, is one group: a flat search.  Survivors carry equal
+    shares of the total per probe hit, so every ensemble statistic stays
+    an exactly unbiased estimate of the uncapped one.  Under the cap the
+    ensemble is returned unchanged.
     """
     if e.n_branches <= max_branches:
         return e
+    pu = e.parent_uid
     idx, hits = _stratified_hits(
-        e.weight / e.weight.sum(), _cap_probe_phases(max_branches, step_seed)
+        e.weight, _cap_probe_phases(max_branches, step_seed),
+        group_start=np.flatnonzero(np.concatenate(([True], pu[1:] != pu[:-1]))),
     )
     return Ensemble(
         mode=e.mode, time=e.time,
@@ -314,11 +361,15 @@ def evolve_ensemble_step(
     it exceeds ``cap``.  One uint64 is drawn from ``rng`` per step;
     timing and capping are keyed off it alone and pruning additionally
     off the branch lineage, so results do not depend on internal
-    batching; in particular the capped weighted fast path below selects
-    survivors before materializing offspring rows and is bit-identical
-    to materializing everything and then capping.  ``fanout`` is
-    validated but does not affect the step.  Count-mode ensembles are
-    rejected.
+    batching.  When every branch sits on the offspring lattice with one
+    variance, all parents share one offset kernel and offspring (parent,
+    bin) has mass w_parent * kern_bin; past the cap, each stratified
+    probe is resolved first on the n-entry parent CDF, then on the
+    shared kernel CDF, and only the survivors' rows are built.  That is
+    the selection ``_cap_keyed`` makes on the materialized offspring,
+    grouped by parent, so the fast path is bit-identical to
+    materializing everything and then capping.  ``fanout`` is validated
+    but does not affect the step.  Count-mode ensembles are rejected.
     """
     if e.mode == "count":
         raise ValueError(
@@ -377,14 +428,15 @@ def evolve_ensemble_step(
         # implicit (parent, bin) row indices and only their rows built
         nk = rel.size
         noff = n * nk
-        mass = (e.weight[:, None] * kern[None, :]).ravel()
-        wfull = mass / mass.sum()
         if noff > cap:
-            idx, hits = _stratified_hits(wfull, _cap_probe_phases(cap, step_seed))
+            idx, hits = _stratified_hits(
+                kern, _cap_probe_phases(cap, step_seed), parent_mass=e.weight
+            )
             weight = hits / float(cap)
         else:
             idx = np.arange(noff, dtype=np.int64)
-            weight = wfull
+            mass = (e.weight[:, None] * kern[None, :]).ravel()
+            weight = mass / mass.sum()
         pr, oi = idx // nk, idx % nk
         return Ensemble(
             mode="weighted", time=t_event,

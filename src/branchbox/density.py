@@ -242,6 +242,12 @@ class UnitaryPropagator:
         self.energies, self.vectors = np.linalg.eigh(hamiltonian)
         self.hbar = p.hbar
 
+    def propagate(self, psi: GridWavefunction, t: float) -> GridWavefunction:
+        """Pure state psi -> exp(-i H t / hbar) psi, exact in the energy basis."""
+        amp_e = self.vectors.conj().T @ psi.amplitudes
+        amp = self.vectors @ (np.exp(-1j * self.energies * t / self.hbar) * amp_e)
+        return GridWavefunction(amp, psi.dx)
+
     def step(self, rho: GridDensityMatrix, dt: float) -> GridDensityMatrix:
         """One step rho -> U rho U+ with U = exp(-i H dt / hbar)."""
         phase = np.exp(-1j * self.energies * dt / self.hbar)
@@ -271,11 +277,12 @@ class UnitaryPropagator:
 def evolve_wavefunction(
     psi: GridWavefunction, t: float, hamiltonian: np.ndarray, p: PhysicalParams
 ) -> GridWavefunction:
-    """Propagate a pure state by time t under H (eigendecomposition, exact)."""
-    energies, vectors = np.linalg.eigh(hamiltonian)
-    amp_e = vectors.conj().T @ psi.amplitudes
-    amp = vectors @ (np.exp(-1j * energies * t / p.hbar) * amp_e)
-    return GridWavefunction(amp, psi.dx)
+    """Propagate a pure state by time t under H (eigendecomposition, exact).
+
+    Diagonalizes H on every call; propagate several states under one H
+    with ``UnitaryPropagator(H, p).propagate``.
+    """
+    return UnitaryPropagator(hamiltonian, p).propagate(psi, t)
 
 
 # ---------------------------------------------------------------------------

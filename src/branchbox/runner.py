@@ -45,7 +45,6 @@ from .density import (
     UnitaryPropagator,
     build_box_hamiltonian,
     classical_random_walk_oracle,
-    evolve_wavefunction,
     fringe_content,
     grid_points,
     grw_localization_channel,
@@ -466,16 +465,14 @@ def _scenario_peres(c: RunConfig):
     # flight time to overlap: packets spread as hbar t / (2 m w) for
     # t >> 2 m w^2 / hbar, so both reach the midpoint around t*
     t_star = 2.0 * p.m * half_sep * p.w / p.hbar
-    hamiltonian = build_box_hamiltonian(PERES_GRID, p)
+    prop = UnitaryPropagator(build_box_hamiltonian(PERES_GRID, p), p)
 
     left = packet_state(PERES_GRID, p, c_left, p.w**2)
     right = packet_state(PERES_GRID, p, c_right, p.w**2)
     amp = 1.0 / math.sqrt(2.0)
-    coherent = evolve_wavefunction(
-        superpose([left, right], [amp, amp]), t_star, hamiltonian, p
-    )
-    left_t = evolve_wavefunction(left, t_star, hamiltonian, p)
-    right_t = evolve_wavefunction(right, t_star, hamiltonian, p)
+    coherent = prop.propagate(superpose([left, right], [amp, amp]), t_star)
+    left_t = prop.propagate(left, t_star)
+    right_t = prop.propagate(right, t_star)
     tagged = mixture_density([left_t, right_t], [0.5, 0.5])
     envelope = 0.5 * left_t.density() + 0.5 * right_t.density()
 

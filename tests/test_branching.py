@@ -199,6 +199,90 @@ def test_stratified_hits_heavy_branch_always_survives():
         assert 0 in idx and 1 in idx
 
 
+def _flat_rows(parent_mass, kern):
+    """Materialized rows of the shared-kernel form and their group starts."""
+    flat = (parent_mass[:, None] * kern[None, :]).ravel()
+    return flat, np.arange(parent_mass.size) * kern.size
+
+
+def test_stratified_hits_two_level_matches_flat_search():
+    # both two-level forms return the flat search's probe landings,
+    # sorted, with run lengths equal to np.unique's counts
+    rng = gen(24)
+    for _ in range(200):
+        pm = rng.dirichlet(np.ones(rng.integers(1, 40)))
+        kern = rng.dirichlet(np.ones(rng.integers(1, 30)))
+        k = int(rng.integers(1, 300))
+        u = rng.random(k)
+        flat, starts = _flat_rows(pm, kern)
+        cdf = np.cumsum(flat)
+        raw = np.searchsorted(cdf, (u + np.arange(k)) / k * cdf[-1], side="left")
+        want_idx, want_hits = np.unique(raw, return_counts=True)
+        for idx, hits in (
+            _stratified_hits(kern, u, parent_mass=pm),
+            _stratified_hits(flat, u, group_start=starts),
+        ):
+            assert hits.sum() == k
+            assert np.all(np.diff(idx) > 0)
+            np.testing.assert_array_equal(idx, want_idx)
+            np.testing.assert_array_equal(hits, want_hits)
+
+
+def test_stratified_hits_unbiased_per_implicit_row():
+    # E[hits of row (g, b)] = K * w_g * kern_b with unequal parents and a
+    # lopsided kernel
+    pm = np.array([0.5, 0.1, 0.3, 0.1])
+    kern = np.array([0.05, 0.6, 0.25, 0.1])
+    flat, _ = _flat_rows(pm, kern)
+    k = 6
+    rng = gen(25)
+    trials = 40_000
+    mean_hits = np.zeros(flat.size)
+    for _ in range(trials):
+        u = rng.random(k)
+        idx, hits = _stratified_hits(kern, u, parent_mass=pm)
+        mean_hits[idx] += hits
+    mean_hits /= trials
+    np.testing.assert_allclose(mean_hits, k * flat, atol=0.02)
+
+
+def test_stratified_hits_skip_zero_mass_rows_and_groups():
+    cases = [
+        # probe 0 sits exactly on the end of group 0, whose neighbours
+        # are zero-mass rows and an all-zero group
+        ([0.375, 0.0, 0.625], [0.0, 1.0, 0.0], [0.75, 0.75], [1, 7], [1, 1]),
+        # the probe's fraction of group 1 (7e-17) vanishes when added to
+        # the group offset 1; it must still skip group 1's zero-mass lead row
+        ([0.25, 0.75], [0.0, 1.0], [np.nextafter(0.25, 1.0)], [3], [1]),
+    ]
+    with np.errstate(divide="raise", invalid="raise"):
+        for pm, kern, u, want_idx, want_hits in cases:
+            pm, kern, u = np.array(pm), np.array(kern), np.array(u)
+            flat, starts = _flat_rows(pm, kern)
+            for idx, hits in (
+                _stratified_hits(kern, u, parent_mass=pm),
+                _stratified_hits(flat, u, group_start=starts),
+            ):
+                np.testing.assert_array_equal(idx, want_idx)
+                np.testing.assert_array_equal(hits, want_hits)
+        rng = gen(26)
+        for _ in range(300):
+            pm = rng.dirichlet(np.ones(12)) * (rng.random(12) < 0.6)
+            kern = rng.dirichlet(np.ones(9)) * (rng.random(9) < 0.6)
+            if pm.sum() == 0 or kern.sum() == 0:
+                continue
+            flat, starts = _flat_rows(pm, kern)
+            k = int(rng.integers(1, 60))
+            u = rng.random(k)
+            a = _stratified_hits(kern, u, parent_mass=pm)
+            b = _stratified_hits(flat, u, group_start=starts)
+            for idx, hits in (a, b):
+                assert np.all(flat[idx] > 0)
+                assert hits.sum() == k
+            np.testing.assert_array_equal(a[0], b[0])
+            np.testing.assert_array_equal(a[1], b[1])
+
+
 def test_cap_resample_identity_below_cap():
     e = midbox_ensemble(P)
     e = evolve_ensemble_step(e, P, 8, 10**9, gen(1))
@@ -343,6 +427,29 @@ def test_evolve_fast_path_matches_materialize_then_cap():
     step_seed = np.uint64(r2.integers(0, 2**64, dtype=np.uint64))
     r3 = gen(99)
     full = evolve_ensemble_step(e, P, 8, 10**9, r3)
+    manual = _cap_keyed(full, cap, step_seed)
+
+    np.testing.assert_array_equal(capped.uid, manual.uid)
+    np.testing.assert_array_equal(capped.center, manual.center)
+    np.testing.assert_array_equal(capped.weight, manual.weight)
+    np.testing.assert_array_equal(capped.lineage_hash, manual.lineage_hash)
+    np.testing.assert_array_equal(capped.parent_uid, manual.parent_uid)
+
+
+def test_evolve_fast_path_matches_materialize_then_cap_after_capped_step():
+    # same contract on an ensemble the cap has already thinned: several
+    # parents, weights hits / cap
+    e = midbox_ensemble(P)
+    e = evolve_ensemble_step(e, P, 8, 10**9, gen(34))
+    e = evolve_ensemble_step(e, P, 8, 60, gen(35))
+    assert np.unique(e.parent_uid).size > 1
+    np.testing.assert_array_equal(e.weight * 60, np.round(e.weight * 60))
+    cap = 45
+
+    capped = evolve_ensemble_step(e, P, 8, cap, gen(98))
+    step_seed = np.uint64(gen(98).integers(0, 2**64, dtype=np.uint64))
+    full = evolve_ensemble_step(e, P, 8, 10**9, gen(98))
+    assert full.n_branches > cap
     manual = _cap_keyed(full, cap, step_seed)
 
     np.testing.assert_array_equal(capped.uid, manual.uid)
