@@ -51,7 +51,6 @@ from .density import (
     UnitaryPropagator,
     build_box_hamiltonian,
     classical_random_walk_oracle,
-    evolve_wavefunction,
     fringe_content,
     grid_points,
     grw_localization_channel,
@@ -104,7 +103,6 @@ __all__ = [
     "UnitaryPropagator",
     "build_box_hamiltonian",
     "classical_random_walk_oracle",
-    "evolve_wavefunction",
     "fringe_content",
     "grid_points",
     "grw_localization_channel",

@@ -3,9 +3,12 @@
 Every decoherence event splits a spread packet into localized offspring,
 one per lattice bin of the center-offset distribution, and stamps each
 offspring with a tag recording (event time, offspring index) on top of
-the parent's lineage.  Tags are what make branches permanently
-distinguishable: two components with different lineages never interfere
-again, no matter where their packets sit.
+the parent's lineage.  Offsets are binned relative to the parent, so all
+parents share one offset kernel whatever their centers; for a
+lattice-aligned start in a box that is a whole number of bins wide the
+centers themselves stay on a fixed lattice.  Tags are what make branches
+permanently distinguishable: two components with different lineages
+never interfere again, no matter where their packets sit.
 
 ``evolve_ensemble_step`` runs two ensemble modes:
 
@@ -150,9 +153,10 @@ def midbox_ensemble(
 ) -> Ensemble:
     """Single fresh packet at (or near) the box center.
 
-    The default center is L/2 snapped to the offspring lattice so the
-    whole evolution stays lattice-aligned.  Pass ``center`` to start
-    elsewhere (it is used as given, not snapped).
+    The default center is L/2 snapped to the offspring lattice, so in a
+    box that is a whole number of bins wide every later center stays on
+    the lattice.  Pass ``center`` to start elsewhere (it is used as
+    given, not snapped).
     """
     if center is None:
         bw = p.bin_width()
@@ -285,11 +289,11 @@ def _cap_keyed(e: Ensemble, max_branches: int, step_seed: np.uint64) -> Ensemble
     phases derived from (step seed, probe index): branches are grouped
     into contiguous runs of equal ``parent_uid`` (an engine step's
     offspring of one parent), each probe finds its group on the group
-    CDF and then its branch on that group's own CDF.  Evolving a
-    lattice-aligned ensemble past the cap makes the same selection from
-    the parents' CDF and the shared kernel CDF without building the
-    offspring, and a hand-built ensemble, whose branches share one
-    parent uid, is one group: a flat search.  Survivors carry equal
+    CDF and then its branch on that group's own CDF.  Evolving an
+    ensemble past the cap makes the same selection from the parents'
+    CDF and the shared kernel CDF without building the offspring, and a
+    hand-built ensemble, whose branches share one parent uid, is one
+    group: a flat search.  Survivors carry equal
     shares of the total per probe hit, so every ensemble statistic stays
     an exactly unbiased estimate of the uncapped one.  Under the cap the
     ensemble is returned unchanged.
@@ -322,25 +326,16 @@ def _pick_index(cumulative: np.ndarray, u) -> np.ndarray | int:
     return np.minimum(idx, cumulative.size - 1)
 
 
-def _materialize_offspring(e: Ensemble, p: PhysicalParams, new_var: np.ndarray, bw: float):
-    """Flat (center, mass, parent_row, offspring_index) for all offspring.
+def _offset_kernel(var0: float, dt: float, p: PhysicalParams):
+    """(offsets, Born weights) of one event's offspring relative to the parent.
 
-    Centers are unreflected and mass is the Born weight per row.  Each
-    branch is rebinned individually; this serves ensembles that are not
-    lattice-aligned with uniform variance.
+    A packet of variance ``var0`` spreads for ``dt``, and the spread
+    beyond the fresh width w is binned at the lattice pitch around 0.
     """
-    w2 = p.w**2
-    cs, ms, rows, ois = [], [], [], []
-    for i in range(e.n_branches):
-        c_i, w_i = bin_weights(float(e.center[i]), float(new_var[i]) - w2, bw)
-        cs.append(c_i)
-        rows.append(np.full(c_i.size, i, np.int64))
-        ois.append(np.arange(c_i.size, dtype=np.int64))
-        ms.append(float(e.weight[i]) * w_i)
-    return (
-        np.concatenate(cs), np.concatenate(ms),
-        np.concatenate(rows), np.concatenate(ois),
-    )
+    # spread on an array: there x**2 is the rounded exact square, while a
+    # scalar ** goes through pow() and can differ in the last bit
+    spread = float(spread_variance(np.full(1, var0), dt, p)[0]) - p.w**2
+    return bin_weights(0.0, spread, p.bin_width())
 
 
 def evolve_ensemble_step(
@@ -351,7 +346,6 @@ def evolve_ensemble_step(
     rng: np.random.Generator,
     *,
     timing: str = "deterministic",
-    bin_width: float | None = None,
 ) -> Ensemble:
     """Advance a weighted or collapse ensemble through one decoherence period.
 
@@ -361,15 +355,17 @@ def evolve_ensemble_step(
     it exceeds ``cap``.  One uint64 is drawn from ``rng`` per step;
     timing and capping are keyed off it alone and pruning additionally
     off the branch lineage, so results do not depend on internal
-    batching.  When every branch sits on the offspring lattice with one
-    variance, all parents share one offset kernel and offspring (parent,
-    bin) has mass w_parent * kern_bin; past the cap, each stratified
-    probe is resolved first on the n-entry parent CDF, then on the
-    shared kernel CDF, and only the survivors' rows are built.  That is
-    the selection ``_cap_keyed`` makes on the materialized offspring,
-    grouped by parent, so the fast path is bit-identical to
-    materializing everything and then capping.  ``fanout`` is validated
-    but does not affect the step.  Count-mode ensembles are rejected.
+    batching.  Offsets are binned relative to the parent, so every
+    parent shares one offset kernel in any geometry: offspring (parent,
+    bin) sits at reflect(center_parent + rel_bin) with mass w_parent *
+    kern_bin.  Past the cap, each stratified probe is resolved first on
+    the n-entry parent CDF, then on the shared kernel CDF, and only the
+    survivors' rows are built.  That is the selection ``_cap_keyed``
+    makes on the materialized offspring, grouped by parent, so the
+    capped step is bit-identical to materializing everything and then
+    capping.  ``fanout`` is validated but does not affect the step.
+    Count-mode ensembles and ensembles whose branches have different
+    variances (only a hand-built one can) are rejected.
     """
     if e.mode == "count":
         raise ValueError(
@@ -384,32 +380,27 @@ def evolve_ensemble_step(
         raise ValueError(f"unknown timing '{timing}'")
     if p.tau <= 0:
         raise ValueError("evolution requires tau > 0")
+    if np.any(e.variance != e.variance[0]):
+        raise ValueError(
+            "branches must share one variance to share the offset kernel; "
+            "every decoherence event resets them to w^2"
+        )
     step_seed = np.uint64(rng.integers(0, 2**64, dtype=np.uint64))
     if timing == "poisson":
         dt = -p.tau * math.log(float(unit_uniform(mix(step_seed ^ KEY_TIMING))))
     else:
         dt = p.tau
     t_event = e.time + dt
-    bw = p.bin_width() if bin_width is None else float(bin_width)
-
-    new_var = spread_variance(e.variance, dt, p)
     w2 = p.w**2
-    n = e.n_branches
-    uniform = bool(new_var.min() == new_var.max())
-    rel = kern = None
-    if uniform and np.all(e.center == np.round(e.center / bw) * bw):
-        rel, kern = bin_weights(0.0, float(new_var[0]) - w2, bw)
+    rel, kern = _offset_kernel(e.variance[0], dt, p)
+    nk = rel.size
 
     if e.mode == "collapse":
-        if rel is not None:
-            centers, wts = e.center[0] + rel, kern
-        else:
-            centers, wts = bin_weights(float(e.center[0]), float(new_var[0]) - w2, bw)
         u = unit_uniform(mix(step_seed ^ KEY_PRUNE, e.lineage_hash[0]))
-        j = int(_pick_index(np.cumsum(wts), float(u)))
+        j = int(_pick_index(np.cumsum(kern), float(u)))
         return Ensemble(
             mode="collapse", time=t_event,
-            center=np.array([reflect_center(float(centers[j]), p.L)]),
+            center=np.array([reflect_center(float(e.center[0] + rel[j]), p.L)]),
             variance=np.full(1, w2),
             weight=np.ones(1), multiplicity=None,
             birth_time=np.full(1, t_event),
@@ -420,58 +411,37 @@ def evolve_ensemble_step(
                 [lineage_hash_child(e.lineage_hash[0], t_event, j)], np.uint64
             ),
             depth=e.depth[:1] + 1,
-            next_uid=int(e.next_uid + wts.size),
+            next_uid=int(e.next_uid + nk),
         )
 
-    if rel is not None:
-        # shared-kernel path; when over cap, survivors are selected from
-        # implicit (parent, bin) row indices and only their rows built
-        nk = rel.size
-        noff = n * nk
-        if noff > cap:
-            idx, hits = _stratified_hits(
-                kern, _cap_probe_phases(cap, step_seed), parent_mass=e.weight
-            )
-            weight = hits / float(cap)
-        else:
-            idx = np.arange(noff, dtype=np.int64)
-            mass = (e.weight[:, None] * kern[None, :]).ravel()
-            weight = mass / mass.sum()
-        pr, oi = idx // nk, idx % nk
-        return Ensemble(
-            mode="weighted", time=t_event,
-            center=reflect_center(e.center[pr] + rel[oi], p.L),
-            variance=np.full(idx.size, w2),
-            weight=weight, multiplicity=None,
-            birth_time=np.full(idx.size, t_event),
-            uid=e.next_uid + idx,
-            parent_uid=e.uid[pr],
-            offspring_index=oi.astype(np.int32),
-            lineage_hash=lineage_hash_child(
-                e.lineage_hash[pr], t_event, oi.astype(np.uint64)
-            ),
-            depth=e.depth[pr] + 1,
-            next_uid=int(e.next_uid + noff),
+    # over cap, survivors are selected from implicit (parent, bin) row
+    # indices and only their rows are built
+    noff = e.n_branches * nk
+    if noff > cap:
+        idx, hits = _stratified_hits(
+            kern, _cap_probe_phases(cap, step_seed), parent_mass=e.weight
         )
-
-    # off-lattice: materialize all rows, then cap
-    center, mass, parent_row, oi = _materialize_offspring(e, p, new_var, bw)
-    out = Ensemble(
+        weight = hits / float(cap)
+    else:
+        idx = np.arange(noff, dtype=np.int64)
+        mass = (e.weight[:, None] * kern[None, :]).ravel()
+        weight = mass / mass.sum()
+    pr, oi = idx // nk, idx % nk
+    return Ensemble(
         mode="weighted", time=t_event,
-        center=reflect_center(center, p.L),
-        variance=np.full(center.size, w2),
-        weight=mass / mass.sum(), multiplicity=None,
-        birth_time=np.full(center.size, t_event),
-        uid=e.next_uid + np.arange(center.size, dtype=np.int64),
-        parent_uid=e.uid[parent_row],
+        center=reflect_center(e.center[pr] + rel[oi], p.L),
+        variance=np.full(idx.size, w2),
+        weight=weight, multiplicity=None,
+        birth_time=np.full(idx.size, t_event),
+        uid=e.next_uid + idx,
+        parent_uid=e.uid[pr],
         offspring_index=oi.astype(np.int32),
         lineage_hash=lineage_hash_child(
-            e.lineage_hash[parent_row], t_event, oi.astype(np.uint64)
+            e.lineage_hash[pr], t_event, oi.astype(np.uint64)
         ),
-        depth=e.depth[parent_row] + 1,
-        next_uid=int(e.next_uid + center.size),
+        depth=e.depth[pr] + 1,
+        next_uid=int(e.next_uid + noff),
     )
-    return _cap_keyed(out, cap, step_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -529,41 +499,26 @@ def run_collapse_trajectories(
     steps: int,
     master_seed: int,
     *,
-    start_center: float | None = None,
-    bin_width: float | None = None,
     select_rule: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> CollapseBatch:
     """Run many single-branch collapse histories in lockstep.
 
-    Equivalent to evolving ``n_traj`` independent collapse ensembles with
-    evolve_ensemble_step under deterministic timing, trajectory i seeded
-    by ``trajectory_seed(master_seed, i)``; vectorizing across
-    trajectories is possible because every trajectory shares the fixed
-    event schedule and offspring kernel.  ``select_rule`` replaces the
-    Born-weighted survivor choice and exists for bias-detection tests.
+    Equivalent to evolving ``n_traj`` independent collapse ensembles from
+    ``midbox_ensemble(p, "collapse")`` with evolve_ensemble_step under
+    deterministic timing, trajectory i seeded by
+    ``trajectory_seed(master_seed, i)``; vectorizing across trajectories
+    is possible because every trajectory shares the fixed event schedule
+    and offset kernel.  ``select_rule`` replaces the Born-weighted
+    survivor choice and exists for bias-detection tests.
     """
     if n_traj < 1 or steps < 0:
         raise ValueError("need n_traj >= 1 and steps >= 0")
-    bw = p.bin_width() if bin_width is None else float(bin_width)
-    # wall folds must land back on the offspring lattice or the shared
-    # offset kernel stops matching per-branch rebinning
-    if round(2.0 * p.L / bw) * bw != 2.0 * p.L or round(p.L / bw) * bw != p.L:
-        raise ValueError(
-            "batch collapse requires a bin width commensurate with the box; "
-            "evolve trajectories individually otherwise"
-        )
-    if start_center is None:
-        start_center = round((p.L / 2.0) / bw) * bw
-    if start_center != round(start_center / bw) * bw:
-        raise ValueError("batch collapse requires a lattice-aligned start center")
-
     gens = [np.random.Generator(np.random.PCG64(trajectory_seed(master_seed, i)))
             for i in range(n_traj)]
-    center = np.full(n_traj, float(start_center))
+    center = np.full(n_traj, midbox_ensemble(p).center[0])
     hashes = lineage_hash_root(np.zeros(n_traj, np.uint64))
     w2 = p.w**2
-    var_event = spread_variance(w2, p.tau, p)
-    rel, kern = bin_weights(0.0, var_event - w2, bw)
+    rel, kern = _offset_kernel(w2, p.tau, p)
     cum = np.cumsum(kern)
     t = 0.0
     for k in range(steps):
@@ -583,43 +538,45 @@ def run_collapse_trajectories(
     )
 
 
-def exact_weighted_reference(
-    p: PhysicalParams,
-    steps: int,
-    *,
-    start_center: float | None = None,
-    bin_width: float | None = None,
-) -> Ensemble:
+def _box_top_site(p: PhysicalParams) -> int:
+    """Index of the last offspring-lattice site in [0, L]; sites run 0 .. top.
+
+    The lattice chain folds walls in integer site arithmetic, so both
+    walls must sit on the lattice: L and 2L whole multiples of the pitch.
+    """
+    bw = p.bin_width()
+    if round(2.0 * p.L / bw) * bw != 2.0 * p.L or round(p.L / bw) * bw != p.L:
+        raise ValueError(
+            f"exact reference requires a bin width commensurate with the box; "
+            f"L / (w/2) = {p.L / bw!r} is not an integer"
+        )
+    return int(round(p.L / bw))
+
+
+def exact_weighted_reference(p: PhysicalParams, steps: int) -> Ensemble:
     """Uncapped weighted ensemble at t = steps * tau, aggregated by center.
 
     Under deterministic timing every branch enters each period at width
     w, so the center marginal closes into a Markov chain on the offspring
     lattice driven by the shared offset kernel; iterating the chain gives
-    the exact center distribution of the infinite-cap weighted ensemble.
-    Branches sharing a center are merged (weights add), which preserves
-    every position statistic.  This is the sampling-free reference that
-    capped runs and collapse trajectories are compared against.
+    the exact center distribution of the infinite-cap weighted ensemble
+    started from ``midbox_ensemble(p)``.  Branches sharing a center are
+    merged (weights add), which preserves every position statistic.
+    This is the sampling-free reference that capped runs and collapse
+    trajectories are compared against.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    bw = p.bin_width() if bin_width is None else float(bin_width)
-    if round(2.0 * p.L / bw) * bw != 2.0 * p.L or round(p.L / bw) * bw != p.L:
-        raise ValueError(
-            "exact reference requires a bin width commensurate with the box"
-        )
-    if start_center is None:
-        start_center = round((p.L / 2.0) / bw) * bw
-    k0 = int(round(start_center / bw))
-    if k0 * bw != start_center or not (0.0 <= start_center <= p.L):
-        raise ValueError("start center must sit on the offspring lattice in the box")
+    top = _box_top_site(p)
+    bw = p.bin_width()
+    k0 = int(round((p.L / 2.0) / bw))
 
     w2 = p.w**2
-    top = int(round(p.L / bw))  # sites 0 .. top inclusive
     mass = np.zeros(top + 1)
     mass[k0] = 1.0
     t = 0.0
     if steps > 0:
-        rel, kern = bin_weights(0.0, spread_variance(w2, p.tau, p) - w2, bw)
+        rel, kern = _offset_kernel(w2, p.tau, p)
         roff = np.rint(rel / bw).astype(np.int64)
         raw = np.arange(top + 1, dtype=np.int64)[:, None] + roff[None, :]
         folded = raw % (2 * top)

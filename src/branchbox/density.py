@@ -36,7 +36,6 @@ __all__ = [
     "mixture_density",
     "random_mixed_state",
     "UnitaryPropagator",
-    "evolve_wavefunction",
     "grw_localization_channel",
     "von_neumann_entropy",
     "interference_visibility",
@@ -272,17 +271,6 @@ class UnitaryPropagator:
             rho_e = rho_e * step_factor
         out = v @ rho_e @ v.conj().T
         return GridDensityMatrix(0.5 * (out + out.conj().T), rho.dx)
-
-
-def evolve_wavefunction(
-    psi: GridWavefunction, t: float, hamiltonian: np.ndarray, p: PhysicalParams
-) -> GridWavefunction:
-    """Propagate a pure state by time t under H (eigendecomposition, exact).
-
-    Diagonalizes H on every call; propagate several states under one H
-    with ``UnitaryPropagator(H, p).propagate``.
-    """
-    return UnitaryPropagator(hamiltonian, p).propagate(psi, t)
 
 
 # ---------------------------------------------------------------------------

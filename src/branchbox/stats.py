@@ -175,21 +175,27 @@ def position_histogram(e: Ensemble, p: PhysicalParams, k: int) -> np.ndarray:
         )
     edges = np.linspace(0.0, p.L, k + 1)
     masses = _normalized_masses(e)
-    centers, sigmas = e.center, np.sqrt(e.variance)
 
-    # lattice runs put many branches on few distinct sites; aggregate
-    # masses per site before the (component x bin x image) integration
+    # many branches share few distinct packets: aggregate their masses
+    # before the (component x bin x image) integration, by lattice site
+    # when every branch is on the lattice, else by exact (center, variance)
     bw = p.bin_width()
     uniform_var = e.variance.min() == e.variance.max()
-    if uniform_var and np.all(centers == np.round(centers / bw) * bw):
-        sites = np.rint(centers / bw).astype(np.int64)
+    if uniform_var and np.all(e.center == np.round(e.center / bw) * bw):
+        sites = np.rint(e.center / bw).astype(np.int64)
         site_mass = np.bincount(sites, weights=masses)
         occupied = np.flatnonzero(site_mass > 0)
         centers = occupied * bw
         masses = site_mass[occupied]
-        sigmas = np.full(occupied.size, sigmas[0])
+        variances = np.full(occupied.size, e.variance[0])
+    else:
+        packets, which = np.unique(
+            np.column_stack((e.center, e.variance)), axis=0, return_inverse=True
+        )
+        centers, variances = packets[:, 0], packets[:, 1]
+        masses = np.bincount(which.ravel(), weights=masses)
 
-    h = masses @ _folded_bin_masses(centers, sigmas, edges, p.L)
+    h = masses @ _folded_bin_masses(centers, np.sqrt(variances), edges, p.L)
     return h / h.sum()
 
 

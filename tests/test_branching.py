@@ -1,11 +1,15 @@
 """Branch bookkeeping, apportionment, capping, evolution, collapse batches."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
+from branchbox import branching
 from branchbox.branching import (
     Ensemble,
     _cap_keyed,
@@ -459,6 +463,47 @@ def test_evolve_fast_path_matches_materialize_then_cap_after_capped_step():
     np.testing.assert_array_equal(capped.parent_uid, manual.parent_uid)
 
 
+@st.composite
+def geometries(draw):
+    """Parameters PhysicalParams accepts: any w, any box at least 20 w wide."""
+    w = draw(st.floats(0.1, 2.0))
+    L = draw(st.floats(20.0 * w, 60.0 * w))
+    assume(w <= L / 20.0)
+    return PhysicalParams(w=w, L=L)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=geometries(), start=st.none() | st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32))
+@example(p=PhysicalParams(w=0.3, L=6.0), start=None, seed=0)    # non-dyadic pitch
+@example(p=PhysicalParams(w=0.1, L=3.0), start=None, seed=1)    # non-dyadic pitch
+@example(p=PhysicalParams(w=0.3, L=20.0), start=None, seed=2)   # incommensurate box
+@example(p=PhysicalParams(w=0.3, L=20.0), start=0.123, seed=3)  # off-lattice start
+def test_every_geometry_shares_one_offset_kernel(p, start, seed):
+    # no geometry has a second path: each weighted step bins one offset
+    # kernel, and the capped step equals materialize-then-cap bit for bit
+    calls = []
+
+    def counted_bin_weights(*args, **kwargs):
+        calls.append(args)
+        return bin_weights(*args, **kwargs)
+
+    e = midbox_ensemble(p, center=None if start is None else start * p.L)
+    cap = 37
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(branching, "bin_weights", counted_bin_weights)
+        e = evolve_ensemble_step(e, p, 8, 60, gen(seed))
+        capped = evolve_ensemble_step(e, p, 8, cap, gen(seed + 1))
+        full = evolve_ensemble_step(e, p, 8, 10**9, gen(seed + 1))
+    assert len(calls) == 3
+    assert full.n_branches > cap
+
+    step_seed = np.uint64(gen(seed + 1).integers(0, 2**64, dtype=np.uint64))
+    manual = _cap_keyed(full, cap, step_seed)
+    for name in ("uid", "center", "weight", "lineage_hash", "parent_uid"):
+        np.testing.assert_array_equal(getattr(capped, name), getattr(manual, name))
+
+
 def test_evolve_wall_reflection_keeps_box():
     e = midbox_ensemble(P, center=0.5)
     r = gen(37)
@@ -497,6 +542,12 @@ def test_evolve_rejects_bad_arguments():
     # count mode holds born_test's single event; the engine refuses it
     with pytest.raises(ValueError, match="count-mode"):
         evolve_ensemble_step(midbox_ensemble(P, "count"), P, 8, 100, gen(40))
+    # branches of different widths would need different kernels; only a
+    # hand-built ensemble has them
+    mixed = initial_ensemble([9.0, 11.0], [0.5, 0.5])
+    mixed = dataclasses.replace(mixed, variance=np.array([1.0, 1.5]))
+    with pytest.raises(ValueError, match="one variance"):
+        evolve_ensemble_step(mixed, P, 8, 100, gen(40))
 
 
 def test_evolve_collapse_stays_single_and_lattice_bound():
@@ -535,14 +586,17 @@ def test_evolve_collapse_follows_born_weights():
 
 def test_batch_matches_sequential_collapse_evolution():
     master, steps = 4242, 12
-    batch = run_collapse_trajectories(P, 8, steps, master)
-    for i in range(8):
-        e = midbox_ensemble(P, "collapse")
-        r = gen(trajectory_seed(master, i))
-        for _ in range(steps):
-            e = evolve_ensemble_step(e, P, 8, 1, r)
-        assert e.center[0] == batch.center[i]
-        assert e.time == batch.time
+    # unit parameters, and a non-dyadic pitch in a box that is no whole
+    # number of bins wide
+    for p in (P, PhysicalParams(w=0.3, L=20.0)):
+        batch = run_collapse_trajectories(p, 8, steps, master)
+        for i in range(8):
+            e = midbox_ensemble(p, "collapse")
+            r = gen(trajectory_seed(master, i))
+            for _ in range(steps):
+                e = evolve_ensemble_step(e, p, 8, 1, r)
+            assert e.center[0] == batch.center[i]
+            assert e.time == batch.time
 
 
 def test_batch_deterministic_and_seed_sensitive():
@@ -565,11 +619,9 @@ def test_batch_select_rule_override():
 
 def test_batch_validates_geometry():
     with pytest.raises(ValueError):
-        run_collapse_trajectories(P, 4, 3, 0, bin_width=0.3)
-    with pytest.raises(ValueError):
-        run_collapse_trajectories(P, 4, 3, 0, start_center=10.1)
-    with pytest.raises(ValueError):
         run_collapse_trajectories(P, 0, 3, 0)
+    with pytest.raises(ValueError):
+        run_collapse_trajectories(P, 4, -1, 0)
 
 
 def test_trajectory_seed_distinct():
@@ -644,10 +696,9 @@ def test_exact_reference_converges_to_uniformity():
 
 
 def test_exact_reference_validates_geometry():
-    with pytest.raises(ValueError):
-        exact_weighted_reference(P, 3, bin_width=0.3)
-    with pytest.raises(ValueError):
-        exact_weighted_reference(P, 3, start_center=10.2)
+    # w = 0.6: pitch 0.3, and 2L / 0.3 = 133.3 sites do not fill the box
+    with pytest.raises(ValueError, match="commensurate"):
+        exact_weighted_reference(PhysicalParams(w=0.6), 3)
     with pytest.raises(ValueError):
         exact_weighted_reference(P, -1)
 

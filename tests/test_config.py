@@ -136,6 +136,17 @@ def test_scenario_rules_collapse_compare():
             "", {"scenario": "collapse_compare", "mode": "collapse",
                  "timing": "poisson"},
         )
+    # the exact reference is a chain on the w/2 lattice of [0, L]: a box
+    # that is not a whole number of bins is refused here, naming L and w,
+    # not later by the run
+    base = {"scenario": "collapse_compare", "mode": "collapse"}
+    parse_config("", base | {"w": 0.3, "L": 6.0})
+    with pytest.raises(ConfigError, match=r"^L: .*w = 0\.3"):
+        parse_config("", base | {"w": 0.3, "L": 20.0})
+    with pytest.raises(ConfigError, match=r"^L: .*L / \(w/2\) = 40\.5"):
+        parse_config("", base | {"L": 20.25})
+    # weighted runs evolve any such box
+    parse_config("", {"scenario": "midbox", "w": 0.3, "L": 20.0})
 
 
 def test_scenario_rules_freespread():

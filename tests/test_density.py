@@ -11,7 +11,6 @@ from branchbox.density import (
     UnitaryPropagator,
     build_box_hamiltonian,
     classical_random_walk_oracle,
-    evolve_wavefunction,
     fringe_content,
     grid_points,
     grw_localization_channel,
@@ -207,7 +206,7 @@ def test_packet_spreading_follows_schroedinger():
     n = 512
     h = build_box_hamiltonian(n, P)
     psi = packet_state(n, P, 10.0, 1.0)
-    out = evolve_wavefunction(psi, 1.0, h, P)
+    out = UnitaryPropagator(h, P).propagate(psi, 1.0)
     _, var = measured_moments(out)
     expected = 1.0 + (P.hbar * 1.0 / (2.0 * P.m * 1.0)) ** 2
     assert var == pytest.approx(expected, rel=1e-3)

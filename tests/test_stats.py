@@ -113,6 +113,21 @@ def test_histogram_lattice_fast_path_agrees():
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
+def test_histogram_off_lattice_merges_duplicate_packets():
+    # off-lattice centers, repeated (center, variance) pairs and two
+    # variances, one center under both: only exact duplicates may merge
+    centers = [2.1, 2.1, 0.3, 2.1, 17.7, 0.3, 2.1]
+    variances = [1.0, 1.0, 2.25, 2.25, 1.0, 2.25, 1.0]
+    weights = [0.1, 0.15, 0.05, 0.2, 0.3, 0.1, 0.1]
+    e = weighted_ensemble(centers, variances, weights)
+    got = position_histogram(e, P, 20)
+    expected = 0.35 * reference.reflected_bin_masses(2.1, 1.0, P.L, 20) \
+        + 0.15 * reference.reflected_bin_masses(0.3, 2.25, P.L, 20) \
+        + 0.2 * reference.reflected_bin_masses(2.1, 2.25, P.L, 20) \
+        + 0.3 * reference.reflected_bin_masses(17.7, 1.0, P.L, 20)
+    np.testing.assert_allclose(got, expected, atol=1e-10)
+
+
 def test_histogram_validation():
     e = midbox_ensemble(P)
     with pytest.raises(ValueError):
