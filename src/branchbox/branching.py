@@ -14,9 +14,9 @@ never interfere again, no matter where their packets sit.
 
 * ``weighted``  - branches carry Born weights; the ensemble is the full
                   decoherent mixture.
-* ``collapse``  - one surviving branch; each event keeps a single
-                  offspring drawn with probability proportional to its
-                  weight (decoherence plus random pruning).
+* ``collapse``  - one surviving branch; each event is the weighted step
+                  capped at one branch, which keeps one offspring with
+                  probability equal to its Born weight.
 
 A third mode, ``count``, carries integer multiplicities instead of
 weights.  It exists only for born_test's single event, whose leaves get
@@ -32,9 +32,10 @@ no-recoherence bookkeeping without O(depth) memory per branch.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -149,7 +150,6 @@ def midbox_ensemble(
     *,
     multiplicity: int = 1,
     center: float | None = None,
-    time: float = 0.0,
 ) -> Ensemble:
     """Single fresh packet at (or near) the box center.
 
@@ -163,11 +163,11 @@ def midbox_ensemble(
         center = round((p.L / 2.0) / bw) * bw
     count = mode == "count"
     return Ensemble(
-        mode=mode, time=float(time),
+        mode=mode, time=0.0,
         center=np.array([float(center)]), variance=np.array([p.w**2]),
         weight=None if count else np.ones(1),
         multiplicity=np.array([max(1, int(multiplicity))], np.int64) if count else None,
-        birth_time=np.array([float(time)]),
+        birth_time=np.zeros(1),
         uid=np.zeros(1, np.int64), parent_uid=np.full(1, -1, np.int64),
         offspring_index=np.full(1, -1, np.int32),
         lineage_hash=lineage_hash_root(np.zeros(1, np.uint64)),
@@ -276,7 +276,8 @@ def _stratified_hits(
     return idx[first], np.diff(first, append=k)
 
 
-def _cap_probe_phases(max_branches: int, step_seed: np.uint64) -> np.ndarray:
+def _cap_probe_phases(max_branches: int, step_seed) -> np.ndarray:
+    """Phases of probes 0 .. max_branches-1; at one probe, one per step seed."""
     return unit_uniform(mix(
         step_seed ^ KEY_CAP, np.arange(max_branches, dtype=np.uint64)
     ))
@@ -320,12 +321,6 @@ def _cap_keyed(e: Ensemble, max_branches: int, step_seed: np.uint64) -> Ensemble
 # evolution
 
 
-def _pick_index(cumulative: np.ndarray, u) -> np.ndarray | int:
-    """Inverse-CDF selection; cumulative is an inclusive cumsum of masses."""
-    idx = np.searchsorted(cumulative, np.asarray(u) * cumulative[-1], side="left")
-    return np.minimum(idx, cumulative.size - 1)
-
-
 def _offset_kernel(var0: float, dt: float, p: PhysicalParams):
     """(offsets, Born weights) of one event's offspring relative to the parent.
 
@@ -350,15 +345,16 @@ def evolve_ensemble_step(
     """Advance a weighted or collapse ensemble through one decoherence period.
 
     Every branch spreads for the period, then decoheres into tagged
-    offspring; collapse mode prunes back to a single branch, weighted
-    mode caps the branch count with an unbiased stratified resample when
-    it exceeds ``cap``.  One uint64 is drawn from ``rng`` per step;
-    timing and capping are keyed off it alone and pruning additionally
-    off the branch lineage, so results do not depend on internal
-    batching.  Offsets are binned relative to the parent, so every
-    parent shares one offset kernel in any geometry: offspring (parent,
-    bin) sits at reflect(center_parent + rel_bin) with mass w_parent *
-    kern_bin.  Past the cap, each stratified probe is resolved first on
+    offspring, and the branch count is capped with an unbiased
+    stratified resample when it exceeds ``cap``.  Collapse is that cap
+    at one branch: its single probe keeps one offspring with probability
+    equal to its Born weight, whatever ``cap`` is passed.  One uint64 is
+    drawn from ``rng`` per step; timing and capping are keyed off it
+    alone, so results do not depend on internal batching.  Offsets are
+    binned relative to the parent, so every parent shares one offset
+    kernel in any geometry: offspring (parent, bin) sits at
+    reflect(center_parent + rel_bin) with mass w_parent * kern_bin.
+    Past the cap, each stratified probe is resolved first on
     the n-entry parent CDF, then on the shared kernel CDF, and only the
     survivors' rows are built.  That is the selection ``_cap_keyed``
     makes on the materialized offspring, grouped by parent, so the
@@ -385,34 +381,15 @@ def evolve_ensemble_step(
             "branches must share one variance to share the offset kernel; "
             "every decoherence event resets them to w^2"
         )
+    cap = 1 if e.mode == "collapse" else cap
     step_seed = np.uint64(rng.integers(0, 2**64, dtype=np.uint64))
     if timing == "poisson":
         dt = -p.tau * math.log(float(unit_uniform(mix(step_seed ^ KEY_TIMING))))
     else:
         dt = p.tau
     t_event = e.time + dt
-    w2 = p.w**2
     rel, kern = _offset_kernel(e.variance[0], dt, p)
     nk = rel.size
-
-    if e.mode == "collapse":
-        u = unit_uniform(mix(step_seed ^ KEY_PRUNE, e.lineage_hash[0]))
-        j = int(_pick_index(np.cumsum(kern), float(u)))
-        return Ensemble(
-            mode="collapse", time=t_event,
-            center=np.array([reflect_center(float(e.center[0] + rel[j]), p.L)]),
-            variance=np.full(1, w2),
-            weight=np.ones(1), multiplicity=None,
-            birth_time=np.full(1, t_event),
-            uid=np.array([e.next_uid + j], np.int64),
-            parent_uid=e.uid[:1].copy(),
-            offspring_index=np.array([j], np.int32),
-            lineage_hash=np.array(
-                [lineage_hash_child(e.lineage_hash[0], t_event, j)], np.uint64
-            ),
-            depth=e.depth[:1] + 1,
-            next_uid=int(e.next_uid + nk),
-        )
 
     # over cap, survivors are selected from implicit (parent, bin) row
     # indices and only their rows are built
@@ -428,9 +405,9 @@ def evolve_ensemble_step(
         weight = mass / mass.sum()
     pr, oi = idx // nk, idx % nk
     return Ensemble(
-        mode="weighted", time=t_event,
+        mode=e.mode, time=t_event,
         center=reflect_center(e.center[pr] + rel[oi], p.L),
-        variance=np.full(idx.size, w2),
+        variance=np.full(idx.size, p.w**2),
         weight=weight, multiplicity=None,
         birth_time=np.full(idx.size, t_event),
         uid=e.next_uid + idx,
@@ -508,31 +485,33 @@ def run_collapse_trajectories(
     deterministic timing, trajectory i seeded by
     ``trajectory_seed(master_seed, i)``; vectorizing across trajectories
     is possible because every trajectory shares the fixed event schedule
-    and offset kernel.  ``select_rule`` replaces the Born-weighted
-    survivor choice and exists for bias-detection tests.
+    and offset kernel.  Each step searches the probe phase
+    ``_cap_probe_phases(1, step_seed)`` on the normalized kernel CDF, as
+    ``_stratified_hits`` does for one parent of weight 1, so batch and
+    sequential runs agree bit for bit.  ``select_rule`` replaces the
+    Born-weighted survivor choice and exists for bias-detection tests.
     """
     if n_traj < 1 or steps < 0:
         raise ValueError("need n_traj >= 1 and steps >= 0")
     gens = [np.random.Generator(np.random.PCG64(trajectory_seed(master_seed, i)))
             for i in range(n_traj)]
     center = np.full(n_traj, midbox_ensemble(p).center[0])
-    hashes = lineage_hash_root(np.zeros(n_traj, np.uint64))
     w2 = p.w**2
     rel, kern = _offset_kernel(w2, p.tau, p)
-    cum = np.cumsum(kern)
+    cdf = np.cumsum(kern)
+    cdf /= cdf[-1]
     t = 0.0
-    for k in range(steps):
+    for _ in range(steps):
         step_seeds = np.array(
             [g.integers(0, 2**64, dtype=np.uint64) for g in gens], np.uint64
         )
         t += p.tau
-        u = unit_uniform(mix(step_seeds ^ KEY_PRUNE, hashes))
+        u = _cap_probe_phases(1, step_seeds)
         if select_rule is None:
-            sel = np.asarray(_pick_index(cum, u))
+            sel = np.searchsorted(cdf, np.maximum(u, np.nextafter(0.0, 1.0)))
         else:
             sel = np.asarray(select_rule(kern, u))
         center = reflect_center(center + rel[sel], p.L)
-        hashes = lineage_hash_child(hashes, t, sel.astype(np.uint64))
     return CollapseBatch(
         time=t, center=center, variance=np.full(n_traj, w2), n_steps=steps
     )
@@ -553,18 +532,8 @@ def _box_top_site(p: PhysicalParams) -> int:
     return int(round(p.L / bw))
 
 
-def exact_weighted_reference(p: PhysicalParams, steps: int) -> Ensemble:
-    """Uncapped weighted ensemble at t = steps * tau, aggregated by center.
-
-    Under deterministic timing every branch enters each period at width
-    w, so the center marginal closes into a Markov chain on the offspring
-    lattice driven by the shared offset kernel; iterating the chain gives
-    the exact center distribution of the infinite-cap weighted ensemble
-    started from ``midbox_ensemble(p)``.  Branches sharing a center are
-    merged (weights add), which preserves every position statistic.
-    This is the sampling-free reference that capped runs and collapse
-    trajectories are compared against.
-    """
+def _exact_chain(p: PhysicalParams, steps: int) -> Iterator[Ensemble]:
+    """Yield ``exact_weighted_reference(p, k)`` for k = 0 .. steps, one chain pass."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     top = _box_top_site(p)
@@ -581,26 +550,40 @@ def exact_weighted_reference(p: PhysicalParams, steps: int) -> Ensemble:
         raw = np.arange(top + 1, dtype=np.int64)[:, None] + roff[None, :]
         folded = raw % (2 * top)
         folded = np.where(folded > top, 2 * top - folded, folded).ravel()
-        for _ in range(steps):
+    for k in range(steps + 1):
+        if k > 0:
             t += p.tau
             mass = np.bincount(
                 folded, weights=(mass[:, None] * kern[None, :]).ravel(),
                 minlength=top + 1,
             )
-    keep = np.flatnonzero(mass > 0.0)
-    n = keep.size
-    return Ensemble(
-        mode="weighted",
-        time=t,
-        center=keep.astype(float) * bw,
-        variance=np.full(n, w2),
-        weight=mass[keep] / mass[keep].sum(),
-        multiplicity=None,
-        birth_time=np.full(n, t),
-        uid=np.arange(n, dtype=np.int64),
-        parent_uid=np.full(n, -1, np.int64),
-        offspring_index=keep.astype(np.int32),
-        lineage_hash=lineage_hash_root(np.arange(n, dtype=np.uint64)),
-        depth=np.full(n, steps, np.int32),
-        next_uid=n,
-    )
+        keep = np.flatnonzero(mass > 0.0)
+        n = keep.size
+        yield Ensemble(
+            mode="weighted", time=t,
+            center=keep.astype(float) * bw,
+            variance=np.full(n, w2),
+            weight=mass[keep] / mass[keep].sum(), multiplicity=None,
+            birth_time=np.full(n, t),
+            uid=np.arange(n, dtype=np.int64),
+            parent_uid=np.full(n, -1, np.int64),
+            offspring_index=keep.astype(np.int32),
+            lineage_hash=lineage_hash_root(np.arange(n, dtype=np.uint64)),
+            depth=np.full(n, k, np.int32),
+            next_uid=n,
+        )
+
+
+def exact_weighted_reference(p: PhysicalParams, steps: int) -> Ensemble:
+    """Uncapped weighted ensemble at t = steps * tau, aggregated by center.
+
+    Under deterministic timing every branch enters each period at width
+    w, so the center marginal closes into a Markov chain on the offspring
+    lattice driven by the shared offset kernel; iterating the chain gives
+    the exact center distribution of the infinite-cap weighted ensemble
+    started from ``midbox_ensemble(p)``.  Branches sharing a center are
+    merged (weights add), which preserves every position statistic.
+    This is the sampling-free reference that capped runs and collapse
+    trajectories are compared against.
+    """
+    return collections.deque(_exact_chain(p, steps), maxlen=1)[0]

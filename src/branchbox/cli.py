@@ -11,6 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .branching import MODES
 from .config import SCENARIOS, ConfigError, parse_config
 from .runner import run_scenario
 
@@ -40,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of decoherence periods")
         sp.add_argument("--out", default=None, metavar="DIR",
                         help="output directory (default: runs)")
-        sp.add_argument("--mode", choices=("weighted", "count", "collapse"),
+        sp.add_argument("--mode", choices=MODES,
                         default=None, help="branch bookkeeping mode")
     return parser
 

@@ -50,8 +50,8 @@ class RunConfig:
     params: PhysicalParams = field(default_factory=PhysicalParams)
     mode: str = "weighted"
     steps: int = 200
-    # changes no series row, metric or check (the engine ignores it and
-    # born_test's total is fixed at 10000); kept because bench/worker.py reads it
+    # changes no series row, metric or check (the engine ignores it);
+    # kept because bench/worker.py reads it
     fanout: int = 8
     max_branches: int = 100_000
     bins: int = 20
@@ -114,11 +114,6 @@ class RunConfig:
                 raise ConfigError(
                     "timing: born_test runs its own deterministic and stochastic-timing "
                     "variants; leave timing = deterministic"
-                )
-            if 10_000 % self.fanout != 0:
-                raise ConfigError(
-                    f"fanout: born_test apportions a total count of 10000, "
-                    f"which fanout = {self.fanout} does not divide"
                 )
         if self.scenario == "collapse_compare":
             if self.mode != "collapse":

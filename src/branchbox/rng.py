@@ -1,9 +1,10 @@
 """Keyed, stateless random streams for the branching engine.
 
-Every stochastic decision in a run (collapse pruning, cap resampling,
-Poisson event timing) is derived from a 64-bit key built out of the run
-seed, a purpose constant and the identity of the thing being decided
-(branch uid, tag-lineage hash, step index).  Two consequences:
+Every stochastic decision in a run (cap resampling, collapse being the
+cap at one probe, and Poisson event timing) is derived from a 64-bit key
+built out of the run seed, a purpose constant and the identity of the
+thing being decided (probe index, trajectory index); ``KEY_PRUNE`` only
+derives collapse trajectories' run seeds.  Two consequences:
 
 * a run is reproducible bit for bit from (config, seed), and
 * the draw a branch sees does not depend on how the ensemble happens to

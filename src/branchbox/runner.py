@@ -32,9 +32,9 @@ from scipy.stats import ks_2samp
 
 from .branching import (
     Ensemble,
+    _exact_chain,
     apportion_counts,
     evolve_ensemble_step,
-    exact_weighted_reference,
     midbox_ensemble,
     run_collapse_trajectories,
     verify_tag_uniqueness,
@@ -416,10 +416,9 @@ def _scenario_collapse(c: RunConfig):
     p = c.params
     # reference: the exact (sampling-free) weighted mixture, so the z
     # scores carry only the trajectories' own Monte Carlo error
-    rows = [
-        _series_row(exact_weighted_reference(p, k), c) for k in range(c.steps + 1)
-    ]
-    reference = exact_weighted_reference(p, c.steps)
+    chain = list(_exact_chain(p, c.steps))
+    rows = [_series_row(e, c) for e in chain]
+    reference = chain[-1]
 
     batch = run_collapse_trajectories(p, COLLAPSE_TRAJECTORIES, c.steps, c.seed)
     cmp_mean = expectation_compare(batch, reference, position_value)

@@ -551,15 +551,41 @@ def test_evolve_rejects_bad_arguments():
 
 
 def test_evolve_collapse_stays_single_and_lattice_bound():
-    e = midbox_ensemble(P, "collapse")
-    r = gen(41)
-    for k in range(30):
-        e = evolve_ensemble_step(e, P, 8, 1, r)
-        assert e.n_branches == 1
-        assert e.variance[0] == P.w**2
-        assert e.depth[0] == k + 1
-        assert e.center[0] == round(e.center[0] / 0.5) * 0.5
-        assert 0.0 <= e.center[0] <= P.L
+    # a collapse step keeps one branch whatever cap it is given; 1e5 is
+    # the runner's default max_branches
+    for cap in (1, 100_000):
+        e = midbox_ensemble(P, "collapse")
+        r = gen(41)
+        for k in range(30):
+            e = evolve_ensemble_step(e, P, 8, cap, r)
+            assert e.mode == "collapse"
+            assert e.n_branches == 1
+            assert e.weight[0] == 1.0
+            assert e.variance[0] == P.w**2
+            assert e.depth[0] == k + 1
+            assert e.center[0] == round(e.center[0] / 0.5) * 0.5
+            assert 0.0 <= e.center[0] <= P.L
+
+
+@pytest.mark.parametrize("p, timing", [
+    (P, "deterministic"),
+    (P, "poisson"),
+    (PhysicalParams(w=0.3, L=20.0), "deterministic"),
+])
+def test_collapse_step_is_the_weighted_step_at_cap_one(p, timing):
+    # collapse = cap at K = 1: same generator seed, same branch, bit for bit
+    c = midbox_ensemble(p, "collapse")
+    w = midbox_ensemble(p)
+    rc, rw = gen(43), gen(43)
+    for _ in range(20):
+        c = evolve_ensemble_step(c, p, 8, 100_000, rc, timing=timing)
+        w = evolve_ensemble_step(w, p, 8, 1, rw, timing=timing)
+        assert (c.mode, w.mode) == ("collapse", "weighted")
+        assert c.time == w.time
+        for name in ("center", "uid", "parent_uid", "offspring_index",
+                     "lineage_hash", "depth", "weight"):
+            np.testing.assert_array_equal(getattr(c, name), getattr(w, name))
+        assert c.next_uid == w.next_uid
 
 
 def test_evolve_collapse_follows_born_weights():
