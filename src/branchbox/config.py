@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .branching import MODES, _box_top_site
+from .density import grid_points
 from .model import PhysicalParams
 
 __all__ = [
@@ -34,6 +35,9 @@ SCENARIOS = (
 )
 
 TIMINGS = ("deterministic", "poisson")
+
+# liouville_check's density-matrix grid; fixed geometry, not a user knob
+LIOUVILLE_GRID = 128
 
 _PARAM_KEYS = ("m", "w", "tau", "hbar", "L")
 _INT_KEYS = ("steps", "fanout", "max_branches", "bins", "seed")
@@ -106,6 +110,16 @@ class RunConfig:
                 raise ConfigError(
                     f"L: peres_test's 256-point grid cannot resolve w = {p.w} "
                     f"beyond L = 64 w = {64 * p.w}, got {p.L}"
+                )
+        if self.scenario == "liouville_check":
+            # the density oracle needs dx <= w/4 on its fixed grid; the pitch
+            # is the grid's own, so this rule and the grid agree at the limit
+            _, dx = grid_points(LIOUVILLE_GRID, p)
+            if dx > p.w / 4.0:
+                raise ConfigError(
+                    f"L: liouville_check's {LIOUVILLE_GRID}-point grid cannot resolve "
+                    f"w = {p.w} beyond L = {(LIOUVILLE_GRID + 1) / 4} w = "
+                    f"{(LIOUVILLE_GRID + 1) * p.w / 4}, got {p.L}"
                 )
         if self.scenario == "born_test":
             if self.mode != "count":

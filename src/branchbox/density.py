@@ -268,7 +268,7 @@ class UnitaryPropagator:
         phase = np.exp(-1j * self.energies * dt / self.hbar)
         step_factor = np.outer(phase, phase.conj())
         for _ in range(n_steps):
-            rho_e = rho_e * step_factor
+            np.multiply(rho_e, step_factor, out=rho_e)
         out = v @ rho_e @ v.conj().T
         return GridDensityMatrix(0.5 * (out + out.conj().T), rho.dx)
 

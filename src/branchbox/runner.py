@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .branching import (
     Ensemble,
@@ -39,7 +38,7 @@ from .branching import (
     run_collapse_trajectories,
     verify_tag_uniqueness,
 )
-from .config import RunConfig, config_lines
+from .config import LIOUVILLE_GRID, RunConfig, config_lines
 from .density import (
     GridDensityMatrix,
     UnitaryPropagator,
@@ -91,7 +90,6 @@ CSV_COLUMNS = (
 CHECKPOINT_EVERY = 100
 
 # fixed scenario geometry; criteria-level constants, not user knobs
-LIOUVILLE_GRID = 128
 LIOUVILLE_STATES = 20
 CHANNEL_STATES = 100
 PERES_GRID = 256
@@ -318,6 +316,9 @@ def _scenario_freespread(c: RunConfig):
         ))
 
     if captured:
+        # scipy.stats costs most of a cold import; only this check needs it
+        from scipy.stats import ks_2samp
+
         reference = captured[KS_AT_STEP]
         passes = 0
         for i in range(KS_PAIRS):
@@ -527,12 +528,16 @@ def _scenario_liouville(c: RunConfig):
     rho = random_mixed_state(LIOUVILLE_GRID, p, _derived_rng(c.seed, _TAG_SERIES_STATE))
     rows = [_density_row(rho.density(), x, dx, 0.0, c)]
     v = prop.vectors
-    rho_e = v.conj().T @ rho.elements @ v
+    v_conj = v.conj()
+    rho_e = v_conj.T @ rho.elements @ v
     phase = np.exp(-1j * prop.energies * p.tau / p.hbar)
     step_factor = np.outer(phase, phase.conj())
+    # in place: a fresh 128x128 complex temporary per step is above glibc's
+    # mmap threshold, so each one would cost a map/unmap pair
+    buf = np.empty_like(rho_e)
     for k in range(1, c.steps + 1):
-        rho_e = rho_e * step_factor
-        diag = np.einsum("ij,ij->i", v @ rho_e, v.conj()).real
+        np.multiply(rho_e, step_factor, out=rho_e)
+        diag = np.einsum("ij,ij->i", np.matmul(v, rho_e, out=buf), v_conj).real
         rows.append(_density_row(diag, x, dx, k * p.tau, c))
 
     # entropy conservation under pure unitary evolution

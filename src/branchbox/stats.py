@@ -15,13 +15,13 @@ silently waived.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import chi2
+from scipy.special import gammaincinv, ndtr
 
 from .branching import CollapseBatch, Ensemble
 from .model import PhysicalParams
@@ -268,27 +268,51 @@ def pool_small_cells(
     adjacent neighbor (ties toward the left) until the floor holds or
     two cells remain.  Assumes the natural cell order is meaningful
     (adjacent bins), which is true for all histograms here.
+
+    Cells sit in a doubly linked list and a min-heap keyed on (expected
+    count, original index) finds the next one to merge; a merged cell
+    keeps its original index, so that key breaks ties to the left.  Heap
+    entries left behind by a merge are skipped when popped.  O(n log n).
     """
     obs = [float(o) for o in np.asarray(observed, float)]
     exp = [float(x) for x in np.asarray(expected, float)]
-    if len(obs) != len(exp) or len(obs) < 2:
+    n = len(obs)
+    if n != len(exp) or n < 2:
         raise ValueError("need matching observed/expected with >= 2 cells")
+    if not all(math.isfinite(v) for v in obs + exp):
+        raise ValueError("observed and expected must be finite")
     n_total = sum(obs)
-    while len(obs) > 2:
-        scaled = [p * n_total for p in exp]
-        i = min(range(len(obs)), key=lambda j: (scaled[j], j))
-        if scaled[i] >= min_expected:
+    left = list(range(-1, n - 1))
+    right = list(range(1, n + 1))
+    right[-1] = -1
+    alive = [True] * n
+    heap = [(x * n_total, i) for i, x in enumerate(exp)]
+    heapq.heapify(heap)
+    cells = n
+    while cells > 2:
+        scaled, i = heapq.heappop(heap)
+        if not alive[i] or scaled != exp[i] * n_total:
+            continue
+        if scaled >= min_expected:
             break
-        if i == 0:
-            j = 1
-        elif i == len(obs) - 1:
-            j = i - 1
+        lo, hi = left[i], right[i]
+        if lo < 0:
+            j = hi
+        elif hi < 0:
+            j = lo
         else:
-            j = i - 1 if exp[i - 1] <= exp[i + 1] else i + 1
+            j = lo if exp[lo] <= exp[hi] else hi
         obs[j] += obs[i]
         exp[j] += exp[i]
-        del obs[i], exp[i]
-    return np.array(obs), np.array(exp)
+        alive[i] = False
+        if lo >= 0:
+            right[lo] = hi
+        if hi >= 0:
+            left[hi] = lo
+        cells -= 1
+        heapq.heappush(heap, (exp[j] * n_total, j))
+    keep = [i for i in range(n) if alive[i]]
+    return np.array([obs[i] for i in keep]), np.array([exp[i] for i in keep])
 
 
 def chi_square_frequencies(
@@ -320,7 +344,9 @@ def chi_square_frequencies(
         )
     statistic = float(((obs - scaled) ** 2 / scaled).sum())
     dof = obs.size - 1
-    threshold = float(chi2.ppf(1.0 - alpha, dof))
+    # the chi-square quantile as scipy.stats.chi2.ppf computes it, bit for
+    # bit, without importing scipy.stats
+    threshold = float(2.0 * gammaincinv(dof / 2, 1.0 - alpha))
     return ChiSquareResult(
         statistic=statistic, dof=dof, threshold=threshold,
         alpha=alpha, passed=bool(statistic < threshold),

@@ -160,3 +160,32 @@ def gaussian_channel_entropy_grid(packet_variance, width, n=2000, half_width=12.
     lam = np.linalg.eigvalsh(rho) * dx
     lam = lam[lam > 1e-15]
     return float(-(lam * np.log(lam)).sum())
+
+
+def pool_small_cells_rescan(observed, expected, min_expected=5.0):
+    """Adjacent-cell pooling by a full rescan per merge, O(cells^2).
+
+    The smallest scaled expected count (ties to the left) merges into its
+    smaller neighbor (ties to the left) until the floor holds or two cells
+    remain.
+    """
+    obs = [float(o) for o in np.asarray(observed, float)]
+    exp = [float(x) for x in np.asarray(expected, float)]
+    if len(obs) != len(exp) or len(obs) < 2:
+        raise ValueError("need matching observed/expected with >= 2 cells")
+    n_total = sum(obs)
+    while len(obs) > 2:
+        scaled = [p * n_total for p in exp]
+        i = min(range(len(obs)), key=lambda j: (scaled[j], j))
+        if scaled[i] >= min_expected:
+            break
+        if i == 0:
+            j = 1
+        elif i == len(obs) - 1:
+            j = i - 1
+        else:
+            j = i - 1 if exp[i - 1] <= exp[i + 1] else i + 1
+        obs[j] += obs[i]
+        exp[j] += exp[i]
+        del obs[i], exp[i]
+    return np.array(obs), np.array(exp)

@@ -589,14 +589,17 @@ def test_collapse_step_is_the_weighted_step_at_cap_one(p, timing):
 
 
 def test_evolve_collapse_follows_born_weights():
-    # selection frequencies over many seeds match the offspring kernel
+    # selection frequencies over many trajectories match the offspring
+    # kernel; the batch makes the engine's collapse selection bit for bit
+    # (test_batch_matches_sequential_collapse_evolution)
     rel, kern = bin_weights(0.0, 1.0, 0.5)
-    picks = np.zeros(rel.size)
     n = 30_000
-    for s in range(n):
-        e = midbox_ensemble(P, "collapse")
-        e = evolve_ensemble_step(e, P, 8, 1, gen(10_000 + s))
-        picks[int(e.offspring_index[0])] += 1
+    start = midbox_ensemble(P, "collapse").center[0]
+    batch = run_collapse_trajectories(P, n, 1, 10_000)
+    offset = batch.center - start
+    picks_idx = np.rint((offset - rel[0]) / 0.5).astype(np.int64)
+    np.testing.assert_allclose(rel[picks_idx], offset, atol=1e-12)
+    picks = np.bincount(picks_idx, minlength=rel.size).astype(float)
     # pool far tails so the chi-square is calibrated
     obs, exp = picks, kern * n
     sel = exp >= 5

@@ -1,14 +1,18 @@
 """Config parsing, validation rules, deterministic echo."""
 
+import math
+
 import pytest
 
 from branchbox.config import (
+    LIOUVILLE_GRID,
     ConfigError,
     RunConfig,
     config_lines,
     default_config,
     parse_config,
 )
+from branchbox.density import build_box_hamiltonian
 from branchbox.model import PhysicalParams
 
 GOOD_DOC = """
@@ -170,8 +174,35 @@ def test_scenario_rules_peres():
 
 def test_scenario_rules_liouville():
     parse_config("", {"scenario": "liouville_check"})
+    # the acceptance config (criteria 6-7) stays accepted
+    parse_config("", {"scenario": "liouville_check", "steps": 1000})
     with pytest.raises(ConfigError, match="mode"):
         parse_config("", {"scenario": "liouville_check", "mode": "collapse"})
+
+
+@pytest.mark.parametrize("w", [1.0, 0.3, 0.07])
+def test_liouville_grid_limit_matches_the_grid(w):
+    # the 128-point grid resolves w iff L <= 32.25 w; the rule must agree
+    # with the grid's own check on both sides of that limit
+    limit = 32.25 * w
+    for L in (limit, math.nextafter(limit, 0.0), math.nextafter(limit, math.inf),
+              2.0 * limit):
+        p = PhysicalParams(w=w, L=L)
+        try:
+            build_box_hamiltonian(LIOUVILLE_GRID, p)
+            grid_ok = True
+        except ValueError:
+            grid_ok = False
+        overrides = {"scenario": "liouville_check", "w": w, "L": L, "bins": 2}
+        if grid_ok:
+            parse_config("", overrides)
+        else:
+            with pytest.raises(ConfigError, match=r"^L: .*w = .*got"):
+                parse_config("", overrides)
+    base = {"scenario": "liouville_check", "w": w, "bins": 2}
+    parse_config("", base | {"L": 0.999 * limit})
+    with pytest.raises(ConfigError, match="128-point grid"):
+        parse_config("", base | {"L": 1.001 * limit})
 
 
 @pytest.mark.parametrize("scenario", [

@@ -1,10 +1,15 @@
 """Scenario runner and CLI: file formats, reproducibility, exit semantics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import branchbox
 from branchbox.cli import main
 from branchbox.config import config_lines, parse_config
 from branchbox.runner import CSV_COLUMNS, run_scenario
@@ -236,3 +241,47 @@ def test_cli_failed_checks_exit_one(tmp_path, capsys):
 def test_cli_rejects_unknown_scenario(capsys):
     with pytest.raises(SystemExit):
         main(["teleport"])
+
+
+# ---------------------------------------------------------------------------
+# cold start
+
+
+COLD_START = """
+import sys
+import branchbox
+from branchbox.config import parse_config
+from branchbox.runner import run_scenario
+
+out = sys.argv[1]
+for overrides in (
+    {"scenario": "born_test", "mode": "count"},
+    {"scenario": "liouville_check", "steps": 2},
+    {"scenario": "midbox", "steps": 3, "max_branches": 200},
+):
+    c = parse_config("", overrides | {"output_dir": out})
+    assert run_scenario(c).passed, overrides["scenario"]
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.stats"))
+print(loaded)
+sys.exit(1 if loaded else 0)
+"""
+
+
+def test_cold_start_leaves_scipy_stats_unimported(tmp_path):
+    # a fresh interpreter, since other tests import scipy.stats in this one;
+    # only freespread's KS check may import it
+    src = str(Path(branchbox.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_liouville_runs_at_its_grid_limit(tmp_path):
+    # the largest box RunConfig accepts for w = 1 runs to completion
+    c = parse_config("", {"scenario": "liouville_check", "L": 32.25, "steps": 1,
+                          "output_dir": str(tmp_path)})
+    assert run_scenario(c).passed

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from branchbox.branching import CollapseBatch, Ensemble, midbox_ensemble
-from branchbox.model import PhysicalParams
+from branchbox.branching import apportion_counts
+from branchbox.model import PhysicalParams, bin_weights
 from branchbox.rng import lineage_hash_root
 from branchbox.stats import (
     VarianceSeries,
@@ -239,6 +242,64 @@ def test_pool_small_cells_stops_at_two():
     assert pooled_obs.size == 2
 
 
+@st.composite
+def cell_tables(draw):
+    """Observed/expected pairs with repeated expected values (ties) and
+    runs of tiny cells at either end, as a discretized Gaussian has."""
+    body = draw(st.lists(
+        st.sampled_from([1e-4, 0.002, 0.01, 0.05, 0.2]) | st.floats(1e-9, 1.0),
+        min_size=0, max_size=40,
+    ))
+    tiny = st.lists(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-4]), max_size=15)
+    exp = draw(tiny) + body + draw(tiny)
+    if len(exp) < 2:
+        exp = exp + [0.5, 0.5]
+    obs = draw(st.lists(st.integers(0, 60), min_size=len(exp), max_size=len(exp)))
+    return np.array(obs, float), np.array(exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=cell_tables(), floor=st.sampled_from([5.0, 1.0, 20.0]))
+@example(table=(np.full(6, 3.0), np.full(6, 1 / 6)), floor=5.0)
+@example(table=(np.array([0.0, 0.0, 4.0]), np.array([1e-9, 1e-9, 1e-9])), floor=5.0)
+def test_pool_small_cells_matches_rescan(table, floor):
+    obs, exp = table
+    got_obs, got_exp = pool_small_cells(obs, exp, floor)
+    want_obs, want_exp = reference.pool_small_cells_rescan(obs, exp, floor)
+    np.testing.assert_array_equal(got_obs, want_obs)
+    np.testing.assert_array_equal(got_exp, want_exp)
+
+
+def test_pool_small_cells_matches_rescan_on_born_kernels():
+    # wide kernels at a fixed total count: long all-tiny tails on both sides
+    for var, pitch in ((4.0, 0.05), (30.0, 0.1), (0.3, 0.01)):
+        _, weights = bin_weights(0.3, var, pitch)
+        counts = apportion_counts(weights, 10_000).astype(float)
+        got = pool_small_cells(counts, weights)
+        want = reference.pool_small_cells_rescan(counts, weights)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_pool_small_cells_hundred_thousand_cells():
+    # a rescan per merge is quadratic and cannot finish this in test time
+    rng = np.random.Generator(np.random.PCG64(6))
+    exp = np.exp(-0.5 * np.linspace(-6.0, 6.0, 100_000) ** 2)
+    exp /= exp.sum()
+    obs = rng.multinomial(10_000, exp).astype(float)
+    pooled_obs, pooled_exp = pool_small_cells(obs, exp)
+    assert pooled_obs.sum() == 10_000.0
+    assert pooled_exp.sum() == pytest.approx(1.0, abs=1e-12)
+    assert 2 < pooled_obs.size < 2000
+    assert (pooled_exp * 10_000).min() >= 5.0
+    assert chi_square_frequencies(pooled_obs, pooled_exp, alpha=0.001).passed
+
+
+def test_pool_small_cells_rejects_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        pool_small_cells(np.array([1.0, np.nan, 3.0]), np.array([0.2, 0.3, 0.5]))
+
+
 def test_chi_square_matches_scipy():
     rng = np.random.Generator(np.random.PCG64(14))
     p = np.array([0.2, 0.3, 0.1, 0.4])
@@ -247,9 +308,18 @@ def test_chi_square_matches_scipy():
     ref = sps.chisquare(obs, p * obs.sum())
     assert res.statistic == pytest.approx(ref.statistic, rel=1e-12)
     assert res.dof == 3
-    assert res.threshold == pytest.approx(sps.chi2.ppf(0.99, 3), rel=1e-12)
+    assert res.threshold == sps.chi2.ppf(0.99, 3)
     assert res.passed == (res.statistic < res.threshold)
     assert res.passed
+    # the threshold avoids importing scipy.stats, yet must be its quantile
+    # bit for bit
+    for alpha in (0.001, 0.01, 0.05):
+        for dof in range(1, 2001):
+            cells = dof + 1
+            res = chi_square_frequencies(
+                np.full(cells, 10.0), np.full(cells, 1.0 / cells), alpha=alpha
+            )
+            assert res.threshold == sps.chi2.ppf(1.0 - alpha, dof), (dof, alpha)
 
 
 def test_chi_square_rejects_wrong_model():
