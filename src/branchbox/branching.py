@@ -2,8 +2,8 @@
 
 Every decoherence event splits a spread packet into localized offspring,
 one per lattice bin of the center-offset distribution, and stamps each
-offspring with a tag recording (event time, offspring index) on top of
-the parent's lineage.  Offsets are binned relative to the parent, so all
+offspring with a tag hashing (event time, offspring index) into the
+parent's lineage.  Offsets are binned relative to the parent, so all
 parents share one offset kernel whatever their centers; for a
 lattice-aligned start in a box that is a whole number of bins wide the
 centers themselves stay on a fixed lattice.  Tags are what make branches
@@ -18,15 +18,16 @@ never interfere again, no matter where their packets sit.
                   capped at one branch, which keeps one offspring with
                   probability equal to its Born weight.
 
-A third mode, ``count``, carries integer multiplicities instead of
-weights.  It exists only for born_test's single event, whose leaves get
-``apportion_counts`` of the parent's multiplicity, so unweighted branch
-counting reproduces the Born weights to within one unit per bin; the
-engine does not evolve count-mode ensembles.
+A third mode, ``count``, carries integer counts, stored as float masses,
+instead of weights.  It exists only for born_test's single event, whose
+leaves get ``apportion_counts`` of the parent's count, so unweighted
+branch counting reproduces the Born weights to within one unit per bin;
+the engine does not evolve count-mode ensembles.
 
-Ensembles are stored as flat arrays and compress ancestry to (uid,
-parent uid, last event, depth, 64-bit lineage hash), which is enough for
-uniqueness checks, reproducible per-branch random streams and
+An ensemble is a time, one packet variance shared by every branch (each
+event resets it to w^2) and flat per-branch arrays: center, mass, uid,
+parent uid and a 64-bit lineage hash.  The hash compresses a branch's
+whole ancestry, which is enough for uniqueness checks and
 no-recoherence bookkeeping without O(depth) memory per branch.
 """
 
@@ -81,26 +82,22 @@ class TagReport:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Array-backed set of branches sharing a common time.
+    """Array-backed set of branches sharing a common time and packet width.
 
-    ``weight`` is meaningful in weighted/collapse modes, ``multiplicity``
-    in count mode; the other is None.  ``offspring_index`` is -1 and
-    ``parent_uid`` is -1 for initial branches that have not been through
-    a decoherence event.
+    ``weight`` is the branch mass: Born weights summing to 1 in weighted
+    and collapse modes, counts (as floats) in count mode.  ``parent_uid``
+    is -1 for initial branches that have not been through a decoherence
+    event.
     """
 
     mode: str
     time: float
     center: np.ndarray
-    variance: np.ndarray
-    weight: np.ndarray | None
-    multiplicity: np.ndarray | None
-    birth_time: np.ndarray
+    variance: float
+    weight: np.ndarray
     uid: np.ndarray
     parent_uid: np.ndarray
-    offspring_index: np.ndarray
     lineage_hash: np.ndarray
-    depth: np.ndarray
     next_uid: int
 
     def __post_init__(self):
@@ -109,22 +106,17 @@ class Ensemble:
         n = self.center.shape[0]
         if n < 1:
             raise ValueError("ensemble must contain at least one branch")
-        for name in ("variance", "birth_time", "uid", "parent_uid",
-                     "offspring_index", "lineage_hash", "depth"):
+        for name in ("weight", "uid", "parent_uid", "lineage_hash"):
             if getattr(self, name).shape[0] != n:
                 raise ValueError(f"array '{name}' length mismatch")
         if not np.all(np.isfinite(self.center)):
             raise ValueError("branch centers must be finite")
-        if not np.all(self.variance > 0):
-            raise ValueError("branch variances must be > 0")
+        if not self.variance > 0:
+            raise ValueError("packet variance must be > 0")
         if self.mode == "count":
-            if self.multiplicity is None or self.weight is not None:
-                raise ValueError("count mode carries multiplicities, not weights")
-            if not np.all(self.multiplicity >= 1):
-                raise ValueError("count-mode multiplicities must be >= 1")
+            if not np.all(self.weight >= 1):
+                raise ValueError("count-mode counts must be >= 1")
         else:
-            if self.weight is None or self.multiplicity is not None:
-                raise ValueError(f"{self.mode} mode carries weights, not multiplicities")
             if not np.all(self.weight > 0):
                 raise ValueError("branch weights must be > 0")
             total = float(self.weight.sum())
@@ -138,9 +130,7 @@ class Ensemble:
         return self.center.shape[0]
 
     def masses(self) -> np.ndarray:
-        """Statistical mass per branch: weights, or multiplicities as floats."""
-        if self.mode == "count":
-            return self.multiplicity.astype(float)
+        """Statistical mass per branch: weights, or counts as floats."""
         return self.weight
 
 
@@ -156,22 +146,18 @@ def midbox_ensemble(
     The default center is L/2 snapped to the offspring lattice, so in a
     box that is a whole number of bins wide every later center stays on
     the lattice.  Pass ``center`` to start elsewhere (it is used as
-    given, not snapped).
+    given, not snapped).  A count-mode packet holds ``multiplicity``
+    units as its mass; other modes hold weight 1.
     """
     if center is None:
         bw = p.bin_width()
         center = round((p.L / 2.0) / bw) * bw
-    count = mode == "count"
+    mass = float(max(1, int(multiplicity))) if mode == "count" else 1.0
     return Ensemble(
-        mode=mode, time=0.0,
-        center=np.array([float(center)]), variance=np.array([p.w**2]),
-        weight=None if count else np.ones(1),
-        multiplicity=np.array([max(1, int(multiplicity))], np.int64) if count else None,
-        birth_time=np.zeros(1),
+        mode=mode, time=0.0, center=np.array([float(center)]), variance=p.w**2,
+        weight=np.array([mass]),
         uid=np.zeros(1, np.int64), parent_uid=np.full(1, -1, np.int64),
-        offspring_index=np.full(1, -1, np.int32),
-        lineage_hash=lineage_hash_root(np.zeros(1, np.uint64)),
-        depth=np.zeros(1, np.int32), next_uid=1,
+        lineage_hash=lineage_hash_root(np.zeros(1, np.uint64)), next_uid=1,
     )
 
 
@@ -307,12 +293,9 @@ def _cap_keyed(e: Ensemble, max_branches: int, step_seed: np.uint64) -> Ensemble
         group_start=np.flatnonzero(np.concatenate(([True], pu[1:] != pu[:-1]))),
     )
     return Ensemble(
-        mode=e.mode, time=e.time,
-        center=e.center[idx], variance=e.variance[idx],
-        weight=hits / float(max_branches), multiplicity=None,
-        birth_time=e.birth_time[idx], uid=e.uid[idx],
-        parent_uid=e.parent_uid[idx], offspring_index=e.offspring_index[idx],
-        lineage_hash=e.lineage_hash[idx], depth=e.depth[idx],
+        mode=e.mode, time=e.time, center=e.center[idx], variance=e.variance,
+        weight=hits / float(max_branches), uid=e.uid[idx],
+        parent_uid=e.parent_uid[idx], lineage_hash=e.lineage_hash[idx],
         next_uid=e.next_uid,
     )
 
@@ -360,8 +343,7 @@ def evolve_ensemble_step(
     makes on the materialized offspring, grouped by parent, so the
     capped step is bit-identical to materializing everything and then
     capping.  ``fanout`` is validated but does not affect the step.
-    Count-mode ensembles and ensembles whose branches have different
-    variances (only a hand-built one can) are rejected.
+    Count-mode ensembles are rejected.
     """
     if e.mode == "count":
         raise ValueError(
@@ -376,11 +358,6 @@ def evolve_ensemble_step(
         raise ValueError(f"unknown timing '{timing}'")
     if p.tau <= 0:
         raise ValueError("evolution requires tau > 0")
-    if np.any(e.variance != e.variance[0]):
-        raise ValueError(
-            "branches must share one variance to share the offset kernel; "
-            "every decoherence event resets them to w^2"
-        )
     cap = 1 if e.mode == "collapse" else cap
     step_seed = np.uint64(rng.integers(0, 2**64, dtype=np.uint64))
     if timing == "poisson":
@@ -388,7 +365,7 @@ def evolve_ensemble_step(
     else:
         dt = p.tau
     t_event = e.time + dt
-    rel, kern = _offset_kernel(e.variance[0], dt, p)
+    rel, kern = _offset_kernel(e.variance, dt, p)
     nk = rel.size
 
     # over cap, survivors are selected from implicit (parent, bin) row
@@ -406,17 +383,11 @@ def evolve_ensemble_step(
     pr, oi = idx // nk, idx % nk
     return Ensemble(
         mode=e.mode, time=t_event,
-        center=reflect_center(e.center[pr] + rel[oi], p.L),
-        variance=np.full(idx.size, p.w**2),
-        weight=weight, multiplicity=None,
-        birth_time=np.full(idx.size, t_event),
-        uid=e.next_uid + idx,
-        parent_uid=e.uid[pr],
-        offspring_index=oi.astype(np.int32),
+        center=reflect_center(e.center[pr] + rel[oi], p.L), variance=p.w**2,
+        weight=weight, uid=e.next_uid + idx, parent_uid=e.uid[pr],
         lineage_hash=lineage_hash_child(
             e.lineage_hash[pr], t_event, oi.astype(np.uint64)
         ),
-        depth=e.depth[pr] + 1,
         next_uid=int(e.next_uid + noff),
     )
 
@@ -441,11 +412,7 @@ def verify_tag_uniqueness(e: Ensemble) -> TagReport:
             i, j = int(where[0]), int(where[1])
             return TagReport(
                 passed=False, n_branches=n,
-                message=(
-                    f"branches {i} and {j} share the same {name} "
-                    f"(last event t={e.birth_time[i]!r}, offspring index "
-                    f"{int(e.offspring_index[i])})"
-                ),
+                message=f"branches {i} and {j} share {name} {int(dup_value)}",
                 duplicate_indices=(i, j),
             )
     return TagReport(passed=True, n_branches=n, message="all lineages distinct")
@@ -461,7 +428,7 @@ class CollapseBatch:
 
     time: float
     center: np.ndarray
-    variance: np.ndarray
+    variance: float
     n_steps: int
 
 
@@ -512,9 +479,7 @@ def run_collapse_trajectories(
         else:
             sel = np.asarray(select_rule(kern, u))
         center = reflect_center(center + rel[sel], p.L)
-    return CollapseBatch(
-        time=t, center=center, variance=np.full(n_traj, w2), n_steps=steps
-    )
+    return CollapseBatch(time=t, center=center, variance=w2, n_steps=steps)
 
 
 def _box_top_site(p: PhysicalParams) -> int:
@@ -532,20 +497,19 @@ def _box_top_site(p: PhysicalParams) -> int:
     return int(round(p.L / bw))
 
 
-def _exact_chain(p: PhysicalParams, steps: int) -> Iterator[Ensemble]:
-    """Yield ``exact_weighted_reference(p, k)`` for k = 0 .. steps, one chain pass."""
+def _exact_chain(p: PhysicalParams, steps: int) -> Iterator[tuple[float, np.ndarray]]:
+    """Yield (t, mass on lattice sites 0 .. top) after k = 0 .. steps chain steps."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     top = _box_top_site(p)
     bw = p.bin_width()
     k0 = int(round((p.L / 2.0) / bw))
 
-    w2 = p.w**2
     mass = np.zeros(top + 1)
     mass[k0] = 1.0
     t = 0.0
     if steps > 0:
-        rel, kern = _offset_kernel(w2, p.tau, p)
+        rel, kern = _offset_kernel(p.w**2, p.tau, p)
         roff = np.rint(rel / bw).astype(np.int64)
         raw = np.arange(top + 1, dtype=np.int64)[:, None] + roff[None, :]
         folded = raw % (2 * top)
@@ -557,21 +521,19 @@ def _exact_chain(p: PhysicalParams, steps: int) -> Iterator[Ensemble]:
                 folded, weights=(mass[:, None] * kern[None, :]).ravel(),
                 minlength=top + 1,
             )
-        keep = np.flatnonzero(mass > 0.0)
-        n = keep.size
-        yield Ensemble(
-            mode="weighted", time=t,
-            center=keep.astype(float) * bw,
-            variance=np.full(n, w2),
-            weight=mass[keep] / mass[keep].sum(), multiplicity=None,
-            birth_time=np.full(n, t),
-            uid=np.arange(n, dtype=np.int64),
-            parent_uid=np.full(n, -1, np.int64),
-            offspring_index=keep.astype(np.int32),
-            lineage_hash=lineage_hash_root(np.arange(n, dtype=np.uint64)),
-            depth=np.full(n, k, np.int32),
-            next_uid=n,
-        )
+        yield t, mass
+
+
+def _site_ensemble(p: PhysicalParams, t: float, mass: np.ndarray) -> Ensemble:
+    """Weighted ensemble of one branch per occupied site of a chain mass vector."""
+    keep = np.flatnonzero(mass > 0.0)
+    n = keep.size
+    return Ensemble(
+        mode="weighted", time=t, center=keep.astype(float) * p.bin_width(),
+        variance=p.w**2, weight=mass[keep] / mass[keep].sum(),
+        uid=np.arange(n, dtype=np.int64), parent_uid=np.full(n, -1, np.int64),
+        lineage_hash=lineage_hash_root(np.arange(n, dtype=np.uint64)), next_uid=n,
+    )
 
 
 def exact_weighted_reference(p: PhysicalParams, steps: int) -> Ensemble:
@@ -586,4 +548,4 @@ def exact_weighted_reference(p: PhysicalParams, steps: int) -> Ensemble:
     This is the sampling-free reference that capped runs and collapse
     trajectories are compared against.
     """
-    return collections.deque(_exact_chain(p, steps), maxlen=1)[0]
+    return _site_ensemble(p, *collections.deque(_exact_chain(p, steps), maxlen=1)[0])

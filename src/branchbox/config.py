@@ -36,8 +36,10 @@ SCENARIOS = (
 
 TIMINGS = ("deterministic", "poisson")
 
-# liouville_check's density-matrix grid; fixed geometry, not a user knob
+# the density oracles' fixed grids (liouville_check's density matrices,
+# peres_test's wavefunctions); scenario geometry, not user knobs
 LIOUVILLE_GRID = 128
+PERES_GRID = 256
 
 _PARAM_KEYS = ("m", "w", "tau", "hbar", "L")
 _INT_KEYS = ("steps", "fanout", "max_branches", "bins", "seed")
@@ -104,23 +106,14 @@ class RunConfig:
                     f"L: peres_test places packets at L/2 +- 10w and needs wall margins; "
                     f"L must be >= 28 w = {28 * p.w}, got {p.L}"
                 )
-            # the interference oracle runs on a fixed 256-point grid, which
-            # must resolve w (dx = L/257 <= w/4)
-            if p.L > 64.0 * p.w:
-                raise ConfigError(
-                    f"L: peres_test's 256-point grid cannot resolve w = {p.w} "
-                    f"beyond L = 64 w = {64 * p.w}, got {p.L}"
-                )
-        if self.scenario == "liouville_check":
-            # the density oracle needs dx <= w/4 on its fixed grid; the pitch
-            # is the grid's own, so this rule and the grid agree at the limit
-            _, dx = grid_points(LIOUVILLE_GRID, p)
-            if dx > p.w / 4.0:
-                raise ConfigError(
-                    f"L: liouville_check's {LIOUVILLE_GRID}-point grid cannot resolve "
-                    f"w = {p.w} beyond L = {(LIOUVILLE_GRID + 1) / 4} w = "
-                    f"{(LIOUVILLE_GRID + 1) * p.w / 4}, got {p.L}"
-                )
+        # the density oracles need dx <= w/4 on their fixed grids; the pitch
+        # is the grid's own, so this rule and the grid agree at the limit
+        grid = {"peres_test": PERES_GRID, "liouville_check": LIOUVILLE_GRID}.get(self.scenario)
+        if grid is not None and grid_points(grid, p)[1] > p.w / 4.0:
+            raise ConfigError(
+                f"L: {self.scenario}'s {grid}-point grid cannot resolve w = {p.w} "
+                f"beyond L = {(grid + 1) / 4} w = {(grid + 1) * p.w / 4}, got {p.L}"
+            )
         if self.scenario == "born_test":
             if self.mode != "count":
                 raise ConfigError("mode: born_test counts branches and requires mode = count")
@@ -148,7 +141,7 @@ class RunConfig:
         if self.scenario == "freespread" and self.mode == "collapse":
             raise ConfigError(
                 "mode: freespread checks the branch-variance ladder, which a "
-                "single collapsed branch cannot carry; use weighted or count"
+                "single collapsed branch cannot carry; use weighted"
             )
         if self.scenario in ("peres_test", "liouville_check") and self.mode != "weighted":
             raise ConfigError(f"mode: {self.scenario} does not use mode = {self.mode}")

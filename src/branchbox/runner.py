@@ -32,13 +32,14 @@ import numpy as np
 from .branching import (
     Ensemble,
     _exact_chain,
+    _site_ensemble,
     apportion_counts,
     evolve_ensemble_step,
     midbox_ensemble,
     run_collapse_trajectories,
     verify_tag_uniqueness,
 )
-from .config import LIOUVILLE_GRID, RunConfig, config_lines
+from .config import LIOUVILLE_GRID, PERES_GRID, RunConfig, config_lines
 from .density import (
     GridDensityMatrix,
     UnitaryPropagator,
@@ -92,7 +93,6 @@ CHECKPOINT_EVERY = 100
 # fixed scenario geometry; criteria-level constants, not user knobs
 LIOUVILLE_STATES = 20
 CHANNEL_STATES = 100
-PERES_GRID = 256
 COLLAPSE_TRAJECTORIES = 10_000
 BORN_TOTAL_COUNT = 10_000
 KS_SAMPLE = 1000
@@ -337,7 +337,7 @@ def _scenario_freespread(c: RunConfig):
 
 
 def _born_event(p: PhysicalParams, initial: Ensemble, dt: float):
-    """born_test's count-mode event: the leaf's multiplicity, apportioned.
+    """born_test's count-mode event: the leaf's count, apportioned.
 
     Returns the kernel weights, the counts over the full kernel support
     (zeros included) and the leaves; a zero-count leaf gets no branch.
@@ -346,16 +346,13 @@ def _born_event(p: PhysicalParams, initial: Ensemble, dt: float):
     centers, weights = bin_weights(
         float(initial.center[0]), spread_variance(w2, dt, p) - w2, p.bin_width()
     )
-    counts = apportion_counts(weights, int(initial.multiplicity[0]))
+    counts = apportion_counts(weights, int(initial.weight[0]))
     j = np.flatnonzero(counts)
     after = Ensemble(
         mode="count", time=dt, center=reflect_center(centers[j], p.L),
-        variance=np.full(j.size, w2), weight=None, multiplicity=counts[j],
-        birth_time=np.full(j.size, dt), uid=initial.next_uid + j,
+        variance=w2, weight=counts[j].astype(float), uid=initial.next_uid + j,
         parent_uid=np.full(j.size, initial.uid[0]),
-        offspring_index=j.astype(np.int32),
         lineage_hash=lineage_hash_child(initial.lineage_hash[0], dt, j.astype(np.uint64)),
-        depth=np.full(j.size, initial.depth[0] + 1),
         next_uid=int(initial.next_uid + weights.size),
     )
     return weights, counts, after
@@ -417,9 +414,10 @@ def _scenario_collapse(c: RunConfig):
     p = c.params
     # reference: the exact (sampling-free) weighted mixture, so the z
     # scores carry only the trajectories' own Monte Carlo error
-    chain = list(_exact_chain(p, c.steps))
-    rows = [_series_row(e, c) for e in chain]
-    reference = chain[-1]
+    rows = []
+    for t, mass in _exact_chain(p, c.steps):
+        reference = _site_ensemble(p, t, mass)
+        rows.append(_series_row(reference, c))
 
     batch = run_collapse_trajectories(p, COLLAPSE_TRAJECTORIES, c.steps, c.seed)
     cmp_mean = expectation_compare(batch, reference, position_value)

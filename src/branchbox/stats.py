@@ -2,7 +2,7 @@
 
 Everything here treats an ensemble as a Gaussian mixture: branch masses
 are the mixture weights and every branch contributes both its center
-dispersion and its internal packet variance.  Histograms integrate each
+dispersion and the ensemble's packet variance.  Histograms integrate each
 component's Gaussian over each bin (fold-by-images at the walls) instead
 of point-assigning centers, so results are exact for the mixture and do
 not depend on the branching lattice.
@@ -116,7 +116,7 @@ def ensemble_position_mean(e: Ensemble) -> float:
 def ensemble_position_variance(e: Ensemble) -> float:
     """Mixture position variance: center dispersion plus packet variance.
 
-    Exact for Gaussian mixtures: Var(x) = sum_b m_b (c_b^2 + v_b) - mean^2.
+    Exact for Gaussian mixtures: Var(x) = sum_b m_b (c_b^2 + v) - mean^2.
     """
     m = _normalized_masses(e)
     mean = float(m @ e.center)
@@ -135,18 +135,17 @@ def effective_branch_count(e: Ensemble) -> float:
 
 
 def _folded_bin_masses(
-    centers: np.ndarray, sigmas: np.ndarray, edges: np.ndarray, L: float
+    centers: np.ndarray, s: float, edges: np.ndarray, L: float
 ) -> np.ndarray:
-    """Per-component Gaussian mass in each bin of [0, L], walls folded in.
+    """Per-component Gaussian mass (std ``s``) in each bin of [0, L], walls folded in.
 
     Reflecting walls map x to the box by mirroring across 0 and L, so the
     in-box density is the image sum rho(y) = sum_j rho_free(2jL + y) +
     rho_free(2jL - y).  Enough images are taken that the neglected tail
-    is below double precision for the widest component.
+    is below double precision.
     """
-    n_images = int(math.ceil(6.0 * float(sigmas.max()) / (2.0 * L))) + 1
+    n_images = int(math.ceil(6.0 * s / (2.0 * L))) + 1
     c = centers[:, None]
-    s = sigmas[:, None]
     out = np.zeros((centers.size, edges.size - 1))
     for j in range(-n_images, n_images + 1):
         shift = 2.0 * j * L
@@ -176,26 +175,20 @@ def position_histogram(e: Ensemble, p: PhysicalParams, k: int) -> np.ndarray:
     edges = np.linspace(0.0, p.L, k + 1)
     masses = _normalized_masses(e)
 
-    # many branches share few distinct packets: aggregate their masses
+    # many branches share few distinct centers: aggregate their masses
     # before the (component x bin x image) integration, by lattice site
-    # when every branch is on the lattice, else by exact (center, variance)
+    # when every branch is on the lattice, else by exact center
     bw = p.bin_width()
-    uniform_var = e.variance.min() == e.variance.max()
-    if uniform_var and np.all(e.center == np.round(e.center / bw) * bw):
-        sites = np.rint(e.center / bw).astype(np.int64)
-        site_mass = np.bincount(sites, weights=masses)
+    if np.all(e.center == np.round(e.center / bw) * bw):
+        site_mass = np.bincount(np.rint(e.center / bw).astype(np.int64), weights=masses)
         occupied = np.flatnonzero(site_mass > 0)
         centers = occupied * bw
         masses = site_mass[occupied]
-        variances = np.full(occupied.size, e.variance[0])
     else:
-        packets, which = np.unique(
-            np.column_stack((e.center, e.variance)), axis=0, return_inverse=True
-        )
-        centers, variances = packets[:, 0], packets[:, 1]
-        masses = np.bincount(which.ravel(), weights=masses)
+        centers, which = np.unique(e.center, return_inverse=True)
+        masses = np.bincount(which, weights=masses)
 
-    h = masses @ _folded_bin_masses(centers, np.sqrt(variances), edges, p.L)
+    h = masses @ _folded_bin_masses(centers, math.sqrt(e.variance), edges, p.L)
     return h / h.sum()
 
 
@@ -357,14 +350,14 @@ def chi_square_frequencies(
 # collapse trajectories vs ensemble
 
 
-def position_value(center: np.ndarray, variance: np.ndarray) -> np.ndarray:
+def position_value(center: np.ndarray, variance: float) -> np.ndarray:
     """Per-branch expectation of x."""
     return np.asarray(center, float)
 
 
-def position_square(center: np.ndarray, variance: np.ndarray) -> np.ndarray:
+def position_square(center: np.ndarray, variance: float) -> np.ndarray:
     """Per-branch expectation of x^2 (center squared plus packet variance)."""
-    return np.asarray(center, float) ** 2 + np.asarray(variance, float)
+    return np.asarray(center, float) ** 2 + variance
 
 
 def sample_branch_centers(e: Ensemble, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -379,7 +372,7 @@ def sample_branch_centers(e: Ensemble, n: int, rng: np.random.Generator) -> np.n
 def expectation_compare(
     trajectories: CollapseBatch,
     reference: Ensemble,
-    observable: Callable[[np.ndarray, np.ndarray], np.ndarray] = position_value,
+    observable: Callable[[np.ndarray, float], np.ndarray] = position_value,
 ) -> ExpectationComparison:
     """z-score of a per-branch observable: collapse runs vs full ensemble.
 

@@ -41,12 +41,9 @@ def initial_ensemble(centers, weights, mode="weighted", roots=None):
     n = len(centers)
     roots = np.arange(n) if roots is None else np.asarray(roots)
     return Ensemble(
-        mode=mode, time=0.0, center=np.array(centers, float),
-        variance=np.ones(n), weight=np.array(weights, float), multiplicity=None,
-        birth_time=np.zeros(n), uid=np.arange(n), parent_uid=np.full(n, -1),
-        offspring_index=np.full(n, -1),
-        lineage_hash=lineage_hash_root(roots.astype(np.uint64)),
-        depth=np.zeros(n, np.int32), next_uid=n,
+        mode=mode, time=0.0, center=np.array(centers, float), variance=1.0,
+        weight=np.array(weights, float), uid=np.arange(n), parent_uid=np.full(n, -1),
+        lineage_hash=lineage_hash_root(roots.astype(np.uint64)), next_uid=n,
     )
 
 
@@ -58,7 +55,7 @@ def test_midbox_default_center_is_lattice_aligned():
     e = midbox_ensemble(P)
     assert e.n_branches == 1
     assert e.center[0] == 10.0
-    assert e.variance[0] == P.w**2
+    assert e.variance == P.w**2
     assert e.mode == "weighted"
     # explicit centers are taken as given
     e2 = midbox_ensemble(P, center=9.87)
@@ -73,9 +70,9 @@ def test_midbox_snaps_odd_geometry():
 
 
 def test_midbox_count_mode_multiplicity():
+    # the count rides in the one mass array, as a float
     e = midbox_ensemble(P, "count", multiplicity=1250)
-    assert int(e.multiplicity.sum()) == 1250
-    assert e.weight is None
+    np.testing.assert_array_equal(e.weight, [1250.0])
     np.testing.assert_array_equal(e.masses(), [1250.0])
 
 
@@ -88,6 +85,16 @@ def test_ensemble_validation():
     # collapse mode holds exactly one branch
     with pytest.raises(ValueError):
         initial_ensemble([1.0, 1.0], [0.5, 0.5], mode="collapse")
+    # one packet width, positive; one mass per branch
+    with pytest.raises(ValueError, match="variance"):
+        dataclasses.replace(initial_ensemble([1.0], [1.0]), variance=0.0)
+    with pytest.raises(ValueError, match="'weight'"):
+        initial_ensemble([1.0, 2.0], [1.0])
+    # counts need not sum to one, but each branch holds at least one unit
+    counted = initial_ensemble([1.0, 2.0], [3.0, 4.0], mode="count")
+    assert counted.masses().sum() == 7.0
+    with pytest.raises(ValueError, match="count"):
+        initial_ensemble([1.0, 2.0], [3.0, 0.5], mode="count")
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +156,12 @@ def test_decohere_count_conserves_multiplicity():
     for dt in (P.m * P.w**2 / (3.0 * P.hbar), 0.9, 2.5):
         weights, counts, after = _born_event(P, initial, dt)
         assert counts.sum() == BORN_TOTAL_COUNT
-        assert after.multiplicity.sum() == BORN_TOTAL_COUNT
+        assert after.weight.sum() == BORN_TOTAL_COUNT
         assert np.all(np.abs(counts / BORN_TOTAL_COUNT - weights) <= 1.0 / BORN_TOTAL_COUNT)
         # zero-count leaves hold no branch
         kept = np.flatnonzero(counts)
-        np.testing.assert_array_equal(after.offspring_index, kept)
-        np.testing.assert_array_equal(after.multiplicity, counts[kept])
+        np.testing.assert_array_equal(after.uid, initial.next_uid + kept)
+        np.testing.assert_array_equal(after.weight, counts[kept])
         zero_leaves += int((counts == 0).sum())
         np.testing.assert_array_equal(
             after.lineage_hash,
@@ -377,10 +384,14 @@ def test_evolve_advances_time_and_resets_width():
     e = midbox_ensemble(P)
     out = evolve_ensemble_step(e, P, 8, 10**9, gen(30))
     assert out.time == P.tau
-    assert np.all(out.variance == P.w**2)
-    assert np.all(out.birth_time == P.tau)
+    assert out.variance == P.w**2
     np.testing.assert_array_equal(out.parent_uid, np.zeros(out.n_branches))
-    np.testing.assert_array_equal(out.depth, np.ones(out.n_branches))
+    # a second step: the children of a whole-width parent reset to w^2
+    # and take fresh uids after every offspring row of the first step
+    out2 = evolve_ensemble_step(out, P, 8, 10**9, gen(30))
+    assert out2.time == 2 * P.tau
+    assert out2.variance == P.w**2
+    assert out2.uid.min() == out.next_uid
 
 
 def test_evolve_single_step_equals_kernel():
@@ -389,7 +400,7 @@ def test_evolve_single_step_equals_kernel():
     rel, kern = bin_weights(0.0, spread_variance(P.w**2, P.tau, P) - P.w**2, 0.5)
     np.testing.assert_array_equal(out.center, 10.0 + rel)
     np.testing.assert_allclose(out.weight, kern, rtol=1e-15)
-    np.testing.assert_array_equal(out.offspring_index, np.arange(rel.size))
+    np.testing.assert_array_equal(out.uid, e.next_uid + np.arange(rel.size))
 
 
 def test_evolve_lineage_hashes_chain():
@@ -542,12 +553,6 @@ def test_evolve_rejects_bad_arguments():
     # count mode holds born_test's single event; the engine refuses it
     with pytest.raises(ValueError, match="count-mode"):
         evolve_ensemble_step(midbox_ensemble(P, "count"), P, 8, 100, gen(40))
-    # branches of different widths would need different kernels; only a
-    # hand-built ensemble has them
-    mixed = initial_ensemble([9.0, 11.0], [0.5, 0.5])
-    mixed = dataclasses.replace(mixed, variance=np.array([1.0, 1.5]))
-    with pytest.raises(ValueError, match="one variance"):
-        evolve_ensemble_step(mixed, P, 8, 100, gen(40))
 
 
 def test_evolve_collapse_stays_single_and_lattice_bound():
@@ -557,12 +562,13 @@ def test_evolve_collapse_stays_single_and_lattice_bound():
         e = midbox_ensemble(P, "collapse")
         r = gen(41)
         for k in range(30):
+            prev = e
             e = evolve_ensemble_step(e, P, 8, cap, r)
             assert e.mode == "collapse"
             assert e.n_branches == 1
             assert e.weight[0] == 1.0
-            assert e.variance[0] == P.w**2
-            assert e.depth[0] == k + 1
+            assert e.variance == P.w**2
+            assert e.parent_uid[0] == prev.uid[0]
             assert e.center[0] == round(e.center[0] / 0.5) * 0.5
             assert 0.0 <= e.center[0] <= P.L
 
@@ -582,10 +588,9 @@ def test_collapse_step_is_the_weighted_step_at_cap_one(p, timing):
         w = evolve_ensemble_step(w, p, 8, 1, rw, timing=timing)
         assert (c.mode, w.mode) == ("collapse", "weighted")
         assert c.time == w.time
-        for name in ("center", "uid", "parent_uid", "offspring_index",
-                     "lineage_hash", "depth", "weight"):
+        for name in ("center", "uid", "parent_uid", "lineage_hash", "weight"):
             np.testing.assert_array_equal(getattr(c, name), getattr(w, name))
-        assert c.next_uid == w.next_uid
+        assert (c.variance, c.next_uid) == (w.variance, w.next_uid)
 
 
 def test_evolve_collapse_follows_born_weights():
@@ -724,6 +729,20 @@ def test_exact_reference_converges_to_uniformity():
     assert tv_to_uniform(h) < 1e-3
 
 
+def test_exact_reference_builds_one_ensemble(monkeypatch):
+    # the chain carries site masses; only the final step becomes an Ensemble
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return Ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(branching, "Ensemble", counting)
+    e = exact_weighted_reference(P, 50)
+    assert len(built) == 1
+    assert e.time == 50 * P.tau
+
+
 def test_exact_reference_validates_geometry():
     # w = 0.6: pitch 0.3, and 2L / 0.3 = 133.3 sites do not fill the box
     with pytest.raises(ValueError, match="commensurate"):
@@ -752,6 +771,7 @@ def test_uniqueness_catches_duplicate_lineage():
     rep = verify_tag_uniqueness(dup)
     assert not rep.passed
     assert rep.duplicate_indices == (0, 1)
+    assert rep.message == f"branches 0 and 1 share lineage hash {int(dup.lineage_hash[0])}"
 
 
 def test_uniqueness_catches_duplicate_uid():
@@ -759,12 +779,7 @@ def test_uniqueness_catches_duplicate_uid():
     e = evolve_ensemble_step(e, P, 8, 10**9, gen(61))
     uid = e.uid.copy()
     uid[1] = uid[0]
-    bad = Ensemble(
-        mode=e.mode, time=e.time, center=e.center, variance=e.variance,
-        weight=e.weight, multiplicity=None, birth_time=e.birth_time,
-        uid=uid, parent_uid=e.parent_uid, offspring_index=e.offspring_index,
-        lineage_hash=e.lineage_hash, depth=e.depth, next_uid=e.next_uid,
-    )
-    rep = verify_tag_uniqueness(bad)
+    rep = verify_tag_uniqueness(dataclasses.replace(e, uid=uid))
     assert not rep.passed
     assert rep.duplicate_indices == (0, 1)
+    assert rep.message == f"branches 0 and 1 share uid {int(uid[0])}"

@@ -6,6 +6,7 @@ import pytest
 
 from branchbox.config import (
     LIOUVILLE_GRID,
+    PERES_GRID,
     ConfigError,
     RunConfig,
     config_lines,
@@ -158,7 +159,7 @@ def test_scenario_rules_freespread():
     parse_config("", ok)
     with pytest.raises(ConfigError, match="wall-free"):
         parse_config("", {"scenario": "freespread", "steps": 200})
-    with pytest.raises(ConfigError, match="collapsed branch"):
+    with pytest.raises(ConfigError, match="collapsed branch.*use weighted$"):
         parse_config("", ok | {"mode": "collapse"})
 
 
@@ -180,29 +181,40 @@ def test_scenario_rules_liouville():
         parse_config("", {"scenario": "liouville_check", "mode": "collapse"})
 
 
-@pytest.mark.parametrize("w", [1.0, 0.3, 0.07])
-def test_liouville_grid_limit_matches_the_grid(w):
-    # the 128-point grid resolves w iff L <= 32.25 w; the rule must agree
-    # with the grid's own check on both sides of that limit
-    limit = 32.25 * w
+def check_grid_limit(scenario, grid, w):
+    # the grid resolves w iff L <= (grid + 1)/4 w; the rule must agree with
+    # the grid's own check on both sides of that limit and name it
+    limit = (grid + 1) / 4 * w
     for L in (limit, math.nextafter(limit, 0.0), math.nextafter(limit, math.inf),
               2.0 * limit):
         p = PhysicalParams(w=w, L=L)
         try:
-            build_box_hamiltonian(LIOUVILLE_GRID, p)
+            build_box_hamiltonian(grid, p)
             grid_ok = True
         except ValueError:
             grid_ok = False
-        overrides = {"scenario": "liouville_check", "w": w, "L": L, "bins": 2}
+        overrides = {"scenario": scenario, "w": w, "L": L, "bins": 2}
         if grid_ok:
             parse_config("", overrides)
         else:
-            with pytest.raises(ConfigError, match=r"^L: .*w = .*got"):
+            with pytest.raises(ConfigError, match=rf"^L: .*L = {(grid + 1) / 4} w = .*got"):
                 parse_config("", overrides)
-    base = {"scenario": "liouville_check", "w": w, "bins": 2}
+    base = {"scenario": scenario, "w": w, "bins": 2}
     parse_config("", base | {"L": 0.999 * limit})
-    with pytest.raises(ConfigError, match="128-point grid"):
+    with pytest.raises(ConfigError, match=f"{grid}-point grid"):
         parse_config("", base | {"L": 1.001 * limit})
+
+
+@pytest.mark.parametrize("w", [1.0, 0.3, 0.07])
+def test_liouville_grid_limit_matches_the_grid(w):
+    check_grid_limit("liouville_check", LIOUVILLE_GRID, w)
+
+
+@pytest.mark.parametrize("w", [1.0, 0.3, 0.07])
+def test_peres_grid_limit_matches_the_grid(w):
+    # the old rule refused L > 64 w, which the grid still resolves
+    check_grid_limit("peres_test", PERES_GRID, w)
+    parse_config("", {"scenario": "peres_test", "w": w, "L": 64.2 * w, "bins": 2})
 
 
 @pytest.mark.parametrize("scenario", [

@@ -285,3 +285,12 @@ def test_liouville_runs_at_its_grid_limit(tmp_path):
     c = parse_config("", {"scenario": "liouville_check", "L": 32.25, "steps": 1,
                           "output_dir": str(tmp_path)})
     assert run_scenario(c).passed
+
+
+def test_peres_runs_at_its_grid_limit(tmp_path):
+    # the largest box RunConfig accepts for w = 1 runs and passes all checks
+    c = parse_config("", {"scenario": "peres_test", "L": 64.25, "steps": 3,
+                          "max_branches": 2000, "output_dir": str(tmp_path)})
+    summary = run_scenario(c)
+    assert len(summary.checks) == 4
+    assert summary.passed

@@ -34,15 +34,13 @@ import reference
 P = PhysicalParams()
 
 
-def weighted_ensemble(centers, variances, weights, time=0.0):
+def weighted_ensemble(centers, variance, weights, time=0.0):
     n = len(centers)
     return Ensemble(
         mode="weighted", time=float(time), center=np.array(centers, float),
-        variance=np.array(variances, float), weight=np.array(weights, float),
-        multiplicity=None, birth_time=np.zeros(n), uid=np.arange(n),
-        parent_uid=np.full(n, -1), offspring_index=np.full(n, -1),
-        lineage_hash=lineage_hash_root(np.arange(n, dtype=np.uint64)),
-        depth=np.zeros(n, np.int32), next_uid=n,
+        variance=float(variance), weight=np.array(weights, float),
+        uid=np.arange(n), parent_uid=np.full(n, -1),
+        lineage_hash=lineage_hash_root(np.arange(n, dtype=np.uint64)), next_uid=n,
     )
 
 
@@ -51,23 +49,23 @@ def weighted_ensemble(centers, variances, weights, time=0.0):
 
 
 def test_position_moments_hand_case():
-    e = weighted_ensemble([2.0, 6.0], [1.0, 4.0], [0.25, 0.75])
+    e = weighted_ensemble([2.0, 6.0], 1.5, [0.25, 0.75])
     mean = 0.25 * 2 + 0.75 * 6
-    second = 0.25 * (4 + 1) + 0.75 * (36 + 4)
+    second = 0.25 * (4 + 1.5) + 0.75 * (36 + 1.5)
     assert ensemble_position_mean(e) == pytest.approx(mean, rel=1e-15)
     assert ensemble_position_variance(e) == pytest.approx(second - mean**2, rel=1e-15)
 
 
 def test_variance_includes_packet_width():
     # a single branch has no center dispersion; variance is the packet's
-    e = weighted_ensemble([5.0], [2.5], [1.0])
+    e = weighted_ensemble([5.0], 2.5, [1.0])
     assert ensemble_position_variance(e) == pytest.approx(2.5, rel=1e-15)
 
 
 def test_effective_branch_count_kish():
-    e = weighted_ensemble([1.0, 2.0, 3.0, 4.0], [1.0] * 4, [0.25] * 4)
+    e = weighted_ensemble([1.0, 2.0, 3.0, 4.0], 1.0, [0.25] * 4)
     assert effective_branch_count(e) == pytest.approx(4.0, rel=1e-12)
-    skew = weighted_ensemble([1.0, 2.0], [1.0] * 2, [0.99, 0.01])
+    skew = weighted_ensemble([1.0, 2.0], 1.0, [0.99, 0.01])
     expected = 1.0 / (0.99**2 + 0.01**2)
     assert effective_branch_count(skew) == pytest.approx(expected, rel=1e-12)
 
@@ -88,7 +86,7 @@ def test_effective_branch_count_count_mode():
     (19.5, 4.0),     # against the far wall
 ])
 def test_histogram_single_branch_matches_quadrature(center, variance):
-    e = weighted_ensemble([center], [variance], [1.0])
+    e = weighted_ensemble([center], variance, [1.0])
     got = position_histogram(e, P, 20)
     expected = reference.reflected_bin_masses(center, variance, P.L, 20)
     np.testing.assert_allclose(got, expected, atol=1e-10)
@@ -96,9 +94,9 @@ def test_histogram_single_branch_matches_quadrature(center, variance):
 
 
 def test_histogram_mixture_is_mass_weighted():
-    e = weighted_ensemble([4.0, 15.0], [1.0, 2.0], [0.3, 0.7])
+    e = weighted_ensemble([4.0, 15.0], 2.0, [0.3, 0.7])
     got = position_histogram(e, P, 20)
-    expected = 0.3 * reference.reflected_bin_masses(4.0, 1.0, P.L, 20) \
+    expected = 0.3 * reference.reflected_bin_masses(4.0, 2.0, P.L, 20) \
         + 0.7 * reference.reflected_bin_masses(15.0, 2.0, P.L, 20)
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
@@ -108,7 +106,7 @@ def test_histogram_lattice_fast_path_agrees():
     # the result must match the direct mixture quadrature
     centers = [2.0, 2.0, 3.5, 3.5, 3.5, 10.0]
     weights = [0.1, 0.2, 0.1, 0.15, 0.15, 0.3]
-    e = weighted_ensemble(centers, [1.0] * 6, weights)
+    e = weighted_ensemble(centers, 1.0, weights)
     got = position_histogram(e, P, 20)
     expected = 0.3 * reference.reflected_bin_masses(2.0, 1.0, P.L, 20) \
         + 0.4 * reference.reflected_bin_masses(3.5, 1.0, P.L, 20) \
@@ -117,17 +115,16 @@ def test_histogram_lattice_fast_path_agrees():
 
 
 def test_histogram_off_lattice_merges_duplicate_packets():
-    # off-lattice centers, repeated (center, variance) pairs and two
-    # variances, one center under both: only exact duplicates may merge
-    centers = [2.1, 2.1, 0.3, 2.1, 17.7, 0.3, 2.1]
-    variances = [1.0, 1.0, 2.25, 2.25, 1.0, 2.25, 1.0]
+    # off-lattice centers, repeated and interleaved, one of them against
+    # the wall: duplicates merge and every distinct center keeps its mass
+    centers = [2.1, 2.1, 0.3, 9.9, 17.7, 0.3, 2.1]
     weights = [0.1, 0.15, 0.05, 0.2, 0.3, 0.1, 0.1]
-    e = weighted_ensemble(centers, variances, weights)
+    e = weighted_ensemble(centers, 2.25, weights)
     got = position_histogram(e, P, 20)
-    expected = 0.35 * reference.reflected_bin_masses(2.1, 1.0, P.L, 20) \
+    expected = 0.35 * reference.reflected_bin_masses(2.1, 2.25, P.L, 20) \
         + 0.15 * reference.reflected_bin_masses(0.3, 2.25, P.L, 20) \
-        + 0.2 * reference.reflected_bin_masses(2.1, 2.25, P.L, 20) \
-        + 0.3 * reference.reflected_bin_masses(17.7, 1.0, P.L, 20)
+        + 0.2 * reference.reflected_bin_masses(9.9, 2.25, P.L, 20) \
+        + 0.3 * reference.reflected_bin_masses(17.7, 2.25, P.L, 20)
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
@@ -359,13 +356,13 @@ def test_chi_square_false_positive_rate():
 
 def test_observables():
     c = np.array([1.0, 2.0])
-    v = np.array([0.5, 1.5])
+    v = 0.5
     np.testing.assert_array_equal(position_value(c, v), c)
     np.testing.assert_array_equal(position_square(c, v), c**2 + v)
 
 
 def test_sample_branch_centers_follows_masses():
-    e = weighted_ensemble([0.0, 1.0, 2.0], [1.0] * 3, [0.5, 0.3, 0.2])
+    e = weighted_ensemble([0.0, 1.0, 2.0], 1.0, [0.5, 0.3, 0.2])
     rng = np.random.Generator(np.random.PCG64(6))
     draws = sample_branch_centers(e, 30_000, rng)
     counts = np.array([(draws == c).sum() for c in (0.0, 1.0, 2.0)])
@@ -376,10 +373,10 @@ def test_sample_branch_centers_follows_masses():
 
 
 def test_expectation_compare_z_formula():
-    ref = weighted_ensemble([0.0, 2.0], [1.0, 1.0], [0.5, 0.5], time=3.0)
+    ref = weighted_ensemble([0.0, 2.0], 1.0, [0.5, 0.5], time=3.0)
     traj = CollapseBatch(
         time=3.0, center=np.array([0.0, 1.0, 2.0, 3.0]),
-        variance=np.ones(4), n_steps=3,
+        variance=1.0, n_steps=3,
     )
     cmp = expectation_compare(traj, ref)
     assert cmp.reference_mean == pytest.approx(1.0, rel=1e-15)
@@ -391,18 +388,18 @@ def test_expectation_compare_z_formula():
 
 
 def test_expectation_compare_degenerate_spread():
-    ref = weighted_ensemble([0.0, 2.0], [1.0, 1.0], [0.5, 0.5], time=1.0)
-    same = CollapseBatch(1.0, np.full(5, 1.0), np.ones(5), 1)
+    ref = weighted_ensemble([0.0, 2.0], 1.0, [0.5, 0.5], time=1.0)
+    same = CollapseBatch(1.0, np.full(5, 1.0), 1.0, 1)
     assert expectation_compare(same, ref).z_score == 0.0
-    shifted = CollapseBatch(1.0, np.full(5, 2.0), np.ones(5), 1)
+    shifted = CollapseBatch(1.0, np.full(5, 2.0), 1.0, 1)
     assert expectation_compare(shifted, ref).z_score == math.inf
-    low = CollapseBatch(1.0, np.full(5, 0.0), np.ones(5), 1)
+    low = CollapseBatch(1.0, np.full(5, 0.0), 1.0, 1)
     assert expectation_compare(low, ref).z_score == -math.inf
 
 
 def test_expectation_compare_guards():
-    ref = weighted_ensemble([0.0], [1.0], [1.0], time=1.0)
+    ref = weighted_ensemble([0.0], 1.0, [1.0], time=1.0)
     with pytest.raises(ValueError):
-        expectation_compare(CollapseBatch(2.0, np.zeros(5), np.ones(5), 1), ref)
+        expectation_compare(CollapseBatch(2.0, np.zeros(5), 1.0, 1), ref)
     with pytest.raises(ValueError):
-        expectation_compare(CollapseBatch(1.0, np.zeros(1), np.ones(1), 1), ref)
+        expectation_compare(CollapseBatch(1.0, np.zeros(1), 1.0, 1), ref)
