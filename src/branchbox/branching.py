@@ -4,11 +4,10 @@ Every decoherence event splits a spread packet into localized offspring,
 one per lattice bin of the center-offset distribution, and stamps each
 offspring with a tag hashing (event time, offspring index) into the
 parent's lineage.  Offsets are binned relative to the parent, so all
-parents share one offset kernel whatever their centers; for a
-lattice-aligned start in a box that is a whole number of bins wide the
-centers themselves stay on a fixed lattice.  Tags are what make branches
-permanently distinguishable: two components with different lineages
-never interfere again, no matter where their packets sit.
+parents share one offset kernel of integer lattice steps whatever their
+positions.  Tags are what make branches permanently distinguishable: two
+components with different lineages never interfere again, no matter
+where their packets sit.
 
 ``evolve_ensemble_step`` runs two ensemble modes:
 
@@ -24,17 +23,24 @@ leaves get ``apportion_counts`` of the parent's count, so unweighted
 branch counting reproduces the Born weights to within one unit per bin;
 the engine does not evolve count-mode ensembles.
 
-An ensemble is a time, one packet variance shared by every branch (each
-event resets it to w^2) and flat per-branch arrays: center, mass, uid,
-parent uid and a 64-bit lineage hash.  The hash compresses a branch's
-whole ancestry, which is enough for uniqueness checks and
-no-recoherence bookkeeping without O(depth) memory per branch.
+The engine is a free integer walk.  An ensemble is a time, its physical
+parameters, one float origin and flat per-branch arrays: an int64
+unfolded lattice offset (site), mass, uid, parent uid and a 64-bit
+lineage hash.  A branch's packet has width w (each event resets it) and
+sits at ``reflect_center(origin + site * w/2, L)``: the walls enter by
+the method of images, folded in only where an observable reads a
+position.  The offset kernel is symmetric, so the folded free walk is
+the walk reflected at the walls.  The hash compresses a branch's whole
+ancestry, which is enough for uniqueness checks and no-recoherence
+bookkeeping without O(depth) memory per branch.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -82,18 +88,20 @@ class TagReport:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Array-backed set of branches sharing a common time and packet width.
+    """Array-backed set of branches sharing a common time and parameters.
 
-    ``weight`` is the branch mass: Born weights summing to 1 in weighted
-    and collapse modes, counts (as floats) in count mode.  ``parent_uid``
-    is -1 for initial branches that have not been through a decoherence
-    event.
+    Branch b sits at the unfolded lattice offset ``site[b]`` from
+    ``origin``; ``center`` folds it into the box.  ``weight`` is the
+    branch mass: Born weights summing to 1 in weighted and collapse
+    modes, counts (as floats) in count mode.  ``parent_uid`` is -1 for
+    initial branches that have not been through a decoherence event.
     """
 
     mode: str
     time: float
-    center: np.ndarray
-    variance: float
+    site: np.ndarray
+    origin: float
+    params: PhysicalParams
     weight: np.ndarray
     uid: np.ndarray
     parent_uid: np.ndarray
@@ -103,16 +111,16 @@ class Ensemble:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown ensemble mode '{self.mode}'")
-        n = self.center.shape[0]
+        n = self.site.shape[0]
         if n < 1:
             raise ValueError("ensemble must contain at least one branch")
         for name in ("weight", "uid", "parent_uid", "lineage_hash"):
             if getattr(self, name).shape[0] != n:
                 raise ValueError(f"array '{name}' length mismatch")
-        if not np.all(np.isfinite(self.center)):
-            raise ValueError("branch centers must be finite")
-        if not self.variance > 0:
-            raise ValueError("packet variance must be > 0")
+        if self.site.dtype != np.int64:
+            raise ValueError("branch sites must be int64 lattice offsets")
+        if not math.isfinite(self.origin):
+            raise ValueError("the lattice origin must be finite")
         if self.mode == "count":
             if not np.all(self.weight >= 1):
                 raise ValueError("count-mode counts must be >= 1")
@@ -127,35 +135,68 @@ class Ensemble:
 
     @property
     def n_branches(self) -> int:
-        return self.center.shape[0]
+        return self.site.shape[0]
+
+    @property
+    def variance(self) -> float:
+        """Packet variance of every branch: each event resets it to w^2."""
+        return self.params.w**2
+
+    @property
+    def center(self) -> np.ndarray:
+        """Branch positions in [0, L]."""
+        return self.position(self.site)
+
+    def position(self, site: np.ndarray) -> np.ndarray:
+        """Positions in [0, L] of unfolded sites: the walls folded in by images."""
+        return reflect_center(self.origin + site * self.params.bin_width(), self.params.L)
+
+    @functools.cached_property
+    def position_masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct positions in [0, L] of the branches and their normalized masses.
+
+        Masses summed per unfolded site, only occupied sites folded, and sites
+        folded onto one position merged; built once, as every observable reads it.
+        """
+        lo = self.site.min()
+        mass = np.bincount(self.site - lo, weights=self.weight / self.weight.sum())
+        occupied = np.flatnonzero(mass > 0)
+        x, which = np.unique(self.position(occupied + lo), return_inverse=True)
+        return x, np.bincount(which, weights=mass[occupied])
 
     def masses(self) -> np.ndarray:
         """Statistical mass per branch: weights, or counts as floats."""
         return self.weight
 
 
+def _midbox_site(p: PhysicalParams) -> int:
+    """Site of L/2 snapped to the offspring lattice anchored at origin 0."""
+    return round((p.L / 2.0) / p.bin_width())
+
+
 def midbox_ensemble(
     p: PhysicalParams,
     mode: str = "weighted",
     *,
-    multiplicity: int = 1,
+    multiplicity: int | None = None,
     center: float | None = None,
 ) -> Ensemble:
     """Single fresh packet at (or near) the box center.
 
-    The default center is L/2 snapped to the offspring lattice, so in a
-    box that is a whole number of bins wide every later center stays on
-    the lattice.  Pass ``center`` to start elsewhere (it is used as
-    given, not snapped).  A count-mode packet holds ``multiplicity``
-    units as its mass; other modes hold weight 1.
+    The default center is L/2 snapped to the offspring lattice anchored
+    at 0.  Pass ``center`` to start elsewhere (it is used as given, not
+    snapped).  A count-mode packet holds ``multiplicity`` units (default
+    1) as its mass; other modes hold weight 1 and take no multiplicity.
     """
-    if center is None:
-        bw = p.bin_width()
-        center = round((p.L / 2.0) / bw) * bw
-    mass = float(max(1, int(multiplicity))) if mode == "count" else 1.0
+    if multiplicity is not None and mode != "count":
+        raise ValueError(f"multiplicity applies to count mode only, not {mode}")
+    count = 1 if multiplicity is None else multiplicity
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"multiplicity must be an integer >= 1, got {multiplicity!r}")
+    origin, site = (0.0, _midbox_site(p)) if center is None else (float(center), 0)
     return Ensemble(
-        mode=mode, time=0.0, center=np.array([float(center)]), variance=p.w**2,
-        weight=np.array([mass]),
+        mode=mode, time=0.0, site=np.array([site], np.int64), origin=origin,
+        params=p, weight=np.array([float(count)]),
         uid=np.zeros(1, np.int64), parent_uid=np.full(1, -1, np.int64),
         lineage_hash=lineage_hash_root(np.zeros(1, np.uint64)), next_uid=1,
     )
@@ -293,7 +334,7 @@ def _cap_keyed(e: Ensemble, max_branches: int, step_seed: np.uint64) -> Ensemble
         group_start=np.flatnonzero(np.concatenate(([True], pu[1:] != pu[:-1]))),
     )
     return Ensemble(
-        mode=e.mode, time=e.time, center=e.center[idx], variance=e.variance,
+        mode=e.mode, time=e.time, site=e.site[idx], origin=e.origin, params=e.params,
         weight=hits / float(max_branches), uid=e.uid[idx],
         parent_uid=e.parent_uid[idx], lineage_hash=e.lineage_hash[idx],
         next_uid=e.next_uid,
@@ -304,16 +345,18 @@ def _cap_keyed(e: Ensemble, max_branches: int, step_seed: np.uint64) -> Ensemble
 # evolution
 
 
-def _offset_kernel(var0: float, dt: float, p: PhysicalParams):
-    """(offsets, Born weights) of one event's offspring relative to the parent.
+def _offset_kernel(dt: float, p: PhysicalParams):
+    """(lattice steps, Born weights) of one event's offspring relative to the parent.
 
-    A packet of variance ``var0`` spreads for ``dt``, and the spread
-    beyond the fresh width w is binned at the lattice pitch around 0.
+    A fresh packet of width w spreads for ``dt``, and the spread beyond
+    w is binned at the lattice pitch around 0.
     """
+    w2 = p.w**2
     # spread on an array: there x**2 is the rounded exact square, while a
     # scalar ** goes through pow() and can differ in the last bit
-    spread = float(spread_variance(np.full(1, var0), dt, p)[0]) - p.w**2
-    return bin_weights(0.0, spread, p.bin_width())
+    spread = float(spread_variance(np.full(1, w2), dt, p)[0]) - w2
+    rel, kern = bin_weights(0.0, spread, p.bin_width())
+    return np.rint(rel / p.bin_width()).astype(np.int64), kern
 
 
 def evolve_ensemble_step(
@@ -333,23 +376,25 @@ def evolve_ensemble_step(
     at one branch: its single probe keeps one offspring with probability
     equal to its Born weight, whatever ``cap`` is passed.  One uint64 is
     drawn from ``rng`` per step; timing and capping are keyed off it
-    alone, so results do not depend on internal batching.  Offsets are
-    binned relative to the parent, so every parent shares one offset
-    kernel in any geometry: offspring (parent, bin) sits at
-    reflect(center_parent + rel_bin) with mass w_parent * kern_bin.
-    Past the cap, each stratified probe is resolved first on
+    alone, so results do not depend on internal batching.  Every parent
+    shares one offset kernel: offspring (parent, bin) sits at site
+    site_parent + step_bin with mass w_parent * kern_bin, and no wall is
+    applied.  Past the cap, each stratified probe is resolved first on
     the n-entry parent CDF, then on the shared kernel CDF, and only the
     survivors' rows are built.  That is the selection ``_cap_keyed``
     makes on the materialized offspring, grouped by parent, so the
     capped step is bit-identical to materializing everything and then
-    capping.  ``fanout`` is validated but does not affect the step.
-    Count-mode ensembles are rejected.
+    capping.  ``p`` must be the ensemble's own parameters; ``fanout`` is
+    validated but does not affect the step.  Count-mode ensembles are
+    rejected.
     """
     if e.mode == "count":
         raise ValueError(
             "count-mode ensembles hold a single counted event and do not "
             "evolve; use weighted or collapse mode"
         )
+    if p != e.params:
+        raise ValueError(f"parameters {p} differ from the ensemble's {e.params}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     if fanout < 1:
@@ -365,8 +410,8 @@ def evolve_ensemble_step(
     else:
         dt = p.tau
     t_event = e.time + dt
-    rel, kern = _offset_kernel(e.variance, dt, p)
-    nk = rel.size
+    step, kern = _offset_kernel(dt, p)
+    nk = step.size
 
     # over cap, survivors are selected from implicit (parent, bin) row
     # indices and only their rows are built
@@ -382,9 +427,8 @@ def evolve_ensemble_step(
         weight = mass / mass.sum()
     pr, oi = idx // nk, idx % nk
     return Ensemble(
-        mode=e.mode, time=t_event,
-        center=reflect_center(e.center[pr] + rel[oi], p.L), variance=p.w**2,
-        weight=weight, uid=e.next_uid + idx, parent_uid=e.uid[pr],
+        mode=e.mode, time=t_event, site=e.site[pr] + step[oi], origin=e.origin,
+        params=p, weight=weight, uid=e.next_uid + idx, parent_uid=e.uid[pr],
         lineage_hash=lineage_hash_child(
             e.lineage_hash[pr], t_event, oi.astype(np.uint64)
         ),
@@ -454,17 +498,19 @@ def run_collapse_trajectories(
     is possible because every trajectory shares the fixed event schedule
     and offset kernel.  Each step searches the probe phase
     ``_cap_probe_phases(1, step_seed)`` on the normalized kernel CDF, as
-    ``_stratified_hits`` does for one parent of weight 1, so batch and
-    sequential runs agree bit for bit.  ``select_rule`` replaces the
-    Born-weighted survivor choice and exists for bias-detection tests.
+    ``_stratified_hits`` does for one parent of weight 1, and moves the
+    trajectory's site; the sites are folded into the box once, by the
+    ensemble's own rule, so batch and sequential runs agree bit for bit.
+    ``select_rule`` replaces the Born-weighted survivor choice and exists
+    for bias-detection tests.
     """
     if n_traj < 1 or steps < 0:
         raise ValueError("need n_traj >= 1 and steps >= 0")
     gens = [np.random.Generator(np.random.PCG64(trajectory_seed(master_seed, i)))
             for i in range(n_traj)]
-    center = np.full(n_traj, midbox_ensemble(p).center[0])
-    w2 = p.w**2
-    rel, kern = _offset_kernel(w2, p.tau, p)
+    start = midbox_ensemble(p, "collapse")
+    site = np.full(n_traj, start.site[0])
+    step, kern = _offset_kernel(p.tau, p)
     cdf = np.cumsum(kern)
     cdf /= cdf[-1]
     t = 0.0
@@ -478,72 +524,58 @@ def run_collapse_trajectories(
             sel = np.searchsorted(cdf, np.maximum(u, np.nextafter(0.0, 1.0)))
         else:
             sel = np.asarray(select_rule(kern, u))
-        center = reflect_center(center + rel[sel], p.L)
-    return CollapseBatch(time=t, center=center, variance=w2, n_steps=steps)
+        site += step[sel]
+    return CollapseBatch(time=t, center=start.position(site), variance=start.variance,
+                         n_steps=steps)
 
 
-def _box_top_site(p: PhysicalParams) -> int:
-    """Index of the last offspring-lattice site in [0, L]; sites run 0 .. top.
+def _exact_chain(p: PhysicalParams, steps: int) -> Iterator[tuple[float, int, np.ndarray]]:
+    """Yield (t, first site, masses on consecutive sites) after k = 0 .. steps steps.
 
-    The lattice chain folds walls in integer site arithmetic, so both
-    walls must sit on the lattice: L and 2L whole multiples of the pitch.
+    The chain is the free walk on the integers: each step convolves the
+    site masses with the offset kernel and trims the tail sites whose
+    mass has underflowed to 0.  Sites are unfolded offsets from
+    ``midbox_ensemble(p)``'s origin 0, so the walls enter only when an
+    observable folds the sites, which makes the chain exact in a box of
+    any width.
     """
-    bw = p.bin_width()
-    if round(2.0 * p.L / bw) * bw != 2.0 * p.L or round(p.L / bw) * bw != p.L:
-        raise ValueError(
-            f"exact reference requires a bin width commensurate with the box; "
-            f"L / (w/2) = {p.L / bw!r} is not an integer"
-        )
-    return int(round(p.L / bw))
-
-
-def _exact_chain(p: PhysicalParams, steps: int) -> Iterator[tuple[float, np.ndarray]]:
-    """Yield (t, mass on lattice sites 0 .. top) after k = 0 .. steps chain steps."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    top = _box_top_site(p)
-    bw = p.bin_width()
-    k0 = int(round((p.L / 2.0) / bw))
-
-    mass = np.zeros(top + 1)
-    mass[k0] = 1.0
+    lo = _midbox_site(p)
+    mass = np.ones(1)
     t = 0.0
+    yield t, lo, mass
     if steps > 0:
-        rel, kern = _offset_kernel(p.w**2, p.tau, p)
-        roff = np.rint(rel / bw).astype(np.int64)
-        raw = np.arange(top + 1, dtype=np.int64)[:, None] + roff[None, :]
-        folded = raw % (2 * top)
-        folded = np.where(folded > top, 2 * top - folded, folded).ravel()
-    for k in range(steps + 1):
-        if k > 0:
-            t += p.tau
-            mass = np.bincount(
-                folded, weights=(mass[:, None] * kern[None, :]).ravel(),
-                minlength=top + 1,
-            )
-        yield t, mass
+        # bin_weights' bins are consecutive: kern[j] is the step step[0] + j
+        step, kern = _offset_kernel(p.tau, p)
+    for _ in range(steps):
+        t += p.tau
+        mass = np.convolve(mass, kern)
+        nz = np.flatnonzero(mass)
+        lo += int(step[0] + nz[0])
+        mass = mass[nz[0]:nz[-1] + 1]
+        yield t, lo, mass
 
 
-def _site_ensemble(p: PhysicalParams, t: float, mass: np.ndarray) -> Ensemble:
-    """Weighted ensemble of one branch per occupied site of a chain mass vector."""
-    keep = np.flatnonzero(mass > 0.0)
-    n = keep.size
+def _site_ensemble(p: PhysicalParams, t: float, lo: int, mass: np.ndarray) -> Ensemble:
+    """Weighted ensemble of one branch per site of a chain mass vector."""
+    n = mass.size
     return Ensemble(
-        mode="weighted", time=t, center=keep.astype(float) * p.bin_width(),
-        variance=p.w**2, weight=mass[keep] / mass[keep].sum(),
+        mode="weighted", time=t, site=lo + np.arange(n, dtype=np.int64),
+        origin=0.0, params=p, weight=mass / mass.sum(),
         uid=np.arange(n, dtype=np.int64), parent_uid=np.full(n, -1, np.int64),
         lineage_hash=lineage_hash_root(np.arange(n, dtype=np.uint64)), next_uid=n,
     )
 
 
 def exact_weighted_reference(p: PhysicalParams, steps: int) -> Ensemble:
-    """Uncapped weighted ensemble at t = steps * tau, aggregated by center.
+    """Uncapped weighted ensemble at t = steps * tau, aggregated by site.
 
     Under deterministic timing every branch enters each period at width
-    w, so the center marginal closes into a Markov chain on the offspring
-    lattice driven by the shared offset kernel; iterating the chain gives
-    the exact center distribution of the infinite-cap weighted ensemble
-    started from ``midbox_ensemble(p)``.  Branches sharing a center are
+    w, so the site marginal closes into a Markov chain on the integers
+    driven by the shared offset kernel; iterating the chain gives the
+    exact site distribution of the infinite-cap weighted ensemble
+    started from ``midbox_ensemble(p)``.  Branches sharing a site are
     merged (weights add), which preserves every position statistic.
     This is the sampling-free reference that capped runs and collapse
     trajectories are compared against.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .branching import MODES, _box_top_site
+from .branching import MODES
 from .density import grid_points
 from .model import PhysicalParams
 
@@ -130,14 +130,6 @@ class RunConfig:
                     "timing: collapse_compare batches trajectories over a shared "
                     "event schedule and requires timing = deterministic"
                 )
-            try:
-                _box_top_site(p)
-            except ValueError:
-                raise ConfigError(
-                    f"L: collapse_compare's exact reference needs L to be a whole "
-                    f"number of offspring bins of width w/2; L = {p.L!r}, w = {p.w!r} "
-                    f"give L / (w/2) = {p.L / p.bin_width()!r}"
-                ) from None
         if self.scenario == "freespread" and self.mode == "collapse":
             raise ConfigError(
                 "mode: freespread checks the branch-variance ladder, which a "

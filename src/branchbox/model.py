@@ -125,12 +125,7 @@ def _interval_mass(lo, hi, center: float, sigma: float):
     return np.maximum(mass, 0.0)
 
 
-def bin_weights(
-    center: float,
-    variance: float,
-    bin_width: float,
-    support: tuple[float, float] | None = None,
-):
+def bin_weights(center: float, variance: float, bin_width: float):
     """Gaussian probability mass per lattice bin.
 
     Bins have width ``bin_width`` and centers at integer multiples of
@@ -144,10 +139,6 @@ def bin_weights(
         Mean and variance of the Gaussian being discretized.
     bin_width : float
         Lattice pitch, > 0.
-    support : (lo, hi), optional
-        Interval that must cover the truncated Gaussian.  Bins are
-        clipped to it; an empty overlap is an error.  None means the
-        whole real line.
 
     Returns
     -------
@@ -162,14 +153,6 @@ def bin_weights(
     sigma = math.sqrt(variance)
     lo_t = center - TRUNCATION_SIGMAS * sigma
     hi_t = center + TRUNCATION_SIGMAS * sigma
-    if support is not None:
-        s_lo, s_hi = support
-        if s_hi <= s_lo:
-            raise ValueError("support interval is empty")
-        if max(lo_t, s_lo) >= min(hi_t, s_hi):
-            raise ValueError("support does not overlap the truncated Gaussian")
-        lo_t = max(lo_t, s_lo)
-        hi_t = max(min(hi_t, s_hi), lo_t)
 
     # bins whose interval [k*h - h/2, k*h + h/2] intersects [lo_t, hi_t]
     k_lo = int(math.floor(lo_t / bin_width + 0.5))
@@ -181,9 +164,6 @@ def bin_weights(
     lo_edges = np.maximum(centers - bin_width / 2.0, lo_t)
     hi_edges = np.minimum(centers + bin_width / 2.0, hi_t)
     w = _interval_mass(lo_edges, hi_edges, center, sigma)
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("no Gaussian mass inside the requested support")
-    w = w / total
+    w = w / w.sum()
     keep = w > 0
     return centers[keep], w[keep]

@@ -5,7 +5,10 @@ are the mixture weights and every branch contributes both its center
 dispersion and the ensemble's packet variance.  Histograms integrate each
 component's Gaussian over each bin (fold-by-images at the walls) instead
 of point-assigning centers, so results are exact for the mixture and do
-not depend on the branching lattice.
+not depend on the branching lattice.  Mean, variance and histogram read
+one aggregation, built once per ensemble (``Ensemble.position_masses``):
+branch masses summed per unfolded lattice site, only the occupied sites
+folded into the box, and sites folded onto one position merged.
 
 The checks (diffusion fit, chi-square frequency test, collapse-vs-
 ensemble z-scores) are deliberately plain: ordinary least squares and
@@ -110,7 +113,8 @@ def _normalized_masses(e: Ensemble) -> np.ndarray:
 
 
 def ensemble_position_mean(e: Ensemble) -> float:
-    return float(_normalized_masses(e) @ e.center)
+    x, m = e.position_masses
+    return float(m @ x)
 
 
 def ensemble_position_variance(e: Ensemble) -> float:
@@ -118,9 +122,9 @@ def ensemble_position_variance(e: Ensemble) -> float:
 
     Exact for Gaussian mixtures: Var(x) = sum_b m_b (c_b^2 + v) - mean^2.
     """
-    m = _normalized_masses(e)
-    mean = float(m @ e.center)
-    second = float(m @ (e.center**2 + e.variance))
+    x, m = e.position_masses
+    mean = float(m @ x)
+    second = float(m @ (x**2 + e.variance))
     return second - mean * mean
 
 
@@ -159,7 +163,7 @@ def _folded_bin_masses(
 def position_histogram(e: Ensemble, p: PhysicalParams, k: int) -> np.ndarray:
     """Coarse-grained position density over k equal bins of [0, L].
 
-    Each branch's Gaussian is integrated over each bin with wall images,
+    Each distinct position's Gaussian is integrated over each bin with wall images,
     then the bin masses are renormalized to sum exactly 1.  Bins must be
     no finer than the localization width w, below which the coarse
     graining would resolve single packets and the histogram stops being
@@ -173,21 +177,7 @@ def position_histogram(e: Ensemble, p: PhysicalParams, k: int) -> np.ndarray:
             f"w = {p.w}; coarse-graining requires L/k >= w"
         )
     edges = np.linspace(0.0, p.L, k + 1)
-    masses = _normalized_masses(e)
-
-    # many branches share few distinct centers: aggregate their masses
-    # before the (component x bin x image) integration, by lattice site
-    # when every branch is on the lattice, else by exact center
-    bw = p.bin_width()
-    if np.all(e.center == np.round(e.center / bw) * bw):
-        site_mass = np.bincount(np.rint(e.center / bw).astype(np.int64), weights=masses)
-        occupied = np.flatnonzero(site_mass > 0)
-        centers = occupied * bw
-        masses = site_mass[occupied]
-    else:
-        centers, which = np.unique(e.center, return_inverse=True)
-        masses = np.bincount(which, weights=masses)
-
+    centers, masses = e.position_masses
     h = masses @ _folded_bin_masses(centers, math.sqrt(e.variance), edges, p.L)
     return h / h.sum()
 

@@ -135,6 +135,29 @@ def walk_chain_masses(kernel_sites, kernel_masses, start_site, top_site, steps):
     return mass
 
 
+def box_chain_reference(kernel_sites, kernel_masses, start_site, top_site, steps):
+    """Lattice chain reflected at the walls, vectorized: masses on sites 0..top_site.
+
+    Yields the mass vector after k = 0 .. steps steps.  Each step moves
+    the mass of site i by every kernel offset, folds the target back into
+    0..top_site by mirror reflection at both ends and sums what lands on
+    each site.  It needs both walls on the lattice.
+    """
+    period = 2 * top_site
+    raw = np.arange(top_site + 1)[:, None] + np.asarray(kernel_sites)[None, :]
+    folded = raw % period
+    folded = np.where(folded > top_site, period - folded, folded).ravel()
+    mass = np.zeros(top_site + 1)
+    mass[start_site] = 1.0
+    yield mass
+    for _ in range(steps):
+        mass = np.bincount(
+            folded, weights=(mass[:, None] * np.asarray(kernel_masses)[None, :]).ravel(),
+            minlength=top_site + 1,
+        )
+        yield mass
+
+
 def gaussian_channel_entropy(packet_variance, width):
     """Entropy of a pure Gaussian after position decoherence, closed form.
 

@@ -22,7 +22,7 @@ from branchbox.branching import (
     trajectory_seed,
     verify_tag_uniqueness,
 )
-from branchbox.model import PhysicalParams, bin_weights, spread_variance
+from branchbox.model import PhysicalParams, bin_weights, reflect_center, spread_variance
 from branchbox.rng import lineage_hash_child, lineage_hash_root, mix
 from branchbox.runner import BORN_TOTAL_COUNT, _born_event
 from branchbox.stats import ensemble_position_mean, ensemble_position_variance
@@ -36,12 +36,13 @@ def gen(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def initial_ensemble(centers, weights, mode="weighted", roots=None):
-    """Unit-variance branches at t = 0 with root lineages (default 0..n-1)."""
-    n = len(centers)
+def initial_ensemble(sites, weights, mode="weighted", roots=None):
+    """Unit-width branches at t = 0 on lattice sites from origin 0, with
+    root lineages (default 0..n-1)."""
+    n = len(sites)
     roots = np.arange(n) if roots is None else np.asarray(roots)
     return Ensemble(
-        mode=mode, time=0.0, center=np.array(centers, float), variance=1.0,
+        mode=mode, time=0.0, site=np.array(sites, np.int64), origin=0.0, params=P,
         weight=np.array(weights, float), uid=np.arange(n), parent_uid=np.full(n, -1),
         lineage_hash=lineage_hash_root(roots.astype(np.uint64)), next_uid=n,
     )
@@ -55,11 +56,14 @@ def test_midbox_default_center_is_lattice_aligned():
     e = midbox_ensemble(P)
     assert e.n_branches == 1
     assert e.center[0] == 10.0
+    assert (e.origin, e.site[0]) == (0.0, 20)
     assert e.variance == P.w**2
+    assert e.params == P
     assert e.mode == "weighted"
-    # explicit centers are taken as given
+    # explicit centers are taken as given: they become the origin
     e2 = midbox_ensemble(P, center=9.87)
     assert e2.center[0] == 9.87
+    assert (e2.origin, e2.site[0]) == (9.87, 0)
 
 
 def test_midbox_snaps_odd_geometry():
@@ -74,6 +78,25 @@ def test_midbox_count_mode_multiplicity():
     e = midbox_ensemble(P, "count", multiplicity=1250)
     np.testing.assert_array_equal(e.weight, [1250.0])
     np.testing.assert_array_equal(e.masses(), [1250.0])
+    np.testing.assert_array_equal(
+        midbox_ensemble(P, "count", multiplicity=np.int64(3)).weight, [3.0])
+    np.testing.assert_array_equal(midbox_ensemble(P, "count").weight, [1.0])
+
+
+@pytest.mark.parametrize("mode, multiplicity, fragment", [
+    # a bad count raises instead of being clamped to 1 or truncated to 2
+    ("count", 0, "integer >= 1"),
+    ("count", -4, "integer >= 1"),
+    ("count", 2.7, "integer >= 1"),
+    ("count", 3.0, "integer >= 1"),
+    ("count", True, "integer >= 1"),
+    # only count mode holds a count
+    ("weighted", 5, "count mode only"),
+    ("collapse", 1, "count mode only"),
+])
+def test_midbox_refuses_bad_multiplicity(mode, multiplicity, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        midbox_ensemble(P, mode, multiplicity=multiplicity)
 
 
 def test_ensemble_validation():
@@ -81,20 +104,31 @@ def test_ensemble_validation():
         initial_ensemble([], [])
     # weights must sum to one
     with pytest.raises(ValueError):
-        initial_ensemble([1.0, 1.0], [0.4, 0.4])
+        initial_ensemble([1, 1], [0.4, 0.4])
     # collapse mode holds exactly one branch
     with pytest.raises(ValueError):
-        initial_ensemble([1.0, 1.0], [0.5, 0.5], mode="collapse")
-    # one packet width, positive; one mass per branch
-    with pytest.raises(ValueError, match="variance"):
-        dataclasses.replace(initial_ensemble([1.0], [1.0]), variance=0.0)
+        initial_ensemble([1, 1], [0.5, 0.5], mode="collapse")
+    # integer sites from one finite origin; one mass per branch
+    with pytest.raises(ValueError, match="int64"):
+        dataclasses.replace(initial_ensemble([1], [1.0]), site=np.array([1.0]))
+    with pytest.raises(ValueError, match="origin"):
+        dataclasses.replace(initial_ensemble([1], [1.0]), origin=math.nan)
     with pytest.raises(ValueError, match="'weight'"):
-        initial_ensemble([1.0, 2.0], [1.0])
+        initial_ensemble([1, 2], [1.0])
     # counts need not sum to one, but each branch holds at least one unit
-    counted = initial_ensemble([1.0, 2.0], [3.0, 4.0], mode="count")
+    counted = initial_ensemble([1, 2], [3.0, 4.0], mode="count")
     assert counted.masses().sum() == 7.0
     with pytest.raises(ValueError, match="count"):
-        initial_ensemble([1.0, 2.0], [3.0, 0.5], mode="count")
+        initial_ensemble([1, 2], [3.0, 0.5], mode="count")
+
+
+def test_center_folds_unfolded_sites_into_the_box():
+    # sites are unfolded offsets from the origin; centers fold them at the
+    # walls by images, and the width is the parameters' w
+    e = initial_ensemble([0, 1, -3, 41, 79, 80, 200], np.full(7, 1 / 7))
+    np.testing.assert_array_equal(e.center, [0.0, 0.5, 1.5, 19.5, 0.5, 0.0, 20.0])
+    np.testing.assert_array_equal(e.center, reflect_center(e.site * 0.5, P.L))
+    assert e.variance == P.w**2
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +346,14 @@ def test_cap_resample_weighted_invariants():
     # survivors keep their identity arrays aligned
     i = capped.n_branches // 2
     orig = np.flatnonzero(e.uid == capped.uid[i])[0]
-    assert e.center[orig] == capped.center[i]
+    assert e.site[orig] == capped.site[i]
     assert e.lineage_hash[orig] == capped.lineage_hash[i]
 
 
 def test_cap_equal_masses_is_exchangeable():
     # 2K equal-mass branches: every branch must survive equally often
     k = 16
-    e = initial_ensemble(np.arange(2.0 * k), np.full(2 * k, 1.0 / (2 * k)))
+    e = initial_ensemble(np.arange(2 * k), np.full(2 * k, 1.0 / (2 * k)))
     seen = np.zeros(2 * k)
     trials = 4000
     for t in range(trials):
@@ -421,7 +455,7 @@ def test_evolve_reproducible_from_seed():
         return e
 
     a, b = run(77), run(77)
-    np.testing.assert_array_equal(a.center, b.center)
+    np.testing.assert_array_equal(a.site, b.site)
     np.testing.assert_array_equal(a.weight, b.weight)
     np.testing.assert_array_equal(a.lineage_hash, b.lineage_hash)
     c = run(78)
@@ -445,7 +479,7 @@ def test_evolve_fast_path_matches_materialize_then_cap():
     manual = _cap_keyed(full, cap, step_seed)
 
     np.testing.assert_array_equal(capped.uid, manual.uid)
-    np.testing.assert_array_equal(capped.center, manual.center)
+    np.testing.assert_array_equal(capped.site, manual.site)
     np.testing.assert_array_equal(capped.weight, manual.weight)
     np.testing.assert_array_equal(capped.lineage_hash, manual.lineage_hash)
     np.testing.assert_array_equal(capped.parent_uid, manual.parent_uid)
@@ -468,7 +502,7 @@ def test_evolve_fast_path_matches_materialize_then_cap_after_capped_step():
     manual = _cap_keyed(full, cap, step_seed)
 
     np.testing.assert_array_equal(capped.uid, manual.uid)
-    np.testing.assert_array_equal(capped.center, manual.center)
+    np.testing.assert_array_equal(capped.site, manual.site)
     np.testing.assert_array_equal(capped.weight, manual.weight)
     np.testing.assert_array_equal(capped.lineage_hash, manual.lineage_hash)
     np.testing.assert_array_equal(capped.parent_uid, manual.parent_uid)
@@ -511,7 +545,7 @@ def test_every_geometry_shares_one_offset_kernel(p, start, seed):
 
     step_seed = np.uint64(gen(seed + 1).integers(0, 2**64, dtype=np.uint64))
     manual = _cap_keyed(full, cap, step_seed)
-    for name in ("uid", "center", "weight", "lineage_hash", "parent_uid"):
+    for name in ("uid", "site", "weight", "lineage_hash", "parent_uid"):
         np.testing.assert_array_equal(getattr(capped, name), getattr(manual, name))
 
 
@@ -548,8 +582,12 @@ def test_evolve_rejects_bad_arguments():
         evolve_ensemble_step(e, P, 0, 100, gen(40))
     with pytest.raises(ValueError):
         evolve_ensemble_step(e, P, 8, 100, gen(40), timing="jittered")
-    with pytest.raises(ValueError):
-        evolve_ensemble_step(e, PhysicalParams(tau=0.0), 8, 100, gen(40))
+    p0 = PhysicalParams(tau=0.0)
+    with pytest.raises(ValueError, match="tau > 0"):
+        evolve_ensemble_step(midbox_ensemble(p0), p0, 8, 100, gen(40))
+    # the engine evolves an ensemble under its own parameters only
+    with pytest.raises(ValueError, match="differ"):
+        evolve_ensemble_step(e, PhysicalParams(tau=0.5), 8, 100, gen(40))
     # count mode holds born_test's single event; the engine refuses it
     with pytest.raises(ValueError, match="count-mode"):
         evolve_ensemble_step(midbox_ensemble(P, "count"), P, 8, 100, gen(40))
@@ -588,9 +626,9 @@ def test_collapse_step_is_the_weighted_step_at_cap_one(p, timing):
         w = evolve_ensemble_step(w, p, 8, 1, rw, timing=timing)
         assert (c.mode, w.mode) == ("collapse", "weighted")
         assert c.time == w.time
-        for name in ("center", "uid", "parent_uid", "lineage_hash", "weight"):
+        for name in ("site", "uid", "parent_uid", "lineage_hash", "weight"):
             np.testing.assert_array_equal(getattr(c, name), getattr(w, name))
-        assert (c.variance, c.next_uid) == (w.variance, w.next_uid)
+        assert (c.origin, c.params, c.next_uid) == (w.origin, w.params, w.next_uid)
 
 
 def test_evolve_collapse_follows_born_weights():
@@ -682,27 +720,31 @@ def test_exact_reference_matches_dict_chain():
     sites = np.rint(rel / 0.5).astype(int)
     mass = reference.walk_chain_masses(sites, kern, 20, 40, steps=9)
     e = exact_weighted_reference(P, 9)
-    got = {int(round(c / 0.5)): w for c, w in zip(e.center, e.weight)}
-    assert set(got) == {k for k, v in mass.items() if v > 0}
+    # unfolded sites that fold onto one box site add up
+    got = np.bincount(np.rint(e.center / 0.5).astype(np.int64), weights=e.weight)
+    assert set(np.flatnonzero(got)) == {k for k, v in mass.items() if v > 0}
     for k, v in mass.items():
         if v > 0:
             assert got[k] == pytest.approx(v, rel=1e-12, abs=1e-300)
 
 
 def test_exact_reference_matches_uncapped_engine():
-    # aggregating the uncapped weighted engine by center must reproduce
-    # the chain exactly
-    e = midbox_ensemble(P)
-    r = gen(50)
-    steps = 4
-    for _ in range(steps):
-        e = evolve_ensemble_step(e, P, 8, 10**9, r)
-    sites = np.rint(e.center / 0.5).astype(np.int64)
-    agg = np.bincount(sites, weights=e.weight, minlength=41)
-    ref = exact_weighted_reference(P, steps)
-    ref_mass = np.zeros(41)
-    ref_mass[np.rint(ref.center / 0.5).astype(int)] = ref.weight
-    np.testing.assert_allclose(agg, ref_mass, atol=1e-14)
+    # aggregating the uncapped weighted engine by unfolded site must
+    # reproduce the chain exactly, in a box that is a whole number of bins
+    # wide and in one that is not (pitch 0.3); both runs reach both walls
+    for p, steps in ((P, 4), (PhysicalParams(w=0.6), 3)):
+        e = midbox_ensemble(p)
+        r = gen(50)
+        for _ in range(steps):
+            e = evolve_ensemble_step(e, p, 8, 10**9, r)
+        ref = exact_weighted_reference(p, steps)
+        assert (e.origin, ref.origin) == (0.0, 0.0)
+        assert ref.center.min() < p.bin_width() and ref.center.max() > p.L - p.bin_width()
+        lo = min(e.site.min(), ref.site.min())
+        size = max(e.site.max(), ref.site.max()) - lo + 1
+        agg = np.bincount(e.site - lo, weights=e.weight, minlength=size)
+        ref_mass = np.bincount(ref.site - lo, weights=ref.weight, minlength=size)
+        np.testing.assert_allclose(agg, ref_mass, atol=1e-14)
 
 
 def test_exact_reference_agrees_with_heat_kernel():
@@ -744,11 +786,38 @@ def test_exact_reference_builds_one_ensemble(monkeypatch):
 
 
 def test_exact_reference_validates_geometry():
-    # w = 0.6: pitch 0.3, and 2L / 0.3 = 133.3 sites do not fill the box
-    with pytest.raises(ValueError, match="commensurate"):
-        exact_weighted_reference(PhysicalParams(w=0.6), 3)
+    # w = 0.6: pitch 0.3, and 2L / 0.3 = 133.3 sites do not fill the box;
+    # the free chain needs no lattice of the box
+    p = PhysicalParams(w=0.6)
+    e = exact_weighted_reference(p, 3)
+    assert e.time == 3 * p.tau
+    assert e.weight.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all((e.center >= 0.0) & (e.center <= p.L))
     with pytest.raises(ValueError):
         exact_weighted_reference(P, -1)
+
+
+@pytest.mark.parametrize("p", [
+    PhysicalParams(w=1.0, L=20.0),
+    PhysicalParams(w=0.5, L=20.0),
+    PhysicalParams(w=1.0, L=21.5, tau=0.7),
+])
+def test_folded_free_chain_matches_box_chain(p):
+    # in a box that is a whole number of bins wide, the free chain folded
+    # at observation is the chain reflected at the walls
+    bw = p.bin_width()
+    top = round(p.L / bw)
+    assert top * bw == p.L
+    step, kern = branching._offset_kernel(p.tau, p)
+    box = reference.box_chain_reference(step, kern, round(p.L / 2 / bw), top, 50)
+    fold = midbox_ensemble(p).position
+    n = 0
+    for (t, lo, mass), want in zip(branching._exact_chain(p, 50), box):
+        box_site = np.rint(fold(lo + np.arange(mass.size)) / bw).astype(np.int64)
+        got = np.bincount(box_site, weights=mass, minlength=top + 1)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        n += 1
+    assert n == 51
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +836,7 @@ def test_uniqueness_passes_for_engine_output():
 
 def test_uniqueness_catches_duplicate_lineage():
     # distinct uids, same root lineage
-    dup = initial_ensemble([1.0, 1.0], [0.5, 0.5], roots=[0, 0])
+    dup = initial_ensemble([1, 1], [0.5, 0.5], roots=[0, 0])
     rep = verify_tag_uniqueness(dup)
     assert not rep.passed
     assert rep.duplicate_indices == (0, 1)

@@ -141,16 +141,12 @@ def test_scenario_rules_collapse_compare():
             "", {"scenario": "collapse_compare", "mode": "collapse",
                  "timing": "poisson"},
         )
-    # the exact reference is a chain on the w/2 lattice of [0, L]: a box
-    # that is not a whole number of bins is refused here, naming L and w,
-    # not later by the run
+    # the exact reference is the free chain folded at observation, so any
+    # box is accepted, whole number of w/2 bins or not
     base = {"scenario": "collapse_compare", "mode": "collapse"}
     parse_config("", base | {"w": 0.3, "L": 6.0})
-    with pytest.raises(ConfigError, match=r"^L: .*w = 0\.3"):
-        parse_config("", base | {"w": 0.3, "L": 20.0})
-    with pytest.raises(ConfigError, match=r"^L: .*L / \(w/2\) = 40\.5"):
-        parse_config("", base | {"L": 20.25})
-    # weighted runs evolve any such box
+    parse_config("", base | {"w": 0.3, "L": 20.0})
+    parse_config("", base | {"L": 20.25})
     parse_config("", {"scenario": "midbox", "w": 0.3, "L": 20.0})
 
 

@@ -40,31 +40,31 @@ GOLDEN = {
         "dcbd1643685bfdb02c131aeb248502166a247cc3cce7f04067f8dc4f97a237ba",
     ),
     "collapse_compare": (
-        "6b8106d6f7ca166309396f84de657cee2f7f6f75c44e856ce6e9fe47badbc64b",
-        "577a465a51d6cf1e9a8dec95f84d13a3ec983f22d379bd4e2dfe1467be928ad2",
+        "3287a6f3469c2569dc4f4b0f795b20f431a3cfb0cef909a6e0cbbbbb7ad41aa0",
+        "bf9c8fedc65d0e8914dca86868a50468b94e21bf2786b6bb8a2d3af0efbae334",
     ),
     "freespread": (
-        "939d9fa04e8a658cc4e0e1abb9581f1738931b80faf21371f92c2c87852c685c",
-        "775969488cba25a2c5a03323be6df000ace14e03582bfee7ad2b909c86ad456c",
+        "63c4bc550a4f2fdd992d9f3e3d1c68ae93691b08343c102b5a86c56101e7cea9",
+        "f725e908eb70fd27b5c941d46a862fed7aa63879a7fa6090cbe1d57c4db2c8e5",
     ),
     "liouville_check": (
         "957fa089f612f59d48d2c0b4f4bd5a4416ca9dede2fc8255b2e66bc6edbe3bd9",
         "737772bfabf5c949359c1488c9c3a79d24233b23f6ece42f88e5f9a9cc25ac54",
     ),
     "midbox": (
-        "c3bac08a0a4c40273d9180545f920b059f1899fd731b8f056398d21a95249bad",
-        "60c8d3a3c80e034686036571ce478d47066611b25db2f3b48b93fff8eb23afa4",
+        "0125b629a44667c5a66b0a7123427159e782342220b366c084dad72a5a58af1b",
+        "277653aa3a229fb543abfaeb919ab6cae966509822e0e76137aedc7ef286cc89",
     ),
     "midbox_collapse_poisson": (
         "6da5df288bc16ef316f65a4eff9513ea352339c31816917e173f2a0c616cdc43",
         "3351debc5564f7affcecc76e2a0d42c5b644c41873aaa3a730318849da9aea7e",
     ),
     "midbox_offlattice": (
-        "eb3fa776ccaf81fe4cc495c1f7a3e474740694f515bb49bde35452c88e582c44",
-        "05305f89a4249b390c40baad948b95dc5f2d0e348e7ab0c97859c144efa20bf9",
+        "ca16ae9e03279271e6f0ac6cea12f89ea9ad82990838eedb4c73923f365de90e",
+        "f2597d00c4393c9682af0dc14df160b867e1564b7e5b384d7a467f7f49222974",
     ),
     "peres_test": (
-        "d858cbc5156dea51812b77e6a2b8c9440e75e163b3376be5bade42e344b6a2f9",
+        "aa0d275a2fd208e9eec3ec1d19e18f14a43b014995bfc41fa848d1d276e1ee27",
         "e12c9d6c0b683568548abf696eab15630028448a4d7a1d7c08e7d7d71ea3e0c6",
     ),
 }

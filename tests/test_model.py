@@ -187,30 +187,11 @@ def test_bin_weights_truncation_window():
     assert c.size == 25  # bins intersecting [-6, 6] at pitch 0.5
 
 
-def test_bin_weights_support_clips():
-    full_c, full_w = bin_weights(0.5, 1.0, 0.5)
-    c, w = bin_weights(0.5, 1.0, 0.5, support=(0.0, math.inf))
-    assert c.min() >= -0.25  # first bin may straddle the support edge
-    assert w.sum() == pytest.approx(1.0, abs=1e-15)
-    assert c.size < full_c.size
-    # the clipped region carries renormalized mass: ratios of interior
-    # bins are unchanged
-    sel = (full_c >= 1.0) & (full_c <= 2.0)
-    inner = (c >= 1.0) & (c <= 2.0)
-    np.testing.assert_allclose(
-        w[inner] / w[inner].sum(), full_w[sel] / full_w[sel].sum(), rtol=1e-12
-    )
-
-
 def test_bin_weights_rejects_bad_inputs():
     with pytest.raises(ValueError):
         bin_weights(0.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         bin_weights(0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        bin_weights(0.0, 1.0, 0.5, support=(2.0, 2.0))
-    with pytest.raises(ValueError):
-        bin_weights(0.0, 1.0, 0.5, support=(50.0, 60.0))
 
 
 def test_bin_weights_tiny_variance_concentrates():

@@ -34,11 +34,12 @@ import reference
 P = PhysicalParams()
 
 
-def weighted_ensemble(centers, variance, weights, time=0.0):
-    n = len(centers)
+def weighted_ensemble(sites, weights, p=P, origin=0.0, time=0.0):
+    """Branches of width p.w on unfolded lattice sites from ``origin``."""
+    n = len(sites)
     return Ensemble(
-        mode="weighted", time=float(time), center=np.array(centers, float),
-        variance=float(variance), weight=np.array(weights, float),
+        mode="weighted", time=float(time), site=np.array(sites, np.int64),
+        origin=float(origin), params=p, weight=np.array(weights, float),
         uid=np.arange(n), parent_uid=np.full(n, -1),
         lineage_hash=lineage_hash_root(np.arange(n, dtype=np.uint64)), next_uid=n,
     )
@@ -49,23 +50,35 @@ def weighted_ensemble(centers, variance, weights, time=0.0):
 
 
 def test_position_moments_hand_case():
-    e = weighted_ensemble([2.0, 6.0], 1.5, [0.25, 0.75])
+    # sites 4 and 12 at pitch 0.5 sit at 2 and 6; width w = 1
+    e = weighted_ensemble([4, 12], [0.25, 0.75])
     mean = 0.25 * 2 + 0.75 * 6
-    second = 0.25 * (4 + 1.5) + 0.75 * (36 + 1.5)
+    second = 0.25 * (4 + 1) + 0.75 * (36 + 1)
     assert ensemble_position_mean(e) == pytest.approx(mean, rel=1e-15)
     assert ensemble_position_variance(e) == pytest.approx(second - mean**2, rel=1e-15)
 
 
 def test_variance_includes_packet_width():
     # a single branch has no center dispersion; variance is the packet's
-    e = weighted_ensemble([5.0], 2.5, [1.0])
-    assert ensemble_position_variance(e) == pytest.approx(2.5, rel=1e-15)
+    e = weighted_ensemble([0], [1.0], p=PhysicalParams(w=0.7), origin=5.0)
+    assert ensemble_position_variance(e) == pytest.approx(0.49, rel=1e-15)
+
+
+def test_moments_fold_unfolded_sites():
+    # sites past the walls read as their mirror images: -4 -> 2 and
+    # 36 -> 18 at pitch 0.5 in a box of 20
+    e = weighted_ensemble([-4, 36, 4], [0.5, 0.25, 0.25])
+    folded = weighted_ensemble([4, 36, 4], [0.5, 0.25, 0.25])
+    mean = 0.75 * 2 + 0.25 * 18
+    assert ensemble_position_mean(e) == pytest.approx(mean, rel=1e-15)
+    assert ensemble_position_mean(e) == ensemble_position_mean(folded)
+    assert ensemble_position_variance(e) == ensemble_position_variance(folded)
 
 
 def test_effective_branch_count_kish():
-    e = weighted_ensemble([1.0, 2.0, 3.0, 4.0], 1.0, [0.25] * 4)
+    e = weighted_ensemble([2, 4, 6, 8], [0.25] * 4)
     assert effective_branch_count(e) == pytest.approx(4.0, rel=1e-12)
-    skew = weighted_ensemble([1.0, 2.0], 1.0, [0.99, 0.01])
+    skew = weighted_ensemble([2, 4], [0.99, 0.01])
     expected = 1.0 / (0.99**2 + 0.01**2)
     assert effective_branch_count(skew) == pytest.approx(expected, rel=1e-12)
 
@@ -83,30 +96,34 @@ def test_effective_branch_count_count_mode():
     (10.0, 1.0),     # mid box
     (2.0, 1.0),      # off center
     (0.25, 2.25),    # pressed against the wall, images matter
-    (19.5, 4.0),     # against the far wall
+    (19.5, 4.0),     # mid box at w = 2, whose box is at least 40 wide
+    (39.5, 4.0),     # against the far wall
 ])
 def test_histogram_single_branch_matches_quadrature(center, variance):
-    e = weighted_ensemble([center], variance, [1.0])
-    got = position_histogram(e, P, 20)
-    expected = reference.reflected_bin_masses(center, variance, P.L, 20)
+    # width w = sqrt(variance) in the smallest box it allows, 20 w
+    w = math.sqrt(variance)
+    p = PhysicalParams(w=w, L=max(20.0, 20.0 * w))
+    e = weighted_ensemble([0], [1.0], p=p, origin=center)
+    got = position_histogram(e, p, 20)
+    expected = reference.reflected_bin_masses(center, variance, p.L, 20)
     np.testing.assert_allclose(got, expected, atol=1e-10)
     assert got.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_histogram_mixture_is_mass_weighted():
-    e = weighted_ensemble([4.0, 15.0], 2.0, [0.3, 0.7])
+    e = weighted_ensemble([8, 30], [0.3, 0.7])
     got = position_histogram(e, P, 20)
-    expected = 0.3 * reference.reflected_bin_masses(4.0, 2.0, P.L, 20) \
-        + 0.7 * reference.reflected_bin_masses(15.0, 2.0, P.L, 20)
+    expected = 0.3 * reference.reflected_bin_masses(4.0, 1.0, P.L, 20) \
+        + 0.7 * reference.reflected_bin_masses(15.0, 1.0, P.L, 20)
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
 def test_histogram_lattice_fast_path_agrees():
     # many branches on few lattice sites exercises the aggregation path;
     # the result must match the direct mixture quadrature
-    centers = [2.0, 2.0, 3.5, 3.5, 3.5, 10.0]
+    sites = [4, 4, 7, 7, 7, 20]
     weights = [0.1, 0.2, 0.1, 0.15, 0.15, 0.3]
-    e = weighted_ensemble(centers, 1.0, weights)
+    e = weighted_ensemble(sites, weights)
     got = position_histogram(e, P, 20)
     expected = 0.3 * reference.reflected_bin_masses(2.0, 1.0, P.L, 20) \
         + 0.4 * reference.reflected_bin_masses(3.5, 1.0, P.L, 20) \
@@ -115,16 +132,19 @@ def test_histogram_lattice_fast_path_agrees():
 
 
 def test_histogram_off_lattice_merges_duplicate_packets():
-    # off-lattice centers, repeated and interleaved, one of them against
-    # the wall: duplicates merge and every distinct center keeps its mass
-    centers = [2.1, 2.1, 0.3, 9.9, 17.7, 0.3, 2.1]
-    weights = [0.1, 0.15, 0.05, 0.2, 0.3, 0.1, 0.1]
-    e = weighted_ensemble(centers, 2.25, weights)
-    got = position_histogram(e, P, 20)
-    expected = 0.35 * reference.reflected_bin_masses(2.1, 2.25, P.L, 20) \
-        + 0.15 * reference.reflected_bin_masses(0.3, 2.25, P.L, 20) \
-        + 0.2 * reference.reflected_bin_masses(9.9, 2.25, P.L, 20) \
-        + 0.3 * reference.reflected_bin_masses(17.7, 2.25, P.L, 20)
+    # an off-lattice origin, sites repeated and interleaved, one against
+    # the wall and one past it: duplicates merge and every distinct site
+    # keeps its mass (site -1 sits at -0.2 and reads as 0.2)
+    p = PhysicalParams(w=0.6)
+    sites = [6, 6, 0, 32, 58, 0, 6, -1]
+    weights = [0.1, 0.15, 0.05, 0.2, 0.25, 0.1, 0.1, 0.05]
+    e = weighted_ensemble(sites, weights, p=p, origin=0.1)
+    got = position_histogram(e, p, 20)
+    expected = 0.35 * reference.reflected_bin_masses(1.9, 0.36, p.L, 20) \
+        + 0.15 * reference.reflected_bin_masses(0.1, 0.36, p.L, 20) \
+        + 0.2 * reference.reflected_bin_masses(9.7, 0.36, p.L, 20) \
+        + 0.25 * reference.reflected_bin_masses(17.5, 0.36, p.L, 20) \
+        + 0.05 * reference.reflected_bin_masses(0.2, 0.36, p.L, 20)
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
@@ -362,7 +382,7 @@ def test_observables():
 
 
 def test_sample_branch_centers_follows_masses():
-    e = weighted_ensemble([0.0, 1.0, 2.0], 1.0, [0.5, 0.3, 0.2])
+    e = weighted_ensemble([0, 2, 4], [0.5, 0.3, 0.2])
     rng = np.random.Generator(np.random.PCG64(6))
     draws = sample_branch_centers(e, 30_000, rng)
     counts = np.array([(draws == c).sum() for c in (0.0, 1.0, 2.0)])
@@ -373,7 +393,7 @@ def test_sample_branch_centers_follows_masses():
 
 
 def test_expectation_compare_z_formula():
-    ref = weighted_ensemble([0.0, 2.0], 1.0, [0.5, 0.5], time=3.0)
+    ref = weighted_ensemble([0, 4], [0.5, 0.5], time=3.0)
     traj = CollapseBatch(
         time=3.0, center=np.array([0.0, 1.0, 2.0, 3.0]),
         variance=1.0, n_steps=3,
@@ -388,7 +408,7 @@ def test_expectation_compare_z_formula():
 
 
 def test_expectation_compare_degenerate_spread():
-    ref = weighted_ensemble([0.0, 2.0], 1.0, [0.5, 0.5], time=1.0)
+    ref = weighted_ensemble([0, 4], [0.5, 0.5], time=1.0)
     same = CollapseBatch(1.0, np.full(5, 1.0), 1.0, 1)
     assert expectation_compare(same, ref).z_score == 0.0
     shifted = CollapseBatch(1.0, np.full(5, 2.0), 1.0, 1)
@@ -398,7 +418,7 @@ def test_expectation_compare_degenerate_spread():
 
 
 def test_expectation_compare_guards():
-    ref = weighted_ensemble([0.0], 1.0, [1.0], time=1.0)
+    ref = weighted_ensemble([0], [1.0], time=1.0)
     with pytest.raises(ValueError):
         expectation_compare(CollapseBatch(2.0, np.zeros(5), 1.0, 1), ref)
     with pytest.raises(ValueError):
