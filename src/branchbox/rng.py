@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 _U64 = np.uint64
-_MASK = _U64(0xFFFFFFFFFFFFFFFF)
 
 # purpose constants, arbitrary odd values
 KEY_PRUNE = _U64(0x9E3779B97F4A7C15)
@@ -31,13 +30,26 @@ KEY_ROOT = _U64(0xD6E8FEB86659FD93)
 
 
 def splitmix64(x):
-    """One splitmix64 mixing round; accepts a uint64 scalar or array."""
+    """One splitmix64 mixing round; accepts a uint64 scalar or array.
+
+    uint64 arithmetic wraps mod 2^64, so no masking is needed.  The array
+    path mixes one fresh array in place; scalars take the plain form,
+    which is faster for them.
+    """
     x = np.asarray(x, dtype=_U64)
     with np.errstate(over="ignore"):
-        z = (x + _U64(0x9E3779B97F4A7C15)) & _MASK
-        z = ((z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)) & _MASK
-        z = ((z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)) & _MASK
-        return z ^ (z >> _U64(31))
+        if x.ndim == 0:
+            z = x + _U64(0x9E3779B97F4A7C15)
+            z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+            return z ^ (z >> _U64(31))
+        z = x + _U64(0x9E3779B97F4A7C15)
+        z ^= z >> _U64(30)
+        z *= _U64(0xBF58476D1CE4E5B9)
+        z ^= z >> _U64(27)
+        z *= _U64(0x94D049BB133111EB)
+        z ^= z >> _U64(31)
+        return z
 
 
 def mix(*parts):

@@ -527,10 +527,13 @@ def _scenario_liouville(c: RunConfig):
     hamiltonian = build_box_hamiltonian(LIOUVILLE_GRID, p)
     prop = UnitaryPropagator(hamiltonian, p)
     x, dx = grid_points(LIOUVILLE_GRID, p)
+    # the coarse bin of each grid point, fixed for the run
+    edges = np.linspace(0.0, p.L, c.bins + 1)
+    which = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, c.bins - 1)
 
     # per-step series for one tracked state, evolved in the eigenbasis
     rho = random_mixed_state(LIOUVILLE_GRID, p, _derived_rng(c.seed, _TAG_SERIES_STATE))
-    rows = [_density_row(rho.density(), x, dx, 0.0, c)]
+    rows = [_density_row(rho.density(), x, dx, which, 0.0, c)]
     v = prop.vectors
     v_conj = v.conj()
     rho_e = v_conj.T @ rho.elements @ v
@@ -542,7 +545,7 @@ def _scenario_liouville(c: RunConfig):
     for k in range(1, c.steps + 1):
         np.multiply(rho_e, step_factor, out=rho_e)
         diag = np.einsum("ij,ij->i", np.matmul(v, rho_e, out=buf), v_conj).real
-        rows.append(_density_row(diag, x, dx, k * p.tau, c))
+        rows.append(_density_row(diag, x, dx, which, k * p.tau, c))
 
     # entropy conservation under pure unitary evolution
     cons_rng = _derived_rng(c.seed, _TAG_CONSERVATION)
@@ -602,14 +605,13 @@ def _scenario_liouville(c: RunConfig):
     return rows, metrics, checks
 
 
-def _density_row(diag: np.ndarray, x: np.ndarray, dx: float, t: float,
-                 c: RunConfig) -> tuple:
+def _density_row(diag: np.ndarray, x: np.ndarray, dx: float, which: np.ndarray,
+                 t: float, c: RunConfig) -> tuple:
+    """Series row of a grid density; ``which`` is each grid point's bin."""
     prob = np.maximum(diag, 0.0) * dx
     prob = prob / prob.sum()
     mean = float(prob @ x)
     var = float(prob @ (x - mean) ** 2)
-    edges = np.linspace(0.0, c.params.L, c.bins + 1)
-    which = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, c.bins - 1)
     hist = np.bincount(which, weights=prob, minlength=c.bins)
     hist = hist / hist.sum()
     return (float(t), 1, 1.0, mean, var, coarse_entropy(hist), tv_to_uniform(hist))

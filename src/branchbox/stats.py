@@ -8,7 +8,10 @@ of point-assigning centers, so results are exact for the mixture and do
 not depend on the branching lattice.  Mean, variance and histogram read
 one aggregation, built once per ensemble (``Ensemble.position_masses``):
 branch masses summed per unfolded lattice site, only the occupied sites
-folded into the box, and sites folded onto one position merged.
+folded into the box, and sites folded onto one position merged.  A
+position's folded bin masses depend only on that position, the packet
+width, L and the bin count, so they are computed once per distinct
+position and reused by every later histogram of the same geometry.
 
 The checks (diffusion fit, chi-square frequency test, collapse-vs-
 ensemble z-scores) are deliberately plain: ordinary least squares and
@@ -160,15 +163,55 @@ def _folded_bin_masses(
     return np.maximum(out, 0.0)
 
 
+# Folded bin-mass rows by (packet std, L, bins): the known positions, sorted,
+# and their rows.  A run folds the same few lattice positions on every
+# series row.  The bounds only keep a caller whose positions never repeat
+# from growing the memo without limit.
+_FOLD_TABLES: dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]] = {}
+_MAX_GEOMETRIES = 8
+_MAX_TABLE_FLOATS = 1 << 18
+
+
+def _bin_mass_rows(x: np.ndarray, s: float, L: float, k: int) -> np.ndarray:
+    """``_folded_bin_masses`` of sorted distinct positions x over k bins, memoized.
+
+    Each row depends only on its own position, so a row computed once is
+    the row every later call would compute, bit for bit.
+    """
+    key = (s, L, k)
+    known, rows = _FOLD_TABLES.pop(key, (np.empty(0), np.empty((0, k))))
+    at = np.searchsorted(known, x)
+    seen = np.zeros(x.size, bool)
+    inside = at < known.size
+    seen[inside] = known[at[inside]] == x[inside]
+    if not seen.all():
+        new = x[~seen]
+        if (known.size + new.size) * k > _MAX_TABLE_FLOATS:
+            known, rows, new = known[:0], rows[:0], x
+        where = np.searchsorted(known, new)
+        new_rows = _folded_bin_masses(new, s, np.linspace(0.0, L, k + 1), L)
+        known = np.insert(known, where, new)
+        rows = np.insert(rows, where, new_rows, axis=0)
+        at = np.searchsorted(known, x)
+    _FOLD_TABLES[key] = known, rows
+    if len(_FOLD_TABLES) > _MAX_GEOMETRIES:
+        del _FOLD_TABLES[next(iter(_FOLD_TABLES))]
+    return rows[at]
+
+
 def position_histogram(e: Ensemble, p: PhysicalParams, k: int) -> np.ndarray:
     """Coarse-grained position density over k equal bins of [0, L].
 
-    Each distinct position's Gaussian is integrated over each bin with wall images,
-    then the bin masses are renormalized to sum exactly 1.  Bins must be
-    no finer than the localization width w, below which the coarse
+    Each distinct position's Gaussian is integrated over each bin with
+    wall images, once per distinct position and geometry (see
+    ``_bin_mass_rows``), then the bin masses are renormalized to sum
+    exactly 1.  ``p`` must be the ensemble's own parameters.  Bins must
+    be no finer than the localization width w, below which the coarse
     graining would resolve single packets and the histogram stops being
     an ensemble-level object.
     """
+    if p != e.params:
+        raise ValueError(f"parameters {p} differ from the ensemble's {e.params}")
     if k < 2:
         raise ValueError(f"need at least 2 bins, got {k}")
     if p.L / k < p.w:
@@ -176,9 +219,8 @@ def position_histogram(e: Ensemble, p: PhysicalParams, k: int) -> np.ndarray:
             f"bin width L/k = {p.L / k} is finer than the localization width "
             f"w = {p.w}; coarse-graining requires L/k >= w"
         )
-    edges = np.linspace(0.0, p.L, k + 1)
     centers, masses = e.position_masses
-    h = masses @ _folded_bin_masses(centers, math.sqrt(e.variance), edges, p.L)
+    h = masses @ _bin_mass_rows(centers, math.sqrt(e.variance), p.L, k)
     return h / h.sum()
 
 

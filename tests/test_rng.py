@@ -42,6 +42,14 @@ def test_splitmix64_vectorizes():
         assert int(out[i]) == splitmix64_oracle(i)
 
 
+def test_splitmix64_arrays_match_oracle():
+    xs = np.random.default_rng(11).integers(0, MASK, 100_000, dtype=np.uint64, endpoint=True)
+    before = xs.copy()
+    out = splitmix64(xs)
+    assert out.tolist() == [splitmix64_oracle(x) for x in xs.tolist()]
+    np.testing.assert_array_equal(xs, before)  # the input is not mixed in place
+
+
 def test_splitmix64_avalanche():
     # flipping one input bit flips about half the output bits
     base = splitmix64(np.uint64(42))

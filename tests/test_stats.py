@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from branchbox.branching import CollapseBatch, Ensemble, midbox_ensemble
+from branchbox import stats
+from branchbox.branching import CollapseBatch, Ensemble, evolve_ensemble_step, midbox_ensemble
 from branchbox.branching import apportion_counts
 from branchbox.model import PhysicalParams, bin_weights
 from branchbox.rng import lineage_hash_root
@@ -154,6 +155,87 @@ def test_histogram_validation():
         position_histogram(e, P, 1)
     with pytest.raises(ValueError):
         position_histogram(e, P, 21)  # L/k < w resolves single packets
+
+
+def test_histogram_refuses_foreign_params():
+    # a packet at the center of an L = 20 box must not be binned over a
+    # 40-wide box's edges
+    e = midbox_ensemble(P)
+    with pytest.raises(ValueError, match="differ"):
+        position_histogram(e, PhysicalParams(L=40.0), 20)
+
+
+# ---------------------------------------------------------------------------
+# the folded bin-mass memo
+
+
+def uncached_histogram(e, p, k):
+    x, m = e.position_masses
+    edges = np.linspace(0.0, p.L, k + 1)
+    h = m @ stats._folded_bin_masses(x, math.sqrt(e.variance), edges, p.L)
+    return h / h.sum()
+
+
+def test_memo_rows_match_uncached_as_positions_appear(monkeypatch):
+    monkeypatch.setattr(stats, "_FOLD_TABLES", {})
+    p = PhysicalParams(w=0.3, L=20.0)
+    rng = np.random.Generator(np.random.PCG64(3))
+    e, seen, rows_with_new = midbox_ensemble(p), set(), 0
+    for _ in range(20):
+        e = evolve_ensemble_step(e, p, 1, 2000, rng)
+        x = set(e.position_masses[0].tolist())
+        rows_with_new += bool(x - seen)
+        seen |= x
+        assert np.array_equal(position_histogram(e, p, 20), uncached_histogram(e, p, 20))
+    assert rows_with_new >= 15
+
+
+def test_memo_holds_exactly_the_positions_seen(monkeypatch):
+    monkeypatch.setattr(stats, "_FOLD_TABLES", {})
+    p = PhysicalParams(L=40.0)
+    rng = np.random.Generator(np.random.PCG64(5))
+    e = midbox_ensemble(p)
+    seen = set(e.position_masses[0].tolist())
+    position_histogram(e, p, 20)
+    for _ in range(300):
+        e = evolve_ensemble_step(e, p, 1, 2000, rng, timing="poisson")
+        seen |= set(e.position_masses[0].tolist())
+        position_histogram(e, p, 20)
+    (key, (known, rows)), = stats._FOLD_TABLES.items()
+    assert key == (p.w, p.L, 20)
+    assert known.tolist() == sorted(seen)
+    assert rows.shape == (known.size, 20)
+    assert known.size <= p.L / p.bin_width() + 1
+
+
+def test_memo_keeps_geometries_apart(monkeypatch):
+    monkeypatch.setattr(stats, "_FOLD_TABLES", {})
+    narrow = PhysicalParams(w=0.5)
+    cases = [(P, 20), (narrow, 20), (narrow, 40)]
+    ensembles = [weighted_ensemble([4, 12, 30], [0.2, 0.3, 0.5], p=p) for p, _ in cases]
+    for _ in range(3):
+        for (p, k), e in zip(cases, ensembles):
+            assert np.array_equal(position_histogram(e, p, k), uncached_histogram(e, p, k))
+    assert sorted(stats._FOLD_TABLES) == [(0.5, 20.0, 20), (0.5, 20.0, 40), (1.0, 20.0, 20)]
+    for (s, L, k), (known, rows) in stats._FOLD_TABLES.items():
+        edges = np.linspace(0.0, L, k + 1)
+        assert np.array_equal(rows, stats._folded_bin_masses(known, s, edges, L))
+
+
+def test_memo_stays_bounded(monkeypatch):
+    # positions that never repeat restart a full table; geometries past the
+    # limit evict the oldest
+    monkeypatch.setattr(stats, "_FOLD_TABLES", {})
+    monkeypatch.setattr(stats, "_MAX_TABLE_FLOATS", 200)
+    for i in range(30):
+        e = weighted_ensemble([0, 3], [0.5, 0.5], origin=2.0 + 0.01 * i)
+        assert np.array_equal(position_histogram(e, P, 20), uncached_histogram(e, P, 20))
+        assert stats._FOLD_TABLES[(1.0, 20.0, 20)][0].size <= 10
+    lengths = [float(L) for L in range(22, 22 + 2 * stats._MAX_GEOMETRIES + 2, 2)]
+    for L in lengths:
+        p = PhysicalParams(L=L)
+        position_histogram(midbox_ensemble(p), p, 20)
+    assert [L for _, L, _ in stats._FOLD_TABLES] == lengths[-stats._MAX_GEOMETRIES:]
 
 
 # ---------------------------------------------------------------------------
