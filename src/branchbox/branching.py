@@ -246,6 +246,135 @@ def apportion_counts(weights, total: int) -> np.ndarray:
 # capping
 
 
+def _stratum_counts(edge: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Probes at or below each edge, ``searchsorted(pos, edge, "right")``, in O(n + K).
+
+    ``pos[j]`` is probe j's position (u_j + j) / K, a float rounded from a
+    point of stratum [j/K, (j+1)/K], so it lies in [fl(j/K), fl((j+1)/K)].
+    For an edge e in [0, 1] with x = fl(K e) and g = floor(x), probes
+    below g - 1 therefore sit at or below e and probes above g + 1 above
+    it.  Of g - 1 and g + 1, the one farther from x (g - 1 when
+    x - g >= 1/2, else g + 1) keeps that side too; the nearer one can
+    cross e only when x lies within K 2**-48 of an integer (for K below
+    2**50).  Other edges compare probe g alone; edges in that band compare
+    probe g and the nearer neighbour, with probes past either end counted
+    as -inf and +inf.
+    """
+    k = pos.size
+    x = edge * k
+    g = x.astype(np.int64)
+    count = g + (pos[np.minimum(g, k - 1)] <= edge)
+    near = np.flatnonzero(np.abs(x - g - 0.5) > 0.5 - k * 2.0**-48)
+    if near.size:
+        g, e = g[near], edge[near]
+        up = x[near] - g >= 0.5
+        j = g - 1 + 2 * up
+        at_g = (g < k) & (pos[np.minimum(g, k - 1)] <= e)
+        at_j = (j < 0) | ((j < k) & (pos[np.clip(j, 0, k - 1)] <= e))
+        # probe g - 1 counts as at or below e unless it is the neighbour
+        count[near] = g - 1 + up + at_g + at_j
+    return count
+
+
+# Kernel CDF bucket indexes by (CDF bytes, bucket count).  A run with
+# deterministic timing searches one kernel CDF on every step; a Poisson run
+# draws a new one each step, and the bound keeps those from piling up.
+_CDF_INDEXES: dict[tuple[bytes, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_MAX_CDF_INDEXES = 8
+_MAX_BUCKETS = 4096
+
+
+def _bucket_count(n_probes: int) -> int:
+    """Buckets for n_probes probes: a power of two in (n/32, n/16], at most 4096."""
+    return min(_MAX_BUCKETS, 1 << max(n_probes.bit_length() - 5, 0))
+
+
+def _cdf_index(cdf: np.ndarray, nb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index of a CDF ending at 1.0 over nb buckets, nb a power of two; memoized.
+
+    Bucket q holds the probes x in [q/nb, (q+1)/nb), so floor(x * nb) is
+    exact; q = nb holds x = 1.0 alone.  Per bucket it keeps lo, the number
+    of CDF entries below q/nb, the entry cdf[lo], and whether a second
+    entry falls inside the bucket, which is when the lookup cannot
+    resolve it.
+    """
+    key = (cdf.tobytes(), nb)
+    index = _CDF_INDEXES.pop(key, None)
+    if index is None:
+        bound = np.arange(nb + 2) / nb
+        below = np.searchsorted(cdf, bound, side="left")
+        lo = below[:-1]
+        index = lo, cdf[lo], below[1:] - lo > 1
+    _CDF_INDEXES[key] = index
+    if len(_CDF_INDEXES) > _MAX_CDF_INDEXES:
+        del _CDF_INDEXES[next(iter(_CDF_INDEXES))]
+    return index
+
+
+def _cdf_search(cdf: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, probe, "left")`` for probes in (0, 1] through a bucket index.
+
+    A bucket holding at most one CDF entry answers lo + [probe > cdf[lo]];
+    probes in the few buckets that hold more (crowded tails, zero-mass
+    bins) are searched, and so are fewer than 32 probes, whose one bucket
+    would hold every entry.
+    """
+    nb = _bucket_count(probe.size)
+    if nb == 1:
+        return np.searchsorted(cdf, probe, side="left")
+    lo, first, crowded = _cdf_index(cdf, nb)
+    q = (probe * nb).astype(np.int64)
+    out = lo[q] + (probe > first[q])
+    miss = np.flatnonzero(crowded[q])
+    if miss.size:
+        out[miss] = np.searchsorted(cdf, probe[miss], side="left")
+    return out
+
+
+def _kernel_cdf(kern: np.ndarray) -> np.ndarray:
+    """Cumulative kernel weights normalised to end at exactly 1."""
+    cdf = np.cumsum(kern)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _probe_cells(edge: np.ndarray, u: np.ndarray):
+    """First level: (cell of each probe, probes per cell, fraction through its cell).
+
+    Probe j at (u[j] + j) / K lies in (edge[cell], edge[cell + 1]], which
+    makes its fraction lie in (0, 1].
+    """
+    k = u.size
+    pos = np.arange(k, dtype=float)
+    pos += u
+    pos /= k
+    # every probe lies above edge[0] = 0 and at or below edge[-1] = 1
+    per_cell = np.diff(_stratum_counts(edge[1:-1], pos), prepend=0, append=k)
+    cell = np.repeat(np.arange(per_cell.size), per_cell)
+    pos -= edge[cell]
+    pos /= np.diff(edge)[cell]
+    return cell, per_cell, pos
+
+
+def _hit_runs(cell: np.ndarray, row: np.ndarray, per_cell: np.ndarray):
+    """(cell, row) of each distinct row the sorted probes hit, and its hits."""
+    if per_cell.max() <= 1:
+        # no two probes share a cell, let alone a row
+        return cell, row, np.ones(cell.size, np.int64)
+    first = np.flatnonzero(np.concatenate(
+        ([True], (cell[1:] != cell[:-1]) | (row[1:] != row[:-1]))
+    ))
+    return cell[first], row[first], np.diff(first, append=cell.size)
+
+
+def _shared_kernel_hits(kern: np.ndarray, u: np.ndarray, parent_mass: np.ndarray):
+    """``_stratified_hits`` over implicit rows (g, b): (parent g, bin b, hits)."""
+    edge = np.concatenate(([0.0], np.cumsum(parent_mass)))
+    edge /= edge[-1]
+    cell, per_cell, frac = _probe_cells(edge, u)
+    return _hit_runs(cell, _cdf_search(_kernel_cdf(kern), frac), per_cell)
+
+
 def _stratified_hits(
     row_mass: np.ndarray,
     u: np.ndarray,
@@ -262,45 +391,41 @@ def _stratified_hits(
     flat index g * row_mass.size + b, and no array of all rows is built.
 
     Probe j lands at (u[j] + j) / K of the total mass.  The first level
-    finds its group on the group CDF; the second searches the probe's
-    fraction of the way through that group's cell, clipped to [0, 1], on
-    the group's row CDF, normalised to end at exactly 1.  Grouped rows
-    keep every group's row CDF in one array, group g's shifted up by g,
-    so one search serves all groups; shared rows search the one shared
-    CDF.  Resolved this way the probes land where a flat search of all
-    rows puts them, so row i collects K * mass_i / total probes in
-    expectation (exactly unbiased, total exactly K), at most K distinct
-    rows survive and zero-mass rows or groups are never hit.  The flat
-    indices come out sorted, so hits are run lengths.  The phases must
-    lie in (0, 1) and be independent: a shared phase (plain systematic
-    resampling) locks equal-weight parents to the same offspring pick and
-    the ensemble stops mixing.  Returns (surviving flat indices, strictly
-    increasing; probe hits per survivor).
+    counts the probes at or below each group edge in closed form from the
+    stratum structure (``_stratum_counts``, no search) and gives each
+    group the difference; the second resolves the probe's fraction of the
+    way through its group's cell, which lies in (0, 1], on the group's row
+    CDF, normalised to end at exactly 1.  Grouped rows keep every group's
+    row CDF in one array, group g's shifted up by g, so one search serves
+    all groups; shared rows look the fraction up in the one shared CDF
+    through a bucket index (``_cdf_search``).  Resolved this way the
+    probes land where a flat search of all rows puts them, so row i
+    collects K * mass_i / total probes in expectation (exactly unbiased,
+    total exactly K), at most K distinct rows survive and zero-mass rows
+    or groups are never hit.  The flat indices come out sorted, so hits
+    are run lengths, all ones when no group holds two probes.  The phases
+    must lie in (0, 1] and be independent: a shared phase (plain
+    systematic resampling) locks equal-weight parents to the same
+    offspring pick and the ensemble stops mixing.  Returns (surviving
+    flat indices, strictly increasing; probe hits per survivor).
     """
-    k = u.size
+    if parent_mass is not None:
+        parent, b, hits = _shared_kernel_hits(row_mass, u, parent_mass)
+        return parent * row_mass.size + b, hits
     cum = np.cumsum(row_mass)
-    if parent_mass is None:
-        start = np.zeros(1, np.int64) if group_start is None else group_start
-        group = np.repeat(np.arange(start.size), np.diff(start, append=row_mass.size))
-        edge = np.append(np.concatenate(([0.0], cum))[start], cum[-1])
-        span = np.diff(edge)
-        # (cum - edge) / span is exactly 1 on each group's last row
-        row_cdf = group + (cum - edge[group]) / np.where(span > 0, span, 1.0)[group]
-    else:
-        edge = np.concatenate(([0.0], np.cumsum(parent_mass)))
-        row_cdf = cum / cum[-1]
+    start = np.zeros(1, np.int64) if group_start is None else group_start
+    group = np.repeat(np.arange(start.size), np.diff(start, append=row_mass.size))
+    edge = np.append(np.concatenate(([0.0], cum))[start], cum[-1])
+    span = np.diff(edge)
+    # (cum - edge) / span is exactly 1 on each group's last row
+    row_cdf = group + (cum - edge[group]) / np.where(span > 0, span, 1.0)[group]
     edge /= edge[-1]
-    pos = (u + np.arange(k, dtype=float)) / k
-    cell = np.searchsorted(edge, pos, side="left") - 1
-    lo = edge[cell]
-    frac = np.clip((pos - lo) / (edge[cell + 1] - lo), 0.0, 1.0)
-    shift, base = (cell, 0) if parent_mass is None else (0, cell * row_mass.size)
+    cell, per_cell, frac = _probe_cells(edge, u)
     # a fraction lost to rounding against the offset still lands past the
     # previous group's last entry and this group's zero-mass lead rows
-    probe = np.maximum(shift + frac, np.nextafter(shift, np.inf))
-    idx = base + np.searchsorted(row_cdf, probe, side="left")
-    first = np.flatnonzero(np.diff(idx, prepend=-1))
-    return idx[first], np.diff(first, append=k)
+    probe = np.maximum(cell + frac, np.nextafter(cell, np.inf))
+    _, idx, hits = _hit_runs(cell, np.searchsorted(row_cdf, probe, side="left"), per_cell)
+    return idx, hits
 
 
 def _cap_probe_phases(max_branches: int, step_seed) -> np.ndarray:
@@ -413,22 +538,20 @@ def evolve_ensemble_step(
     step, kern = _offset_kernel(dt, p)
     nk = step.size
 
-    # over cap, survivors are selected from implicit (parent, bin) row
-    # indices and only their rows are built
+    # over cap, survivors are selected as (parent, bin) pairs of implicit
+    # rows and only their rows are built
     noff = e.n_branches * nk
     if noff > cap:
-        idx, hits = _stratified_hits(
-            kern, _cap_probe_phases(cap, step_seed), parent_mass=e.weight
-        )
+        pr, oi, hits = _shared_kernel_hits(kern, _cap_probe_phases(cap, step_seed), e.weight)
         weight = hits / float(cap)
     else:
-        idx = np.arange(noff, dtype=np.int64)
+        pr = np.repeat(np.arange(e.n_branches), nk)
+        oi = np.tile(np.arange(nk), e.n_branches)
         mass = (e.weight[:, None] * kern[None, :]).ravel()
         weight = mass / mass.sum()
-    pr, oi = idx // nk, idx % nk
     return Ensemble(
         mode=e.mode, time=t_event, site=e.site[pr] + step[oi], origin=e.origin,
-        params=p, weight=weight, uid=e.next_uid + idx, parent_uid=e.uid[pr],
+        params=p, weight=weight, uid=e.next_uid + pr * nk + oi, parent_uid=e.uid[pr],
         lineage_hash=lineage_hash_child(
             e.lineage_hash[pr], t_event, oi.astype(np.uint64)
         ),
@@ -496,11 +619,13 @@ def run_collapse_trajectories(
     deterministic timing, trajectory i seeded by
     ``trajectory_seed(master_seed, i)``; vectorizing across trajectories
     is possible because every trajectory shares the fixed event schedule
-    and offset kernel.  Each step searches the probe phase
-    ``_cap_probe_phases(1, step_seed)`` on the normalized kernel CDF, as
-    ``_stratified_hits`` does for one parent of weight 1, and moves the
-    trajectory's site; the sites are folded into the box once, by the
-    ensemble's own rule, so batch and sequential runs agree bit for bit.
+    and offset kernel.  Each step looks the probe phase
+    ``_cap_probe_phases(1, step_seed)`` up on the normalized kernel CDF
+    with the engine's ``_cdf_search``, as a capped step does for one
+    parent of weight 1, whose probe fraction is the phase itself, and
+    moves the trajectory's site; the sites are folded into the box once,
+    by the ensemble's own rule, so batch and sequential runs agree bit
+    for bit.
     ``select_rule`` replaces the Born-weighted survivor choice and exists
     for bias-detection tests.
     """
@@ -511,8 +636,7 @@ def run_collapse_trajectories(
     start = midbox_ensemble(p, "collapse")
     site = np.full(n_traj, start.site[0])
     step, kern = _offset_kernel(p.tau, p)
-    cdf = np.cumsum(kern)
-    cdf /= cdf[-1]
+    cdf = _kernel_cdf(kern)
     t = 0.0
     for _ in range(steps):
         step_seeds = np.array(
@@ -521,7 +645,7 @@ def run_collapse_trajectories(
         t += p.tau
         u = _cap_probe_phases(1, step_seeds)
         if select_rule is None:
-            sel = np.searchsorted(cdf, np.maximum(u, np.nextafter(0.0, 1.0)))
+            sel = _cdf_search(cdf, u)
         else:
             sel = np.asarray(select_rule(kern, u))
         site += step[sel]

@@ -12,8 +12,14 @@ from scipy import stats as sps
 from branchbox import branching
 from branchbox.branching import (
     Ensemble,
+    _bucket_count,
     _cap_keyed,
+    _cdf_index,
+    _cdf_search,
+    _kernel_cdf,
+    _probe_cells,
     _stratified_hits,
+    _stratum_counts,
     apportion_counts,
     evolve_ensemble_step,
     exact_weighted_reference,
@@ -328,6 +334,143 @@ def test_stratified_hits_skip_zero_mass_rows_and_groups():
             np.testing.assert_array_equal(a[1], b[1])
 
 
+# phases in unit_uniform's range [2**-54, 1] (its largest key rounds up to
+# 1.0), with ones that move u + j onto j or j + 1
+_PHASES = st.sampled_from([2.0**-54, 1e-15, 0.5, 1.0 - 1e-15, 1.0 - 2.0**-53, 1.0]) | st.floats(
+    2.0**-54, 1.0
+)
+
+
+def _ulps(x: float, n: int) -> float:
+    for _ in range(abs(n)):
+        x = float(np.nextafter(x, np.inf if n > 0 else -np.inf))
+    return x
+
+
+@st.composite
+def stratum_cases(draw):
+    """(edges, phases): parent edges from 0 to 1 that sit on probes, on
+    j/K, a few ulps either side of those, anywhere, and repeated."""
+    k = draw(st.sampled_from([1, 2, 3]) | st.integers(1, 64))
+    u = np.array(draw(st.lists(_PHASES, min_size=k, max_size=k)))
+    pos = (u + np.arange(k, dtype=float)) / k
+    marks = [float(x) for x in pos] + [j / k for j in range(k + 1)]
+    inner = draw(st.lists(
+        st.tuples(st.sampled_from(marks) | st.floats(0.0, 1.0), st.integers(-2, 2)),
+        max_size=40,
+    ))
+    inner = [min(max(_ulps(x, d), 0.0), 1.0) for x, d in inner]
+    inner += draw(st.lists(st.sampled_from(inner), max_size=5)) if inner else []
+    return np.array([0.0] + sorted(inner) + [1.0]), u
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=stratum_cases())
+@example(case=(np.array([0.0, 1.0]), np.array([0.5])))                   # K = n = 1
+@example(case=(np.array([0.0, 0.5, 0.5, 1.0]), np.array([2.0**-54] * 2)))  # edge on a probe
+@example(case=(np.array([0.0, 1 / 3, 2 / 3, 1.0]), np.array([1.0 - 2.0**-53] * 3)))
+# K e rounds up to 5 while probe 4 sits at fl(5/6), above e
+@example(case=(np.array([0.0, np.nextafter(5 / 6, 0.0), 1.0]), np.ones(6)))
+# K e rounds down below 15 while probe 15 sits at fl(15/22) = e
+@example(case=(np.array([0.0, 15 / 22, 1.0]), np.full(22, 2.0**-54)))
+def test_stratum_counts_equal_searchsorted(case):
+    # the closed-form first level is the binary search it replaces, bit for bit
+    edge, u = case
+    k = u.size
+    pos = (u + np.arange(k, dtype=float)) / k
+    want = np.searchsorted(pos, edge, side="right")
+    np.testing.assert_array_equal(_stratum_counts(edge, pos), want)
+    cell, per_cell, frac = _probe_cells(edge, u)
+    np.testing.assert_array_equal(cell, np.searchsorted(edge, pos, side="left") - 1)
+    np.testing.assert_array_equal(per_cell, np.diff(want))
+    lo = edge[cell]
+    np.testing.assert_array_equal(frac, np.clip((pos - lo) / (edge[cell + 1] - lo), 0.0, 1.0))
+    assert np.all((frac > 0) & (frac <= 1))
+
+
+def test_stratum_counts_at_the_cap():
+    # engine-sized first level: K = 1e5 probes, parents weighted hits / K
+    # (edges on or within rounding of j/K), and zero-mass parents
+    rng = gen(27)
+    for k in (1, 7, 1000, 100_000):
+        u = branching._cap_probe_phases(k, np.uint64(k))
+        pos = (u + np.arange(k, dtype=float)) / k
+        for hits in (rng.integers(1, 3, k), rng.integers(0, 3, k),
+                     rng.integers(0, 40, k // 7 + 1)):
+            if hits.sum() == 0:
+                continue
+            edge = np.concatenate(([0.0], np.cumsum(hits / k)))
+            edge /= edge[-1]
+            np.testing.assert_array_equal(
+                _stratum_counts(edge, pos), np.searchsorted(pos, edge, side="right")
+            )
+
+
+@st.composite
+def kernel_cases(draw):
+    """(CDF, probes): kernels with zero-mass bins and tails crowded into one
+    bucket; probes on CDF entries, bucket bounds and their neighbours."""
+    kern = np.array(draw(st.lists(
+        st.sampled_from([0.0, 1e-300, 1e-17, 1e-9, 1e-4]) | st.floats(1e-3, 1.0),
+        min_size=1, max_size=30,
+    )))
+    assume(kern.sum() > 0)
+    cdf = _kernel_cdf(kern)
+    n = draw(st.sampled_from([1, 16, 32, 100, 2000, 5000, 100_000]))
+    nb = _bucket_count(n)
+    marks = [float(c) for c in cdf if c > 0] + [q / nb for q in range(1, nb + 1)]
+    picks = draw(st.lists(
+        st.tuples(st.sampled_from(marks) | st.floats(0.0, 1.0, exclude_min=True),
+                  st.integers(-2, 2)),
+        min_size=1, max_size=50,
+    ))
+    probe = [min(max(_ulps(x, d), 5e-324), 1.0) for x, d in picks] + [5e-324, 1.0]
+    return cdf, np.resize(np.array(probe), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=kernel_cases())
+@example(case=(np.array([1.0]), np.array([5e-324, 0.5, 1.0])))
+@example(case=(_kernel_cdf(np.array([1e-300, 0.0, 1.0, 0.0, 0.0])), np.full(2000, 1.0)))
+def test_cdf_search_equals_searchsorted(case):
+    # the bucketed kernel lookup is the binary search it replaces, bit for bit
+    cdf, probe = case
+    np.testing.assert_array_equal(
+        _cdf_search(cdf, probe), np.searchsorted(cdf, probe, side="left")
+    )
+
+
+def test_cdf_index_sizes_buckets_to_the_probes_and_is_memoized(monkeypatch):
+    monkeypatch.setattr(branching, "_CDF_INDEXES", {})
+    cdf = _kernel_cdf(branching._offset_kernel(P.tau, P)[1])
+    # a power of two near K / 16, at most 4096
+    assert [_bucket_count(n) for n in (1, 31, 32, 2000, 100_000)] == [1, 1, 2, 64, 4096]
+    assert _cdf_index(cdf, 64) is _cdf_index(cdf, 64)
+    assert _cdf_index(cdf, 64)[0].size == 65
+    for i in range(3 * branching._MAX_CDF_INDEXES):
+        _cdf_index(_kernel_cdf(np.array([1.0, i + 1.0])), 64)
+    assert len(branching._CDF_INDEXES) == branching._MAX_CDF_INDEXES
+    # unit parameters: almost every probe of a cap-1e5 step resolves in
+    # its bucket
+    _, _, crowded = _cdf_index(cdf, 4096)
+    assert crowded.sum() <= 8
+
+
+def test_engine_and_batch_share_the_kernel_lookup(monkeypatch):
+    calls = []
+
+    def counted(cdf, probe):
+        calls.append(probe.size)
+        return _cdf_search(cdf, probe)
+
+    monkeypatch.setattr(branching, "_cdf_search", counted)
+    run_collapse_trajectories(P, 5, 3, 1)
+    e = evolve_ensemble_step(midbox_ensemble(P, "collapse"), P, 8, 1, gen(1))
+    e = evolve_ensemble_step(evolve_ensemble_step(midbox_ensemble(P), P, 8, 10**9, gen(2)),
+                             P, 8, 100, gen(3))
+    assert calls == [5, 5, 5, 1, 100]
+
+
 def test_cap_resample_identity_below_cap():
     e = midbox_ensemble(P)
     e = evolve_ensemble_step(e, P, 8, 10**9, gen(1))
@@ -462,27 +605,38 @@ def test_evolve_reproducible_from_seed():
     assert not np.array_equal(a.weight, c.weight)
 
 
+def _assert_fast_path_matches(e, cap, seed):
+    """The capped step equals materializing every offspring, then capping."""
+    capped = evolve_ensemble_step(e, P, 8, cap, gen(seed))
+    step_seed = np.uint64(gen(seed).integers(0, 2**64, dtype=np.uint64))
+    full = evolve_ensemble_step(e, P, 8, 10**9, gen(seed))
+    assert full.n_branches > cap
+    manual = _cap_keyed(full, cap, step_seed)
+    for name in ("uid", "site", "weight", "lineage_hash", "parent_uid"):
+        np.testing.assert_array_equal(getattr(capped, name), getattr(manual, name))
+    return capped
+
+
 def test_evolve_fast_path_matches_materialize_then_cap():
     # the capped weighted fast path must be bit-identical to building
     # every offspring row and then capping with the same step seed
     e = midbox_ensemble(P)
     e = evolve_ensemble_step(e, P, 8, 10**9, gen(33))
-    cap = 37
+    _assert_fast_path_matches(e, 37, 99)
 
-    r1 = gen(99)
-    capped = evolve_ensemble_step(e, P, 8, cap, r1)
+    # heavy rows: 25 parents, 625 rows, the central rows collect several
+    # of the 300 probes each
+    capped = _assert_fast_path_matches(e, 300, 97)
+    assert (capped.weight * 300).max() > 1
 
-    r2 = gen(99)
-    step_seed = np.uint64(r2.integers(0, 2**64, dtype=np.uint64))
-    r3 = gen(99)
-    full = evolve_ensemble_step(e, P, 8, 10**9, r3)
-    manual = _cap_keyed(full, cap, step_seed)
-
-    np.testing.assert_array_equal(capped.uid, manual.uid)
-    np.testing.assert_array_equal(capped.site, manual.site)
-    np.testing.assert_array_equal(capped.weight, manual.weight)
-    np.testing.assert_array_equal(capped.lineage_hash, manual.lineage_hash)
-    np.testing.assert_array_equal(capped.parent_uid, manual.parent_uid)
+    # the box regime at the cap: equal-weight parents, one probe each, so
+    # every probe hits a distinct row
+    cap = 2000
+    for s in range(8):
+        e = evolve_ensemble_step(e, P, 8, cap, gen(40 + s))
+    np.testing.assert_array_equal(e.weight, 1.0 / cap)
+    capped = _assert_fast_path_matches(e, cap, 96)
+    np.testing.assert_array_equal(capped.weight, 1.0 / cap)
 
 
 def test_evolve_fast_path_matches_materialize_then_cap_after_capped_step():

@@ -31,6 +31,9 @@ CASES = {
                           "steps": 20, "max_branches": 2000},
     "midbox_collapse_poisson": {"scenario": "midbox", "mode": "collapse",
                                 "timing": "poisson", "steps": 40},
+    # past step 7 no two probes of the cap share a row: every hit count is 1
+    "midbox_capped_distinct": {"scenario": "midbox", "steps": 12,
+                               "max_branches": 20_000},
 }
 
 # (series sha256, summary sha256)
@@ -54,6 +57,10 @@ GOLDEN = {
     "midbox": (
         "0125b629a44667c5a66b0a7123427159e782342220b366c084dad72a5a58af1b",
         "277653aa3a229fb543abfaeb919ab6cae966509822e0e76137aedc7ef286cc89",
+    ),
+    "midbox_capped_distinct": (
+        "1e977bc6d2110e53768078d59149f4625d64e05dfc8831266131be87ec30f7a7",
+        "0561248c22b94a88521abf517e0fc061ce7c7dbf92dc413f489ba9a16b19db26",
     ),
     "midbox_collapse_poisson": (
         "6da5df288bc16ef316f65a4eff9513ea352339c31816917e173f2a0c616cdc43",
