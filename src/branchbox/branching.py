@@ -17,11 +17,16 @@ where their packets sit.
                   capped at one branch, which keeps one offspring with
                   probability equal to its Born weight.
 
-A third mode, ``count``, carries integer counts, stored as float masses,
-instead of weights.  It exists only for born_test's single event, whose
-leaves get ``apportion_counts`` of the parent's count, so unweighted
-branch counting reproduces the Born weights to within one unit per bin;
-the engine does not evolve count-mode ensembles.
+A third mode, ``count``, carries integer counts instead of weights.  It
+exists only for born_test's single event, whose leaves get
+``apportion_counts`` of the parent's count, so unweighted branch
+counting reproduces the Born weights to within one unit per bin; the
+engine does not evolve count-mode ensembles.
+
+A mass is int64 exactly when it is a count (count mode's units, or the
+probe hits of an ensemble the cap K produced, out of K), and a float64
+Born weight otherwise.  Past the cap each parent g thus holds an integer
+multiplicity h_g, and gets exactly h_g of the next step's probes.
 
 The engine is a free integer walk.  An ensemble is a time, its physical
 parameters, one float origin and flat per-branch arrays: an int64
@@ -48,6 +53,7 @@ import numpy as np
 
 from .model import PhysicalParams, bin_weights, reflect_center, spread_variance
 from .rng import (
+    GAMMA,
     KEY_CAP,
     KEY_PRUNE,
     KEY_TIMING,
@@ -92,9 +98,11 @@ class Ensemble:
 
     Branch b sits at the unfolded lattice offset ``site[b]`` from
     ``origin``; ``center`` folds it into the box.  ``weight`` is the
-    branch mass: Born weights summing to 1 in weighted and collapse
-    modes, counts (as floats) in count mode.  ``parent_uid`` is -1 for
-    initial branches that have not been through a decoherence event.
+    branch mass: int64 counts, each at least 1 (count mode, whose masses
+    are always counts, and a cap's hits, whose sum is the cap), or
+    float64 Born weights above 0 summing to 1 within 1e-12.
+    ``parent_uid`` is -1 for initial branches that have not been through
+    a decoherence event.
     """
 
     mode: str
@@ -121,15 +129,16 @@ class Ensemble:
             raise ValueError("branch sites must be int64 lattice offsets")
         if not math.isfinite(self.origin):
             raise ValueError("the lattice origin must be finite")
-        if self.mode == "count":
+        if self.weight.dtype == np.int64:
             if not np.all(self.weight >= 1):
-                raise ValueError("count-mode counts must be >= 1")
-        else:
-            if not np.all(self.weight > 0):
-                raise ValueError("branch weights must be > 0")
+                raise ValueError("branch counts must be >= 1")
+        elif self.mode == "count" or self.weight.dtype != np.float64:
+            raise ValueError("masses must be int64 counts, or float64 weights (not count mode)")
+        elif not np.all(self.weight > 0):
+            raise ValueError("branch weights must be > 0")
+        elif abs(self.weight.sum() - 1.0) > 1e-12:
             total = float(self.weight.sum())
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
+            raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
         if self.mode == "collapse" and n != 1:
             raise ValueError("collapse-mode ensemble must hold exactly one branch")
 
@@ -165,7 +174,7 @@ class Ensemble:
         return x, np.bincount(which, weights=mass[occupied])
 
     def masses(self) -> np.ndarray:
-        """Statistical mass per branch: weights, or counts as floats."""
+        """Statistical mass per branch: Born weights or integer counts."""
         return self.weight
 
 
@@ -186,7 +195,7 @@ def midbox_ensemble(
     The default center is L/2 snapped to the offspring lattice anchored
     at 0.  Pass ``center`` to start elsewhere (it is used as given, not
     snapped).  A count-mode packet holds ``multiplicity`` units (default
-    1) as its mass; other modes hold weight 1 and take no multiplicity.
+    1) as its int64 mass; other modes hold weight 1.0 and no multiplicity.
     """
     if multiplicity is not None and mode != "count":
         raise ValueError(f"multiplicity applies to count mode only, not {mode}")
@@ -196,7 +205,7 @@ def midbox_ensemble(
     origin, site = (0.0, _midbox_site(p)) if center is None else (float(center), 0)
     return Ensemble(
         mode=mode, time=0.0, site=np.array([site], np.int64), origin=origin,
-        params=p, weight=np.array([float(count)]),
+        params=p, weight=np.array([count], np.int64 if mode == "count" else float),
         uid=np.zeros(1, np.int64), parent_uid=np.full(1, -1, np.int64),
         lineage_hash=lineage_hash_root(np.zeros(1, np.uint64)), next_uid=1,
     )
@@ -244,36 +253,6 @@ def apportion_counts(weights, total: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # capping
-
-
-def _stratum_counts(edge: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Probes at or below each edge, ``searchsorted(pos, edge, "right")``, in O(n + K).
-
-    ``pos[j]`` is probe j's position (u_j + j) / K, a float rounded from a
-    point of stratum [j/K, (j+1)/K], so it lies in [fl(j/K), fl((j+1)/K)].
-    For an edge e in [0, 1] with x = fl(K e) and g = floor(x), probes
-    below g - 1 therefore sit at or below e and probes above g + 1 above
-    it.  Of g - 1 and g + 1, the one farther from x (g - 1 when
-    x - g >= 1/2, else g + 1) keeps that side too; the nearer one can
-    cross e only when x lies within K 2**-48 of an integer (for K below
-    2**50).  Other edges compare probe g alone; edges in that band compare
-    probe g and the nearer neighbour, with probes past either end counted
-    as -inf and +inf.
-    """
-    k = pos.size
-    x = edge * k
-    g = x.astype(np.int64)
-    count = g + (pos[np.minimum(g, k - 1)] <= edge)
-    near = np.flatnonzero(np.abs(x - g - 0.5) > 0.5 - k * 2.0**-48)
-    if near.size:
-        g, e = g[near], edge[near]
-        up = x[near] - g >= 0.5
-        j = g - 1 + 2 * up
-        at_g = (g < k) & (pos[np.minimum(g, k - 1)] <= e)
-        at_j = (j < 0) | ((j < k) & (pos[np.clip(j, 0, k - 1)] <= e))
-        # probe g - 1 counts as at or below e unless it is the neighbour
-        count[near] = g - 1 + up + at_g + at_j
-    return count
 
 
 # Kernel CDF bucket indexes by (CDF bytes, bucket count).  A run with
@@ -338,18 +317,39 @@ def _kernel_cdf(kern: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _probe_cells(edge: np.ndarray, u: np.ndarray):
+def _are_multiplicities(mass: np.ndarray, k: int) -> bool:
+    """Whether masses are integer multiplicities of k probes: int64, summing to k."""
+    return mass.dtype == np.int64 and mass.sum() == k
+
+
+def _probe_cells(mass: np.ndarray, u: np.ndarray):
     """First level: (cell of each probe, probes per cell, fraction through its cell).
 
-    Probe j at (u[j] + j) / K lies in (edge[cell], edge[cell + 1]], which
-    makes its fraction lie in (0, 1].
+    Probe j sits at (u[j] + j) / K of the total mass.  Integer masses >= 1
+    summing to K are multiplicities: cell g then holds exactly probes
+    H[g-1] .. H[g]-1 (H the integer cumsum), probe j's fraction is
+    (u[j] + j - H[g-1]) / mass[g], and when every mass is 1 probe j is
+    cell j's with fraction u[j].  Other masses are searched: a cell holds
+    the probes in (edge[g], edge[g + 1]] of the normalised float cumsum.
+    Either way the fraction lies in (0, 1].
     """
     k = u.size
+    if _are_multiplicities(mass, k):
+        if mass.size == k:
+            return np.arange(k), mass, u
+        cell = np.repeat(np.arange(mass.size), mass)
+        frac = np.arange(k, dtype=float)
+        frac -= (np.cumsum(mass) - mass)[cell]
+        frac += u
+        frac /= mass[cell]
+        return cell, mass, frac
+    edge = np.concatenate(([0.0], np.cumsum(mass)))
+    edge /= edge[-1]
     pos = np.arange(k, dtype=float)
     pos += u
     pos /= k
     # every probe lies above edge[0] = 0 and at or below edge[-1] = 1
-    per_cell = np.diff(_stratum_counts(edge[1:-1], pos), prepend=0, append=k)
+    per_cell = np.diff(np.searchsorted(pos, edge[1:-1], "right"), prepend=0, append=k)
     cell = np.repeat(np.arange(per_cell.size), per_cell)
     pos -= edge[cell]
     pos /= np.diff(edge)[cell]
@@ -368,10 +368,10 @@ def _hit_runs(cell: np.ndarray, row: np.ndarray, per_cell: np.ndarray):
 
 
 def _shared_kernel_hits(kern: np.ndarray, u: np.ndarray, parent_mass: np.ndarray):
-    """``_stratified_hits`` over implicit rows (g, b): (parent g, bin b, hits)."""
-    edge = np.concatenate(([0.0], np.cumsum(parent_mass)))
-    edge /= edge[-1]
-    cell, per_cell, frac = _probe_cells(edge, u)
+    """(parent g, bin b, hits) of the rows hit, sorted, among implicit rows of
+    mass parent_mass[g] * kern[b]: ``_probe_cells``, then each fraction
+    looked up on the shared kernel CDF; no array of all rows is built."""
+    cell, per_cell, frac = _probe_cells(parent_mass, u)
     return _hit_runs(cell, _cdf_search(_kernel_cdf(kern), frac), per_cell)
 
 
@@ -380,38 +380,27 @@ def _stratified_hits(
     u: np.ndarray,
     *,
     group_start: np.ndarray | None = None,
-    parent_mass: np.ndarray | None = None,
+    group_mass: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two-level stratified resampling: one CDF probe per stride, independent phases.
 
-    Rows come in groups.  By default ``row_mass`` holds every row and
-    ``group_start`` the first row of each contiguous group (one group if
-    omitted).  With ``parent_mass`` instead, every parent g has the same
-    implicit rows: row (g, b) has mass parent_mass[g] * row_mass[b] and
-    flat index g * row_mass.size + b, and no array of all rows is built.
-
-    Probe j lands at (u[j] + j) / K of the total mass.  The first level
-    counts the probes at or below each group edge in closed form from the
-    stratum structure (``_stratum_counts``, no search) and gives each
-    group the difference; the second resolves the probe's fraction of the
-    way through its group's cell, which lies in (0, 1], on the group's row
-    CDF, normalised to end at exactly 1.  Grouped rows keep every group's
-    row CDF in one array, group g's shifted up by g, so one search serves
-    all groups; shared rows look the fraction up in the one shared CDF
-    through a bucket index (``_cdf_search``).  Resolved this way the
-    probes land where a flat search of all rows puts them, so row i
-    collects K * mass_i / total probes in expectation (exactly unbiased,
-    total exactly K), at most K distinct rows survive and zero-mass rows
-    or groups are never hit.  The flat indices come out sorted, so hits
-    are run lengths, all ones when no group holds two probes.  The phases
-    must lie in (0, 1] and be independent: a shared phase (plain
-    systematic resampling) locks equal-weight parents to the same
-    offspring pick and the ensemble stops mixing.  Returns (surviving
+    ``row_mass`` holds every row and ``group_start`` the first row of each
+    contiguous group (one group if omitted).  Probe j lands at
+    (u[j] + j) / K of the total mass.  ``_probe_cells`` gives each probe
+    its group from the group masses (``group_mass``, by default the float
+    sums of the groups' rows) and its fraction through the group, in
+    (0, 1], which one search resolves on all groups' row CDFs, each
+    normalised to end at exactly 1 and group g's shifted up by g.
+    Resolved this way the probes land where a flat search of all rows
+    puts them, so row i collects K * mass_i / total probes in expectation
+    (exactly unbiased, total exactly K), at most K distinct rows survive
+    and zero-mass rows or groups are never hit.  The flat indices come
+    out sorted, so hits are run lengths.  The phases must lie in (0, 1]
+    and be independent: a shared phase (plain systematic resampling)
+    locks equal-weight parents to the same offspring pick and the
+    ensemble stops mixing.  Returns (surviving
     flat indices, strictly increasing; probe hits per survivor).
     """
-    if parent_mass is not None:
-        parent, b, hits = _shared_kernel_hits(row_mass, u, parent_mass)
-        return parent * row_mass.size + b, hits
     cum = np.cumsum(row_mass)
     start = np.zeros(1, np.int64) if group_start is None else group_start
     group = np.repeat(np.arange(start.size), np.diff(start, append=row_mass.size))
@@ -419,8 +408,7 @@ def _stratified_hits(
     span = np.diff(edge)
     # (cum - edge) / span is exactly 1 on each group's last row
     row_cdf = group + (cum - edge[group]) / np.where(span > 0, span, 1.0)[group]
-    edge /= edge[-1]
-    cell, per_cell, frac = _probe_cells(edge, u)
+    cell, per_cell, frac = _probe_cells(span if group_mass is None else group_mass, u)
     # a fraction lost to rounding against the offset still lands past the
     # previous group's last entry and this group's zero-mass lead rows
     probe = np.maximum(cell + frac, np.nextafter(cell, np.inf))
@@ -429,27 +417,30 @@ def _stratified_hits(
 
 
 def _cap_probe_phases(max_branches: int, step_seed) -> np.ndarray:
-    """Phases of probes 0 .. max_branches-1; at one probe, one per step seed."""
-    return unit_uniform(mix(
-        step_seed ^ KEY_CAP, np.arange(max_branches, dtype=np.uint64)
-    ))
+    """Phases of probes 0 .. max_branches-1, a splitmix64 stream per step seed."""
+    j = np.arange(max_branches, dtype=np.uint64)
+    return unit_uniform((step_seed ^ KEY_CAP) + j * GAMMA)
 
 
-def _cap_keyed(e: Ensemble, max_branches: int, step_seed: np.uint64) -> Ensemble:
+def _cap_keyed(
+    e: Ensemble, max_branches: int, step_seed: np.uint64,
+    group_mass: np.ndarray | None = None,
+) -> Ensemble:
     """Thin a weighted ensemble to at most ``max_branches`` branches.
 
     Survivors are picked by two-level stratified resampling with probe
     phases derived from (step seed, probe index): branches are grouped
     into contiguous runs of equal ``parent_uid`` (an engine step's
     offspring of one parent), each probe finds its group on the group
-    CDF and then its branch on that group's own CDF.  Evolving an
-    ensemble past the cap makes the same selection from the parents'
-    CDF and the shared kernel CDF without building the offspring, and a
-    hand-built ensemble, whose branches share one parent uid, is one
-    group: a flat search.  Survivors carry equal
-    shares of the total per probe hit, so every ensemble statistic stays
-    an exactly unbiased estimate of the uncapped one.  Under the cap the
-    ensemble is returned unchanged.
+    masses (``group_mass``, for offspring their parents' masses; by
+    default the float sums of the groups' weights) and then its branch
+    on that group's own CDF.  Evolving an ensemble past the cap makes the
+    same selection from the parents' masses and the shared kernel CDF
+    without building the offspring, and a hand-built ensemble, whose
+    branches share one parent uid, is one group: a flat search.
+    Survivors hold their hits, out of ``max_branches``, as int64 masses,
+    so every ensemble statistic stays an exactly unbiased estimate of
+    the uncapped one.  Under the cap the ensemble is returned unchanged.
     """
     if e.n_branches <= max_branches:
         return e
@@ -457,12 +448,12 @@ def _cap_keyed(e: Ensemble, max_branches: int, step_seed: np.uint64) -> Ensemble
     idx, hits = _stratified_hits(
         e.weight, _cap_probe_phases(max_branches, step_seed),
         group_start=np.flatnonzero(np.concatenate(([True], pu[1:] != pu[:-1]))),
+        group_mass=group_mass,
     )
     return Ensemble(
         mode=e.mode, time=e.time, site=e.site[idx], origin=e.origin, params=e.params,
-        weight=hits / float(max_branches), uid=e.uid[idx],
-        parent_uid=e.parent_uid[idx], lineage_hash=e.lineage_hash[idx],
-        next_uid=e.next_uid,
+        weight=hits, uid=e.uid[idx], parent_uid=e.parent_uid[idx],
+        lineage_hash=e.lineage_hash[idx], next_uid=e.next_uid,
     )
 
 
@@ -504,13 +495,15 @@ def evolve_ensemble_step(
     alone, so results do not depend on internal batching.  Every parent
     shares one offset kernel: offspring (parent, bin) sits at site
     site_parent + step_bin with mass w_parent * kern_bin, and no wall is
-    applied.  Past the cap, each stratified probe is resolved first on
-    the n-entry parent CDF, then on the shared kernel CDF, and only the
-    survivors' rows are built.  That is the selection ``_cap_keyed``
+    applied.  Past the cap, each stratified probe finds its parent (by
+    integer arithmetic when the parents' multiplicities sum to the cap),
+    then its bin on the shared kernel CDF; only the survivors' rows are
+    built, holding their hits.  That is the selection ``_cap_keyed``
     makes on the materialized offspring, grouped by parent, so the
     capped step is bit-identical to materializing everything and then
-    capping.  ``p`` must be the ensemble's own parameters; ``fanout`` is
-    validated but does not affect the step.  Count-mode ensembles are
+    capping.  Under the cap offspring hold Born weights, but a one-bin
+    kernel keeps integer masses.  ``p`` must be the ensemble's own
+    parameters; ``fanout`` is validated but does not affect the step.  Count-mode ensembles are
     rejected.
     """
     if e.mode == "count":
@@ -542,19 +535,21 @@ def evolve_ensemble_step(
     # rows and only their rows are built
     noff = e.n_branches * nk
     if noff > cap:
-        pr, oi, hits = _shared_kernel_hits(kern, _cap_probe_phases(cap, step_seed), e.weight)
-        weight = hits / float(cap)
+        pr, oi, weight = _shared_kernel_hits(kern, _cap_probe_phases(cap, step_seed), e.weight)
     else:
         pr = np.repeat(np.arange(e.n_branches), nk)
         oi = np.tile(np.arange(nk), e.n_branches)
         mass = (e.weight[:, None] * kern[None, :]).ravel()
-        weight = mass / mass.sum()
+        # a one-bin kernel keeps integer multiplicities
+        weight = e.weight if nk == 1 and e.weight.dtype == np.int64 else mass / mass.sum()
+    site, uid, lineage = e.site, e.uid, e.lineage_hash
+    # every multiplicity 1: parent g keeps one row, the g-th
+    if not (e.n_branches == cap and _are_multiplicities(e.weight, cap)):
+        site, uid, lineage = site[pr], uid[pr], lineage[pr]
     return Ensemble(
-        mode=e.mode, time=t_event, site=e.site[pr] + step[oi], origin=e.origin,
-        params=p, weight=weight, uid=e.next_uid + pr * nk + oi, parent_uid=e.uid[pr],
-        lineage_hash=lineage_hash_child(
-            e.lineage_hash[pr], t_event, oi.astype(np.uint64)
-        ),
+        mode=e.mode, time=t_event, site=site + step[oi], origin=e.origin,
+        params=p, weight=weight, uid=e.next_uid + pr * nk + oi, parent_uid=uid,
+        lineage_hash=lineage_hash_child(lineage, t_event, oi),
         next_uid=int(e.next_uid + noff),
     )
 

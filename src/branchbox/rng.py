@@ -22,6 +22,9 @@ import numpy as np
 
 _U64 = np.uint64
 
+# splitmix64's increment, the golden-ratio gamma
+GAMMA = _U64(0x9E3779B97F4A7C15)
+
 # purpose constants, arbitrary odd values
 KEY_PRUNE = _U64(0x9E3779B97F4A7C15)
 KEY_CAP = _U64(0xC2B2AE3D27D4EB4F)
@@ -39,11 +42,11 @@ def splitmix64(x):
     x = np.asarray(x, dtype=_U64)
     with np.errstate(over="ignore"):
         if x.ndim == 0:
-            z = x + _U64(0x9E3779B97F4A7C15)
+            z = x + GAMMA
             z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
             z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
             return z ^ (z >> _U64(31))
-        z = x + _U64(0x9E3779B97F4A7C15)
+        z = x + GAMMA
         z ^= z >> _U64(30)
         z *= _U64(0xBF58476D1CE4E5B9)
         z ^= z >> _U64(27)
@@ -68,8 +71,8 @@ def float_bits(t: float):
 def unit_uniform(key):
     """Map uint64 keys to uniforms in (0, 1); vectorized, deterministic."""
     bits = splitmix64(key)
-    # 53 mantissa bits, offset by half an ulp so 0.0 is excluded
-    return (np.asarray(bits >> _U64(11), dtype=np.float64) + 0.5) * 2.0**-53
+    # 52 bits offset by half their ulp: 2**-53 .. 1 - 2**-53, each exact
+    return (np.asarray(bits >> _U64(12), dtype=np.float64) + 0.5) * 2.0**-52
 
 
 def lineage_hash_root(index: int | np.ndarray):
@@ -81,11 +84,10 @@ def lineage_hash_child(parent_hash, event_time: float, offspring_index):
     """Extend a lineage hash by one decoherence event.
 
     The triple (parent lineage, event time, offspring index) identifies a
-    branch uniquely, so folding all three keeps distinct lineages at
-    distinct hashes up to 64-bit collisions.
+    branch uniquely.  A child is one splitmix64 round, a bijection, of
+    ``parent ^ T[b]`` with the event's table T[b] = mix(event time, b),
+    so distinct triples collide only as 64-bit hashes do.
     """
-    return mix(
-        np.asarray(parent_hash, dtype=_U64),
-        float_bits(event_time),
-        np.asarray(offspring_index, dtype=_U64),
-    )
+    b = np.asarray(offspring_index)
+    table = mix(float_bits(event_time), np.arange(int(b.max()) + 1, dtype=_U64))
+    return splitmix64(np.asarray(parent_hash, dtype=_U64) ^ table[b])

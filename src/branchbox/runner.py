@@ -352,9 +352,9 @@ def _born_event(p: PhysicalParams, initial: Ensemble, dt: float):
     # bins sit on the lattice anchored at 0: leaf j is on site centers[j] / bw
     after = Ensemble(
         mode="count", time=dt, site=np.rint(centers[j] / bw).astype(np.int64),
-        origin=0.0, params=p, weight=counts[j].astype(float), uid=initial.next_uid + j,
+        origin=0.0, params=p, weight=counts[j], uid=initial.next_uid + j,
         parent_uid=np.full(j.size, initial.uid[0]),
-        lineage_hash=lineage_hash_child(initial.lineage_hash[0], dt, j.astype(np.uint64)),
+        lineage_hash=lineage_hash_child(initial.lineage_hash[0], dt, j),
         next_uid=int(initial.next_uid + weights.size),
     )
     return weights, counts, after

@@ -123,17 +123,17 @@ def ensemble_position_mean(e: Ensemble) -> float:
 def ensemble_position_variance(e: Ensemble) -> float:
     """Mixture position variance: center dispersion plus packet variance.
 
-    Exact for Gaussian mixtures: Var(x) = sum_b m_b (c_b^2 + v) - mean^2.
+    Exact for Gaussian mixtures: Var(x) = sum_b m_b (c_b - mean)^2 + v,
+    centered first so a box far from the origin keeps every digit.
     """
     x, m = e.position_masses
-    mean = float(m @ x)
-    second = float(m @ (x**2 + e.variance))
-    return second - mean * mean
+    d = x - float(m @ x)
+    return float(m @ (d * d)) + e.variance
 
 
 def effective_branch_count(e: Ensemble) -> float:
     """Kish effective sample size (sum m)^2 / sum m^2 of the branch masses."""
-    m = e.masses()
+    m = np.asarray(e.masses(), float)
     return float(m.sum() ** 2 / (m * m).sum())
 
 

@@ -18,8 +18,8 @@ from branchbox.branching import (
     _cdf_search,
     _kernel_cdf,
     _probe_cells,
+    _shared_kernel_hits,
     _stratified_hits,
-    _stratum_counts,
     apportion_counts,
     evolve_ensemble_step,
     exact_weighted_reference,
@@ -44,12 +44,12 @@ def gen(seed):
 
 def initial_ensemble(sites, weights, mode="weighted", roots=None):
     """Unit-width branches at t = 0 on lattice sites from origin 0, with
-    root lineages (default 0..n-1)."""
+    root lineages (default 0..n-1); integer masses stay int64."""
     n = len(sites)
     roots = np.arange(n) if roots is None else np.asarray(roots)
     return Ensemble(
         mode=mode, time=0.0, site=np.array(sites, np.int64), origin=0.0, params=P,
-        weight=np.array(weights, float), uid=np.arange(n), parent_uid=np.full(n, -1),
+        weight=np.asarray(weights), uid=np.arange(n), parent_uid=np.full(n, -1),
         lineage_hash=lineage_hash_root(roots.astype(np.uint64)), next_uid=n,
     )
 
@@ -80,13 +80,15 @@ def test_midbox_snaps_odd_geometry():
 
 
 def test_midbox_count_mode_multiplicity():
-    # the count rides in the one mass array, as a float
+    # the count rides in the one mass array, as an int64
     e = midbox_ensemble(P, "count", multiplicity=1250)
-    np.testing.assert_array_equal(e.weight, [1250.0])
-    np.testing.assert_array_equal(e.masses(), [1250.0])
+    assert e.weight.dtype == np.int64
+    np.testing.assert_array_equal(e.weight, [1250])
+    np.testing.assert_array_equal(e.masses(), [1250])
     np.testing.assert_array_equal(
-        midbox_ensemble(P, "count", multiplicity=np.int64(3)).weight, [3.0])
-    np.testing.assert_array_equal(midbox_ensemble(P, "count").weight, [1.0])
+        midbox_ensemble(P, "count", multiplicity=np.int64(3)).weight, [3])
+    np.testing.assert_array_equal(midbox_ensemble(P, "count").weight, [1])
+    assert midbox_ensemble(P).weight.dtype == np.float64
 
 
 @pytest.mark.parametrize("mode, multiplicity, fragment", [
@@ -121,11 +123,20 @@ def test_ensemble_validation():
         dataclasses.replace(initial_ensemble([1], [1.0]), origin=math.nan)
     with pytest.raises(ValueError, match="'weight'"):
         initial_ensemble([1, 2], [1.0])
-    # counts need not sum to one, but each branch holds at least one unit
-    counted = initial_ensemble([1, 2], [3.0, 4.0], mode="count")
-    assert counted.masses().sum() == 7.0
+    # counts are int64 and need not sum to one, but each branch holds at
+    # least one unit; count mode holds counts only
+    counted = initial_ensemble([1, 2], [3, 4], mode="count")
+    assert counted.masses().sum() == 7
     with pytest.raises(ValueError, match="count"):
         initial_ensemble([1, 2], [3.0, 0.5], mode="count")
+    with pytest.raises(ValueError, match=">= 1"):
+        initial_ensemble([1, 2], [3, 0], mode="count")
+    # a capped ensemble's weighted masses are its probe hits
+    assert initial_ensemble([1, 2], [2, 1]).masses().sum() == 3
+    with pytest.raises(ValueError, match=">= 1"):
+        initial_ensemble([1, 2], [2, 0])
+    with pytest.raises(ValueError, match="float64 weights"):
+        initial_ensemble([1, 2], np.array([0.5, 0.5], np.float32))
 
 
 def test_center_folds_unfolded_sites_into_the_box():
@@ -201,6 +212,7 @@ def test_decohere_count_conserves_multiplicity():
         # zero-count leaves hold no branch
         kept = np.flatnonzero(counts)
         np.testing.assert_array_equal(after.uid, initial.next_uid + kept)
+        assert after.weight.dtype == np.int64
         np.testing.assert_array_equal(after.weight, counts[kept])
         zero_leaves += int((counts == 0).sum())
         np.testing.assert_array_equal(
@@ -227,16 +239,18 @@ def test_stratified_hits_exact_total_and_support():
 
 
 def test_stratified_hits_unbiased():
-    # E[hits_i] = K * w_i for every branch
+    # E[hits_i] = K * w_i for every branch.  All trials are one selection:
+    # trial t is group t with multiplicity K, so it gets exactly its own K
+    # probes, at (u + j) / K of its mass
     w = np.array([0.02, 0.4, 0.18, 0.25, 0.15])
     k = 8
-    rng = gen(22)
     trials = 40_000
-    mean_hits = np.zeros(w.size)
-    for _ in range(trials):
-        idx, hits = _stratified_hits(w, rng.random(k))
-        mean_hits[idx] += hits
-    mean_hits /= trials
+    u = gen(22).random((trials, k))
+    idx, hits = _stratified_hits(
+        np.tile(w, trials), u.ravel(),
+        group_start=np.arange(trials) * w.size, group_mass=np.full(trials, k),
+    )
+    mean_hits = np.bincount(idx % w.size, weights=hits, minlength=w.size) / trials
     # per-probe variance is below 1/4, so the SE of each mean is tiny
     np.testing.assert_allclose(mean_hits, k * w, atol=0.02)
 
@@ -256,6 +270,12 @@ def _flat_rows(parent_mass, kern):
     return flat, np.arange(parent_mass.size) * kern.size
 
 
+def _shared_flat(kern, u, parent_mass):
+    """``_shared_kernel_hits`` as flat row indices g * kern.size + b, and hits."""
+    g, b, hits = _shared_kernel_hits(kern, u, parent_mass)
+    return g * kern.size + b, hits
+
+
 def test_stratified_hits_two_level_matches_flat_search():
     # both two-level forms return the flat search's probe landings,
     # sorted, with run lengths equal to np.unique's counts
@@ -270,7 +290,7 @@ def test_stratified_hits_two_level_matches_flat_search():
         raw = np.searchsorted(cdf, (u + np.arange(k)) / k * cdf[-1], side="left")
         want_idx, want_hits = np.unique(raw, return_counts=True)
         for idx, hits in (
-            _stratified_hits(kern, u, parent_mass=pm),
+            _shared_flat(kern, u, pm),
             _stratified_hits(flat, u, group_start=starts),
         ):
             assert hits.sum() == k
@@ -281,19 +301,17 @@ def test_stratified_hits_two_level_matches_flat_search():
 
 def test_stratified_hits_unbiased_per_implicit_row():
     # E[hits of row (g, b)] = K * w_g * kern_b with unequal parents and a
-    # lopsided kernel
+    # lopsided kernel.  All trials are one selection over the parents
+    # repeated once per trial, each repeat collecting its own K probes
     pm = np.array([0.5, 0.1, 0.3, 0.1])
     kern = np.array([0.05, 0.6, 0.25, 0.1])
     flat, _ = _flat_rows(pm, kern)
     k = 6
-    rng = gen(25)
     trials = 40_000
-    mean_hits = np.zeros(flat.size)
-    for _ in range(trials):
-        u = rng.random(k)
-        idx, hits = _stratified_hits(kern, u, parent_mass=pm)
-        mean_hits[idx] += hits
-    mean_hits /= trials
+    u = gen(25).random((trials, k))
+    g, b, hits = _shared_kernel_hits(kern, u.ravel(), np.tile(pm, trials))
+    row = (g % pm.size) * kern.size + b
+    mean_hits = np.bincount(row, weights=hits, minlength=flat.size) / trials
     np.testing.assert_allclose(mean_hits, k * flat, atol=0.02)
 
 
@@ -311,7 +329,7 @@ def test_stratified_hits_skip_zero_mass_rows_and_groups():
             pm, kern, u = np.array(pm), np.array(kern), np.array(u)
             flat, starts = _flat_rows(pm, kern)
             for idx, hits in (
-                _stratified_hits(kern, u, parent_mass=pm),
+                _shared_flat(kern, u, pm),
                 _stratified_hits(flat, u, group_start=starts),
             ):
                 np.testing.assert_array_equal(idx, want_idx)
@@ -325,7 +343,7 @@ def test_stratified_hits_skip_zero_mass_rows_and_groups():
             flat, starts = _flat_rows(pm, kern)
             k = int(rng.integers(1, 60))
             u = rng.random(k)
-            a = _stratified_hits(kern, u, parent_mass=pm)
+            a = _shared_flat(kern, u, pm)
             b = _stratified_hits(flat, u, group_start=starts)
             for idx, hits in (a, b):
                 assert np.all(flat[idx] > 0)
@@ -334,10 +352,10 @@ def test_stratified_hits_skip_zero_mass_rows_and_groups():
             np.testing.assert_array_equal(a[1], b[1])
 
 
-# phases in unit_uniform's range [2**-54, 1] (its largest key rounds up to
-# 1.0), with ones that move u + j onto j or j + 1
-_PHASES = st.sampled_from([2.0**-54, 1e-15, 0.5, 1.0 - 1e-15, 1.0 - 2.0**-53, 1.0]) | st.floats(
-    2.0**-54, 1.0
+# phases in unit_uniform's range [2**-53, 1 - 2**-53], with ones that move
+# u + j onto j or j + 1
+_PHASES = st.sampled_from([2.0**-53, 1e-15, 0.5, 1.0 - 1e-15, 1.0 - 2.0**-53]) | st.floats(
+    2.0**-53, 1.0 - 2.0**-53
 )
 
 
@@ -347,63 +365,50 @@ def _ulps(x: float, n: int) -> float:
     return x
 
 
+def _assert_multiplicity_first_level(h, u):
+    """Parent g gets exactly probes H[g-1] .. H[g]-1, and each fraction puts
+    its probe at (u + j) / K of the total to within a few ulps."""
+    k = u.size
+    cell, per_cell, frac = _probe_cells(h, u)
+    np.testing.assert_array_equal(per_cell, h)
+    np.testing.assert_array_equal(cell, np.repeat(np.arange(h.size), h))
+    assert np.all((frac > 0) & (frac <= 1))
+    pos = (u + np.arange(k)) / k
+    start = np.cumsum(h) - h
+    assert np.all(np.abs((start[cell] + frac * h[cell]) / k - pos) <= 4 * np.spacing(pos))
+    return cell
+
+
 @st.composite
-def stratum_cases(draw):
-    """(edges, phases): parent edges from 0 to 1 that sit on probes, on
-    j/K, a few ulps either side of those, anywhere, and repeated."""
-    k = draw(st.sampled_from([1, 2, 3]) | st.integers(1, 64))
-    u = np.array(draw(st.lists(_PHASES, min_size=k, max_size=k)))
-    pos = (u + np.arange(k, dtype=float)) / k
-    marks = [float(x) for x in pos] + [j / k for j in range(k + 1)]
-    inner = draw(st.lists(
-        st.tuples(st.sampled_from(marks) | st.floats(0.0, 1.0), st.integers(-2, 2)),
-        max_size=40,
-    ))
-    inner = [min(max(_ulps(x, d), 0.0), 1.0) for x, d in inner]
-    inner += draw(st.lists(st.sampled_from(inner), max_size=5)) if inner else []
-    return np.array([0.0] + sorted(inner) + [1.0]), u
+def multiplicity_cases(draw):
+    """(integer multiplicities >= 1, one phase per unit of their sum)."""
+    h = np.array(draw(st.lists(st.integers(1, 6), min_size=1, max_size=40)), np.int64)
+    k = int(h.sum())
+    return h, np.array(draw(st.lists(_PHASES, min_size=k, max_size=k)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=stratum_cases())
-@example(case=(np.array([0.0, 1.0]), np.array([0.5])))                   # K = n = 1
-@example(case=(np.array([0.0, 0.5, 0.5, 1.0]), np.array([2.0**-54] * 2)))  # edge on a probe
-@example(case=(np.array([0.0, 1 / 3, 2 / 3, 1.0]), np.array([1.0 - 2.0**-53] * 3)))
-# K e rounds up to 5 while probe 4 sits at fl(5/6), above e
-@example(case=(np.array([0.0, np.nextafter(5 / 6, 0.0), 1.0]), np.ones(6)))
-# K e rounds down below 15 while probe 15 sits at fl(15/22) = e
-@example(case=(np.array([0.0, 15 / 22, 1.0]), np.full(22, 2.0**-54)))
-def test_stratum_counts_equal_searchsorted(case):
-    # the closed-form first level is the binary search it replaces, bit for bit
-    edge, u = case
-    k = u.size
-    pos = (u + np.arange(k, dtype=float)) / k
-    want = np.searchsorted(pos, edge, side="right")
-    np.testing.assert_array_equal(_stratum_counts(edge, pos), want)
-    cell, per_cell, frac = _probe_cells(edge, u)
-    np.testing.assert_array_equal(cell, np.searchsorted(edge, pos, side="left") - 1)
-    np.testing.assert_array_equal(per_cell, np.diff(want))
-    lo = edge[cell]
-    np.testing.assert_array_equal(frac, np.clip((pos - lo) / (edge[cell + 1] - lo), 0.0, 1.0))
-    assert np.all((frac > 0) & (frac <= 1))
+@given(case=multiplicity_cases())
+@example(case=(np.array([1]), np.array([0.5])))                            # K = n = 1
+@example(case=(np.array([3]), np.array([2.0**-53] * 3)))                   # one parent
+@example(case=(np.ones(4, np.int64), np.array([1.0 - 2.0**-53] * 4)))      # every h = 1
+def test_first_level_gives_each_parent_its_multiplicity(case):
+    _assert_multiplicity_first_level(*case)
 
 
-def test_stratum_counts_at_the_cap():
-    # engine-sized first level: K = 1e5 probes, parents weighted hits / K
-    # (edges on or within rounding of j/K), and zero-mass parents
+def test_first_level_at_the_cap():
+    # engine-sized first level on integer ensembles with sum K: every
+    # parent gets its multiplicity, and the float route, searching the
+    # same positions on the float CDF of the masses, finds the same cells
     rng = gen(27)
     for k in (1, 7, 1000, 100_000):
         u = branching._cap_probe_phases(k, np.uint64(k))
-        pos = (u + np.arange(k, dtype=float)) / k
-        for hits in (rng.integers(1, 3, k), rng.integers(0, 3, k),
-                     rng.integers(0, 40, k // 7 + 1)):
-            if hits.sum() == 0:
-                continue
-            edge = np.concatenate(([0.0], np.cumsum(hits / k)))
-            edge /= edge[-1]
-            np.testing.assert_array_equal(
-                _stratum_counts(edge, pos), np.searchsorted(pos, edge, side="right")
-            )
+        for n in sorted({1, max(k // 3, 1), k}):
+            h = 1 + rng.multinomial(k - n, np.full(n, 1.0 / n))
+            cell = _assert_multiplicity_first_level(h, u)
+            float_cell, _, float_frac = _probe_cells(h.astype(float), u)
+            np.testing.assert_array_equal(float_cell, cell)
+            assert np.all((float_frac > 0) & (float_frac <= 1))
 
 
 @st.composite
@@ -485,7 +490,9 @@ def test_cap_resample_weighted_invariants():
     assert e.n_branches > 400
     capped = _cap_keyed(e, 100, np.uint64(4))
     assert capped.n_branches <= 100
-    assert capped.weight.sum() == pytest.approx(1.0, abs=1e-12)
+    # survivors hold their hits out of the cap as int64 multiplicities
+    assert capped.weight.dtype == np.int64
+    assert capped.weight.sum() == 100
     # survivors keep their identity arrays aligned
     i = capped.n_branches // 2
     orig = np.flatnonzero(e.uid == capped.uid[i])[0]
@@ -605,15 +612,17 @@ def test_evolve_reproducible_from_seed():
     assert not np.array_equal(a.weight, c.weight)
 
 
-def _assert_fast_path_matches(e, cap, seed):
-    """The capped step equals materializing every offspring, then capping."""
-    capped = evolve_ensemble_step(e, P, 8, cap, gen(seed))
+def _assert_fast_path_matches(e, cap, seed, p=P):
+    """The capped step equals materializing every offspring, then capping
+    with the parents' masses as the group masses."""
+    capped = evolve_ensemble_step(e, p, 8, cap, gen(seed))
     step_seed = np.uint64(gen(seed).integers(0, 2**64, dtype=np.uint64))
-    full = evolve_ensemble_step(e, P, 8, 10**9, gen(seed))
+    full = evolve_ensemble_step(e, p, 8, 10**9, gen(seed))
     assert full.n_branches > cap
-    manual = _cap_keyed(full, cap, step_seed)
+    manual = _cap_keyed(full, cap, step_seed, group_mass=e.weight)
     for name in ("uid", "site", "weight", "lineage_hash", "parent_uid"):
         np.testing.assert_array_equal(getattr(capped, name), getattr(manual, name))
+    assert capped.weight.dtype == np.int64 and capped.weight.sum() == cap
     return capped
 
 
@@ -627,16 +636,24 @@ def test_evolve_fast_path_matches_materialize_then_cap():
     # heavy rows: 25 parents, 625 rows, the central rows collect several
     # of the 300 probes each
     capped = _assert_fast_path_matches(e, 300, 97)
-    assert (capped.weight * 300).max() > 1
+    assert capped.weight.max() > 1
 
-    # the box regime at the cap: equal-weight parents, one probe each, so
-    # every probe hits a distinct row
+    # integer parents: their multiplicities (1 to 3, summing to the cap)
+    # give each parent its own probes
+    e = evolve_ensemble_step(e, P, 8, 300, gen(95))
+    assert e.weight.max() > 1
+    _assert_fast_path_matches(e, 300, 94)
+    # as many parents as the cap, but multiplicities summing past it
+    _assert_fast_path_matches(e, e.n_branches, 93)
+
+    # the box regime at the cap: every multiplicity 1, one probe per
+    # parent, so every probe hits a distinct row
     cap = 2000
     for s in range(8):
         e = evolve_ensemble_step(e, P, 8, cap, gen(40 + s))
-    np.testing.assert_array_equal(e.weight, 1.0 / cap)
+    np.testing.assert_array_equal(e.weight, 1)
     capped = _assert_fast_path_matches(e, cap, 96)
-    np.testing.assert_array_equal(capped.weight, 1.0 / cap)
+    np.testing.assert_array_equal(capped.weight, 1)
 
 
 def test_evolve_fast_path_matches_materialize_then_cap_after_capped_step():
@@ -646,20 +663,22 @@ def test_evolve_fast_path_matches_materialize_then_cap_after_capped_step():
     e = evolve_ensemble_step(e, P, 8, 10**9, gen(34))
     e = evolve_ensemble_step(e, P, 8, 60, gen(35))
     assert np.unique(e.parent_uid).size > 1
-    np.testing.assert_array_equal(e.weight * 60, np.round(e.weight * 60))
-    cap = 45
+    assert e.weight.dtype == np.int64 and e.weight.sum() == 60
+    # a cap other than the multiplicities' sum takes the float first level
+    _assert_fast_path_matches(e, 45, 98)
 
-    capped = evolve_ensemble_step(e, P, 8, cap, gen(98))
-    step_seed = np.uint64(gen(98).integers(0, 2**64, dtype=np.uint64))
-    full = evolve_ensemble_step(e, P, 8, 10**9, gen(98))
-    assert full.n_branches > cap
-    manual = _cap_keyed(full, cap, step_seed)
 
-    np.testing.assert_array_equal(capped.uid, manual.uid)
-    np.testing.assert_array_equal(capped.site, manual.site)
-    np.testing.assert_array_equal(capped.weight, manual.weight)
-    np.testing.assert_array_equal(capped.lineage_hash, manual.lineage_hash)
-    np.testing.assert_array_equal(capped.parent_uid, manual.parent_uid)
+def test_one_bin_step_keeps_multiplicities():
+    # a step too short to spread past one bin has a one-bin kernel: under
+    # the cap each parent keeps its integer multiplicity and its site
+    p = PhysicalParams(tau=1e-6)
+    assert branching._offset_kernel(p.tau, p)[0].size == 1
+    e = dataclasses.replace(initial_ensemble([3, 5, 8], [2, 1, 3]), params=p)
+    out = evolve_ensemble_step(e, p, 8, 6, gen(63))
+    assert out.weight.dtype == np.int64
+    np.testing.assert_array_equal(out.weight, e.weight)
+    np.testing.assert_array_equal(out.site, e.site)
+    np.testing.assert_array_equal(out.parent_uid, e.uid)
 
 
 @st.composite
@@ -698,7 +717,7 @@ def test_every_geometry_shares_one_offset_kernel(p, start, seed):
     assert full.n_branches > cap
 
     step_seed = np.uint64(gen(seed + 1).integers(0, 2**64, dtype=np.uint64))
-    manual = _cap_keyed(full, cap, step_seed)
+    manual = _cap_keyed(full, cap, step_seed, group_mass=e.weight)
     for name in ("uid", "site", "weight", "lineage_hash", "parent_uid"):
         np.testing.assert_array_equal(getattr(capped, name), getattr(manual, name))
 
@@ -986,6 +1005,28 @@ def test_uniqueness_passes_for_engine_output():
     rep = verify_tag_uniqueness(e)
     assert rep.passed
     assert rep.n_branches == e.n_branches
+
+
+def test_child_hashes_distinct_over_a_capped_run():
+    # every (parent hash, event, bin) triple of a 300-step capped run is
+    # distinct, so every child hash the run makes from them must be too:
+    # all offspring rows' hashes, of which the survivors' are a subset
+    e = midbox_ensemble(P)
+    r = gen(62)
+    nk = branching._offset_kernel(P.tau, P)[0].size
+    rows, survivors = [], []
+    for _ in range(300):
+        out = evolve_ensemble_step(e, P, 8, 400, r)
+        rows.append(lineage_hash_child(
+            np.repeat(e.lineage_hash, nk), out.time, np.tile(np.arange(nk), e.n_branches)
+        ))
+        survivors.append(out.lineage_hash)
+        e = out
+    h = np.sort(np.concatenate(rows))
+    assert h.size > 2_000_000
+    assert np.all(h[1:] != h[:-1])
+    s = np.concatenate(survivors)
+    np.testing.assert_array_equal(h[np.searchsorted(h, s)], s)
 
 
 def test_uniqueness_catches_duplicate_lineage():

@@ -39,39 +39,39 @@ CASES = {
 # (series sha256, summary sha256)
 GOLDEN = {
     "born_test": (
-        "43be2f8309dd7fbc1e764d686543736e8617fee82b5e7aa4fcbd10ee4d51be8f",
+        "f32c741b37272df999f28439c8ccce4132be4c40720091decf09555cf15faebb",
         "dcbd1643685bfdb02c131aeb248502166a247cc3cce7f04067f8dc4f97a237ba",
     ),
     "collapse_compare": (
-        "3287a6f3469c2569dc4f4b0f795b20f431a3cfb0cef909a6e0cbbbbb7ad41aa0",
-        "bf9c8fedc65d0e8914dca86868a50468b94e21bf2786b6bb8a2d3af0efbae334",
+        "9907498742b96015785bbd473755b90c1f774eb7b30a3ede6028968526a6558b",
+        "8bf5fdd66083a45fa0d88c537db3133edfd4f1a9a349ab9a5e0295d9d4e49705",
     ),
     "freespread": (
-        "63c4bc550a4f2fdd992d9f3e3d1c68ae93691b08343c102b5a86c56101e7cea9",
-        "f725e908eb70fd27b5c941d46a862fed7aa63879a7fa6090cbe1d57c4db2c8e5",
+        "411f0f295cd65af1f6e1ca960cee57d1b403d2503a0c187e0f5f75e721246102",
+        "3c30e4ed0ae85ff3f40b238dc4d47c1d7b4a304d10a79d3179e2c81d712e74ec",
     ),
     "liouville_check": (
         "957fa089f612f59d48d2c0b4f4bd5a4416ca9dede2fc8255b2e66bc6edbe3bd9",
         "737772bfabf5c949359c1488c9c3a79d24233b23f6ece42f88e5f9a9cc25ac54",
     ),
     "midbox": (
-        "0125b629a44667c5a66b0a7123427159e782342220b366c084dad72a5a58af1b",
-        "277653aa3a229fb543abfaeb919ab6cae966509822e0e76137aedc7ef286cc89",
+        "f4f1a96976add6a46997cfc61acae756390ba53b05ff930ace171e5dae744d26",
+        "d5f106fce5e13723d69c45bdc314014cbb496adf1e14942c031f10170999dd93",
     ),
     "midbox_capped_distinct": (
-        "1e977bc6d2110e53768078d59149f4625d64e05dfc8831266131be87ec30f7a7",
-        "0561248c22b94a88521abf517e0fc061ce7c7dbf92dc413f489ba9a16b19db26",
+        "1f6a6c86af3975a2f0c4bdc28c8617ec9250ddfaa1d7e0af1398eb89c407db22",
+        "fcf9f9e534ea793f7157a3fa6388c3085499fdc7f9070b14f7b1e5d2d9c9a474",
     ),
     "midbox_collapse_poisson": (
-        "6da5df288bc16ef316f65a4eff9513ea352339c31816917e173f2a0c616cdc43",
-        "3351debc5564f7affcecc76e2a0d42c5b644c41873aaa3a730318849da9aea7e",
+        "6d20233405a945993f666e194a0a88c98dd011cf917cb6f9e4a1b3fb8504439a",
+        "03aa19a9eb508c49af9bfe1abf8c6b5ec2d4b9bdc888252009d4f424ac3f9cd1",
     ),
     "midbox_offlattice": (
-        "ca16ae9e03279271e6f0ac6cea12f89ea9ad82990838eedb4c73923f365de90e",
-        "f2597d00c4393c9682af0dc14df160b867e1564b7e5b384d7a467f7f49222974",
+        "2d3ed9808e37b5edae47d8c878b897e149f4b8c649416a13737fa201652440ee",
+        "dd4422b7dd753d613fe671ffa6af34b263f70365b25a4f5c0aa734673d81941a",
     ),
     "peres_test": (
-        "aa0d275a2fd208e9eec3ec1d19e18f14a43b014995bfc41fa848d1d276e1ee27",
+        "0172a326c4c7d97e224e34265fe662717df6397f955b5ea6a6d48a2723346d9c",
         "e12c9d6c0b683568548abf696eab15630028448a4d7a1d7c08e7d7d71ea3e0c6",
     ),
 }

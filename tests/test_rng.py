@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from branchbox import rng
 from branchbox.rng import (
     KEY_CAP,
     KEY_PRUNE,
@@ -122,3 +123,11 @@ def test_lineage_child_vectorizes():
     for i in (0, 5, 63):
         assert int(kids[i]) == int(lineage_hash_child(parents[i], 2.5, i))
     assert np.unique(kids).size == 64
+
+
+def test_unit_uniform_extremes_stay_inside_the_unit_interval(monkeypatch):
+    # the all-ones and all-zeros bit patterns map to 1 - 2**-53 and 2**-53
+    monkeypatch.setattr(rng, "splitmix64", lambda key: np.asarray(key, dtype=np.uint64))
+    u = unit_uniform(np.array([2**64 - 1, 0], dtype=np.uint64))
+    np.testing.assert_array_equal(u, [1.0 - 2.0**-53, 2.0**-53])
+    assert u[0] < 1.0

@@ -1,5 +1,6 @@
 """Ensemble statistics: histograms, fits, frequency tests, z-comparisons."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -65,6 +66,16 @@ def test_variance_includes_packet_width():
     assert ensemble_position_variance(e) == pytest.approx(0.49, rel=1e-15)
 
 
+def test_variance_is_translation_invariant_far_from_the_origin():
+    # freespread's box is 10 000 wide: shifting an ensemble 5000 along it
+    # must keep its variance to 1e-12, which E[x^2] - mean^2 does not
+    p = PhysicalParams(L=10_000.0)
+    sites, weights = [0, 1, 3, 4, 9], [0.1, 0.3, 0.2, 0.25, 0.15]
+    near = ensemble_position_variance(weighted_ensemble(sites, weights, p=p, origin=5.3))
+    far = ensemble_position_variance(weighted_ensemble(sites, weights, p=p, origin=5005.3))
+    assert far == pytest.approx(near, rel=1e-12)
+
+
 def test_moments_fold_unfolded_sites():
     # sites past the walls read as their mirror images: -4 -> 2 and
     # 36 -> 18 at pitch 0.5 in a box of 20
@@ -87,6 +98,12 @@ def test_effective_branch_count_kish():
 def test_effective_branch_count_count_mode():
     e = midbox_ensemble(P, "count", multiplicity=7)
     assert effective_branch_count(e) == pytest.approx(1.0)
+    # integer masses are squared as floats: 4e9 squared overflows int64
+    hits = dataclasses.replace(
+        weighted_ensemble([2, 4], [0.5, 0.5]), weight=np.array([4_000_000_000, 1])
+    )
+    expected = (4e9 + 1) ** 2 / (4e9**2 + 1)
+    assert effective_branch_count(hits) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
