@@ -5,9 +5,9 @@ The branching engine never touches a wavefunction; everything it claims
 evolution, absence of recoherence for tagged components, diffusive
 spreading) has an exact counterpart on a modest position grid.  This
 module provides that counterpart: hard-wall box Hamiltonians, unitary
-propagation by eigendecomposition, the width-w Gaussian localization
-channel, von Neumann entropy, interference visibility, and a classical
-reflected random walk.
+propagation in their closed-form DST-I sine eigenbasis, the width-w
+Gaussian localization channel, von Neumann entropy, interference
+visibility, and a classical reflected random walk.
 
 Grid convention: n interior points x_i = i*dx, i = 1..n, with dx =
 L/(n+1); hard walls sit at 0 and L.  Wavefunctions and density matrices
@@ -209,13 +209,8 @@ def random_mixed_state(
 # dynamics
 
 
-def build_box_hamiltonian(n: int, p: PhysicalParams) -> np.ndarray:
-    """Kinetic operator -(hbar^2/2m) d^2/dx^2 with hard walls at 0 and L.
-
-    Second-order central differences on the interior grid; Dirichlet
-    boundaries come from simply omitting the wall points.  The matrix is
-    real symmetric and positive definite.
-    """
+def _box_kinetic_scale(n: int, p: PhysicalParams) -> float:
+    """k = hbar^2/(2 m dx^2) of a box grid with n >= 32 and dx <= w/4."""
     if n < 32:
         raise ValueError(f"grid size must be >= 32, got {n}")
     dx = p.L / (n + 1)
@@ -223,7 +218,17 @@ def build_box_hamiltonian(n: int, p: PhysicalParams) -> np.ndarray:
         raise ValueError(
             f"dx = {dx} does not resolve the localization width (need dx <= w/4 = {p.w / 4.0})"
         )
-    k = p.hbar**2 / (2.0 * p.m * dx * dx)
+    return p.hbar**2 / (2.0 * p.m * dx * dx)
+
+
+def build_box_hamiltonian(n: int, p: PhysicalParams) -> np.ndarray:
+    """Kinetic operator -(hbar^2/2m) d^2/dx^2 with hard walls at 0 and L.
+
+    Second-order central differences on the interior grid; Dirichlet
+    boundaries come from simply omitting the wall points.  The matrix is
+    real symmetric and positive definite.
+    """
+    k = _box_kinetic_scale(n, p)
     h = np.zeros((n, n))
     np.fill_diagonal(h, 2.0 * k)
     idx = np.arange(n - 1)
@@ -233,43 +238,39 @@ def build_box_hamiltonian(n: int, p: PhysicalParams) -> np.ndarray:
 
 
 class UnitaryPropagator:
-    """Cached eigendecomposition of H for repeated exact unitary steps."""
+    """Exact unitary evolution under ``build_box_hamiltonian(n, p)``.
 
-    def __init__(self, hamiltonian: np.ndarray, p: PhysicalParams):
-        if np.abs(hamiltonian - hamiltonian.conj().T).max() > 1e-12:
-            raise ValueError("Hamiltonian must be Hermitian")
-        self.energies, self.vectors = np.linalg.eigh(hamiltonian)
+    H is k times the Dirichlet second difference, whose eigenpairs are the
+    DST-I sine basis (Strang, SIAM Review 41, 1999), so no eigensolver runs:
+    E_j = 2k(1 - cos(pi j/(n+1))) = 4k sin^2(pi j/(2(n+1))), ascending, and
+    V_ij = sqrt(2/(n+1)) sin(pi i j/(n+1)), real, symmetric and orthogonal.
+    """
+
+    def __init__(self, n: int, p: PhysicalParams):
+        k = _box_kinetic_scale(n, p)
+        j = np.arange(1, n + 1)
+        self.energies = 4.0 * k * np.sin(j * (math.pi / (2 * (n + 1)))) ** 2
+        # i*j reduced mod 2(n+1) keeps every sine argument in [0, 2 pi)
+        arg = (np.outer(j, j) % (2 * (n + 1))) * (math.pi / (n + 1))
+        self.vectors = math.sqrt(2.0 / (n + 1)) * np.sin(arg)
         self.hbar = p.hbar
 
     def propagate(self, psi: GridWavefunction, t: float) -> GridWavefunction:
         """Pure state psi -> exp(-i H t / hbar) psi, exact in the energy basis."""
-        amp_e = self.vectors.conj().T @ psi.amplitudes
-        amp = self.vectors @ (np.exp(-1j * self.energies * t / self.hbar) * amp_e)
+        v = self.vectors
+        amp = v @ (np.exp(-1j * self.energies * t / self.hbar) * (v.T @ psi.amplitudes))
         return GridWavefunction(amp, psi.dx)
-
-    def step(self, rho: GridDensityMatrix, dt: float) -> GridDensityMatrix:
-        """One step rho -> U rho U+ with U = exp(-i H dt / hbar)."""
-        phase = np.exp(-1j * self.energies * dt / self.hbar)
-        u = (self.vectors * phase) @ self.vectors.conj().T
-        out = u @ rho.elements @ u.conj().T
-        return GridDensityMatrix(0.5 * (out + out.conj().T), rho.dx)
 
     def evolve(self, rho: GridDensityMatrix, dt: float, n_steps: int) -> GridDensityMatrix:
         """n_steps unitary steps of size dt, composed in the energy basis.
 
-        Identical to repeated step() up to basis-change roundoff, but the
-        per-step work is one elementwise phase multiplication instead of
-        three matrix products.
+        The n_steps phase factors compose into one power, applied once.
         """
         if n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {n_steps}")
         v = self.vectors
-        rho_e = v.conj().T @ rho.elements @ v
-        phase = np.exp(-1j * self.energies * dt / self.hbar)
-        step_factor = np.outer(phase, phase.conj())
-        for _ in range(n_steps):
-            np.multiply(rho_e, step_factor, out=rho_e)
-        out = v @ rho_e @ v.conj().T
+        phase = np.exp(-1j * self.energies * dt / self.hbar) ** n_steps
+        out = v @ (np.outer(phase, phase.conj()) * (v.T @ rho.elements @ v)) @ v.T
         return GridDensityMatrix(0.5 * (out + out.conj().T), rho.dx)
 
 

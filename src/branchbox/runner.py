@@ -43,7 +43,6 @@ from .config import LIOUVILLE_GRID, PERES_GRID, RunConfig, config_lines
 from .density import (
     GridDensityMatrix,
     UnitaryPropagator,
-    build_box_hamiltonian,
     classical_random_walk_oracle,
     fringe_content,
     grid_points,
@@ -469,7 +468,7 @@ def _scenario_peres(c: RunConfig):
     # flight time to overlap: packets spread as hbar t / (2 m w) for
     # t >> 2 m w^2 / hbar, so both reach the midpoint around t*
     t_star = 2.0 * p.m * half_sep * p.w / p.hbar
-    prop = UnitaryPropagator(build_box_hamiltonian(PERES_GRID, p), p)
+    prop = UnitaryPropagator(PERES_GRID, p)
 
     left = packet_state(PERES_GRID, p, c_left, p.w**2)
     right = packet_state(PERES_GRID, p, c_right, p.w**2)
@@ -524,8 +523,7 @@ def _scenario_peres(c: RunConfig):
 
 def _scenario_liouville(c: RunConfig):
     p = c.params
-    hamiltonian = build_box_hamiltonian(LIOUVILLE_GRID, p)
-    prop = UnitaryPropagator(hamiltonian, p)
+    prop = UnitaryPropagator(LIOUVILLE_GRID, p)
     x, dx = grid_points(LIOUVILLE_GRID, p)
     # the coarse bin of each grid point, fixed for the run
     edges = np.linspace(0.0, p.L, c.bins + 1)
@@ -535,16 +533,16 @@ def _scenario_liouville(c: RunConfig):
     rho = random_mixed_state(LIOUVILLE_GRID, p, _derived_rng(c.seed, _TAG_SERIES_STATE))
     rows = [_density_row(rho.density(), x, dx, which, 0.0, c)]
     v = prop.vectors
-    v_conj = v.conj()
-    rho_e = v_conj.T @ rho.elements @ v
+    rho_e = v.T @ rho.elements @ v
     phase = np.exp(-1j * prop.energies * p.tau / p.hbar)
     step_factor = np.outer(phase, phase.conj())
-    # in place: a fresh 128x128 complex temporary per step is above glibc's
-    # mmap threshold, so each one would cost a map/unmap pair
-    buf = np.empty_like(rho_e)
+    # v is real and rho_e Hermitian, so diag(v rho_e v^T) reads only
+    # Re(rho_e): one real matmul per step, into buffers reused across steps
+    real, buf = np.empty(rho_e.shape), np.empty(rho_e.shape)
     for k in range(1, c.steps + 1):
         np.multiply(rho_e, step_factor, out=rho_e)
-        diag = np.einsum("ij,ij->i", np.matmul(v, rho_e, out=buf), v_conj).real
+        np.copyto(real, rho_e.real)
+        diag = np.einsum("ij,ij->i", np.matmul(v, real, out=buf), v)
         rows.append(_density_row(diag, x, dx, which, k * p.tau, c))
 
     # entropy conservation under pure unitary evolution

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 
 def gaussian_pdf(x, mean, sigma):
@@ -212,3 +213,10 @@ def pool_small_cells_rescan(observed, expected, min_expected=5.0):
         exp[j] += exp[i]
         del obs[i], exp[i]
     return np.array(obs), np.array(exp)
+
+
+def unitary_step(hamiltonian, rho, dt, hbar=1.0):
+    """rho -> U rho U^+ with U = exp(-i H dt / hbar) from a dense matrix
+    exponential, with no use of H's eigenbasis."""
+    u = expm(-1j * np.asarray(hamiltonian) * dt / hbar)
+    return u @ rho @ u.conj().T

@@ -160,32 +160,87 @@ def test_hamiltonian_validation():
 
 def test_unitary_step_preserves_state_properties():
     n = 128
-    h = build_box_hamiltonian(n, P)
     rng = np.random.Generator(np.random.PCG64(9))
     rho = random_mixed_state(n, P, rng, rank=3)
     s0 = von_neumann_entropy(rho)
-    out = UnitaryPropagator(h, P).step(rho, 0.7)
+    out = UnitaryPropagator(n, P).evolve(rho, 0.7, 1)
     assert float(np.trace(out.elements).real) * out.dx == pytest.approx(1.0, abs=1e-10)
     assert abs(von_neumann_entropy(out) - s0) < 1e-10
 
 
+@pytest.mark.parametrize("n, L", [(128, 20.0), (256, 40.0)])
+def test_propagator_closed_form_matches_eigh(n, L):
+    # the Liouville and Peres grids at their acceptance boxes
+    p = PhysicalParams(L=L)
+    h = build_box_hamiltonian(n, p)
+    u = UnitaryPropagator(n, p)
+    energies, vectors = np.linalg.eigh(h)
+    # eigh's own error is ~1e-16 of the spectrum's top, which near E_1 is
+    # 1.3e-12 relative at n = 256: compare on that (norm-relative) scale
+    np.testing.assert_allclose(u.energies, energies, rtol=0, atol=1e-12 * energies[-1])
+    signs = np.sign(np.sum(vectors * u.vectors, axis=0))
+    np.testing.assert_allclose(u.vectors, vectors * signs, rtol=0, atol=1e-12)
+    v = u.vectors
+    np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-12)
+    np.testing.assert_allclose((v * u.energies) @ v.T, h, rtol=0, atol=1e-12 * energies[-1])
+    np.testing.assert_array_equal(v, v.T)
+
+
+def test_propagator_energies_relative_accuracy():
+    # the sin^2 form keeps full relative precision down to E_1, where
+    # 2k(1 - cos) cancels about four digits; reference in extended precision
+    n = 256
+    p = PhysicalParams(L=40.0)
+    k = np.longdouble(p.hbar**2 / (2.0 * p.m * (p.L / (n + 1)) ** 2))
+    j = np.arange(1, n + 1, dtype=np.longdouble)
+    exact = 4 * k * np.sin(j * np.pi / (2 * np.longdouble(n + 1))) ** 2
+    got = UnitaryPropagator(n, p).energies
+    assert float(np.max(np.abs(got / exact - 1))) < 1e-14
+
+
+def test_propagator_refuses_unresolved_grids():
+    # the grid rules are build_box_hamiltonian's
+    limit = 129 / 4  # n = 128 resolves w = 1 up to dx = L/129 = w/4
+    for n, L, match in ((16, 20.0, "grid size"), (31, 20.0, "grid size"),
+                        (64, 20.0, "does not resolve"),
+                        (128, math.nextafter(limit, math.inf), "does not resolve")):
+        p = PhysicalParams(L=L)
+        with pytest.raises(ValueError, match=match):
+            build_box_hamiltonian(n, p)
+        with pytest.raises(ValueError, match=match):
+            UnitaryPropagator(n, p)
+    UnitaryPropagator(128, PhysicalParams(L=limit))
+
+
 def test_propagator_evolve_matches_repeated_step():
     n = 128
+    u = UnitaryPropagator(n, P)
     h = build_box_hamiltonian(n, P)
-    u = UnitaryPropagator(h, P)
     rng = np.random.Generator(np.random.PCG64(10))
     rho = random_mixed_state(n, P, rng, rank=2)
-    stepped = rho
+    stepped = rho.elements
     for _ in range(5):
-        stepped = u.step(stepped, 0.3)
+        stepped = reference.unitary_step(h, stepped, 0.3, P.hbar)
     fast = u.evolve(rho, 0.3, 5)
-    np.testing.assert_allclose(fast.elements, stepped.elements, atol=1e-12)
+    np.testing.assert_allclose(fast.elements, stepped, atol=1e-12)
+
+
+def test_propagator_evolve_is_one_phase_power():
+    n = 128
+    u = UnitaryPropagator(n, P)
+    rho = random_mixed_state(n, P, np.random.Generator(np.random.PCG64(11)), rank=4)
+    many = u.evolve(rho, P.tau, 1000)
+    once = u.evolve(rho, 1000 * P.tau, 1)
+    np.testing.assert_allclose(many.elements, once.elements, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(u.evolve(rho, P.tau, 0).elements, rho.elements,
+                               rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="n_steps"):
+        u.evolve(rho, P.tau, -1)
 
 
 def test_energy_eigenstate_is_stationary():
     n = 128
-    h = build_box_hamiltonian(n, P)
-    u = UnitaryPropagator(h, P)
+    u = UnitaryPropagator(n, P)
     psi = GridWavefunction(
         u.vectors[:, 2].astype(complex) / math.sqrt(P.L / (n + 1)), P.L / (n + 1)
     )
@@ -194,19 +249,11 @@ def test_energy_eigenstate_is_stationary():
     np.testing.assert_allclose(out.elements, rho.elements, atol=1e-12)
 
 
-def test_propagator_rejects_non_hermitian():
-    h = build_box_hamiltonian(128, P)
-    h[0, 1] *= 2.0
-    with pytest.raises(ValueError):
-        UnitaryPropagator(h, P)
-
-
 def test_packet_spreading_follows_schroedinger():
     # true QM spreading of a minimum packet: var(t) = var0 + (hbar t / (2 m sigma0))^2
     n = 512
-    h = build_box_hamiltonian(n, P)
     psi = packet_state(n, P, 10.0, 1.0)
-    out = UnitaryPropagator(h, P).propagate(psi, 1.0)
+    out = UnitaryPropagator(n, P).propagate(psi, 1.0)
     _, var = measured_moments(out)
     expected = 1.0 + (P.hbar * 1.0 / (2.0 * P.m * 1.0)) ** 2
     assert var == pytest.approx(expected, rel=1e-3)

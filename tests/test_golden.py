@@ -51,8 +51,8 @@ GOLDEN = {
         "3c30e4ed0ae85ff3f40b238dc4d47c1d7b4a304d10a79d3179e2c81d712e74ec",
     ),
     "liouville_check": (
-        "957fa089f612f59d48d2c0b4f4bd5a4416ca9dede2fc8255b2e66bc6edbe3bd9",
-        "737772bfabf5c949359c1488c9c3a79d24233b23f6ece42f88e5f9a9cc25ac54",
+        "1745a34d45444461f255e3f47d3dfd7cfbf9986e7a1561fee5cda2102687bba5",
+        "c40529288908573f33e65c4c39dbed31cf7b26ba9c1a8f0eb4a963af3fbdbddc",
     ),
     "midbox": (
         "f4f1a96976add6a46997cfc61acae756390ba53b05ff930ace171e5dae744d26",
@@ -72,7 +72,7 @@ GOLDEN = {
     ),
     "peres_test": (
         "0172a326c4c7d97e224e34265fe662717df6397f955b5ea6a6d48a2723346d9c",
-        "e12c9d6c0b683568548abf696eab15630028448a4d7a1d7c08e7d7d71ea3e0c6",
+        "9e0cfc46fe57f09e7a1138c64cc78bfba7f147ced4c997a6ec5523962e5b09a4",
     ),
 }
 

@@ -287,6 +287,29 @@ def test_liouville_runs_at_its_grid_limit(tmp_path):
     assert run_scenario(c).passed
 
 
+def test_liouville_series_is_the_evolved_density():
+    # the series loop reads each step's diagonal from Re(rho_e) with one
+    # real matmul; UnitaryPropagator.evolve is the independent path
+    from branchbox import runner
+    from branchbox.config import LIOUVILLE_GRID
+    from branchbox.density import UnitaryPropagator, grid_points, random_mixed_state
+
+    c = parse_config("", {"scenario": "liouville_check", "steps": 20, "seed": 2025})
+    rows = runner._scenario_liouville(c)[0]
+    p = c.params
+    rho0 = random_mixed_state(
+        LIOUVILLE_GRID, p, runner._derived_rng(c.seed, runner._TAG_SERIES_STATE))
+    prop = UnitaryPropagator(LIOUVILLE_GRID, p)
+    x, _ = grid_points(LIOUVILLE_GRID, p)
+    mean_col, var_col = CSV_COLUMNS.index("mean_x"), CSV_COLUMNS.index("var_x")
+    for k in (1, 7, 20):
+        prob = np.maximum(prop.evolve(rho0, p.tau, k).density(), 0.0)
+        prob /= prob.sum()
+        mean = prob @ x
+        assert rows[k][mean_col] == pytest.approx(mean, rel=1e-12, abs=0)
+        assert rows[k][var_col] == pytest.approx(prob @ (x - mean) ** 2, rel=1e-12, abs=0)
+
+
 def test_peres_runs_at_its_grid_limit(tmp_path):
     # the largest box RunConfig accepts for w = 1 runs and passes all checks
     c = parse_config("", {"scenario": "peres_test", "L": 64.25, "steps": 3,
