@@ -51,7 +51,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .model import PhysicalParams, bin_weights, reflect_center, spread_variance
+from .model import PhysicalParams, bin_weights, reflect_center
 from .rng import (
     GAMMA,
     KEY_CAP,
@@ -164,18 +164,45 @@ class Ensemble:
     def position_masses(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct positions in [0, L] of the branches and their normalized masses.
 
-        Masses summed per unfolded site, only occupied sites folded, and sites
-        folded onto one position merged; built once, as every observable reads it.
+        Masses summed per unfolded site, then per position the sites fold onto
+        (``_fold_index``), where empty sites add exact zeros; built once, as
+        every observable reads it.
         """
         lo = self.site.min()
         mass = np.bincount(self.site - lo, weights=self.weight / self.weight.sum())
-        occupied = np.flatnonzero(mass > 0)
-        x, which = np.unique(self.position(occupied + lo), return_inverse=True)
-        return x, np.bincount(which, weights=mass[occupied])
+        first, x, which = _fold_index(self, lo, lo + mass.size)
+        m = np.bincount(which[lo - first:][:mass.size], weights=mass, minlength=x.size)
+        hit = np.flatnonzero(m)
+        return x[hit], m[hit]
 
     def masses(self) -> np.ndarray:
         """Statistical mass per branch: Born weights or integer counts."""
         return self.weight
+
+
+# Fold indexes by (origin, pitch, L).  Walks drift, so an index grows by half its
+# width on each side when a row's sites leave it; past half the size bound it
+# restarts from the row's sites, padded up to the bound.
+_FOLD_INDEXES: dict[tuple[float, float, float], tuple[int, np.ndarray, np.ndarray]] = {}
+_MAX_FOLD_GEOMETRIES = 8
+_MAX_FOLD_SITES = 1 << 18
+
+
+def _fold_index(e: Ensemble, lo: int, stop: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(first site, distinct positions, each site's index) of a range over lo .. stop-1."""
+    key = (e.origin, e.params.bin_width(), e.params.L)
+    first, _, which = index = _FOLD_INDEXES.pop(key, (lo, None, np.empty(0)))
+    if lo < first or stop > first + which.size:
+        grown = min(lo, first), max(stop, first + which.size)
+        if grown[1] - grown[0] <= _MAX_FOLD_SITES // 2:
+            lo, stop = grown
+        pad = max(0, min(stop - lo, _MAX_FOLD_SITES - (stop - lo)) // 2)
+        sites = np.arange(lo - pad, stop + pad, dtype=np.int64)
+        index = (lo - pad, *np.unique(e.position(sites), return_inverse=True))
+    _FOLD_INDEXES[key] = index
+    if len(_FOLD_INDEXES) > _MAX_FOLD_GEOMETRIES:
+        del _FOLD_INDEXES[next(iter(_FOLD_INDEXES))]
+    return index
 
 
 def _midbox_site(p: PhysicalParams) -> int:
@@ -468,10 +495,9 @@ def _offset_kernel(dt: float, p: PhysicalParams):
     w is binned at the lattice pitch around 0.
     """
     w2 = p.w**2
-    # spread on an array: there x**2 is the rounded exact square, while a
-    # scalar ** goes through pow() and can differ in the last bit
-    spread = float(spread_variance(np.full(1, w2), dt, p)[0]) - w2
-    rel, kern = bin_weights(0.0, spread, p.bin_width())
+    # spread_variance's rounding on an array: x**2 is d * d there, not pow()
+    d = dt * p.hbar / (p.m * math.sqrt(w2))
+    rel, kern = bin_weights(0.0, (w2 + d * d) - w2, p.bin_width())
     return np.rint(rel / p.bin_width()).astype(np.int64), kern
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 _U64 = np.uint64
+_MASK = (1 << 64) - 1
 
 # splitmix64's increment, the golden-ratio gamma
 GAMMA = _U64(0x9E3779B97F4A7C15)
@@ -35,31 +36,29 @@ KEY_ROOT = _U64(0xD6E8FEB86659FD93)
 def splitmix64(x):
     """One splitmix64 mixing round; accepts a uint64 scalar or array.
 
-    uint64 arithmetic wraps mod 2^64, so no masking is needed.  The array
-    path mixes one fresh array in place; scalars take the plain form,
-    which is faster for them.
+    A scalar is mixed in Python integers (numpy scalar arithmetic costs
+    more) and returned as uint64; an array, in place in one fresh copy.
     """
-    x = np.asarray(x, dtype=_U64)
-    with np.errstate(over="ignore"):
-        if x.ndim == 0:
-            z = x + GAMMA
-            z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-            return z ^ (z >> _U64(31))
-        z = x + GAMMA
-        z ^= z >> _U64(30)
-        z *= _U64(0xBF58476D1CE4E5B9)
-        z ^= z >> _U64(27)
-        z *= _U64(0x94D049BB133111EB)
-        z ^= z >> _U64(31)
-        return z
+    if isinstance(x, (int, np.generic)) or np.ndim(x) == 0:
+        z = (int(x) + 0x9E3779B97F4A7C15) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return _U64(z ^ (z >> 31))
+    z = np.asarray(x, dtype=_U64) + GAMMA
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
 
 def mix(*parts):
     """Fold any number of uint64 scalars/arrays into one well-mixed key."""
     acc = _U64(0x8BADF00D5EEDC0DE)
     for p in parts:
-        acc = splitmix64(acc ^ np.asarray(p, dtype=_U64))
+        scalar = isinstance(p, (int, np.generic)) and isinstance(acc, np.generic)
+        acc = splitmix64(int(acc) ^ int(p) if scalar else acc ^ np.asarray(p, dtype=_U64))
     return acc
 
 
@@ -72,7 +71,9 @@ def unit_uniform(key):
     """Map uint64 keys to uniforms in (0, 1); vectorized, deterministic."""
     bits = splitmix64(key)
     # 52 bits offset by half their ulp: 2**-53 .. 1 - 2**-53, each exact
-    return (np.asarray(bits >> _U64(12), dtype=np.float64) + 0.5) * 2.0**-52
+    if isinstance(bits, np.generic):
+        return np.float64(((int(bits) >> 12) + 0.5) * 2.0**-52)
+    return (np.asarray(bits >> 12, dtype=np.float64) + 0.5) * 2.0**-52
 
 
 def lineage_hash_root(index: int | np.ndarray):

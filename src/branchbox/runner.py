@@ -58,15 +58,16 @@ from .model import PhysicalParams, bin_weights, spread_variance
 from .rng import lineage_hash_child, mix
 from .stats import (
     VarianceSeries,
+    _coarse_entropy,
+    _coarse_histogram,
+    _mixture_variance,
+    _tv_to_uniform,
     chi_square_frequencies,
     coarse_entropy,
     effective_branch_count,
-    ensemble_position_mean,
-    ensemble_position_variance,
     expectation_compare,
     fit_diffusion,
     pool_small_cells,
-    position_histogram,
     position_square,
     position_value,
     sample_branch_centers,
@@ -178,11 +179,13 @@ def _derived_rng(seed: int, tag: int) -> np.random.Generator:
 
 
 def _series_row(e: Ensemble, c: RunConfig) -> tuple:
-    h = position_histogram(e, c.params, c.bins)
+    # e has c.params, whose bins RunConfig validated: the kernels skip the checks
+    x, m = e.position_masses
+    mean = float(m @ x)
+    h = _coarse_histogram(x, m, math.sqrt(e.variance), c.params.L, c.bins)
     return (
-        float(e.time), e.n_branches, effective_branch_count(e),
-        ensemble_position_mean(e), ensemble_position_variance(e),
-        coarse_entropy(h), tv_to_uniform(h),
+        float(e.time), e.n_branches, effective_branch_count(e), mean,
+        _mixture_variance(x, m, mean, e.variance), _coarse_entropy(h), _tv_to_uniform(h),
     )
 
 

@@ -7,11 +7,12 @@ component's Gaussian over each bin (fold-by-images at the walls) instead
 of point-assigning centers, so results are exact for the mixture and do
 not depend on the branching lattice.  Mean, variance and histogram read
 one aggregation, built once per ensemble (``Ensemble.position_masses``):
-branch masses summed per unfolded lattice site, only the occupied sites
-folded into the box, and sites folded onto one position merged.  A
+branch masses summed per unfolded lattice site, then per position the
+sites fold onto, looked up in a fold table kept per geometry.  A
 position's folded bin masses depend only on that position, the packet
 width, L and the bin count, so they are computed once per distinct
-position and reused by every later histogram of the same geometry.
+position and reused by every later histogram of the same geometry.  Series
+rows read the aggregation once, through the unchecked private kernels.
 
 The checks (diffusion fit, chi-square frequency test, collapse-vs-
 ensemble z-scores) are deliberately plain: ordinary least squares and
@@ -127,14 +128,17 @@ def ensemble_position_variance(e: Ensemble) -> float:
     centered first so a box far from the origin keeps every digit.
     """
     x, m = e.position_masses
-    d = x - float(m @ x)
-    return float(m @ (d * d)) + e.variance
+    return _mixture_variance(x, m, float(m @ x), e.variance)
+
+
+def _mixture_variance(x: np.ndarray, m: np.ndarray, mean: float, v: float) -> float:
+    return float(m @ np.square(x - mean)) + v
 
 
 def effective_branch_count(e: Ensemble) -> float:
-    """Kish effective sample size (sum m)^2 / sum m^2 of the branch masses."""
-    m = np.asarray(e.masses(), float)
-    return float(m.sum() ** 2 / (m * m).sum())
+    """Kish effective sample size (sum m)^2 / sum m^2 of the branch masses, in floats."""
+    m = e.masses()
+    return float(m.sum()) ** 2 / float(np.square(m, dtype=float).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -219,28 +223,38 @@ def position_histogram(e: Ensemble, p: PhysicalParams, k: int) -> np.ndarray:
             f"bin width L/k = {p.L / k} is finer than the localization width "
             f"w = {p.w}; coarse-graining requires L/k >= w"
         )
-    centers, masses = e.position_masses
-    h = masses @ _bin_mass_rows(centers, math.sqrt(e.variance), p.L, k)
+    return _coarse_histogram(*e.position_masses, math.sqrt(e.variance), p.L, k)
+
+
+def _coarse_histogram(x: np.ndarray, m: np.ndarray, s: float, L: float, k: int) -> np.ndarray:
+    h = m @ _bin_mass_rows(x, s, L, k)
     return h / h.sum()
 
 
-def tv_to_uniform(h: np.ndarray) -> float:
-    """Total-variation distance between a density vector and uniform."""
+def _density_vector(h) -> np.ndarray:
     h = np.asarray(h, float)
     if h.ndim != 1 or h.size < 1:
         raise ValueError("density vector must be 1-d and non-empty")
     if abs(h.sum() - 1.0) > 1e-6 or np.any(h < 0):
         raise ValueError("densities must be >= 0 and sum to 1")
+    return h
+
+
+def tv_to_uniform(h: np.ndarray) -> float:
+    """Total-variation distance between a density vector and uniform."""
+    return _tv_to_uniform(_density_vector(h))
+
+
+def _tv_to_uniform(h: np.ndarray) -> float:
     return float(0.5 * np.abs(h - 1.0 / h.size).sum())
 
 
 def coarse_entropy(h: np.ndarray) -> float:
     """Shannon entropy -sum h ln h of a density vector, in nats."""
-    h = np.asarray(h, float)
-    if h.ndim != 1 or h.size < 1:
-        raise ValueError("density vector must be 1-d and non-empty")
-    if abs(h.sum() - 1.0) > 1e-6 or np.any(h < 0):
-        raise ValueError("densities must be >= 0 and sum to 1")
+    return _coarse_entropy(_density_vector(h))
+
+
+def _coarse_entropy(h: np.ndarray) -> float:
     pos = h[h > 0]
     return float(-(pos @ np.log(pos)))
 

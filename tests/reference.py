@@ -116,6 +116,23 @@ def box_heat_bin_masses(x0, t, D, L, k, n_terms=400):
     return out
 
 
+def folded_site_masses(site, weight, origin, pitch, L):
+    """Distinct positions in [0, L] of branches on unfolded lattice sites, and
+    their normalized masses, folding only the occupied sites of this row.
+
+    Masses are summed per site, each occupied site's position origin +
+    site * pitch is folded by images (period 2L, the upper half mirrored),
+    and ``np.unique`` merges sites folded onto one position.
+    """
+    lo = site.min()
+    mass = np.bincount(site - lo, weights=weight / weight.sum())
+    occupied = np.flatnonzero(mass > 0)
+    y = np.mod(origin + (occupied + lo) * pitch, 2.0 * L)
+    y = np.where(y > L, 2.0 * L - y, y)
+    x, which = np.unique(y, return_inverse=True)
+    return x, np.bincount(which, weights=mass[occupied])
+
+
 def walk_chain_masses(kernel_sites, kernel_masses, start_site, top_site, steps):
     """Reflected lattice walk, dict-based: site index -> probability mass.
 

@@ -28,12 +28,14 @@ from branchbox.branching import (
     trajectory_seed,
     verify_tag_uniqueness,
 )
+from branchbox.config import parse_config
 from branchbox.model import PhysicalParams, bin_weights, reflect_center, spread_variance
 from branchbox.rng import lineage_hash_child, lineage_hash_root, mix
 from branchbox.runner import BORN_TOTAL_COUNT, _born_event
 from branchbox.stats import ensemble_position_mean, ensemble_position_variance
 
 import reference
+from test_config_space import ACCEPTANCE
 
 P = PhysicalParams()
 
@@ -146,6 +148,82 @@ def test_center_folds_unfolded_sites_into_the_box():
     np.testing.assert_array_equal(e.center, [0.0, 0.5, 1.5, 19.5, 0.5, 0.0, 20.0])
     np.testing.assert_array_equal(e.center, reflect_center(e.site * 0.5, P.L))
     assert e.variance == P.w**2
+
+
+# ---------------------------------------------------------------------------
+# the fold indexes
+
+
+def _assert_per_row_fold(e):
+    x, m = e.position_masses
+    rx, rm = reference.folded_site_masses(
+        e.site, e.weight, e.origin, e.params.bin_width(), e.params.L)
+    assert (x.tobytes(), m.tobytes()) == (rx.tobytes(), rm.tobytes())
+
+
+def _acceptance_run(overrides):
+    c = parse_config("", overrides)
+    # count mode does not evolve: born_test's geometry runs weighted
+    return c.params, "weighted" if c.mode == "count" else c.mode, None, c.max_branches, c.timing
+
+
+# (params, mode, start center, cap, timing)
+FOLD_RUNS = {o["scenario"]: _acceptance_run(o) for o in ACCEPTANCE} | {
+    "off-lattice w 0.3": (PhysicalParams(w=0.3), "weighted", None, 2000, "deterministic"),
+    # born_test's parent sits half a pitch off the lattice
+    "half-pitch origin": (P, "weighted", round(10.0 / 0.5) * 0.5 + 0.25, 2000, "poisson"),
+    "far start": (P, "weighted", -123_456.789, 2000, "deterministic"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_RUNS))
+def test_position_masses_equal_the_per_row_fold(case, monkeypatch):
+    monkeypatch.setattr(branching, "_FOLD_INDEXES", {})
+    p, mode, center, cap, timing = FOLD_RUNS[case]
+    e, rng = midbox_ensemble(p, mode, center=center), gen(17)
+    _assert_per_row_fold(e)
+    for _ in range(12):
+        e = evolve_ensemble_step(e, p, 8, cap, rng, timing=timing)
+        _assert_per_row_fold(e)
+
+
+def test_fold_index_grows_and_restarts_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(branching, "_FOLD_INDEXES", {})
+    monkeypatch.setattr(branching, "_MAX_FOLD_SITES", 256)
+    e, rng, ranges = midbox_ensemble(P), gen(4), []
+    for _ in range(300):
+        e = evolve_ensemble_step(e, P, 8, 40, rng, timing="poisson")
+        _assert_per_row_fold(e)
+        (first, _, which), = branching._FOLD_INDEXES.values()
+        ranges.append((first, first + which.size))
+        # a row wider than the bound gets a table of its own width
+        assert which.size <= max(256, np.ptp(e.site) + 1)
+    moves = [(a, b) for a, b in zip(ranges, ranges[1:]) if a != b]
+    grown = [a for a, b in moves if b[0] <= a[0] and a[1] <= b[1]]
+    assert grown and len(grown) < len(moves)
+
+
+def test_fold_indexes_stay_bounded(monkeypatch):
+    # a spreading walk rebuilds its table a few times, each with slack;
+    # geometries past the limit evict the oldest, and a table built afresh
+    # gives the aggregation a grown one gave, bit for bit
+    monkeypatch.setattr(branching, "_FOLD_INDEXES", {})
+    e, rng, tables = midbox_ensemble(P), gen(8), []
+    for _ in range(300):
+        e = evolve_ensemble_step(e, P, 8, 500, rng)
+        e.position_masses
+        table = branching._FOLD_INDEXES[(0.0, 0.5, 20.0)]
+        if not tables or table is not tables[-1]:
+            tables.append(table)
+    assert len(tables) <= 5
+    grown = e.position_masses
+    origins = [0.1 * i for i in range(1, 2 * branching._MAX_FOLD_GEOMETRIES)]
+    for origin in origins:
+        _assert_per_row_fold(dataclasses.replace(e, origin=origin))
+        assert len(branching._FOLD_INDEXES) <= branching._MAX_FOLD_GEOMETRIES
+    assert [o for o, _, _ in branching._FOLD_INDEXES] == origins[-branching._MAX_FOLD_GEOMETRIES:]
+    again = dataclasses.replace(e).position_masses
+    assert [a.tobytes() for a in again] == [g.tobytes() for g in grown]
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +798,19 @@ def test_every_geometry_shares_one_offset_kernel(p, start, seed):
     manual = _cap_keyed(full, cap, step_seed, group_mass=e.weight)
     for name in ("uid", "site", "weight", "lineage_hash", "parent_uid"):
         np.testing.assert_array_equal(getattr(capped, name), getattr(manual, name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=geometries(), m=st.floats(0.3, 3.0), hbar=st.floats(0.3, 3.0),
+       dt=st.floats(1e-3, 10.0))
+def test_offset_kernel_spreads_as_spread_variance_does_on_an_array(p, m, hbar, dt):
+    # the kernel's scalar spread rounds as spread_variance on one element
+    p = dataclasses.replace(p, m=m, hbar=hbar)
+    spread = float(spread_variance(np.full(1, p.w**2), dt, p)[0]) - p.w**2
+    rel, kern = bin_weights(0.0, spread, p.bin_width())
+    step, got = branching._offset_kernel(dt, p)
+    assert got.tobytes() == kern.tobytes()
+    np.testing.assert_array_equal(step, np.rint(rel / p.bin_width()))
 
 
 def test_evolve_wall_reflection_keeps_box():

@@ -6,6 +6,7 @@ from scipy import stats as sps
 
 from branchbox import rng
 from branchbox.rng import (
+    GAMMA,
     KEY_CAP,
     KEY_PRUNE,
     KEY_ROOT,
@@ -20,6 +21,9 @@ from branchbox.rng import (
 
 MASK = (1 << 64) - 1
 
+# the ends of the key range, its top bit alone and splitmix64's increment
+EDGE_KEYS = [0, 1, 1 << 63, MASK, int(GAMMA)]
+
 
 def splitmix64_oracle(x: int) -> int:
     """Reference mixing round in plain Python integers."""
@@ -30,7 +34,7 @@ def splitmix64_oracle(x: int) -> int:
 
 
 def test_splitmix64_matches_oracle():
-    inputs = [0, 1, 2, 0xDEADBEEF, MASK, (1 << 63) + 12345]
+    inputs = [0, 1, 2, 0xDEADBEEF, MASK, (1 << 63) + 12345] + EDGE_KEYS
     for x in inputs:
         assert int(splitmix64(np.uint64(x))) == splitmix64_oracle(x)
 
@@ -70,10 +74,28 @@ def test_mix_is_deterministic_and_order_sensitive():
 
 def test_mix_scalar_vs_array_agree():
     seed = np.uint64(123456789)
-    idx = np.arange(50, dtype=np.uint64)
+    idx = np.array(list(range(50)) + EDGE_KEYS, dtype=np.uint64)
     vec = mix(seed, idx)
-    for i in range(50):
-        assert int(vec[i]) == int(mix(seed, np.uint64(i)))
+    for i, key in enumerate(idx.tolist()):
+        assert int(vec[i]) == int(mix(seed, np.uint64(key)))
+
+
+def test_scalar_paths_equal_array_paths():
+    # scalars are mixed in Python integers, arrays in uint64 arithmetic
+    keys = EDGE_KEYS + np.random.default_rng(13).integers(
+        0, MASK, 1000, dtype=np.uint64, endpoint=True).tolist()
+    arr = np.array(keys, dtype=np.uint64)
+    mixed, uniform = splitmix64(arr), unit_uniform(arr)
+    pairs, events = mix(arr, arr[::-1]), mix(np.uint64(7), arr)
+    for i, key in enumerate(keys):
+        for scalar in (np.uint64(key), key, np.array(key, dtype=np.uint64)):
+            assert type(splitmix64(scalar)) is np.uint64 and splitmix64(scalar) == mixed[i]
+            assert type(unit_uniform(scalar)) is np.float64 and unit_uniform(scalar) == uniform[i]
+        assert type(mix(arr[i], arr[-1 - i])) is np.uint64
+        assert mix(arr[i], arr[-1 - i]) == pairs[i]
+        assert mix(np.uint64(7), key) == events[i]
+    assert mixed.dtype == pairs.dtype == events.dtype == np.uint64
+    assert uniform.dtype == np.float64
 
 
 def test_purpose_keys_distinct():

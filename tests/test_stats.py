@@ -14,6 +14,7 @@ from branchbox.branching import CollapseBatch, Ensemble, evolve_ensemble_step, m
 from branchbox.branching import apportion_counts
 from branchbox.model import PhysicalParams, bin_weights
 from branchbox.rng import lineage_hash_root
+from branchbox.runner import BORN_TOTAL_COUNT, _born_event
 from branchbox.stats import (
     VarianceSeries,
     chi_square_frequencies,
@@ -104,6 +105,28 @@ def test_effective_branch_count_count_mode():
     )
     expected = (4e9 + 1) ** 2 / (4e9**2 + 1)
     assert effective_branch_count(hits) == pytest.approx(expected, rel=1e-12)
+
+
+def test_effective_branch_count_of_counts_is_the_float_formula():
+    def kish_in_floats(e):
+        m = np.asarray(e.masses(), float)
+        return float(m.sum() ** 2 / (m * m).sum())
+
+    capped, rng = midbox_ensemble(P), np.random.Generator(np.random.PCG64(1))
+    for _ in range(6):
+        capped = evolve_ensemble_step(capped, P, 8, 100_000, rng)
+    assert capped.weight.dtype == np.int64 and capped.weight.sum() == 100_000
+    # born_test's event: its parent sits on a bin edge
+    start = midbox_ensemble(P, "count", multiplicity=BORN_TOTAL_COUNT, center=10.25)
+    _, _, born = _born_event(P, start, P.m * P.w**2 / (3.0 * P.hbar))
+    draws = np.random.default_rng(2).integers(1, 10**6, 5000)
+    random = dataclasses.replace(weighted_ensemble(np.arange(5000), np.full(5000, 2e-4)),
+                                 weight=draws)
+    for e in (capped, born, random):
+        assert e.weight.dtype == np.int64
+        assert effective_branch_count(e) == kish_in_floats(e)
+    # 2**40 squared overflows int64
+    assert effective_branch_count(midbox_ensemble(P, "count", multiplicity=2**40)) == 1.0
 
 
 # ---------------------------------------------------------------------------
