@@ -5,9 +5,9 @@ The branching engine never touches a wavefunction; everything it claims
 evolution, absence of recoherence for tagged components, diffusive
 spreading) has an exact counterpart on a modest position grid.  This
 module provides that counterpart: hard-wall box Hamiltonians, unitary
-propagation in their closed-form DST-I sine eigenbasis, the width-w
-Gaussian localization channel, von Neumann entropy, interference
-visibility, and a classical reflected random walk.
+propagation and O(n^2) position densities in their closed-form DST-I sine
+eigenbasis, the width-w Gaussian localization channel, von Neumann
+entropy, interference visibility, and a classical reflected random walk.
 
 Grid convention: n interior points x_i = i*dx, i = 1..n, with dx =
 L/(n+1); hard walls sit at 0 and L.  Wavefunctions and density matrices
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .model import PhysicalParams, reflect_center
 
@@ -36,6 +37,7 @@ __all__ = [
     "mixture_density",
     "random_mixed_state",
     "UnitaryPropagator",
+    "SineDiagonal",
     "grw_localization_channel",
     "von_neumann_entropy",
     "interference_visibility",
@@ -195,12 +197,11 @@ def random_mixed_state(
     x, dx = grid_points(n, p)
     modes = np.sin(np.outer(x, np.arange(1, n_modes + 1)) * math.pi / p.L)
     weights = rng.dirichlet(np.ones(rank))
-    rho = np.zeros((n, n), complex)
-    for k in range(rank):
-        c = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-        psi = modes @ c
-        psi /= math.sqrt(float(np.vdot(psi, psi).real) * dx)
-        rho += weights[k] * np.outer(psi, psi.conj())
+    # component k draws its n_modes real parts, then its n_modes imaginary parts
+    c = rng.normal(size=(rank, 2, n_modes))
+    psi = modes @ (c[:, 0] + 1j * c[:, 1]).T
+    psi /= np.linalg.norm(psi, axis=0) * math.sqrt(dx)
+    rho = (psi * weights) @ psi.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return GridDensityMatrix(rho, dx)
 
@@ -264,14 +265,43 @@ class UnitaryPropagator:
     def evolve(self, rho: GridDensityMatrix, dt: float, n_steps: int) -> GridDensityMatrix:
         """n_steps unitary steps of size dt, composed in the energy basis.
 
-        The n_steps phase factors compose into one power, applied once.
+        The n_steps phase factors compose into one power, applied once; the
+        real basis multiplies Re and Im separately, never cast to complex.
         """
         if n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-        v = self.vectors
+        v, re, im = self.vectors, rho.elements.real, rho.elements.imag
         phase = np.exp(-1j * self.energies * dt / self.hbar) ** n_steps
-        out = v @ (np.outer(phase, phase.conj()) * (v.T @ rho.elements @ v)) @ v.T
+        m = np.outer(phase, phase.conj()) * (v.T @ re @ v + 1j * (v.T @ im @ v))
+        out = v @ m.real @ v.T + 1j * (v @ m.imag @ v.T)
         return GridDensityMatrix(0.5 * (out + out.conj().T), rho.dx)
+
+
+class SineDiagonal:
+    """diag(V R V^T) in O(n^2) for the n-point DST-I basis V and a real n x n R.
+
+    V_ia V_ib = (cos(pi i (a - b)/(n + 1)) - cos(pi i (a + b)/(n + 1)))/(n + 1), so the
+    diagonal is R's 2n - 1 diagonal and 2n - 1 anti-diagonal sums times ``table``.
+    """
+
+    def __init__(self, n: int):
+        arg = np.outer(np.r_[n - 1:-n:-1, 2:2 * n + 1], np.arange(1, n + 1)) % (2 * (n + 1))
+        sign = np.repeat([1.0, -1.0], 2 * n - 1)[:, None] / (n + 1)
+        self.table = sign * np.cos(arg * (math.pi / (n + 1)))
+        # R sits in rows 1..n of a zero (n + 1, 2n) buffer; the views shift its row a right
+        # by n - 1 - a, resp. by a, so column c sums a - b = n - 1 - c, resp. a + b = c (0-based)
+        self._pad = np.zeros((n + 1, 2 * n))
+        flat, item = self._pad.ravel(), self._pad.itemsize
+        self._diag = as_strided(flat[n + 1:], (n, 2 * n - 1), ((2 * n + 1) * item, item))
+        self._anti = as_strided(flat[2 * n:], (n, 2 * n - 1), ((2 * n - 1) * item, item))
+        self._ones = np.ones(n)
+
+    def sums(self, r: np.ndarray, out: np.ndarray) -> None:
+        """Write R's diagonal, then anti-diagonal sums (``table``'s rows) into ``out``."""
+        n = self._ones.size
+        np.copyto(self._pad[1:, :n], r)
+        np.matmul(self._ones, self._diag, out=out[: 2 * n - 1])
+        np.matmul(self._ones, self._anti, out=out[2 * n - 1:])
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .branching import (
 from .config import LIOUVILLE_GRID, PERES_GRID, RunConfig, config_lines
 from .density import (
     GridDensityMatrix,
+    SineDiagonal,
     UnitaryPropagator,
     classical_random_walk_oracle,
     fringe_content,
@@ -63,7 +64,6 @@ from .stats import (
     _mixture_variance,
     _tv_to_uniform,
     chi_square_frequencies,
-    coarse_entropy,
     effective_branch_count,
     expectation_compare,
     fit_diffusion,
@@ -71,7 +71,6 @@ from .stats import (
     position_square,
     position_value,
     sample_branch_centers,
-    tv_to_uniform,
 )
 
 __all__ = [
@@ -98,6 +97,7 @@ BORN_TOTAL_COUNT = 10_000
 KS_SAMPLE = 1000
 KS_PAIRS = 20
 KS_AT_STEP = 100
+_SERIES_BLOCK = 64  # liouville_check series steps per block; buffers scale with it
 
 # tags deriving auxiliary rng streams from the run seed
 _TAG_KS_PAIR = 0x4B50
@@ -524,29 +524,43 @@ def _scenario_peres(c: RunConfig):
     return rows, metrics, checks
 
 
-def _scenario_liouville(c: RunConfig):
+def _liouville_series(c: RunConfig, prop: UnitaryPropagator, x: np.ndarray) -> list[tuple]:
+    """Rows of one tracked state evolved in the energy basis, _SERIES_BLOCK steps at a time."""
     p = c.params
-    prop = UnitaryPropagator(LIOUVILLE_GRID, p)
-    x, dx = grid_points(LIOUVILLE_GRID, p)
-    # the coarse bin of each grid point, fixed for the run
     edges = np.linspace(0.0, p.L, c.bins + 1)
-    which = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, c.bins - 1)
-
-    # per-step series for one tracked state, evolved in the eigenbasis
+    # one-hot coarse bin of each grid point, fixed for the run
+    in_bin = np.eye(c.bins)[np.clip(np.searchsorted(edges, x, side="right") - 1, 0, c.bins - 1)]
     rho = random_mixed_state(LIOUVILLE_GRID, p, _derived_rng(c.seed, _TAG_SERIES_STATE))
-    rows = [_density_row(rho.density(), x, dx, which, 0.0, c)]
     v = prop.vectors
     rho_e = v.T @ rho.elements @ v
     phase = np.exp(-1j * prop.energies * p.tau / p.hbar)
     step_factor = np.outer(phase, phase.conj())
-    # v is real and rho_e Hermitian, so diag(v rho_e v^T) reads only
-    # Re(rho_e): one real matmul per step, into buffers reused across steps
-    real, buf = np.empty(rho_e.shape), np.empty(rho_e.shape)
-    for k in range(1, c.steps + 1):
-        np.multiply(rho_e, step_factor, out=rho_e)
-        np.copyto(real, rho_e.real)
-        diag = np.einsum("ij,ij->i", np.matmul(v, real, out=buf), v)
-        rows.append(_density_row(diag, x, dx, which, k * p.tau, c))
+    diagonal = SineDiagonal(LIOUVILLE_GRID)
+    sums = np.empty((_SERIES_BLOCK, diagonal.table.shape[0]))
+    rows = []
+    for start in range(0, c.steps + 1, _SERIES_BLOCK):
+        k = np.arange(start, min(start + _SERIES_BLOCK, c.steps + 1))
+        for i in range(k.size):
+            # v is real and rho_e Hermitian: diag(v rho_e v^T) reads only Re(rho_e)
+            diagonal.sums(rho_e.real, out=sums[i])
+            np.multiply(rho_e, step_factor, out=rho_e)
+        prob = np.maximum(sums[: k.size] @ diagonal.table, 0.0)
+        prob /= prob.sum(axis=1, keepdims=True)
+        mean = prob @ x
+        var = (prob * (x - mean[:, None]) ** 2).sum(axis=1)
+        hist = prob @ in_bin
+        entropy = -(hist * np.log(np.where(hist > 0, hist, 1.0))).sum(axis=1)
+        tv = 0.5 * np.abs(hist - 1.0 / c.bins).sum(axis=1)
+        rows.extend(zip((k * p.tau).tolist(), [1] * k.size, [1.0] * k.size, mean.tolist(),
+                        var.tolist(), entropy.tolist(), tv.tolist()))
+    return rows
+
+
+def _scenario_liouville(c: RunConfig):
+    p = c.params
+    prop = UnitaryPropagator(LIOUVILLE_GRID, p)
+    x, dx = grid_points(LIOUVILLE_GRID, p)
+    rows = _liouville_series(c, prop, x)
 
     # entropy conservation under pure unitary evolution
     cons_rng = _derived_rng(c.seed, _TAG_CONSERVATION)
@@ -604,18 +618,6 @@ def _scenario_liouville(c: RunConfig):
         ),
     ]
     return rows, metrics, checks
-
-
-def _density_row(diag: np.ndarray, x: np.ndarray, dx: float, which: np.ndarray,
-                 t: float, c: RunConfig) -> tuple:
-    """Series row of a grid density; ``which`` is each grid point's bin."""
-    prob = np.maximum(diag, 0.0) * dx
-    prob = prob / prob.sum()
-    mean = float(prob @ x)
-    var = float(prob @ (x - mean) ** 2)
-    hist = np.bincount(which, weights=prob, minlength=c.bins)
-    hist = hist / hist.sum()
-    return (float(t), 1, 1.0, mean, var, coarse_entropy(hist), tv_to_uniform(hist))
 
 
 _SCENARIOS = {

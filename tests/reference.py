@@ -237,3 +237,46 @@ def unitary_step(hamiltonian, rho, dt, hbar=1.0):
     exponential, with no use of H's eigenbasis."""
     u = expm(-1j * np.asarray(hamiltonian) * dt / hbar)
     return u @ rho @ u.conj().T
+
+
+def random_mixed_state(n, L, rng, rank, n_modes=16):
+    """Mixture of ``rank`` random sine-mode superpositions, summed one
+    outer product at a time; draws the weights, then per component its
+    real then imaginary mode coefficients.  Returns the (n, n) kernel."""
+    dx = L / (n + 1)
+    x = dx * np.arange(1, n + 1)
+    modes = np.sin(np.outer(x, np.arange(1, n_modes + 1)) * math.pi / L)
+    weights = rng.dirichlet(np.ones(rank))
+    rho = np.zeros((n, n), complex)
+    for k in range(rank):
+        c = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+        psi = modes @ c
+        psi /= math.sqrt(float(np.vdot(psi, psi).real) * dx)
+        rho += weights[k] * np.outer(psi, psi.conj())
+    return 0.5 * (rho + rho.conj().T)
+
+
+def density_series(rho, vectors, energies, dt, hbar, steps, x, bins, L):
+    """Series rows (t, 1, 1.0, mean, var, coarse entropy, TV to uniform) of
+    rho under n-step unitary evolution, one step and one row at a time:
+    each step's diagonal is diag(V Re(rho_e) V^T) from a dense matmul."""
+    v = np.asarray(vectors)
+    edges = np.linspace(0.0, L, bins + 1)
+    which = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, bins - 1)
+    rho_e = v.T @ rho @ v
+    phase = np.exp(-1j * np.asarray(energies) * dt / hbar)
+    rows = []
+    for k in range(steps + 1):
+        if k:
+            rho_e = rho_e * np.outer(phase, phase.conj())
+        diag = np.einsum("ij,ij->i", v @ rho_e.real, v)
+        prob = np.maximum(diag, 0.0)
+        prob = prob / prob.sum()
+        mean = float(prob @ x)
+        var = float(prob @ (x - mean) ** 2)
+        hist = np.bincount(which, weights=prob, minlength=bins)
+        hist = hist / hist.sum()
+        pos = hist[hist > 0]
+        rows.append((k * dt, 1, 1.0, mean, var, float(-(pos @ np.log(pos))),
+                     float(0.5 * np.abs(hist - 1.0 / bins).sum())))
+    return rows

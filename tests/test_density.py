@@ -8,6 +8,7 @@ import pytest
 from branchbox.density import (
     GridDensityMatrix,
     GridWavefunction,
+    SineDiagonal,
     UnitaryPropagator,
     build_box_hamiltonian,
     classical_random_walk_oracle,
@@ -130,6 +131,19 @@ def test_random_mixed_state_is_valid():
     assert (lam > 1e-10).sum() == 4
 
 
+def test_random_mixed_state_is_the_per_component_sum():
+    # one product of the weighted components equals the sum of their outer
+    # products, and both consume the same draws in the same order
+    for seed, rank in ((12, None), (13, 1), (14, 8)):
+        a = np.random.Generator(np.random.PCG64(seed))
+        b = np.random.Generator(np.random.PCG64(seed))
+        got = random_mixed_state(128, P, a, rank=rank).elements
+        want = reference.random_mixed_state(
+            128, P.L, b, int(b.integers(1, 9)) if rank is None else rank)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        assert a.normal() == b.normal()
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian and unitary evolution
 
@@ -236,6 +250,37 @@ def test_propagator_evolve_is_one_phase_power():
                                rtol=0, atol=1e-12)
     with pytest.raises(ValueError, match="n_steps"):
         u.evolve(rho, P.tau, -1)
+
+
+def test_propagator_evolve_is_the_complex_product():
+    # evolve multiplies the real basis into Re and Im separately
+    n = 128
+    u = UnitaryPropagator(n, P)
+    rho = random_mixed_state(n, P, np.random.Generator(np.random.PCG64(15)), rank=5)
+    v = u.vectors.astype(complex)
+    phase = np.exp(-1j * u.energies * P.tau / P.hbar) ** 7
+    out = v @ (np.outer(phase, phase.conj()) * (v.T @ rho.elements @ v)) @ v.T
+    np.testing.assert_allclose(u.evolve(rho, P.tau, 7).elements, 0.5 * (out + out.conj().T),
+                               rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [32, 128, 256])
+def test_sine_diagonal_is_the_dense_diagonal(n):
+    # diag(V R V^T) from R's diagonal and anti-diagonal sums, with one
+    # buffer serving successive matrices
+    j = np.arange(1, n + 1)
+    v = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
+    rng = np.random.Generator(np.random.PCG64(n))
+    d = SineDiagonal(n)
+    assert d.table.shape == (4 * n - 2, n)
+    sums = np.empty(4 * n - 2)
+    for scale in (1.0, 1e-3, 40.0):
+        r = rng.normal(size=(n, n)) * scale
+        r += r.T
+        want = np.einsum("ij,ij->i", v @ r, v)
+        d.sums(r, out=sums)
+        got = sums @ d.table
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(r).max()
 
 
 def test_energy_eigenstate_is_stationary():

@@ -51,8 +51,8 @@ GOLDEN = {
         "3c30e4ed0ae85ff3f40b238dc4d47c1d7b4a304d10a79d3179e2c81d712e74ec",
     ),
     "liouville_check": (
-        "1745a34d45444461f255e3f47d3dfd7cfbf9986e7a1561fee5cda2102687bba5",
-        "c40529288908573f33e65c4c39dbed31cf7b26ba9c1a8f0eb4a963af3fbdbddc",
+        "ca16723103ef9c2a7e8ab92f1b695561c1b1dffc1627b4d8babc5dc5e872dd48",
+        "4b2032bcc258ab5186d09bc7233814b04e9ef5a0cd27ffcb3074cb456fa5b83d",
     ),
     "midbox": (
         "f4f1a96976add6a46997cfc61acae756390ba53b05ff930ace171e5dae744d26",

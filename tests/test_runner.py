@@ -4,14 +4,17 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import branchbox
+from branchbox import runner
 from branchbox.cli import main
-from branchbox.config import config_lines, parse_config
+from branchbox.config import LIOUVILLE_GRID, config_lines, parse_config
+from branchbox.density import UnitaryPropagator, grid_points, random_mixed_state
 from branchbox.runner import CSV_COLUMNS, run_scenario
 from branchbox.stats import (
     coarse_entropy,
@@ -22,6 +25,8 @@ from branchbox.stats import (
     tv_to_uniform,
 )
 from branchbox.branching import midbox_ensemble
+
+import reference
 
 
 def small_midbox(tmp_path, seed=7, steps=30):
@@ -308,6 +313,45 @@ def test_liouville_series_is_the_evolved_density():
         mean = prob @ x
         assert rows[k][mean_col] == pytest.approx(mean, rel=1e-12, abs=0)
         assert rows[k][var_col] == pytest.approx(prob @ (x - mean) ** 2, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("steps", [1, runner._SERIES_BLOCK - 1, runner._SERIES_BLOCK,
+                                   runner._SERIES_BLOCK + 1])
+def test_liouville_series_blocks_equal_the_per_step_rows(steps):
+    # sine-sum diagonals formed a block at a time give the rows of the
+    # per-step dense-matmul loop, across and at block boundaries
+    c = parse_config("", {"scenario": "liouville_check", "steps": steps, "seed": 2025})
+    p = c.params
+    prop = UnitaryPropagator(LIOUVILLE_GRID, p)
+    rho0 = random_mixed_state(
+        LIOUVILLE_GRID, p, runner._derived_rng(c.seed, runner._TAG_SERIES_STATE))
+    x, _ = grid_points(LIOUVILLE_GRID, p)
+    want = reference.density_series(rho0.elements, prop.vectors, prop.energies, p.tau,
+                                    p.hbar, steps, x, c.bins, p.L)
+    got = runner._liouville_series(c, prop, x)
+    assert len(got) == steps + 1
+    assert [r[:3] for r in got] == [r[:3] for r in want]
+    for t, (g, w) in enumerate(zip(got, want)):
+        assert all(type(a) is type(b) for a, b in zip(g, w)), t
+        np.testing.assert_allclose(g[3:], w[3:], rtol=1e-12, atol=0, err_msg=f"row {t}")
+
+
+def test_liouville_memory_does_not_grow_with_steps():
+    # the series buffers are sized by the block, not by the run: 800 more
+    # steps add little beyond their rows (a whole-run table of sums would
+    # add about 3 MB)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for steps in (200, 1000):
+            c = parse_config("", {"scenario": "liouville_check", "steps": steps})
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            runner._scenario_liouville(c)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20, peaks
 
 
 def test_peres_runs_at_its_grid_limit(tmp_path):
