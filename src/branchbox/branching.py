@@ -288,8 +288,6 @@ def apportion_counts(weights, total: int) -> np.ndarray:
 _CDF_INDEXES: dict[tuple[bytes, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 _MAX_CDF_INDEXES = 8
 _MAX_BUCKETS = 4096
-# fewer probes search faster plainly than through an index, built or memoized
-_MIN_INDEXED_PROBES = 512
 
 
 def _bucket_count(n_probes: int) -> int:
@@ -324,12 +322,12 @@ def _cdf_search(cdf: np.ndarray, probe: np.ndarray) -> np.ndarray:
 
     A bucket holding at most one CDF entry answers lo + [probe > cdf[lo]];
     probes in the few buckets that hold more (crowded tails, zero-mass
-    bins) are searched, and so are fewer than ``_MIN_INDEXED_PROBES``
-    probes, too few to repay an index.
+    bins) are searched, and so are fewer than 32 probes, whose one bucket
+    would hold every entry.
     """
-    if probe.size < _MIN_INDEXED_PROBES:
-        return np.searchsorted(cdf, probe, side="left")
     nb = _bucket_count(probe.size)
+    if nb == 1:
+        return np.searchsorted(cdf, probe, side="left")
     lo, first, crowded = _cdf_index(cdf, nb)
     q = (probe * nb).astype(np.int64)
     out = lo[q] + (probe > first[q])

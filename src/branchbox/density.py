@@ -238,6 +238,11 @@ def build_box_hamiltonian(n: int, p: PhysicalParams) -> np.ndarray:
     return h
 
 
+def _sine_angles(rows: np.ndarray, n: int) -> np.ndarray:
+    """DST-I arguments pi r j/(n+1), modes j = 1..n, with r*j reduced mod 2(n+1)."""
+    return (np.outer(rows, np.arange(1, n + 1)) % (2 * (n + 1))) * (math.pi / (n + 1))
+
+
 class UnitaryPropagator:
     """Exact unitary evolution under ``build_box_hamiltonian(n, p)``.
 
@@ -251,10 +256,12 @@ class UnitaryPropagator:
         k = _box_kinetic_scale(n, p)
         j = np.arange(1, n + 1)
         self.energies = 4.0 * k * np.sin(j * (math.pi / (2 * (n + 1)))) ** 2
-        # i*j reduced mod 2(n+1) keeps every sine argument in [0, 2 pi)
-        arg = (np.outer(j, j) % (2 * (n + 1))) * (math.pi / (n + 1))
-        self.vectors = math.sqrt(2.0 / (n + 1)) * np.sin(arg)
+        self.vectors = math.sqrt(2.0 / (n + 1)) * np.sin(_sine_angles(j, n))
         self.hbar = p.hbar
+
+    def sine_diagonal(self) -> "SineDiagonal":
+        """The O(n^2) reader of diag(V R V^T) for this propagator's basis V."""
+        return SineDiagonal(self.vectors.shape[0])
 
     def propagate(self, psi: GridWavefunction, t: float) -> GridWavefunction:
         """Pure state psi -> exp(-i H t / hbar) psi, exact in the energy basis."""
@@ -280,14 +287,14 @@ class UnitaryPropagator:
 class SineDiagonal:
     """diag(V R V^T) in O(n^2) for the n-point DST-I basis V and a real n x n R.
 
+    V is ``UnitaryPropagator``'s basis, whose ``sine_diagonal`` builds this reader;
     V_ia V_ib = (cos(pi i (a - b)/(n + 1)) - cos(pi i (a + b)/(n + 1)))/(n + 1), so the
     diagonal is R's 2n - 1 diagonal and 2n - 1 anti-diagonal sums times ``table``.
     """
 
     def __init__(self, n: int):
-        arg = np.outer(np.r_[n - 1:-n:-1, 2:2 * n + 1], np.arange(1, n + 1)) % (2 * (n + 1))
         sign = np.repeat([1.0, -1.0], 2 * n - 1)[:, None] / (n + 1)
-        self.table = sign * np.cos(arg * (math.pi / (n + 1)))
+        self.table = sign * np.cos(_sine_angles(np.r_[n - 1:-n:-1, 2:2 * n + 1], n))
         # R sits in rows 1..n of a zero (n + 1, 2n) buffer; the views shift its row a right
         # by n - 1 - a, resp. by a, so column c sums a - b = n - 1 - c, resp. a + b = c (0-based)
         self._pad = np.zeros((n + 1, 2 * n))

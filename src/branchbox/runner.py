@@ -42,7 +42,6 @@ from .branching import (
 from .config import LIOUVILLE_GRID, PERES_GRID, RunConfig, config_lines
 from .density import (
     GridDensityMatrix,
-    SineDiagonal,
     UnitaryPropagator,
     classical_random_walk_oracle,
     fringe_content,
@@ -535,7 +534,7 @@ def _liouville_series(c: RunConfig, prop: UnitaryPropagator, x: np.ndarray) -> l
     rho_e = v.T @ rho.elements @ v
     phase = np.exp(-1j * prop.energies * p.tau / p.hbar)
     step_factor = np.outer(phase, phase.conj())
-    diagonal = SineDiagonal(LIOUVILLE_GRID)
+    diagonal = prop.sine_diagonal()
     sums = np.empty((_SERIES_BLOCK, diagonal.table.shape[0]))
     rows = []
     for start in range(0, c.steps + 1, _SERIES_BLOCK):
@@ -549,10 +548,9 @@ def _liouville_series(c: RunConfig, prop: UnitaryPropagator, x: np.ndarray) -> l
         mean = prob @ x
         var = (prob * (x - mean[:, None]) ** 2).sum(axis=1)
         hist = prob @ in_bin
-        entropy = -(hist * np.log(np.where(hist > 0, hist, 1.0))).sum(axis=1)
-        tv = 0.5 * np.abs(hist - 1.0 / c.bins).sum(axis=1)
-        rows.extend(zip((k * p.tau).tolist(), [1] * k.size, [1.0] * k.size, mean.tolist(),
-                        var.tolist(), entropy.tolist(), tv.tolist()))
+        # the coarse columns share the engine rows' kernels, one row at a time
+        rows.extend((t, 1, 1.0, mu, sq, _coarse_entropy(h), _tv_to_uniform(h)) for t, mu, sq, h
+                    in zip((k * p.tau).tolist(), mean.tolist(), var.tolist(), hist))
     return rows
 
 

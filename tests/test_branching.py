@@ -539,19 +539,6 @@ def test_cdf_index_sizes_buckets_to_the_probes_and_is_memoized(monkeypatch):
     assert crowded.sum() <= 8
 
 
-def test_cdf_search_indexes_only_enough_probes(monkeypatch):
-    # under _MIN_INDEXED_PROBES a plain search is faster than building an
-    # index; a peres-sized cap (2000) and caps 1e4 and 1e5 keep the index
-    monkeypatch.setattr(branching, "_CDF_INDEXES", {})
-    cdf = _kernel_cdf(branching._offset_kernel(P.tau, P)[1])
-    for k in (1, 100, branching._MIN_INDEXED_PROBES - 1):
-        _cdf_search(cdf, np.linspace(0.5, 1.0, k))
-    assert not branching._CDF_INDEXES
-    for k in (branching._MIN_INDEXED_PROBES, 2000, 10_000, 100_000):
-        _cdf_search(cdf, np.linspace(0.5, 1.0, k))
-    assert [nb for _, nb in branching._CDF_INDEXES] == [32, 64, 512, 4096]
-
-
 def test_engine_and_batch_share_the_kernel_lookup(monkeypatch):
     calls = []
 

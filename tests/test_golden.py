@@ -51,7 +51,7 @@ GOLDEN = {
         "3c30e4ed0ae85ff3f40b238dc4d47c1d7b4a304d10a79d3179e2c81d712e74ec",
     ),
     "liouville_check": (
-        "ca16723103ef9c2a7e8ab92f1b695561c1b1dffc1627b4d8babc5dc5e872dd48",
+        "4168f9b5ad73521ab9939f34c0b8d69a6a1a7f305d71c6517bedd37ebd636cfb",
         "4b2032bcc258ab5186d09bc7233814b04e9ef5a0cd27ffcb3074cb456fa5b83d",
     ),
     "midbox": (
