@@ -57,6 +57,8 @@ from .rng import (
     KEY_CAP,
     KEY_PRUNE,
     KEY_TIMING,
+    _rounds,
+    _unit_interval,
     lineage_hash_child,
     lineage_hash_root,
     mix,
@@ -130,11 +132,11 @@ class Ensemble:
         if not math.isfinite(self.origin):
             raise ValueError("the lattice origin must be finite")
         if self.weight.dtype == np.int64:
-            if not np.all(self.weight >= 1):
+            if self.weight.min() < 1:
                 raise ValueError("branch counts must be >= 1")
         elif self.mode == "count" or self.weight.dtype != np.float64:
             raise ValueError("masses must be int64 counts, or float64 weights (not count mode)")
-        elif not np.all(self.weight > 0):
+        elif not self.weight.min() > 0:
             raise ValueError("branch weights must be > 0")
         elif abs(self.weight.sum() - 1.0) > 1e-12:
             total = float(self.weight.sum())
@@ -282,10 +284,10 @@ def apportion_counts(weights, total: int) -> np.ndarray:
 # capping
 
 
-# Kernel CDF bucket indexes by (CDF bytes, bucket count).  A run with
+# Kernel CDF bucket tables by (CDF bytes, bucket count).  A run with
 # deterministic timing searches one kernel CDF on every step; a Poisson run
 # draws a new one each step, and the bound keeps those from piling up.
-_CDF_INDEXES: dict[tuple[bytes, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_CDF_INDEXES: dict[tuple[bytes, int], np.ndarray] = {}
 _MAX_CDF_INDEXES = 8
 _MAX_BUCKETS = 4096
 
@@ -295,43 +297,38 @@ def _bucket_count(n_probes: int) -> int:
     return min(_MAX_BUCKETS, 1 << max(n_probes.bit_length() - 5, 0))
 
 
-def _cdf_index(cdf: np.ndarray, nb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index of a CDF ending at 1.0 over nb buckets, nb a power of two; memoized.
+def _cdf_index(cdf: np.ndarray, nb: int) -> np.ndarray:
+    """Bucket table of a CDF ending at 1.0 over nb buckets, nb a power of two; memoized.
 
     Bucket q holds the probes x in [q/nb, (q+1)/nb), so floor(x * nb) is
-    exact; q = nb holds x = 1.0 alone.  Per bucket it keeps lo, the number
-    of CDF entries below q/nb, the entry cdf[lo], and whether a second
-    entry falls inside the bucket, which is when the lookup cannot
-    resolve it.
+    exact; q = nb holds x = 1.0 alone.  A bucket that no CDF entry falls
+    in answers each of its probes with the number of entries below q/nb;
+    the others hold the sentinel -1, and their probes are searched.
     """
     key = (cdf.tobytes(), nb)
-    index = _CDF_INDEXES.pop(key, None)
-    if index is None:
-        bound = np.arange(nb + 2) / nb
-        below = np.searchsorted(cdf, bound, side="left")
-        lo = below[:-1]
-        index = lo, cdf[lo], below[1:] - lo > 1
-    _CDF_INDEXES[key] = index
+    table = _CDF_INDEXES.pop(key, None)
+    if table is None:
+        below = np.searchsorted(cdf, np.arange(nb + 2) / nb, side="left")
+        table = np.where(below[1:] == below[:-1], below[:-1], -1)
+    _CDF_INDEXES[key] = table
     if len(_CDF_INDEXES) > _MAX_CDF_INDEXES:
         del _CDF_INDEXES[next(iter(_CDF_INDEXES))]
-    return index
+    return table
 
 
 def _cdf_search(cdf: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """``searchsorted(cdf, probe, "left")`` for probes in (0, 1] through a bucket index.
+    """``searchsorted(cdf, probe, "left")`` for probes in (0, 1] through a bucket table.
 
-    A bucket holding at most one CDF entry answers lo + [probe > cdf[lo]];
-    probes in the few buckets that hold more (crowded tails, zero-mass
-    bins) are searched, and so are fewer than 32 probes, whose one bucket
-    would hold every entry.
+    One gather answers the probes of buckets that hold no CDF entry; the
+    few in buckets that do are searched, and so are fewer than 32 probes,
+    whose one bucket would hold every entry.
     """
     nb = _bucket_count(probe.size)
     if nb == 1:
         return np.searchsorted(cdf, probe, side="left")
-    lo, first, crowded = _cdf_index(cdf, nb)
-    q = (probe * nb).astype(np.int64)
-    out = lo[q] + (probe > first[q])
-    miss = np.flatnonzero(crowded[q])
+    q = np.multiply(probe, nb, out=np.empty(probe.shape, np.int64), casting="unsafe")
+    out = _cdf_index(cdf, nb).take(q)
+    miss = np.flatnonzero(out < 0)
     if miss.size:
         out[miss] = np.searchsorted(cdf, probe[miss], side="left")
     return out
@@ -362,8 +359,6 @@ def _probe_cells(mass: np.ndarray, u: np.ndarray):
     """
     k = u.size
     if _are_multiplicities(mass, k):
-        if mass.size == k:
-            return np.arange(k), mass, u
         cell = np.repeat(np.arange(mass.size), mass)
         frac = np.arange(k, dtype=float)
         frac -= (np.cumsum(mass) - mass)[cell]
@@ -443,10 +438,23 @@ def _stratified_hits(
     return idx, hits
 
 
+@functools.lru_cache(maxsize=8)
+def _gamma_ladder(k: int) -> np.ndarray:
+    """(j + 1) * GAMMA for j = 0 .. k-1, read-only: splitmix64's stream offsets."""
+    ladder = np.arange(1, k + 1, dtype=np.uint64)
+    ladder *= GAMMA
+    ladder.flags.writeable = False
+    return ladder
+
+
 def _cap_probe_phases(max_branches: int, step_seed) -> np.ndarray:
-    """Phases of probes 0 .. max_branches-1, a splitmix64 stream per step seed."""
-    j = np.arange(max_branches, dtype=np.uint64)
-    return unit_uniform((step_seed ^ KEY_CAP) + j * GAMMA)
+    """Phases of probes 0 .. max_branches-1, a splitmix64 stream per step seed.
+
+    Probe j's phase is ``unit_uniform((step_seed ^ KEY_CAP) + j * GAMMA)``:
+    the key added onto the ladder, whose offsets include splitmix64's own
+    increment, then its rounds and the map to (0, 1), in place.
+    """
+    return _unit_interval(_rounds(_gamma_ladder(max_branches) + (step_seed ^ KEY_CAP)))
 
 
 def _cap_keyed(
@@ -559,24 +567,38 @@ def evolve_ensemble_step(
 
     # over cap, survivors are selected as (parent, bin) pairs of implicit
     # rows and only their rows are built
-    noff = e.n_branches * nk
-    if noff > cap:
-        pr, oi, weight = _shared_kernel_hits(kern, _cap_probe_phases(cap, step_seed), e.weight)
-    else:
-        pr = np.repeat(np.arange(e.n_branches), nk)
-        oi = np.tile(np.arange(nk), e.n_branches)
+    n = e.n_branches
+    noff = n * nk
+    if noff <= cap:
+        pr = np.repeat(np.arange(n), nk)
+        oi = np.tile(np.arange(nk), n)
         mass = (e.weight[:, None] * kern[None, :]).ravel()
         # a one-bin kernel keeps integer multiplicities
         weight = e.weight if nk == 1 and e.weight.dtype == np.int64 else mass / mass.sum()
-    site, uid, lineage = e.site, e.uid, e.lineage_hash
-    # every multiplicity 1: parent g keeps one row, the g-th
-    if not (e.n_branches == cap and _are_multiplicities(e.weight, cap)):
-        site, uid, lineage = site[pr], uid[pr], lineage[pr]
+    elif n == cap and _are_multiplicities(e.weight, cap):
+        # every multiplicity 1, the steady state: parent g keeps one row, the
+        # g-th, on probe g's bin, holding its one hit
+        pr, weight = None, e.weight
+        oi = _cdf_search(_kernel_cdf(kern), _cap_probe_phases(cap, step_seed))
+    else:
+        pr, oi, weight = _shared_kernel_hits(kern, _cap_probe_phases(cap, step_seed), e.weight)
+    if pr is None:
+        site, parent_uid, lineage = e.site, e.uid, e.lineage_hash
+    else:
+        site, parent_uid, lineage = e.site.take(pr), e.uid.take(pr), e.lineage_hash.take(pr)
+    lineage = lineage_hash_child(lineage, t_event, oi)
+    # offspring (g, b) is implicit row g * nk + b, numbered from next_uid
+    uid = np.arange(e.next_uid, e.next_uid + noff, nk) if pr is None else pr * nk + e.next_uid
+    uid += oi
+    # bin_weights' bins are consecutive, so bin b is the step step[0] + b;
+    # the child sites are built in the step's own array of bins
+    child_site = oi
+    child_site += site
+    child_site += step[0]
     return Ensemble(
-        mode=e.mode, time=t_event, site=site + step[oi], origin=e.origin,
-        params=p, weight=weight, uid=e.next_uid + pr * nk + oi, parent_uid=uid,
-        lineage_hash=lineage_hash_child(lineage, t_event, oi),
-        next_uid=int(e.next_uid + noff),
+        mode=e.mode, time=t_event, site=child_site, origin=e.origin,
+        params=p, weight=weight, uid=uid, parent_uid=parent_uid,
+        lineage_hash=lineage, next_uid=int(e.next_uid + noff),
     )
 
 
@@ -589,12 +611,15 @@ def verify_tag_uniqueness(e: Ensemble) -> TagReport:
 
     Engine-built branches are unique by construction (fresh offspring
     index per event, fresh uid per branch); this audits both the uids and
-    the lineage hashes so a hand-built duplicate is caught either way.
+    the lineage hashes so a hand-built duplicate is caught either way.  A
+    sort finds whether any value repeats; only then does ``np.unique`` name
+    the most repeated one (the smallest on ties) and its first two branches.
     """
     n = e.n_branches
     for name, arr in (("uid", e.uid), ("lineage hash", e.lineage_hash)):
-        _, first, counts = np.unique(arr, return_index=True, return_counts=True)
-        if counts.max(initial=1) > 1:
+        s = np.sort(arr)
+        if (s[1:] == s[:-1]).any():
+            _, first, counts = np.unique(arr, return_index=True, return_counts=True)
             dup_value = arr[first[np.argmax(counts)]]
             where = np.flatnonzero(arr == dup_value)
             i, j = int(where[0]), int(where[1])

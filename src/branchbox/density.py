@@ -17,6 +17,7 @@ grid objects converge to their continuum limits as dx -> 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -99,7 +100,13 @@ class GridDensityMatrix:
             raise ValueError("elements must be a square matrix of size >= 2")
         if not (self.dx > 0):
             raise ValueError(f"dx must be > 0, got {self.dx}")
-        if np.abs(m - m.conj().T).max() > 1e-12:
+        # |m - m^H| <= 1e-12 elementwise, compared squared: no square roots
+        off = m.real - m.real.T
+        np.square(off, out=off)
+        if np.iscomplexobj(m):
+            im = m.imag + m.imag.T
+            off += np.square(im, out=im)
+        if off.max() > 1e-24:
             raise ValueError("density matrix must be Hermitian within 1e-12")
         trace = float(np.trace(m).real) * self.dx
         if abs(trace - 1.0) > 1e-10:
@@ -331,10 +338,17 @@ def grw_localization_channel(rho: GridDensityMatrix, p: PhysicalParams) -> GridD
         raise ValueError(
             f"grid pitch {rho.dx} does not resolve the localization width w = {p.w}"
         )
-    x = rho.positions()
+    return GridDensityMatrix(rho.elements * _localization_factor(rho.n, rho.dx, p.w), rho.dx)
+
+
+@functools.lru_cache(maxsize=8)
+def _localization_factor(n: int, dx: float, w: float) -> np.ndarray:
+    """The channel's damping factor on the n-point grid of pitch dx, read-only."""
+    x = dx * np.arange(1, n + 1, dtype=float)
     d = x[:, None] - x[None, :]
-    damp = np.exp(-(d * d) / (8.0 * p.w**2))
-    return GridDensityMatrix(rho.elements * damp, rho.dx)
+    damp = np.exp(-(d * d) / (8.0 * w**2))
+    damp.flags.writeable = False
+    return damp
 
 
 def von_neumann_entropy(rho: GridDensityMatrix) -> float:

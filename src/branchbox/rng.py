@@ -33,6 +33,15 @@ KEY_TIMING = _U64(0x165667B19E3779F9)
 KEY_ROOT = _U64(0xD6E8FEB86659FD93)
 
 
+# splitmix64's round multipliers and shifts, and the bits of 1.0 and of
+# 1 - 2**-53 for the map to (0, 1)
+_M1 = _U64(0xBF58476D1CE4E5B9)
+_M2 = _U64(0x94D049BB133111EB)
+_S30, _S27, _S31, _S12 = _U64(30), _U64(27), _U64(31), _U64(12)
+_ONE_BITS = _U64(0x3FF0000000000000)
+_BELOW_ONE = 1.0 - 2.0**-53
+
+
 def splitmix64(x):
     """One splitmix64 mixing round; accepts a uint64 scalar or array.
 
@@ -44,13 +53,34 @@ def splitmix64(x):
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return _U64(z ^ (z >> 31))
-    z = np.asarray(x, dtype=_U64) + GAMMA
-    z ^= z >> 30
-    z *= 0xBF58476D1CE4E5B9
-    z ^= z >> 27
-    z *= 0x94D049BB133111EB
-    z ^= z >> 31
+    z = np.array(x, dtype=_U64)
+    z += GAMMA
+    return _rounds(z)
+
+
+def _rounds(z: np.ndarray) -> np.ndarray:
+    """splitmix64's three xor-shift rounds and two multiplies, in place on a
+    uint64 array (0-d included) with one scratch buffer; returns ``z``."""
+    t = np.empty_like(z)
+    z ^= np.right_shift(z, _S30, out=t)
+    z *= _M1
+    z ^= np.right_shift(z, _S27, out=t)
+    z *= _M2
+    z ^= np.right_shift(z, _S31, out=t)
     return z
+
+
+def _unit_interval(bits: np.ndarray) -> np.ndarray:
+    """``unit_uniform``'s map of uint64 bits to (0, 1), in place: a float64 view.
+
+    The top 52 bits m become 1 + m 2**-52 through the exponent of 1.0, and
+    subtracting 1 - 2**-53 leaves (m + 1/2) 2**-52; both steps are exact.
+    """
+    bits >>= _S12
+    bits |= _ONE_BITS
+    u = bits.view(np.float64)
+    u -= _BELOW_ONE
+    return u
 
 
 def mix(*parts):
@@ -73,7 +103,7 @@ def unit_uniform(key):
     # 52 bits offset by half their ulp: 2**-53 .. 1 - 2**-53, each exact
     if isinstance(bits, np.generic):
         return np.float64(((int(bits) >> 12) + 0.5) * 2.0**-52)
-    return (np.asarray(bits >> 12, dtype=np.float64) + 0.5) * 2.0**-52
+    return _unit_interval(bits)
 
 
 def lineage_hash_root(index: int | np.ndarray):
@@ -87,8 +117,15 @@ def lineage_hash_child(parent_hash, event_time: float, offspring_index):
     The triple (parent lineage, event time, offspring index) identifies a
     branch uniquely.  A child is one splitmix64 round, a bijection, of
     ``parent ^ T[b]`` with the event's table T[b] = mix(event time, b),
-    so distinct triples collide only as 64-bit hashes do.
+    so distinct triples collide only as 64-bit hashes do.  The children
+    take the shape of ``offspring_index``, which ``parent_hash`` broadcasts
+    to, and are mixed in place in the gather of T (a uint64 scalar when
+    both are 0-d).
     """
     b = np.asarray(offspring_index)
     table = mix(float_bits(event_time), np.arange(int(b.max()) + 1, dtype=_U64))
-    return splitmix64(np.asarray(parent_hash, dtype=_U64) ^ table[b])
+    z = np.asarray(table.take(b))
+    z ^= np.asarray(parent_hash, dtype=_U64)
+    z += GAMMA
+    _rounds(z)
+    return z if z.ndim else z[()]

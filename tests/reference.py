@@ -280,3 +280,39 @@ def density_series(rho, vectors, energies, dt, hbar, steps, x, bins, L):
         rows.append((k * dt, 1, 1.0, mean, var, float(-(pos @ np.log(pos))),
                      float(0.5 * np.abs(hist - 1.0 / bins).sum())))
     return rows
+
+
+# splitmix64's increment, the golden-ratio gamma
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_array(x):
+    """One splitmix64 round on a uint64 array, one fresh temporary per
+    operation, with Python-int constants.  A 0-d input is mixed as a
+    1-element array, as numpy scalars warn on the wrapping multiplies."""
+    x = np.asarray(x, dtype=np.uint64)
+    z = x.reshape(-1) + np.uint64(SPLITMIX_GAMMA)
+    z = z ^ (z >> 30)
+    z = z * 0xBF58476D1CE4E5B9
+    z = z ^ (z >> 27)
+    z = z * 0x94D049BB133111EB
+    return (z ^ (z >> 31)).reshape(x.shape)
+
+
+def unit_uniform_array(key):
+    """Keys to (0, 1): the top 52 bits of one splitmix64 round, offset by
+    half their ulp, (m + 0.5) * 2**-52, in float arithmetic."""
+    bits = splitmix64_array(key)
+    return (np.asarray(bits >> 12, dtype=np.float64) + 0.5) * 2.0**-52
+
+
+def cap_probe_phases(k, step_seed, key_cap):
+    """Probe j's phase: unit_uniform((step_seed ^ key_cap) + j * gamma)."""
+    j = np.arange(k, dtype=np.uint64)
+    return unit_uniform_array((step_seed ^ key_cap) + j * np.uint64(SPLITMIX_GAMMA))
+
+
+def lineage_hash_child(parent_hash, table, offspring_index):
+    """One splitmix64 round of parent ^ T[b] for an event's table T."""
+    parent = np.asarray(parent_hash, dtype=np.uint64)
+    return splitmix64_array(np.bitwise_xor(parent, table[offspring_index], dtype=np.uint64))

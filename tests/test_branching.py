@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -529,14 +530,17 @@ def test_cdf_index_sizes_buckets_to_the_probes_and_is_memoized(monkeypatch):
     # a power of two near K / 16, at most 4096
     assert [_bucket_count(n) for n in (1, 31, 32, 2000, 100_000)] == [1, 1, 2, 64, 4096]
     assert _cdf_index(cdf, 64) is _cdf_index(cdf, 64)
-    assert _cdf_index(cdf, 64)[0].size == 65
+    assert _cdf_index(cdf, 64).size == 65
     for i in range(3 * branching._MAX_CDF_INDEXES):
         _cdf_index(_kernel_cdf(np.array([1.0, i + 1.0])), 64)
     assert len(branching._CDF_INDEXES) == branching._MAX_CDF_INDEXES
-    # unit parameters: almost every probe of a cap-1e5 step resolves in
-    # its bucket
-    _, _, crowded = _cdf_index(cdf, 4096)
-    assert crowded.sum() <= 8
+    # unit parameters: at most 20 of 4097 buckets hold a CDF entry, so one
+    # gather answers almost every probe of a cap-1e5 step
+    table = _cdf_index(cdf, 4096)
+    assert (table < 0).sum() <= 20
+    # every other bucket answers with the count of entries below it
+    q = np.flatnonzero(table >= 0)
+    np.testing.assert_array_equal(table[q], np.searchsorted(cdf, q / 4096, side="left"))
 
 
 def test_engine_and_batch_share_the_kernel_lookup(monkeypatch):
@@ -744,6 +748,50 @@ def test_evolve_fast_path_matches_materialize_then_cap_after_capped_step():
     assert e.weight.dtype == np.int64 and e.weight.sum() == 60
     # a cap other than the multiplicities' sum takes the float first level
     _assert_fast_path_matches(e, 45, 98)
+
+
+_FIELDS = ("site", "weight", "uid", "parent_uid", "lineage_hash")
+
+
+@pytest.fixture(scope="module")
+def box_at_cap():
+    """The box steady state at cap 1e5: 1e5 parents, every multiplicity 1."""
+    e = midbox_ensemble(P)
+    r = gen(70)
+    for _ in range(12):
+        e = evolve_ensemble_step(e, P, 8, 100_000, r)
+    assert e.n_branches == 100_000
+    np.testing.assert_array_equal(e.weight, 1)
+    return e
+
+
+def test_step_leaves_its_parent_ensemble_unchanged(box_at_cap):
+    # the in-place kernels write only into arrays the step allocated, on
+    # every path: the steady state, the general capped path, uncapped
+    e = evolve_ensemble_step(midbox_ensemble(P), P, 8, 10**9, gen(71))
+    thinned = evolve_ensemble_step(e, P, 8, 300, gen(72))
+    for parent, cap in ((box_at_cap, 100_000), (thinned, 300), (thinned, 10**9), (e, 30)):
+        before = {name: getattr(parent, name).copy() for name in _FIELDS}
+        out = evolve_ensemble_step(parent, P, 8, cap, gen(73))
+        for name in _FIELDS:
+            np.testing.assert_array_equal(getattr(parent, name), before[name])
+            if name not in ("weight", "parent_uid"):
+                assert not np.shares_memory(getattr(out, name), getattr(parent, name))
+
+
+def test_steady_step_allocates_no_temporaries(box_at_cap):
+    # one steady cap-1e5 step holds at most three 1e5-element arrays at
+    # once: its bins, which become the child sites, the child hashes with
+    # their scratch buffer, then the child uids
+    evolve_ensemble_step(box_at_cap, P, 8, 100_000, gen(74))  # memos filled
+    tracemalloc.start()
+    try:
+        out = evolve_ensemble_step(box_at_cap, P, 8, 100_000, gen(74))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.n_branches == 100_000
+    assert peak < 3.5 * 8 * 100_000
 
 
 def test_one_bin_step_keeps_multiplicities():
@@ -1138,3 +1186,16 @@ def test_uniqueness_catches_duplicate_uid():
     assert not rep.passed
     assert rep.duplicate_indices == (0, 1)
     assert rep.message == f"branches 0 and 1 share uid {int(uid[0])}"
+
+
+def test_uniqueness_names_a_duplicate_among_many_hashes(box_at_cap):
+    h = box_at_cap.lineage_hash.copy()
+    h[77_777] = h[31_337]
+    rep = verify_tag_uniqueness(dataclasses.replace(box_at_cap, lineage_hash=h))
+    assert not rep.passed and rep.n_branches == 100_000
+    assert rep.duplicate_indices == (31_337, 77_777)
+    assert rep.message == f"branches 31337 and 77777 share lineage hash {int(h[31_337])}"
+    # the most repeated value is named, at its first two branches
+    h[[5, 90_000, 99_999]] = h[60_000]
+    rep = verify_tag_uniqueness(dataclasses.replace(box_at_cap, lineage_hash=h))
+    assert rep.duplicate_indices == (5, 60_000)

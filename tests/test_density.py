@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from branchbox import density
 from branchbox.density import (
     GridDensityMatrix,
     GridWavefunction,
@@ -119,6 +120,23 @@ def test_density_matrix_validation():
     bad[0, 1] = 1.0  # not Hermitian
     with pytest.raises(ValueError):
         GridDensityMatrix(bad, dx)
+
+
+@pytest.mark.parametrize("unit", [1.0, 1j])
+def test_density_matrix_hermiticity_tolerance(unit):
+    # |rho - rho^H| is held to 1e-12 elementwise, in the real and the
+    # imaginary part, on real and complex matrices
+    n = 64
+    dx = P.L / (n + 1)
+    good = np.eye(n) / (n * dx) + (0.0 if unit == 1.0 else 0j)
+    for eps, ok in ((2e-12, False), (5e-13, True)):
+        m = good.copy()
+        m[3, 5] += eps * unit
+        if ok:
+            GridDensityMatrix(m, dx)
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                GridDensityMatrix(m, dx)
 
 
 def test_random_mixed_state_is_valid():
@@ -317,6 +335,22 @@ def test_channel_damps_off_diagonals_exactly():
     damp = np.exp(-np.subtract.outer(x, x) ** 2 / (8.0 * P.w**2))
     np.testing.assert_allclose(out.elements, rho.elements * damp, atol=1e-15)
     np.testing.assert_allclose(out.density(), rho.density(), atol=1e-14)
+
+
+def test_channel_factor_is_built_once_per_grid_and_width():
+    n = 128
+    rho = pure_density(packet_state(n, P, 10.0, 1.0))
+    first = grw_localization_channel(rho, P)
+    factor = density._localization_factor(n, rho.dx, P.w)
+    again = grw_localization_channel(first, P)
+    assert density._localization_factor(n, rho.dx, P.w) is factor
+    assert not factor.flags.writeable
+    # the memoized factor is the one the channel built on every call
+    x = rho.positions()
+    d = x[:, None] - x[None, :]
+    fresh = np.exp(-(d * d) / (8.0 * P.w**2))
+    np.testing.assert_array_equal(again.elements, first.elements * fresh)
+    assert density._localization_factor(n, rho.dx, 2.0 * P.w) is not factor
 
 
 def test_channel_entropy_matches_closed_form():

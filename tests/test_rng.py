@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from branchbox import rng
+from branchbox import branching, rng
 from branchbox.rng import (
     GAMMA,
     KEY_CAP,
@@ -18,6 +18,8 @@ from branchbox.rng import (
     splitmix64,
     unit_uniform,
 )
+
+import reference
 
 MASK = (1 << 64) - 1
 
@@ -153,3 +155,65 @@ def test_unit_uniform_extremes_stay_inside_the_unit_interval(monkeypatch):
     u = unit_uniform(np.array([2**64 - 1, 0], dtype=np.uint64))
     np.testing.assert_array_equal(u, [1.0 - 2.0**-53, 2.0**-53])
     assert u[0] < 1.0
+
+
+def _random_keys(seed, n=100_000):
+    return np.random.default_rng(seed).integers(0, MASK, n, dtype=np.uint64, endpoint=True)
+
+
+def test_splitmix64_in_place_rounds_equal_the_fresh_temporary_rounds():
+    keys = _random_keys(21)
+    np.testing.assert_array_equal(splitmix64(keys), reference.splitmix64_array(keys))
+    # integer arrays of any dtype are cast as before
+    ints = np.arange(-500, 500)
+    np.testing.assert_array_equal(splitmix64(ints), reference.splitmix64_array(ints))
+
+
+def test_unit_interval_maps_the_bit_extremes_inside_the_unit_interval():
+    u = rng._unit_interval(np.array([0, 2**64 - 1, 1 << 12, 2**64 - 2**13], dtype=np.uint64))
+    assert u.dtype == np.float64
+    np.testing.assert_array_equal(
+        u, [2.0**-53, 1.0 - 2.0**-53, 1.5 * 2.0**-52, 1.0 - 1.5 * 2.0**-52])
+
+
+def test_unit_interval_equals_the_float_arithmetic_map():
+    keys = _random_keys(22)
+    u = unit_uniform(keys)
+    np.testing.assert_array_equal(u, reference.unit_uniform_array(keys))
+    # the Python-integer scalar path maps the same bits
+    for i in (0, 1, 4_999, 99_999):
+        assert unit_uniform(keys[i]) == u[i]
+
+
+@pytest.mark.parametrize("k", [1, 31, 2000, 100_000])
+def test_cap_probe_phases_equal_the_stream_formula(k):
+    for seed in (0, 2**64 - 1, 0x1234_5678_9ABC_DEF0):
+        got = branching._cap_probe_phases(k, np.uint64(seed))
+        assert got.shape == (k,)
+        np.testing.assert_array_equal(got, reference.cap_probe_phases(k, np.uint64(seed), KEY_CAP))
+    # a vector of step seeds at one probe, as the collapse batch draws them
+    seeds = _random_keys(23, 50)
+    np.testing.assert_array_equal(
+        branching._cap_probe_phases(1, seeds), reference.cap_probe_phases(1, seeds, KEY_CAP))
+
+
+@pytest.mark.parametrize("n", [0, 1, 100_000])
+def test_lineage_hash_child_equals_its_formula_and_leaves_inputs(n):
+    gen = np.random.default_rng(24 + n)
+    shape = () if n == 0 else (n,)
+    parent = np.asarray(gen.integers(0, MASK, shape, dtype=np.uint64, endpoint=True))
+    b = np.asarray(gen.integers(0, 25, shape))
+    parent_before, b_before = parent.copy(), b.copy()
+    t = 17.5
+    table = mix(float_bits(t), np.arange(int(b.max()) + 1, dtype=np.uint64))
+    got = lineage_hash_child(parent, t, b)
+    np.testing.assert_array_equal(got, reference.lineage_hash_child(parent, table, b))
+    np.testing.assert_array_equal(parent, parent_before)
+    np.testing.assert_array_equal(b, b_before)
+    if n == 0:
+        assert type(got) is np.uint64
+        # a numpy scalar parent mixes the same way
+        assert lineage_hash_child(parent[()], t, b) == got
+    else:
+        assert got.dtype == np.uint64 and got.shape == shape
+        assert not np.shares_memory(got, parent)

@@ -293,8 +293,8 @@ def test_liouville_runs_at_its_grid_limit(tmp_path):
 
 
 def test_liouville_series_is_the_evolved_density():
-    # the series loop reads each step's diagonal from Re(rho_e) with one
-    # real matmul; UnitaryPropagator.evolve is the independent path
+    # the series loop reads each step's diagonal from O(n^2) sine sums of
+    # Re(rho_e); UnitaryPropagator.evolve is the independent path
     from branchbox import runner
     from branchbox.config import LIOUVILLE_GRID
     from branchbox.density import UnitaryPropagator, grid_points, random_mixed_state
