@@ -1,13 +1,15 @@
 """Tagged branching engine.
 
 Every decoherence event splits a spread packet into localized offspring,
-one per lattice bin of the center-offset distribution, and stamps each
-offspring with a tag hashing (event time, offspring index) into the
-parent's lineage.  Offsets are binned relative to the parent, so all
-parents share one offset kernel of integer lattice steps whatever their
-positions.  Tags are what make branches permanently distinguishable: two
-components with different lineages never interfere again, no matter
-where their packets sit.
+one per lattice bin of the center-offset distribution.  Each offspring
+carries a tag, a 64-bit lineage hash that names one live branch: the
+parent's first surviving offspring keeps the parent's tag, and each
+further one gets a fresh tag hashing (event time, offspring index) into
+the parent's, so a tag changes only where its lineage splits.  Offsets
+are binned relative to the parent, so all parents share one offset
+kernel of integer lattice steps whatever their positions.  Tags are what
+make branches permanently distinguishable: two components with different
+lineages never interfere again, no matter where their packets sit.
 
 ``evolve_ensemble_step`` runs two ensemble modes:
 
@@ -35,8 +37,9 @@ lineage hash.  A branch's packet has width w (each event resets it) and
 sits at ``reflect_center(origin + site * w/2, L)``: the walls enter by
 the method of images, folded in only where an observable reads a
 position.  The offset kernel is symmetric, so the folded free walk is
-the walk reflected at the walls.  The hash compresses a branch's whole
-ancestry, which is enough for uniqueness checks and no-recoherence
+the walk reflected at the walls.  The hash does not encode every event
+of a branch's ancestry, only the splits that made it distinct from its
+siblings, which is enough for uniqueness checks and no-recoherence
 bookkeeping without O(depth) memory per branch.
 """
 
@@ -535,10 +538,13 @@ def evolve_ensemble_step(
     built, holding their hits.  That is the selection ``_cap_keyed``
     makes on the materialized offspring, grouped by parent, so the
     capped step is bit-identical to materializing everything and then
-    capping.  Under the cap offspring hold Born weights, but a one-bin
-    kernel keeps integer masses.  ``p`` must be the ensemble's own
-    parameters; ``fanout`` is validated but does not affect the step.  Count-mode ensembles are
-    rejected.
+    capping.  Among a parent's survivors, in probe order, the first
+    keeps the parent's lineage hash and each further one on bin b gets
+    ``lineage_hash_child(parent, t_event, b)``; where every parent keeps
+    one survivor no hash is computed.  Under the cap offspring hold Born
+    weights, but a one-bin kernel keeps integer masses.  ``p`` must be
+    the ensemble's own parameters; ``fanout`` is validated but does not
+    affect the step.  Count-mode ensembles are rejected.
     """
     if e.mode == "count":
         raise ValueError(
@@ -577,16 +583,21 @@ def evolve_ensemble_step(
         weight = e.weight if nk == 1 and e.weight.dtype == np.int64 else mass / mass.sum()
     elif n == cap and _are_multiplicities(e.weight, cap):
         # every multiplicity 1, the steady state: parent g keeps one row, the
-        # g-th, on probe g's bin, holding its one hit
+        # g-th, on probe g's bin, holding its one hit and the parent's tag
         pr, weight = None, e.weight
         oi = _cdf_search(_kernel_cdf(kern), _cap_probe_phases(cap, step_seed))
     else:
         pr, oi, weight = _shared_kernel_hits(kern, _cap_probe_phases(cap, step_seed), e.weight)
+    # a tag changes only where its lineage splits: a parent's first survivor
+    # keeps it, and each further survivor on bin b gets the child hash of b
     if pr is None:
         site, parent_uid, lineage = e.site, e.uid, e.lineage_hash
     else:
         site, parent_uid, lineage = e.site.take(pr), e.uid.take(pr), e.lineage_hash.take(pr)
-    lineage = lineage_hash_child(lineage, t_event, oi)
+        split = np.flatnonzero(pr[1:] == pr[:-1])
+        if split.size:
+            split += 1
+            lineage[split] = lineage_hash_child(lineage[split], t_event, oi[split])
     # offspring (g, b) is implicit row g * nk + b, numbered from next_uid
     uid = np.arange(e.next_uid, e.next_uid + noff, nk) if pr is None else pr * nk + e.next_uid
     uid += oi
@@ -609,9 +620,11 @@ def evolve_ensemble_step(
 def verify_tag_uniqueness(e: Ensemble) -> TagReport:
     """Check that no two live branches share a lineage.
 
-    Engine-built branches are unique by construction (fresh offspring
-    index per event, fresh uid per branch); this audits both the uids and
-    the lineage hashes so a hand-built duplicate is caught either way.  A
+    Engine-built branches are unique by construction: a fresh uid per
+    branch, and a lineage hash that only a parent's first survivor
+    inherits, every other survivor getting a fresh hash of (parent hash,
+    event time, offspring index).  This audits both the uids and the
+    lineage hashes so a hand-built duplicate is caught either way.  A
     sort finds whether any value repeats; only then does ``np.unique`` name
     the most repeated one (the smallest on ties) and its first two branches.
     """

@@ -112,10 +112,14 @@ def lineage_hash_root(index: int | np.ndarray):
 
 
 def lineage_hash_child(parent_hash, event_time: float, offspring_index):
-    """Extend a lineage hash by one decoherence event.
+    """Fresh lineage hash of a survivor that splits off its parent at an event.
 
-    The triple (parent lineage, event time, offspring index) identifies a
-    branch uniquely.  A child is one splitmix64 round, a bijection, of
+    The engine step calls it only where a lineage splits: a parent's
+    first survivor keeps the parent's hash, and each further survivor gets
+    its child hash, so a hash names one live branch (born_test's single
+    count-mode event hashes every leaf).  The triple (parent lineage,
+    event time, offspring index) identifies that branch uniquely.  A
+    child is one splitmix64 round, a bijection, of
     ``parent ^ T[b]`` with the event's table T[b] = mix(event time, b),
     so distinct triples collide only as 64-bit hashes do.  The children
     take the shape of ``offspring_index``, which ``parent_hash`` broadcasts

@@ -670,12 +670,15 @@ def test_evolve_single_step_equals_kernel():
 
 
 def test_evolve_lineage_hashes_chain():
+    # the first offspring keeps its parent's tag; every other one on bin b
+    # gets the child hash of b
     e = midbox_ensemble(P)
     out = evolve_ensemble_step(e, P, 8, 10**9, gen(32))
+    assert out.lineage_hash[0] == e.lineage_hash[0]
     expected = lineage_hash_child(
-        e.lineage_hash[0], out.time, np.arange(out.n_branches, dtype=np.uint64)
+        e.lineage_hash[0], out.time, np.arange(1, out.n_branches, dtype=np.uint64)
     )
-    np.testing.assert_array_equal(out.lineage_hash, expected)
+    np.testing.assert_array_equal(out.lineage_hash[1:], expected)
 
 
 def test_evolve_reproducible_from_seed():
@@ -694,14 +697,32 @@ def test_evolve_reproducible_from_seed():
     assert not np.array_equal(a.weight, c.weight)
 
 
-def _assert_fast_path_matches(e, cap, seed, p=P):
-    """The capped step equals materializing every offspring, then capping
-    with the parents' masses as the group masses."""
-    capped = evolve_ensemble_step(e, p, 8, cap, gen(seed))
+def _tags_at_splits(out: Ensemble, parent: Ensemble) -> np.ndarray:
+    """The tag rule on the rows of a step from ``parent``: each parent's
+    first row keeps its tag, and every further row on bin b gets
+    ``lineage_hash_child(parent tag, t, b)``."""
+    nk = (out.next_uid - parent.next_uid) // parent.n_branches
+    g, b = np.divmod(out.uid - parent.next_uid, nk)
+    first = np.concatenate(([True], g[1:] != g[:-1]))
+    own = parent.lineage_hash[g]
+    return np.where(first, own, lineage_hash_child(own, out.time, b))
+
+
+def _materialize_then_cap(e, p, cap, seed):
+    """Every offspring of ``e`` built, then capped with the parents' masses as
+    the group masses, and the tag rule applied to the survivors."""
     step_seed = np.uint64(gen(seed).integers(0, 2**64, dtype=np.uint64))
     full = evolve_ensemble_step(e, p, 8, 10**9, gen(seed))
     assert full.n_branches > cap
     manual = _cap_keyed(full, cap, step_seed, group_mass=e.weight)
+    return dataclasses.replace(manual, lineage_hash=_tags_at_splits(manual, e))
+
+
+def _assert_fast_path_matches(e, cap, seed, p=P):
+    """The capped step equals materializing every offspring, then capping
+    with the parents' masses as the group masses."""
+    capped = evolve_ensemble_step(e, p, 8, cap, gen(seed))
+    manual = _materialize_then_cap(e, p, cap, seed)
     for name in ("uid", "site", "weight", "lineage_hash", "parent_uid"):
         np.testing.assert_array_equal(getattr(capped, name), getattr(manual, name))
     assert capped.weight.dtype == np.int64 and capped.weight.sum() == cap
@@ -767,15 +788,21 @@ def box_at_cap():
 
 def test_step_leaves_its_parent_ensemble_unchanged(box_at_cap):
     # the in-place kernels write only into arrays the step allocated, on
-    # every path: the steady state, the general capped path, uncapped
+    # every path: the steady state, the general capped path, uncapped.
+    # Only the steady state, where every parent keeps one survivor, shares
+    # the parents' tags, as it shares their masses.
     e = evolve_ensemble_step(midbox_ensemble(P), P, 8, 10**9, gen(71))
     thinned = evolve_ensemble_step(e, P, 8, 300, gen(72))
     for parent, cap in ((box_at_cap, 100_000), (thinned, 300), (thinned, 10**9), (e, 30)):
         before = {name: getattr(parent, name).copy() for name in _FIELDS}
         out = evolve_ensemble_step(parent, P, 8, cap, gen(73))
+        shared = ("weight", "parent_uid")
+        if parent is box_at_cap:
+            assert out.lineage_hash is parent.lineage_hash
+            shared += ("lineage_hash",)
         for name in _FIELDS:
             np.testing.assert_array_equal(getattr(parent, name), before[name])
-            if name not in ("weight", "parent_uid"):
+            if name not in shared:
                 assert not np.shares_memory(getattr(out, name), getattr(parent, name))
 
 
@@ -840,10 +867,8 @@ def test_every_geometry_shares_one_offset_kernel(p, start, seed):
         capped = evolve_ensemble_step(e, p, 8, cap, gen(seed + 1))
         full = evolve_ensemble_step(e, p, 8, 10**9, gen(seed + 1))
     assert len(calls) == 3
-    assert full.n_branches > cap
 
-    step_seed = np.uint64(gen(seed + 1).integers(0, 2**64, dtype=np.uint64))
-    manual = _cap_keyed(full, cap, step_seed, group_mass=e.weight)
+    manual = _materialize_then_cap(e, p, cap, seed + 1)
     for name in ("uid", "site", "weight", "lineage_hash", "parent_uid"):
         np.testing.assert_array_equal(getattr(capped, name), getattr(manual, name))
 
@@ -1149,23 +1174,65 @@ def test_uniqueness_passes_for_engine_output():
 def test_child_hashes_distinct_over_a_capped_run():
     # every (parent hash, event, bin) triple of a 300-step capped run is
     # distinct, so every child hash the run makes from them must be too:
-    # all offspring rows' hashes, of which the survivors' are a subset
+    # all offspring rows' fresh hashes, and each survivor carries its
+    # parent's tag or its own row's fresh hash
     e = midbox_ensemble(P)
     r = gen(62)
     nk = branching._offset_kernel(P.tau, P)[0].size
-    rows, survivors = [], []
+    rows = []
     for _ in range(300):
         out = evolve_ensemble_step(e, P, 8, 400, r)
-        rows.append(lineage_hash_child(
+        row = lineage_hash_child(
             np.repeat(e.lineage_hash, nk), out.time, np.tile(np.arange(nk), e.n_branches)
-        ))
-        survivors.append(out.lineage_hash)
+        )
+        rows.append(row)
+        i = out.uid - e.next_uid
+        tag = out.lineage_hash
+        assert np.all((tag == row[i]) | (tag == e.lineage_hash[i // nk]))
         e = out
     h = np.sort(np.concatenate(rows))
     assert h.size > 2_000_000
     assert np.all(h[1:] != h[:-1])
-    s = np.concatenate(survivors)
-    np.testing.assert_array_equal(h[np.searchsorted(h, s)], s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=st.sampled_from([0.3, 0.1]), cap=st.sampled_from([1, 30, 300, None]),
+       timing=st.sampled_from(["deterministic", "poisson"]),
+       mode=st.sampled_from(["weighted", "collapse"]),
+       steps=st.integers(1, 5), seed=st.integers(0, 2**32))
+@example(w=0.1, cap=300, timing="poisson", mode="weighted", steps=5, seed=0)
+@example(w=0.3, cap=None, timing="deterministic", mode="weighted", steps=3, seed=1)
+@example(w=0.3, cap=30, timing="deterministic", mode="weighted", steps=5, seed=2)
+@example(w=0.1, cap=300, timing="poisson", mode="collapse", steps=5, seed=3)
+def test_a_tag_changes_only_where_its_lineage_splits(w, cap, timing, mode, steps, seed):
+    # after every step: live tags are distinct, a parent's first survivor
+    # (and no other) carries the parent's tag, and every other survivor
+    # carries lineage_hash_child(parent, t, b) of its own row; a collapse
+    # run's one branch keeps its root tag
+    p = PhysicalParams(w=w)
+    e, r = midbox_ensemble(p, mode), gen(seed)
+    root = e.lineage_hash[0]
+    for _ in range(steps):
+        if cap is None and e.n_branches > 300:
+            break  # uncapped rows grow as the kernel's size to the steps
+        out = evolve_ensemble_step(e, p, 8, 10**9 if cap is None else cap, r, timing=timing)
+        tag = out.lineage_hash
+        assert np.unique(tag).size == out.n_branches
+        g = np.searchsorted(e.uid, out.parent_uid)
+        np.testing.assert_array_equal(e.uid[g], out.parent_uid)
+        inherits = tag == e.lineage_hash[g]
+        first = np.concatenate(([True], g[1:] != g[:-1]))
+        np.testing.assert_array_equal(inherits, first)
+        nk = (out.next_uid - e.next_uid) // e.n_branches
+        b = out.uid - e.next_uid - g * nk
+        assert np.all((0 <= b) & (b < nk))
+        split = np.flatnonzero(~first)
+        if split.size:
+            np.testing.assert_array_equal(
+                tag[split], lineage_hash_child(e.lineage_hash[g[split]], out.time, b[split]))
+        if mode == "collapse":
+            assert tag.tolist() == [root]
+        e = out
 
 
 def test_uniqueness_catches_duplicate_lineage():
