@@ -171,10 +171,19 @@ class Ensemble:
 
         Masses summed per unfolded site, then per position the sites fold onto
         (``_fold_index``), where empty sites add exact zeros; built once, as
-        every observable reads it.
+        every observable reads it.  Integer masses summing below 2**31 are
+        counted per site exactly (a plain count when every mass is 1), and
+        each site's count is divided by the total once, so its mass is
+        rounded once; float masses are normalized first, then summed.
         """
         lo = self.site.min()
-        mass = np.bincount(self.site - lo, weights=self.weight / self.weight.sum())
+        m = self.weight
+        total = m.sum()
+        if m.dtype == np.int64 and total < _EXACT_COUNT:
+            # each mass is at least 1, so a total of n means every mass is 1
+            mass = np.bincount(self.site - lo, None if total == m.size else m) / total
+        else:
+            mass = np.bincount(self.site - lo, weights=m / total)
         first, x, which = _fold_index(self, lo, lo + mass.size)
         m = np.bincount(which[lo - first:][:mass.size], weights=mass, minlength=x.size)
         hit = np.flatnonzero(m)
@@ -183,6 +192,11 @@ class Ensemble:
     def masses(self) -> np.ndarray:
         """Statistical mass per branch: Born weights or integer counts."""
         return self.weight
+
+
+# Integer masses below this total count exactly in float64 per site, and their
+# squares sum exactly in int64: (2**31)**2 = 2**62.
+_EXACT_COUNT = 1 << 31
 
 
 # Fold indexes by (origin, pitch, L).  Walks drift, so an index grows by half its

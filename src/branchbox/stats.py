@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaincinv, ndtr
 
-from .branching import CollapseBatch, Ensemble
+from .branching import _EXACT_COUNT, CollapseBatch, Ensemble
 from .model import PhysicalParams
 
 __all__ = [
@@ -136,9 +136,17 @@ def _mixture_variance(x: np.ndarray, m: np.ndarray, mean: float, v: float) -> fl
 
 
 def effective_branch_count(e: Ensemble) -> float:
-    """Kish effective sample size (sum m)^2 / sum m^2 of the branch masses, in floats."""
+    """Kish effective sample size (sum m)^2 / sum m^2 of the branch masses.
+
+    Integer masses summing below 2**31 square and sum exactly as the int64
+    dot m @ m, as (sum m)^2 < 2**62 bounds it; larger counts and Born
+    weights are squared and summed in floats.
+    """
     m = e.masses()
-    return float(m.sum()) ** 2 / float(np.square(m, dtype=float).sum())
+    total = float(m.sum())
+    if m.dtype == np.int64 and total < _EXACT_COUNT:
+        return total**2 / float(m @ m)
+    return total**2 / float(np.square(m, dtype=float).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ tests can compare the package against genuinely independent numerics.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -122,10 +123,18 @@ def folded_site_masses(site, weight, origin, pitch, L):
 
     Masses are summed per site, each occupied site's position origin +
     site * pitch is folded by images (period 2L, the upper half mirrored),
-    and ``np.unique`` merges sites folded onto one position.
+    and ``np.unique`` merges sites folded onto one position.  Integer
+    masses summing below 2**31 are summed per site as integers, and each
+    site's mass is the fraction count / total rounded once; float masses
+    are normalized, then summed.
     """
     lo = site.min()
-    mass = np.bincount(site - lo, weights=weight / weight.sum())
+    if weight.dtype == np.int64 and (total := int(weight.sum())) < 2**31:
+        counts = np.zeros(int(site.max() - lo) + 1, np.int64)
+        np.add.at(counts, site - lo, weight)
+        mass = np.array([float(Fraction(int(c), total)) for c in counts])
+    else:
+        mass = np.bincount(site - lo, weights=weight / weight.sum())
     occupied = np.flatnonzero(mass > 0)
     y = np.mod(origin + (occupied + lo) * pitch, 2.0 * L)
     y = np.where(y > L, 2.0 * L - y, y)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -186,6 +187,32 @@ def test_position_masses_equal_the_per_row_fold(case, monkeypatch):
     for _ in range(12):
         e = evolve_ensemble_step(e, p, 8, cap, rng, timing=timing)
         _assert_per_row_fold(e)
+
+
+@pytest.mark.parametrize("counts", [
+    [1, 1, 1, 1, 1],                    # every mass 1: a plain count
+    [3, 1, 2, 7, 1],                    # multiplicities: a weighted count
+    # the site-1 pair sums to a fraction that its two normalized masses,
+    # added in floats, miss: counted exactly at a total of 2**31 - 1, the
+    # last below the bound, and normalized in floats at 2**31 + 1
+    [1_728_228_697, 274_414_308, 1, 2, 144_840_639],
+    [1_728_228_699, 274_414_308, 1, 2, 144_840_639],
+    [2**40, 3, 1, 2**35, 5],
+])
+def test_position_masses_of_counts_round_once_below_the_exact_total(counts):
+    # sites 0 and 80 fold onto one position, and so do 1 and 79
+    e = initial_ensemble([0, 1, 80, 79, 1], np.array(counts, np.int64))
+    _assert_per_row_fold(e)
+    x, m = e.position_masses
+    assert x.tolist() == [0.0, 0.5]
+    if sum(counts) < 2**31:
+        total = sum(counts)
+        expected = [Fraction(counts[0] + counts[2], total),
+                    Fraction(counts[1] + counts[3] + counts[4], total)]
+        # the folded sums add sites' once-rounded fractions
+        sites = [float(Fraction(c, total)) for c in (counts[0], counts[2])]
+        assert m[0] == sites[0] + sites[1]
+        assert abs(m - np.array(expected, float)).max() <= 2**-52
 
 
 def test_fold_index_grows_and_restarts_bit_for_bit(monkeypatch):

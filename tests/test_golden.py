@@ -47,31 +47,31 @@ GOLDEN = {
         "8bf5fdd66083a45fa0d88c537db3133edfd4f1a9a349ab9a5e0295d9d4e49705",
     ),
     "freespread": (
-        "411f0f295cd65af1f6e1ca960cee57d1b403d2503a0c187e0f5f75e721246102",
-        "3c30e4ed0ae85ff3f40b238dc4d47c1d7b4a304d10a79d3179e2c81d712e74ec",
+        "f8a8659517c99d12984e3cec460acc6efad7a7bc8cc0dfc1d324919add7042ec",
+        "17da5ad156572a99dd4a61d5425b8fa0c53f529ccf4ef51705dbba527447d39a",
     ),
     "liouville_check": (
         "4168f9b5ad73521ab9939f34c0b8d69a6a1a7f305d71c6517bedd37ebd636cfb",
         "4b2032bcc258ab5186d09bc7233814b04e9ef5a0cd27ffcb3074cb456fa5b83d",
     ),
     "midbox": (
-        "f4f1a96976add6a46997cfc61acae756390ba53b05ff930ace171e5dae744d26",
-        "d5f106fce5e13723d69c45bdc314014cbb496adf1e14942c031f10170999dd93",
+        "93b569a79baffa1036396ecf7d6db1be3efee1d66a9582f91abd44e65fa59ffc",
+        "05a0351b28c05904e98b668ee2538255c121816631627c08282e3d6aac57b7e6",
     ),
     "midbox_capped_distinct": (
-        "1f6a6c86af3975a2f0c4bdc28c8617ec9250ddfaa1d7e0af1398eb89c407db22",
-        "fcf9f9e534ea793f7157a3fa6388c3085499fdc7f9070b14f7b1e5d2d9c9a474",
+        "51b3bbf907c0a62cab2f6ef8dbbc6e2ff4e4391f394690d2dcddb1d3528118dd",
+        "990ec125060eea1376229de00c295dd2da459e99c57eb84db1d48277e7a00c0c",
     ),
     "midbox_collapse_poisson": (
         "6d20233405a945993f666e194a0a88c98dd011cf917cb6f9e4a1b3fb8504439a",
         "03aa19a9eb508c49af9bfe1abf8c6b5ec2d4b9bdc888252009d4f424ac3f9cd1",
     ),
     "midbox_offlattice": (
-        "2d3ed9808e37b5edae47d8c878b897e149f4b8c649416a13737fa201652440ee",
-        "dd4422b7dd753d613fe671ffa6af34b263f70365b25a4f5c0aa734673d81941a",
+        "4c33bb2ed5ad0087e335bb395284f0c0c676d2647aa619a871071825d8bdf61c",
+        "5b612c9cd27f945fe769b9ee0466eb039d64ed2c662a07900c693094ffef918c",
     ),
     "peres_test": (
-        "0172a326c4c7d97e224e34265fe662717df6397f955b5ea6a6d48a2723346d9c",
+        "bdb6ee5a3c3f3e4e25f6124a31845b62b5eaffedc3cc23f67b03fefe50225616",
         "9e0cfc46fe57f09e7a1138c64cc78bfba7f147ced4c997a6ec5523962e5b09a4",
     ),
 }

@@ -107,6 +107,28 @@ def test_effective_branch_count_count_mode():
     assert effective_branch_count(hits) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("counts", [
+    [2**31 - 2, 1],
+    # squares summed in floats round differently here: 3.3421106101030937
+    [85_617_061, 111_326_927, 223_164_540, 270_575_462],
+    [2**31 - 1, 1],
+    [2**33, 1],
+])
+def test_effective_branch_count_squares_counts_exactly_below_the_guard(counts):
+    # below a total of 2**31 the int64 dot m @ m is exact, and n_eff rounds
+    # only its float conversion and the quotient; from 2**31 on, where the
+    # dot could wrap ((2**33)**2 does), squares are summed in floats
+    n = len(counts)
+    e = dataclasses.replace(weighted_ensemble(np.arange(n), np.full(n, 1 / n)),
+                            weight=np.array(counts, np.int64))
+    total = sum(counts)
+    if total < 2**31:
+        expected = float(total) ** 2 / float(sum(c * c for c in counts))
+    else:
+        expected = float(total) ** 2 / float(np.square(np.array(counts), dtype=float).sum())
+    assert effective_branch_count(e) == expected > 1.0
+
+
 def test_effective_branch_count_of_counts_is_the_float_formula():
     def kish_in_floats(e):
         m = np.asarray(e.masses(), float)
