@@ -177,13 +177,13 @@ class Ensemble:
         rounded once; float masses are normalized first, then summed.
         """
         lo = self.site.min()
-        m = self.weight
-        total = m.sum()
-        if m.dtype == np.int64 and total < _EXACT_COUNT:
+        w = self.weight
+        total = w.sum()
+        if w.dtype == np.int64 and total < _EXACT_COUNT:
             # each mass is at least 1, so a total of n means every mass is 1
-            mass = np.bincount(self.site - lo, None if total == m.size else m) / total
+            mass = np.bincount(self.site - lo, None if total == w.size else w) / total
         else:
-            mass = np.bincount(self.site - lo, weights=m / total)
+            mass = np.bincount(self.site - lo, weights=w / total)
         first, x, which = _fold_index(self, lo, lo + mass.size)
         m = np.bincount(which[lo - first:][:mass.size], weights=mass, minlength=x.size)
         hit = np.flatnonzero(m)

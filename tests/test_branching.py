@@ -2,8 +2,8 @@
 
 import dataclasses
 import math
-from fractions import Fraction
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -835,8 +835,10 @@ def test_step_leaves_its_parent_ensemble_unchanged(box_at_cap):
 
 def test_steady_step_allocates_no_temporaries(box_at_cap):
     # one steady cap-1e5 step holds at most three 1e5-element arrays at
-    # once: its bins, which become the child sites, the child hashes with
-    # their scratch buffer, then the child uids
+    # once: the probe phases, their bucket indices and the bins (and a mask
+    # an eighth their size) while the kernel is looked up; the bins then
+    # become the child sites, beside the child uids.  The child tags are
+    # the parents' own array
     evolve_ensemble_step(box_at_cap, P, 8, 100_000, gen(74))  # memos filled
     tracemalloc.start()
     try:
