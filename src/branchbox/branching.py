@@ -49,7 +49,7 @@ import collections
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -107,7 +107,7 @@ class Ensemble:
     are always counts, and a cap's hits, whose sum is the cap), or
     float64 Born weights above 0 summing to 1 within 1e-12.
     ``parent_uid`` is -1 for initial branches that have not been through
-    a decoherence event.
+    a decoherence event.  ``tables`` are the run's (``Tables``).
     """
 
     mode: str
@@ -120,6 +120,7 @@ class Ensemble:
     parent_uid: np.ndarray
     lineage_hash: np.ndarray
     next_uid: int
+    tables: Tables | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -146,6 +147,9 @@ class Ensemble:
             raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
         if self.mode == "collapse" and n != 1:
             raise ValueError("collapse-mode ensemble must hold exactly one branch")
+        t = self.tables
+        if t is None or t.origin != self.origin or t.params != self.params:
+            object.__setattr__(self, "tables", Tables(self.origin, self.params))
 
     @property
     def n_branches(self) -> int:
@@ -159,18 +163,14 @@ class Ensemble:
     @property
     def center(self) -> np.ndarray:
         """Branch positions in [0, L]."""
-        return self.position(self.site)
-
-    def position(self, site: np.ndarray) -> np.ndarray:
-        """Positions in [0, L] of unfolded sites: the walls folded in by images."""
-        return reflect_center(self.origin + site * self.params.bin_width(), self.params.L)
+        return self.tables.position(self.site)
 
     @functools.cached_property
     def position_masses(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct positions in [0, L] of the branches and their normalized masses.
 
         Masses summed per unfolded site, then per position the sites fold onto
-        (``_fold_index``), where empty sites add exact zeros; built once, as
+        (``Tables.fold``), where empty sites add exact zeros; built once, as
         every observable reads it.  Integer masses summing below 2**31 are
         counted per site exactly (a plain count when every mass is 1), and
         each site's count is divided by the total once, so its mass is
@@ -184,7 +184,7 @@ class Ensemble:
             mass = np.bincount(self.site - lo, None if total == w.size else w) / total
         else:
             mass = np.bincount(self.site - lo, weights=w / total)
-        first, x, which = _fold_index(self, lo, lo + mass.size)
+        first, x, which = self.tables.fold(lo, lo + mass.size)
         m = np.bincount(which[lo - first:][:mass.size], weights=mass, minlength=x.size)
         hit = np.flatnonzero(m)
         return x[hit], m[hit]
@@ -199,29 +199,59 @@ class Ensemble:
 _EXACT_COUNT = 1 << 31
 
 
-# Fold indexes by (origin, pitch, L).  Walks drift, so an index grows by half its
-# width on each side when a row's sites leave it; past half the size bound it
-# restarts from the row's sites, padded up to the bound.
-_FOLD_INDEXES: dict[tuple[float, float, float], tuple[int, np.ndarray, np.ndarray]] = {}
-_MAX_FOLD_GEOMETRIES = 8
-_MAX_FOLD_SITES = 1 << 18
+class Tables:
+    """Lookup tables of one run geometry (origin, parameters), grown as the run reads them.
 
+    A run's ensembles share one: each step passes its parent's on, and an
+    ensemble built without it, or with another geometry's, gets a fresh one.
+    Every entry is what a fresh computation gives, bit for bit.  ``bin_rows``
+    holds, per bin count, the sorted positions seen and their folded bin
+    masses (``stats._bin_mass_rows``).
+    """
 
-def _fold_index(e: Ensemble, lo: int, stop: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(first site, distinct positions, each site's index) of a range over lo .. stop-1."""
-    key = (e.origin, e.params.bin_width(), e.params.L)
-    first, _, which = index = _FOLD_INDEXES.pop(key, (lo, None, np.empty(0)))
-    if lo < first or stop > first + which.size:
-        grown = min(lo, first), max(stop, first + which.size)
-        if grown[1] - grown[0] <= _MAX_FOLD_SITES // 2:
-            lo, stop = grown
-        pad = max(0, min(stop - lo, _MAX_FOLD_SITES - (stop - lo)) // 2)
-        sites = np.arange(lo - pad, stop + pad, dtype=np.int64)
-        index = (lo - pad, *np.unique(e.position(sites), return_inverse=True))
-    _FOLD_INDEXES[key] = index
-    if len(_FOLD_INDEXES) > _MAX_FOLD_GEOMETRIES:
-        del _FOLD_INDEXES[next(iter(_FOLD_INDEXES))]
-    return index
+    def __init__(self, origin: float, params: PhysicalParams):
+        self.origin, self.params = origin, params
+        self.bin_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._seen = (math.inf, -math.inf)  # the extent of the sites folded so far
+        self._fold = (0, None, np.empty(0, np.intp))
+        self._kernel_key = self._kernel = None
+        self._ladder = np.empty(0, np.uint64)
+
+    def position(self, site: np.ndarray) -> np.ndarray:
+        """Positions in [0, L] of unfolded sites: the walls folded in by images."""
+        return reflect_center(self.origin + site * self.params.bin_width(), self.params.L)
+
+    def fold(self, lo: int, stop: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """(first site, distinct positions, each site's index) of a range over lo .. stop-1.
+
+        When a row's sites leave the range, it is rebuilt over every site seen
+        so far, grown by half that width on each side: walks drift.
+        """
+        first, _, which = self._fold
+        if lo < first or stop > first + which.size:
+            lo, stop = min(lo, self._seen[0]), max(stop, self._seen[1])
+            self._seen = lo, stop
+            pad = (stop - lo) // 2
+            sites = np.arange(lo - pad, stop + pad, dtype=np.int64)
+            self._fold = (lo - pad, *np.unique(self.position(sites), return_inverse=True))
+        return self._fold
+
+    def kernel(self, dt: float, n_probes: int):
+        """``_offset_kernel(dt)``, its CDF and ``_cdf_index`` for n_probes probes;
+        kept while (dt, n_probes) repeats."""
+        if self._kernel_key != (dt, n_probes):
+            step, kern = _offset_kernel(dt, self.params)
+            cdf = np.cumsum(kern)
+            cdf /= cdf[-1]  # ends at exactly 1
+            self._kernel = step, kern, cdf, _cdf_index(cdf, n_probes)
+            self._kernel_key = dt, n_probes
+        return self._kernel
+
+    def ladder(self, k: int) -> np.ndarray:
+        """(j + 1) * GAMMA for j = 0 .. k-1, splitmix64's stream offsets; kept while k repeats."""
+        if self._ladder.size != k:
+            self._ladder = np.arange(1, k + 1, dtype=np.uint64) * GAMMA
+        return self._ladder
 
 
 def _midbox_site(p: PhysicalParams) -> int:
@@ -301,61 +331,36 @@ def apportion_counts(weights, total: int) -> np.ndarray:
 # capping
 
 
-# Kernel CDF bucket tables by (CDF bytes, bucket count).  A run with
-# deterministic timing searches one kernel CDF on every step; a Poisson run
-# draws a new one each step, and the bound keeps those from piling up.
-_CDF_INDEXES: dict[tuple[bytes, int], np.ndarray] = {}
-_MAX_CDF_INDEXES = 8
 _MAX_BUCKETS = 4096
 
 
-def _bucket_count(n_probes: int) -> int:
-    """Buckets for n_probes probes: a power of two in (n/32, n/16], at most 4096."""
-    return min(_MAX_BUCKETS, 1 << max(n_probes.bit_length() - 5, 0))
-
-
-def _cdf_index(cdf: np.ndarray, nb: int) -> np.ndarray:
-    """Bucket table of a CDF ending at 1.0 over nb buckets, nb a power of two; memoized.
+def _cdf_index(cdf: np.ndarray, n_probes: int) -> np.ndarray:
+    """Bucket table of a CDF ending at 1.0 for n probes: nb buckets, a power of two
+    in (n/32, n/16], at least 1 and at most 4096.
 
     Bucket q holds the probes x in [q/nb, (q+1)/nb), so floor(x * nb) is
     exact; q = nb holds x = 1.0 alone.  A bucket that no CDF entry falls
     in answers each of its probes with the number of entries below q/nb;
     the others hold the sentinel -1, and their probes are searched.
     """
-    key = (cdf.tobytes(), nb)
-    table = _CDF_INDEXES.pop(key, None)
-    if table is None:
-        below = np.searchsorted(cdf, np.arange(nb + 2) / nb, side="left")
-        table = np.where(below[1:] == below[:-1], below[:-1], -1)
-    _CDF_INDEXES[key] = table
-    if len(_CDF_INDEXES) > _MAX_CDF_INDEXES:
-        del _CDF_INDEXES[next(iter(_CDF_INDEXES))]
-    return table
+    nb = min(_MAX_BUCKETS, 1 << max(n_probes.bit_length() - 5, 0))
+    below = np.searchsorted(cdf, np.arange(nb + 2) / nb, side="left")
+    return np.where(below[1:] == below[:-1], below[:-1], -1)
 
 
-def _cdf_search(cdf: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """``searchsorted(cdf, probe, "left")`` for probes in (0, 1] through a bucket table.
+def _cdf_search(cdf: np.ndarray, probe: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, probe, "left")`` for probes in (0, 1] through ``_cdf_index``'s table.
 
     One gather answers the probes of buckets that hold no CDF entry; the
-    few in buckets that do are searched, and so are fewer than 32 probes,
-    whose one bucket would hold every entry.
+    few in buckets that do are searched.
     """
-    nb = _bucket_count(probe.size)
-    if nb == 1:
-        return np.searchsorted(cdf, probe, side="left")
+    nb = index.size - 1
     q = np.multiply(probe, nb, out=np.empty(probe.shape, np.int64), casting="unsafe")
-    out = _cdf_index(cdf, nb).take(q)
+    out = index.take(q)
     miss = np.flatnonzero(out < 0)
     if miss.size:
         out[miss] = np.searchsorted(cdf, probe[miss], side="left")
     return out
-
-
-def _kernel_cdf(kern: np.ndarray) -> np.ndarray:
-    """Cumulative kernel weights normalised to end at exactly 1."""
-    cdf = np.cumsum(kern)
-    cdf /= cdf[-1]
-    return cdf
 
 
 def _are_multiplicities(mass: np.ndarray, k: int) -> bool:
@@ -406,12 +411,12 @@ def _hit_runs(cell: np.ndarray, row: np.ndarray, per_cell: np.ndarray):
     return cell[first], row[first], np.diff(first, append=cell.size)
 
 
-def _shared_kernel_hits(kern: np.ndarray, u: np.ndarray, parent_mass: np.ndarray):
+def _shared_kernel_hits(cdf: np.ndarray, index, u: np.ndarray, parent_mass: np.ndarray):
     """(parent g, bin b, hits) of the rows hit, sorted, among implicit rows of
-    mass parent_mass[g] * kern[b]: ``_probe_cells``, then each fraction
-    looked up on the shared kernel CDF; no array of all rows is built."""
+    mass parent_mass[g] * kern[b]: ``_probe_cells``, then each fraction looked
+    up on the shared kernel CDF and its bucket table; no array of all rows is built."""
     cell, per_cell, frac = _probe_cells(parent_mass, u)
-    return _hit_runs(cell, _cdf_search(_kernel_cdf(kern), frac), per_cell)
+    return _hit_runs(cell, _cdf_search(cdf, frac, index), per_cell)
 
 
 def _stratified_hits(
@@ -455,23 +460,15 @@ def _stratified_hits(
     return idx, hits
 
 
-@functools.lru_cache(maxsize=8)
-def _gamma_ladder(k: int) -> np.ndarray:
-    """(j + 1) * GAMMA for j = 0 .. k-1, read-only: splitmix64's stream offsets."""
-    ladder = np.arange(1, k + 1, dtype=np.uint64)
-    ladder *= GAMMA
-    ladder.flags.writeable = False
-    return ladder
-
-
-def _cap_probe_phases(max_branches: int, step_seed) -> np.ndarray:
-    """Phases of probes 0 .. max_branches-1, a splitmix64 stream per step seed.
+def _cap_probe_phases(ladder: np.ndarray, step_seed) -> np.ndarray:
+    """Phases of probes 0 .. k-1, a splitmix64 stream per step seed.
 
     Probe j's phase is ``unit_uniform((step_seed ^ KEY_CAP) + j * GAMMA)``:
-    the key added onto the ladder, whose offsets include splitmix64's own
-    increment, then its rounds and the map to (0, 1), in place.
+    the key added onto the ladder (``Tables.ladder(k)``), whose offsets
+    include splitmix64's own increment, then its rounds and the map to
+    (0, 1), in place.
     """
-    return _unit_interval(_rounds(_gamma_ladder(max_branches) + (step_seed ^ KEY_CAP)))
+    return _unit_interval(_rounds(ladder + (step_seed ^ KEY_CAP)))
 
 
 def _cap_keyed(
@@ -498,14 +495,14 @@ def _cap_keyed(
         return e
     pu = e.parent_uid
     idx, hits = _stratified_hits(
-        e.weight, _cap_probe_phases(max_branches, step_seed),
+        e.weight, _cap_probe_phases(e.tables.ladder(max_branches), step_seed),
         group_start=np.flatnonzero(np.concatenate(([True], pu[1:] != pu[:-1]))),
         group_mass=group_mass,
     )
     return Ensemble(
         mode=e.mode, time=e.time, site=e.site[idx], origin=e.origin, params=e.params,
         weight=hits, uid=e.uid[idx], parent_uid=e.parent_uid[idx],
-        lineage_hash=e.lineage_hash[idx], next_uid=e.next_uid,
+        lineage_hash=e.lineage_hash[idx], next_uid=e.next_uid, tables=e.tables,
     )
 
 
@@ -582,7 +579,7 @@ def evolve_ensemble_step(
     else:
         dt = p.tau
     t_event = e.time + dt
-    step, kern = _offset_kernel(dt, p)
+    step, kern, cdf, index = e.tables.kernel(dt, cap)
     nk = step.size
 
     # over cap, survivors are selected as (parent, bin) pairs of implicit
@@ -599,9 +596,10 @@ def evolve_ensemble_step(
         # every multiplicity 1, the steady state: parent g keeps one row, the
         # g-th, on probe g's bin, holding its one hit and the parent's tag
         pr, weight = None, e.weight
-        oi = _cdf_search(_kernel_cdf(kern), _cap_probe_phases(cap, step_seed))
+        oi = _cdf_search(cdf, _cap_probe_phases(e.tables.ladder(cap), step_seed), index)
     else:
-        pr, oi, weight = _shared_kernel_hits(kern, _cap_probe_phases(cap, step_seed), e.weight)
+        u = _cap_probe_phases(e.tables.ladder(cap), step_seed)
+        pr, oi, weight = _shared_kernel_hits(cdf, index, u, e.weight)
     # a tag changes only where its lineage splits: a parent's first survivor
     # keeps it, and each further survivor on bin b gets the child hash of b
     if pr is None:
@@ -623,7 +621,7 @@ def evolve_ensemble_step(
     return Ensemble(
         mode=e.mode, time=t_event, site=child_site, origin=e.origin,
         params=p, weight=weight, uid=uid, parent_uid=parent_uid,
-        lineage_hash=lineage, next_uid=int(e.next_uid + noff),
+        lineage_hash=lineage, next_uid=int(e.next_uid + noff), tables=e.tables,
     )
 
 
@@ -708,21 +706,21 @@ def run_collapse_trajectories(
             for i in range(n_traj)]
     start = midbox_ensemble(p, "collapse")
     site = np.full(n_traj, start.site[0])
-    step, kern = _offset_kernel(p.tau, p)
-    cdf = _kernel_cdf(kern)
+    step, kern, cdf, index = start.tables.kernel(p.tau, n_traj)
+    ladder = start.tables.ladder(1)
     t = 0.0
     for _ in range(steps):
         step_seeds = np.array(
             [g.integers(0, 2**64, dtype=np.uint64) for g in gens], np.uint64
         )
         t += p.tau
-        u = _cap_probe_phases(1, step_seeds)
+        u = _cap_probe_phases(ladder, step_seeds)
         if select_rule is None:
-            sel = _cdf_search(cdf, u)
+            sel = _cdf_search(cdf, u, index)
         else:
             sel = np.asarray(select_rule(kern, u))
         site += step[sel]
-    return CollapseBatch(time=t, center=start.position(site), variance=start.variance,
+    return CollapseBatch(time=t, center=start.tables.position(site), variance=start.variance,
                          n_steps=steps)
 
 
@@ -754,14 +752,16 @@ def _exact_chain(p: PhysicalParams, steps: int) -> Iterator[tuple[float, int, np
         yield t, lo, mass
 
 
-def _site_ensemble(p: PhysicalParams, t: float, lo: int, mass: np.ndarray) -> Ensemble:
-    """Weighted ensemble of one branch per site of a chain mass vector."""
+def _site_ensemble(p: PhysicalParams, t: float, lo: int, mass: np.ndarray,
+                   tables: Tables | None = None) -> Ensemble:
+    """Weighted ensemble of one branch per site of a chain mass vector, in ``tables`` if given."""
     n = mass.size
     return Ensemble(
         mode="weighted", time=t, site=lo + np.arange(n, dtype=np.int64),
         origin=0.0, params=p, weight=mass / mass.sum(),
         uid=np.arange(n, dtype=np.int64), parent_uid=np.full(n, -1, np.int64),
         lineage_hash=lineage_hash_root(np.arange(n, dtype=np.uint64)), next_uid=n,
+        tables=tables,
     )
 
 

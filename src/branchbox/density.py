@@ -17,7 +17,6 @@ grid objects converge to their continuum limits as dx -> 0.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -322,7 +321,9 @@ class SineDiagonal:
 # localization channel
 
 
-def grw_localization_channel(rho: GridDensityMatrix, p: PhysicalParams) -> GridDensityMatrix:
+def grw_localization_channel(
+    rho: GridDensityMatrix, p: PhysicalParams, factor: np.ndarray | None = None
+) -> GridDensityMatrix:
     """Width-w Gaussian localization: rho_ij -> rho_ij exp(-(x_i-x_j)^2 / 8w^2).
 
     The Kraus family K_z = (a/pi)^(1/4) exp(-a (x-z)^2 / 2), a = 1/(2w^2),
@@ -333,22 +334,23 @@ def grw_localization_channel(rho: GridDensityMatrix, p: PhysicalParams) -> GridD
     the walls would leak trace for states near a wall.  Complete
     positivity: the factor matrix is a Gaussian kernel, hence positive
     semidefinite, and a Schur product with a PSD matrix preserves PSD.
+    ``factor`` is ``_localization_factor(rho.n, rho.dx, p.w)``, built per
+    call unless a run passes the one it built.
     """
     if rho.dx > p.w / 4.0:
         raise ValueError(
             f"grid pitch {rho.dx} does not resolve the localization width w = {p.w}"
         )
-    return GridDensityMatrix(rho.elements * _localization_factor(rho.n, rho.dx, p.w), rho.dx)
+    if factor is None:
+        factor = _localization_factor(rho.n, rho.dx, p.w)
+    return GridDensityMatrix(rho.elements * factor, rho.dx)
 
 
-@functools.lru_cache(maxsize=8)
 def _localization_factor(n: int, dx: float, w: float) -> np.ndarray:
-    """The channel's damping factor on the n-point grid of pitch dx, read-only."""
+    """The channel's damping factor on the n-point grid of pitch dx."""
     x = dx * np.arange(1, n + 1, dtype=float)
     d = x[:, None] - x[None, :]
-    damp = np.exp(-(d * d) / (8.0 * w**2))
-    damp.flags.writeable = False
-    return damp
+    return np.exp(-(d * d) / (8.0 * w**2))
 
 
 def von_neumann_entropy(rho: GridDensityMatrix) -> float:

@@ -43,6 +43,7 @@ from .config import LIOUVILLE_GRID, PERES_GRID, RunConfig, config_lines
 from .density import (
     GridDensityMatrix,
     UnitaryPropagator,
+    _localization_factor,
     classical_random_walk_oracle,
     fringe_content,
     grid_points,
@@ -181,7 +182,7 @@ def _series_row(e: Ensemble, c: RunConfig) -> tuple:
     # e has c.params, whose bins RunConfig validated: the kernels skip the checks
     x, m = e.position_masses
     mean = float(m @ x)
-    h = _coarse_histogram(x, m, math.sqrt(e.variance), c.params.L, c.bins)
+    h = _coarse_histogram(e.tables, x, m, c.bins)
     return (
         float(e.time), e.n_branches, effective_branch_count(e), mean,
         _mixture_variance(x, m, mean, e.variance), _coarse_entropy(h), _tv_to_uniform(h),
@@ -417,9 +418,10 @@ def _scenario_collapse(c: RunConfig):
     p = c.params
     # reference: the exact (sampling-free) weighted mixture, so the z
     # scores carry only the trajectories' own Monte Carlo error
-    rows = []
+    rows, tables = [], None
     for t, lo, mass in _exact_chain(p, c.steps):
-        reference = _site_ensemble(p, t, lo, mass)
+        reference = _site_ensemble(p, t, lo, mass, tables)
+        tables = reference.tables
         rows.append(_series_row(reference, c))
 
     batch = run_collapse_trajectories(p, COLLAPSE_TRAJECTORIES, c.steps, c.seed)
@@ -572,11 +574,12 @@ def _scenario_liouville(c: RunConfig):
     # localization channel: entropy never drops, and strictly grows on
     # low-entropy inputs
     chan_rng = _derived_rng(c.seed, _TAG_CHANNEL)
+    damp = _localization_factor(LIOUVILLE_GRID, dx, p.w)
     gains, initial_entropies = [], []
     for i in range(CHANNEL_STATES):
         state = random_mixed_state(LIOUVILLE_GRID, p, chan_rng, rank=1 + i % 10)
         s0 = von_neumann_entropy(state)
-        gains.append(von_neumann_entropy(grw_localization_channel(state, p)) - s0)
+        gains.append(von_neumann_entropy(grw_localization_channel(state, p, damp)) - s0)
         initial_entropies.append(s0)
     gains = np.array(gains)
     lowest = np.argsort(np.array(initial_entropies))[:20]
@@ -586,7 +589,7 @@ def _scenario_liouville(c: RunConfig):
     mm = GridDensityMatrix(
         np.eye(LIOUVILLE_GRID, dtype=complex) / (LIOUVILLE_GRID * dx), dx
     )
-    mm_dev = float(np.abs(grw_localization_channel(mm, p).elements - mm.elements).max())
+    mm_dev = float(np.abs(grw_localization_channel(mm, p, damp).elements - mm.elements).max())
 
     metrics = {
         "grid_points": LIOUVILLE_GRID,

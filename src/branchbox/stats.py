@@ -8,11 +8,12 @@ of point-assigning centers, so results are exact for the mixture and do
 not depend on the branching lattice.  Mean, variance and histogram read
 one aggregation, built once per ensemble (``Ensemble.position_masses``):
 branch masses summed per unfolded lattice site, then per position the
-sites fold onto, looked up in a fold table kept per geometry.  A
-position's folded bin masses depend only on that position, the packet
-width, L and the bin count, so they are computed once per distinct
-position and reused by every later histogram of the same geometry.  Series
-rows read the aggregation once, through the unchecked private kernels.
+sites fold onto, looked up in the fold index of the run's tables
+(``branching.Tables``).  A position's folded bin masses depend only on
+that position, the packet width, L and the bin count, so the run's tables
+keep them: each is computed once per distinct position and run, and
+reused by every later histogram of the run.  Series rows read the
+aggregation once, through the unchecked private kernels.
 
 The checks (diffusion fit, chi-square frequency test, collapse-vs-
 ensemble z-scores) are deliberately plain: ordinary least squares and
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaincinv, ndtr
 
-from .branching import _EXACT_COUNT, CollapseBatch, Ensemble
+from .branching import _EXACT_COUNT, CollapseBatch, Ensemble, Tables
 from .model import PhysicalParams
 
 __all__ = [
@@ -175,39 +176,25 @@ def _folded_bin_masses(
     return np.maximum(out, 0.0)
 
 
-# Folded bin-mass rows by (packet std, L, bins): the known positions, sorted,
-# and their rows.  A run folds the same few lattice positions on every
-# series row.  The bounds only keep a caller whose positions never repeat
-# from growing the memo without limit.
-_FOLD_TABLES: dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]] = {}
-_MAX_GEOMETRIES = 8
-_MAX_TABLE_FLOATS = 1 << 18
+def _bin_mass_rows(t: Tables, x: np.ndarray, k: int) -> np.ndarray:
+    """``_folded_bin_masses`` over k bins of sorted distinct positions x of t's geometry.
 
-
-def _bin_mass_rows(x: np.ndarray, s: float, L: float, k: int) -> np.ndarray:
-    """``_folded_bin_masses`` of sorted distinct positions x over k bins, memoized.
-
-    Each row depends only on its own position, so a row computed once is
-    the row every later call would compute, bit for bit.
+    The rows of the positions seen so far are kept in ``t.bin_rows[k]``,
+    sorted by position.  Each row depends only on its own position, so a
+    row computed once is the row every later call would compute, bit for
+    bit.
     """
-    key = (s, L, k)
-    known, rows = _FOLD_TABLES.pop(key, (np.empty(0), np.empty((0, k))))
+    known, rows = t.bin_rows.get(k, (np.empty(0), np.empty((0, k))))
     at = np.searchsorted(known, x)
-    seen = np.zeros(x.size, bool)
-    inside = at < known.size
-    seen[inside] = known[at[inside]] == x[inside]
-    if not seen.all():
-        new = x[~seen]
-        if (known.size + new.size) * k > _MAX_TABLE_FLOATS:
-            known, rows, new = known[:0], rows[:0], x
+    new = x[known.take(at, mode="clip") != x] if known.size else x
+    if new.size:
         where = np.searchsorted(known, new)
+        s, L = math.sqrt(t.params.w**2), t.params.L
         new_rows = _folded_bin_masses(new, s, np.linspace(0.0, L, k + 1), L)
         known = np.insert(known, where, new)
         rows = np.insert(rows, where, new_rows, axis=0)
+        t.bin_rows[k] = known, rows
         at = np.searchsorted(known, x)
-    _FOLD_TABLES[key] = known, rows
-    if len(_FOLD_TABLES) > _MAX_GEOMETRIES:
-        del _FOLD_TABLES[next(iter(_FOLD_TABLES))]
     return rows[at]
 
 
@@ -215,7 +202,7 @@ def position_histogram(e: Ensemble, p: PhysicalParams, k: int) -> np.ndarray:
     """Coarse-grained position density over k equal bins of [0, L].
 
     Each distinct position's Gaussian is integrated over each bin with
-    wall images, once per distinct position and geometry (see
+    wall images, once per distinct position in the ensemble's tables (see
     ``_bin_mass_rows``), then the bin masses are renormalized to sum
     exactly 1.  ``p`` must be the ensemble's own parameters.  Bins must
     be no finer than the localization width w, below which the coarse
@@ -231,11 +218,11 @@ def position_histogram(e: Ensemble, p: PhysicalParams, k: int) -> np.ndarray:
             f"bin width L/k = {p.L / k} is finer than the localization width "
             f"w = {p.w}; coarse-graining requires L/k >= w"
         )
-    return _coarse_histogram(*e.position_masses, math.sqrt(e.variance), p.L, k)
+    return _coarse_histogram(e.tables, *e.position_masses, k)
 
 
-def _coarse_histogram(x: np.ndarray, m: np.ndarray, s: float, L: float, k: int) -> np.ndarray:
-    h = m @ _bin_mass_rows(x, s, L, k)
+def _coarse_histogram(t: Tables, x: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
+    h = m @ _bin_mass_rows(t, x, k)
     return h / h.sum()
 
 

@@ -14,11 +14,10 @@ from scipy import stats as sps
 from branchbox import branching
 from branchbox.branching import (
     Ensemble,
-    _bucket_count,
+    Tables,
     _cap_keyed,
     _cdf_index,
     _cdf_search,
-    _kernel_cdf,
     _probe_cells,
     _shared_kernel_hits,
     _stratified_hits,
@@ -44,6 +43,13 @@ P = PhysicalParams()
 
 def gen(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _kernel_cdf(kern):
+    """Cumulative kernel weights normalised to end at exactly 1, as ``Tables.kernel`` has them."""
+    cdf = np.cumsum(kern)
+    cdf /= cdf[-1]
+    return cdf
 
 
 def initial_ensemble(sites, weights, mode="weighted", roots=None):
@@ -179,14 +185,18 @@ FOLD_RUNS = {o["scenario"]: _acceptance_run(o) for o in ACCEPTANCE} | {
 
 
 @pytest.mark.parametrize("case", sorted(FOLD_RUNS))
-def test_position_masses_equal_the_per_row_fold(case, monkeypatch):
-    monkeypatch.setattr(branching, "_FOLD_INDEXES", {})
+def test_position_masses_equal_the_per_row_fold(case):
     p, mode, center, cap, timing = FOLD_RUNS[case]
     e, rng = midbox_ensemble(p, mode, center=center), gen(17)
     _assert_per_row_fold(e)
     for _ in range(12):
         e = evolve_ensemble_step(e, p, 8, cap, rng, timing=timing)
         _assert_per_row_fold(e)
+    # a warm ensemble re-placed in another geometry gets tables of its own
+    for other in (dataclasses.replace(e, origin=e.origin + 0.1),
+                  dataclasses.replace(e, params=dataclasses.replace(p, w=p.w / 2, L=2 * p.L))):
+        assert other.tables is not e.tables
+        _assert_per_row_fold(other)
 
 
 @pytest.mark.parametrize("counts", [
@@ -215,43 +225,26 @@ def test_position_masses_of_counts_round_once_below_the_exact_total(counts):
         assert abs(m - np.array(expected, float)).max() <= 2**-52
 
 
-def test_fold_index_grows_and_restarts_bit_for_bit(monkeypatch):
-    monkeypatch.setattr(branching, "_FOLD_INDEXES", {})
-    monkeypatch.setattr(branching, "_MAX_FOLD_SITES", 256)
-    e, rng, ranges = midbox_ensemble(P), gen(4), []
+def test_fold_index_grows_and_restarts_bit_for_bit():
+    # a 300-step Poisson walk grows its fold index a few times, never past
+    # twice the sites it has seen, and never shrinks it
+    e, rng, ranges, lo, hi = midbox_ensemble(P), gen(4), [], math.inf, -math.inf
     for _ in range(300):
         e = evolve_ensemble_step(e, P, 8, 40, rng, timing="poisson")
         _assert_per_row_fold(e)
-        (first, _, which), = branching._FOLD_INDEXES.values()
+        lo, hi = min(lo, e.site.min()), max(hi, e.site.max())
+        first, _, which = e.tables.fold(e.site.min(), e.site.max() + 1)
         ranges.append((first, first + which.size))
-        # a row wider than the bound gets a table of its own width
-        assert which.size <= max(256, np.ptp(e.site) + 1)
+        assert first <= lo and hi < first + which.size
+        assert which.size <= 2 * (hi - lo + 1)
     moves = [(a, b) for a, b in zip(ranges, ranges[1:]) if a != b]
-    grown = [a for a, b in moves if b[0] <= a[0] and a[1] <= b[1]]
-    assert grown and len(grown) < len(moves)
-
-
-def test_fold_indexes_stay_bounded(monkeypatch):
-    # a spreading walk rebuilds its table a few times, each with slack;
-    # geometries past the limit evict the oldest, and a table built afresh
-    # gives the aggregation a grown one gave, bit for bit
-    monkeypatch.setattr(branching, "_FOLD_INDEXES", {})
-    e, rng, tables = midbox_ensemble(P), gen(8), []
-    for _ in range(300):
-        e = evolve_ensemble_step(e, P, 8, 500, rng)
-        e.position_masses
-        table = branching._FOLD_INDEXES[(0.0, 0.5, 20.0)]
-        if not tables or table is not tables[-1]:
-            tables.append(table)
-    assert len(tables) <= 5
+    assert 0 < len(moves) <= 5
+    assert all(b[0] <= a[0] and a[1] <= b[1] for a, b in moves)
+    # tables built afresh from the last row give the grown index's aggregation
     grown = e.position_masses
-    origins = [0.1 * i for i in range(1, 2 * branching._MAX_FOLD_GEOMETRIES)]
-    for origin in origins:
-        _assert_per_row_fold(dataclasses.replace(e, origin=origin))
-        assert len(branching._FOLD_INDEXES) <= branching._MAX_FOLD_GEOMETRIES
-    assert [o for o, _, _ in branching._FOLD_INDEXES] == origins[-branching._MAX_FOLD_GEOMETRIES:]
-    again = dataclasses.replace(e).position_masses
-    assert [a.tobytes() for a in again] == [g.tobytes() for g in grown]
+    again = dataclasses.replace(e, tables=None)
+    assert again.tables is not e.tables
+    assert [a.tobytes() for a in again.position_masses] == [g.tobytes() for g in grown]
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +369,15 @@ def _flat_rows(parent_mass, kern):
     return flat, np.arange(parent_mass.size) * kern.size
 
 
+def _shared_hits(kern, u, parent_mass):
+    """``_shared_kernel_hits`` on kern's CDF and bucket table for u's probes."""
+    cdf = _kernel_cdf(kern)
+    return _shared_kernel_hits(cdf, _cdf_index(cdf, u.size), u, parent_mass)
+
+
 def _shared_flat(kern, u, parent_mass):
     """``_shared_kernel_hits`` as flat row indices g * kern.size + b, and hits."""
-    g, b, hits = _shared_kernel_hits(kern, u, parent_mass)
+    g, b, hits = _shared_hits(kern, u, parent_mass)
     return g * kern.size + b, hits
 
 
@@ -415,7 +414,7 @@ def test_stratified_hits_unbiased_per_implicit_row():
     k = 6
     trials = 40_000
     u = gen(25).random((trials, k))
-    g, b, hits = _shared_kernel_hits(kern, u.ravel(), np.tile(pm, trials))
+    g, b, hits = _shared_hits(kern, u.ravel(), np.tile(pm, trials))
     row = (g % pm.size) * kern.size + b
     mean_hits = np.bincount(row, weights=hits, minlength=flat.size) / trials
     np.testing.assert_allclose(mean_hits, k * flat, atol=0.02)
@@ -508,7 +507,7 @@ def test_first_level_at_the_cap():
     # same positions on the float CDF of the masses, finds the same cells
     rng = gen(27)
     for k in (1, 7, 1000, 100_000):
-        u = branching._cap_probe_phases(k, np.uint64(k))
+        u = branching._cap_probe_phases(Tables(0.0, P).ladder(k), np.uint64(k))
         for n in sorted({1, max(k // 3, 1), k}):
             h = 1 + rng.multinomial(k - n, np.full(n, 1.0 / n))
             cell = _assert_multiplicity_first_level(h, u)
@@ -528,7 +527,7 @@ def kernel_cases(draw):
     assume(kern.sum() > 0)
     cdf = _kernel_cdf(kern)
     n = draw(st.sampled_from([1, 16, 32, 100, 2000, 5000, 100_000]))
-    nb = _bucket_count(n)
+    nb = _cdf_index(cdf, n).size - 1
     marks = [float(c) for c in cdf if c > 0] + [q / nb for q in range(1, nb + 1)]
     picks = draw(st.lists(
         st.tuples(st.sampled_from(marks) | st.floats(0.0, 1.0, exclude_min=True),
@@ -547,23 +546,25 @@ def test_cdf_search_equals_searchsorted(case):
     # the bucketed kernel lookup is the binary search it replaces, bit for bit
     cdf, probe = case
     np.testing.assert_array_equal(
-        _cdf_search(cdf, probe), np.searchsorted(cdf, probe, side="left")
+        _cdf_search(cdf, probe, _cdf_index(cdf, probe.size)),
+        np.searchsorted(cdf, probe, side="left"),
     )
 
 
-def test_cdf_index_sizes_buckets_to_the_probes_and_is_memoized(monkeypatch):
-    monkeypatch.setattr(branching, "_CDF_INDEXES", {})
-    cdf = _kernel_cdf(branching._offset_kernel(P.tau, P)[1])
-    # a power of two near K / 16, at most 4096
-    assert [_bucket_count(n) for n in (1, 31, 32, 2000, 100_000)] == [1, 1, 2, 64, 4096]
-    assert _cdf_index(cdf, 64) is _cdf_index(cdf, 64)
-    assert _cdf_index(cdf, 64).size == 65
-    for i in range(3 * branching._MAX_CDF_INDEXES):
-        _cdf_index(_kernel_cdf(np.array([1.0, i + 1.0])), 64)
-    assert len(branching._CDF_INDEXES) == branching._MAX_CDF_INDEXES
+def test_cdf_index_sizes_buckets_to_the_probes_and_is_memoized():
+    tables = Tables(0.0, P)
+    step, kern, cdf, index = tables.kernel(P.tau, 64)
+    assert cdf[-1] == 1.0 and np.array_equal(cdf, _kernel_cdf(kern))
+    # nb + 1 entries, nb a power of two near K / 16, at least 1 and at most 4096
+    sizes = [_cdf_index(cdf, n).size for n in (1, 31, 32, 64, 2000, 100_000)]
+    assert sizes == [2, 2, 3, 5, 65, 4097]
+    # the run's tables keep the kernel while (dt, probes) repeat, and only then
+    assert tables.kernel(P.tau, 64)[3] is index
+    assert np.array_equal(tables.kernel(P.tau, 2000)[3], _cdf_index(cdf, 2000))
+    assert tables.kernel(0.5 * P.tau, 2000)[1].size < kern.size
     # unit parameters: at most 20 of 4097 buckets hold a CDF entry, so one
     # gather answers almost every probe of a cap-1e5 step
-    table = _cdf_index(cdf, 4096)
+    table = _cdf_index(cdf, 100_000)
     assert (table < 0).sum() <= 20
     # every other bucket answers with the count of entries below it
     q = np.flatnonzero(table >= 0)
@@ -573,9 +574,9 @@ def test_cdf_index_sizes_buckets_to_the_probes_and_is_memoized(monkeypatch):
 def test_engine_and_batch_share_the_kernel_lookup(monkeypatch):
     calls = []
 
-    def counted(cdf, probe):
+    def counted(cdf, probe, index):
         calls.append(probe.size)
-        return _cdf_search(cdf, probe)
+        return _cdf_search(cdf, probe, index)
 
     monkeypatch.setattr(branching, "_cdf_search", counted)
     run_collapse_trajectories(P, 5, 3, 1)
@@ -1176,7 +1177,7 @@ def test_folded_free_chain_matches_box_chain(p):
     assert top * bw == p.L
     step, kern = branching._offset_kernel(p.tau, p)
     box = reference.box_chain_reference(step, kern, round(p.L / 2 / bw), top, 50)
-    fold = midbox_ensemble(p).position
+    fold = midbox_ensemble(p).tables.position
     n = 0
     for (t, lo, mass), want in zip(branching._exact_chain(p, 50), box):
         box_site = np.rint(fold(lo + np.arange(mass.size)) / bw).astype(np.int64)

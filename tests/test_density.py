@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from branchbox import density
+from branchbox import density, runner
+from branchbox.config import LIOUVILLE_GRID, parse_config
 from branchbox.density import (
     GridDensityMatrix,
     GridWavefunction,
@@ -337,20 +338,35 @@ def test_channel_damps_off_diagonals_exactly():
     np.testing.assert_allclose(out.density(), rho.density(), atol=1e-14)
 
 
-def test_channel_factor_is_built_once_per_grid_and_width():
+def test_channel_factor_is_built_once_per_grid_and_width(monkeypatch):
+    # the Liouville run builds its grid's factor once and hands it to every
+    # channel call, as it builds its propagator once
+    built, passed = [], set()
+    build, channel = runner._localization_factor, runner.grw_localization_channel
+
+    def counted_build(*args):
+        built.append(args)
+        return build(*args)
+
+    def counted_channel(rho, p, factor):
+        passed.add(id(factor))
+        return channel(rho, p, factor)
+
+    monkeypatch.setattr(runner, "_localization_factor", counted_build)
+    monkeypatch.setattr(runner, "grw_localization_channel", counted_channel)
+    c = parse_config("", {"scenario": "liouville_check", "steps": 2})
+    runner._scenario_liouville(c)
+    assert built == [(LIOUVILLE_GRID, grid_points(LIOUVILLE_GRID, c.params)[1], c.params.w)]
+    assert len(passed) == 1
+    # the factor passed in is the one the channel builds per call without it
     n = 128
     rho = pure_density(packet_state(n, P, 10.0, 1.0))
-    first = grw_localization_channel(rho, P)
     factor = density._localization_factor(n, rho.dx, P.w)
-    again = grw_localization_channel(first, P)
-    assert density._localization_factor(n, rho.dx, P.w) is factor
-    assert not factor.flags.writeable
-    # the memoized factor is the one the channel built on every call
     x = rho.positions()
     d = x[:, None] - x[None, :]
-    fresh = np.exp(-(d * d) / (8.0 * P.w**2))
-    np.testing.assert_array_equal(again.elements, first.elements * fresh)
-    assert density._localization_factor(n, rho.dx, 2.0 * P.w) is not factor
+    np.testing.assert_array_equal(factor, np.exp(-(d * d) / (8.0 * P.w**2)))
+    np.testing.assert_array_equal(grw_localization_channel(rho, P, factor).elements,
+                                  grw_localization_channel(rho, P).elements)
 
 
 def test_channel_entropy_matches_closed_form():

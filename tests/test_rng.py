@@ -5,6 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from branchbox import branching, rng
+from branchbox.model import PhysicalParams
 from branchbox.rng import (
     GAMMA,
     KEY_CAP,
@@ -187,14 +188,16 @@ def test_unit_interval_equals_the_float_arithmetic_map():
 
 @pytest.mark.parametrize("k", [1, 31, 2000, 100_000])
 def test_cap_probe_phases_equal_the_stream_formula(k):
+    tables = branching.Tables(0.0, PhysicalParams())
     for seed in (0, 2**64 - 1, 0x1234_5678_9ABC_DEF0):
-        got = branching._cap_probe_phases(k, np.uint64(seed))
+        got = branching._cap_probe_phases(tables.ladder(k), np.uint64(seed))
         assert got.shape == (k,)
         np.testing.assert_array_equal(got, reference.cap_probe_phases(k, np.uint64(seed), KEY_CAP))
     # a vector of step seeds at one probe, as the collapse batch draws them
     seeds = _random_keys(23, 50)
     np.testing.assert_array_equal(
-        branching._cap_probe_phases(1, seeds), reference.cap_probe_phases(1, seeds, KEY_CAP))
+        branching._cap_probe_phases(tables.ladder(1), seeds),
+        reference.cap_probe_phases(1, seeds, KEY_CAP))
 
 
 @pytest.mark.parametrize("n", [0, 1, 100_000])

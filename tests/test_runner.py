@@ -361,3 +361,32 @@ def test_peres_runs_at_its_grid_limit(tmp_path):
     summary = run_scenario(c)
     assert len(summary.checks) == 4
     assert summary.passed
+
+
+# ---------------------------------------------------------------------------
+# run state
+
+
+def _module_globals():
+    """repr of every global of every loaded branchbox module, by (module, name)."""
+    import branchbox.cli  # noqa: F401  (every module, the CLI's too)
+
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name == "branchbox" or name.startswith("branchbox.")]
+    return {(m.__name__, k): v for m in modules for k, v in vars(m).items()
+            if not k.startswith("__")}
+
+
+def test_a_run_leaves_no_state_behind(tmp_path):
+    # a run's tables belong to the run: no global of a branchbox module
+    # changes across two runs, and none is a functools cache that could grow
+    before = {key: repr(v) for key, v in _module_globals().items()}
+    for overrides in (
+        {"scenario": "peres_test", "L": 40.0, "steps": 20, "max_branches": 200,
+         "timing": "poisson"},
+        {"scenario": "midbox", "w": 0.3, "steps": 20, "max_branches": 200},
+    ):
+        assert run_scenario(parse_config("", overrides | {"output_dir": str(tmp_path)})).passed
+    after = _module_globals()
+    assert {key: repr(v) for key, v in after.items()} == before
+    assert [key for key, v in after.items() if hasattr(v, "cache_clear")] == []

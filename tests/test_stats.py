@@ -228,7 +228,7 @@ def test_histogram_refuses_foreign_params():
 
 
 # ---------------------------------------------------------------------------
-# the folded bin-mass memo
+# the run's folded bin-mass rows
 
 
 def uncached_histogram(e, p, k):
@@ -238,8 +238,7 @@ def uncached_histogram(e, p, k):
     return h / h.sum()
 
 
-def test_memo_rows_match_uncached_as_positions_appear(monkeypatch):
-    monkeypatch.setattr(stats, "_FOLD_TABLES", {})
+def test_memo_rows_match_uncached_as_positions_appear():
     p = PhysicalParams(w=0.3, L=20.0)
     rng = np.random.Generator(np.random.PCG64(3))
     e, seen, rows_with_new = midbox_ensemble(p), set(), 0
@@ -250,10 +249,15 @@ def test_memo_rows_match_uncached_as_positions_appear(monkeypatch):
         seen |= x
         assert np.array_equal(position_histogram(e, p, 20), uncached_histogram(e, p, 20))
     assert rows_with_new >= 15
+    # a warm ensemble re-placed in another geometry gets tables of its own
+    for other in (dataclasses.replace(e, origin=e.origin + 0.1),
+                  dataclasses.replace(e, params=dataclasses.replace(p, w=p.w / 2, L=2 * p.L))):
+        assert other.tables is not e.tables
+        q = other.params
+        assert np.array_equal(position_histogram(other, q, 20), uncached_histogram(other, q, 20))
 
 
-def test_memo_holds_exactly_the_positions_seen(monkeypatch):
-    monkeypatch.setattr(stats, "_FOLD_TABLES", {})
+def test_memo_holds_exactly_the_positions_seen():
     p = PhysicalParams(L=40.0)
     rng = np.random.Generator(np.random.PCG64(5))
     e = midbox_ensemble(p)
@@ -263,41 +267,13 @@ def test_memo_holds_exactly_the_positions_seen(monkeypatch):
         e = evolve_ensemble_step(e, p, 1, 2000, rng, timing="poisson")
         seen |= set(e.position_masses[0].tolist())
         position_histogram(e, p, 20)
-    (key, (known, rows)), = stats._FOLD_TABLES.items()
-    assert key == (p.w, p.L, 20)
+    # the run's tables hold one bin count's rows, one per position seen
+    (k, (known, rows)), = e.tables.bin_rows.items()
+    assert k == 20 and e.tables.params == p
     assert known.tolist() == sorted(seen)
-    assert rows.shape == (known.size, 20)
     assert known.size <= p.L / p.bin_width() + 1
-
-
-def test_memo_keeps_geometries_apart(monkeypatch):
-    monkeypatch.setattr(stats, "_FOLD_TABLES", {})
-    narrow = PhysicalParams(w=0.5)
-    cases = [(P, 20), (narrow, 20), (narrow, 40)]
-    ensembles = [weighted_ensemble([4, 12, 30], [0.2, 0.3, 0.5], p=p) for p, _ in cases]
-    for _ in range(3):
-        for (p, k), e in zip(cases, ensembles):
-            assert np.array_equal(position_histogram(e, p, k), uncached_histogram(e, p, k))
-    assert sorted(stats._FOLD_TABLES) == [(0.5, 20.0, 20), (0.5, 20.0, 40), (1.0, 20.0, 20)]
-    for (s, L, k), (known, rows) in stats._FOLD_TABLES.items():
-        edges = np.linspace(0.0, L, k + 1)
-        assert np.array_equal(rows, stats._folded_bin_masses(known, s, edges, L))
-
-
-def test_memo_stays_bounded(monkeypatch):
-    # positions that never repeat restart a full table; geometries past the
-    # limit evict the oldest
-    monkeypatch.setattr(stats, "_FOLD_TABLES", {})
-    monkeypatch.setattr(stats, "_MAX_TABLE_FLOATS", 200)
-    for i in range(30):
-        e = weighted_ensemble([0, 3], [0.5, 0.5], origin=2.0 + 0.01 * i)
-        assert np.array_equal(position_histogram(e, P, 20), uncached_histogram(e, P, 20))
-        assert stats._FOLD_TABLES[(1.0, 20.0, 20)][0].size <= 10
-    lengths = [float(L) for L in range(22, 22 + 2 * stats._MAX_GEOMETRIES + 2, 2)]
-    for L in lengths:
-        p = PhysicalParams(L=L)
-        position_histogram(midbox_ensemble(p), p, 20)
-    assert [L for _, L, _ in stats._FOLD_TABLES] == lengths[-stats._MAX_GEOMETRIES:]
+    edges = np.linspace(0.0, p.L, k + 1)
+    assert np.array_equal(rows, stats._folded_bin_masses(known, p.w, edges, p.L))
 
 
 # ---------------------------------------------------------------------------
