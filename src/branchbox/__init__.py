@@ -22,7 +22,6 @@ from .branching import (
     TagReport,
     apportion_counts,
     evolve_ensemble_step,
-    exact_weighted_reference,
     midbox_ensemble,
     run_collapse_trajectories,
     trajectory_seed,
@@ -57,7 +56,6 @@ from .density import (
     interference_visibility,
     mixture_density,
     packet_state,
-    pure_density,
     random_mixed_state,
     superpose,
     von_neumann_entropy,
@@ -78,7 +76,6 @@ __all__ = [
     "TagReport",
     "apportion_counts",
     "evolve_ensemble_step",
-    "exact_weighted_reference",
     "midbox_ensemble",
     "run_collapse_trajectories",
     "trajectory_seed",
@@ -109,7 +106,6 @@ __all__ = [
     "interference_visibility",
     "mixture_density",
     "packet_state",
-    "pure_density",
     "random_mixed_state",
     "superpose",
     "von_neumann_entropy",

@@ -32,20 +32,19 @@ multiplicity h_g, and gets exactly h_g of the next step's probes.
 
 The engine is a free integer walk.  An ensemble is a time, its physical
 parameters, one float origin and flat per-branch arrays: an int64
-unfolded lattice offset (site), mass, uid, parent uid and a 64-bit
-lineage hash.  A branch's packet has width w (each event resets it) and
-sits at ``reflect_center(origin + site * w/2, L)``: the walls enter by
-the method of images, folded in only where an observable reads a
-position.  The offset kernel is symmetric, so the folded free walk is
-the walk reflected at the walls.  The hash does not encode every event
-of a branch's ancestry, only the splits that made it distinct from its
+unfolded lattice offset (site), a mass and a 64-bit lineage hash.  A
+branch's packet has width w (each event resets it) and sits at
+``reflect_center(origin + site * w/2, L)``: the walls enter by the
+method of images, folded in only where an observable reads a position.
+The offset kernel is symmetric, so the folded free walk is the walk
+reflected at the walls.  The hash does not encode every event of a
+branch's ancestry, only the splits that made it distinct from its
 siblings, which is enough for uniqueness checks and no-recoherence
 bookkeeping without O(depth) memory per branch.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import numbers
@@ -79,7 +78,6 @@ __all__ = [
     "midbox_ensemble",
     "run_collapse_trajectories",
     "trajectory_seed",
-    "exact_weighted_reference",
 ]
 
 MODES = ("weighted", "count", "collapse")
@@ -105,9 +103,9 @@ class Ensemble:
     ``origin``; ``center`` folds it into the box.  ``weight`` is the
     branch mass: int64 counts, each at least 1 (count mode, whose masses
     are always counts, and a cap's hits, whose sum is the cap), or
-    float64 Born weights above 0 summing to 1 within 1e-12.
-    ``parent_uid`` is -1 for initial branches that have not been through
-    a decoherence event.  ``tables`` are the run's (``Tables``).
+    float64 Born weights above 0 summing to 1 within 1e-12.  ``next_uid``
+    counts the implicit offspring rows the run's steps have generated so
+    far (read by bench/tracing.py).  ``tables`` are the run's (``Tables``).
     """
 
     mode: str
@@ -116,10 +114,8 @@ class Ensemble:
     origin: float
     params: PhysicalParams
     weight: np.ndarray
-    uid: np.ndarray
-    parent_uid: np.ndarray
     lineage_hash: np.ndarray
-    next_uid: int
+    next_uid: int = 0
     tables: Tables | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -128,7 +124,7 @@ class Ensemble:
         n = self.site.shape[0]
         if n < 1:
             raise ValueError("ensemble must contain at least one branch")
-        for name in ("weight", "uid", "parent_uid", "lineage_hash"):
+        for name in ("weight", "lineage_hash"):
             if getattr(self, name).shape[0] != n:
                 raise ValueError(f"array '{name}' length mismatch")
         if self.site.dtype != np.int64:
@@ -190,7 +186,7 @@ class Ensemble:
         return x[hit], m[hit]
 
     def masses(self) -> np.ndarray:
-        """Statistical mass per branch: Born weights or integer counts."""
+        """``weight``, the mass per branch; an alias kept for ``bench/tracing.py``."""
         return self.weight
 
 
@@ -282,8 +278,7 @@ def midbox_ensemble(
     return Ensemble(
         mode=mode, time=0.0, site=np.array([site], np.int64), origin=origin,
         params=p, weight=np.array([count], np.int64 if mode == "count" else float),
-        uid=np.zeros(1, np.int64), parent_uid=np.full(1, -1, np.int64),
-        lineage_hash=lineage_hash_root(np.zeros(1, np.uint64)), next_uid=1,
+        lineage_hash=lineage_hash_root(np.zeros(1, np.uint64)),
     )
 
 
@@ -419,91 +414,17 @@ def _shared_kernel_hits(cdf: np.ndarray, index, u: np.ndarray, parent_mass: np.n
     return _hit_runs(cell, _cdf_search(cdf, frac, index), per_cell)
 
 
-def _stratified_hits(
-    row_mass: np.ndarray,
-    u: np.ndarray,
-    *,
-    group_start: np.ndarray | None = None,
-    group_mass: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two-level stratified resampling: one CDF probe per stride, independent phases.
-
-    ``row_mass`` holds every row and ``group_start`` the first row of each
-    contiguous group (one group if omitted).  Probe j lands at
-    (u[j] + j) / K of the total mass.  ``_probe_cells`` gives each probe
-    its group from the group masses (``group_mass``, by default the float
-    sums of the groups' rows) and its fraction through the group, in
-    (0, 1], which one search resolves on all groups' row CDFs, each
-    normalised to end at exactly 1 and group g's shifted up by g.
-    Resolved this way the probes land where a flat search of all rows
-    puts them, so row i collects K * mass_i / total probes in expectation
-    (exactly unbiased, total exactly K), at most K distinct rows survive
-    and zero-mass rows or groups are never hit.  The flat indices come
-    out sorted, so hits are run lengths.  The phases must lie in (0, 1]
-    and be independent: a shared phase (plain systematic resampling)
-    locks equal-weight parents to the same offspring pick and the
-    ensemble stops mixing.  Returns (surviving
-    flat indices, strictly increasing; probe hits per survivor).
-    """
-    cum = np.cumsum(row_mass)
-    start = np.zeros(1, np.int64) if group_start is None else group_start
-    group = np.repeat(np.arange(start.size), np.diff(start, append=row_mass.size))
-    edge = np.append(np.concatenate(([0.0], cum))[start], cum[-1])
-    span = np.diff(edge)
-    # (cum - edge) / span is exactly 1 on each group's last row
-    row_cdf = group + (cum - edge[group]) / np.where(span > 0, span, 1.0)[group]
-    cell, per_cell, frac = _probe_cells(span if group_mass is None else group_mass, u)
-    # a fraction lost to rounding against the offset still lands past the
-    # previous group's last entry and this group's zero-mass lead rows
-    probe = np.maximum(cell + frac, np.nextafter(cell, np.inf))
-    _, idx, hits = _hit_runs(cell, np.searchsorted(row_cdf, probe, side="left"), per_cell)
-    return idx, hits
-
-
 def _cap_probe_phases(ladder: np.ndarray, step_seed) -> np.ndarray:
     """Phases of probes 0 .. k-1, a splitmix64 stream per step seed.
 
     Probe j's phase is ``unit_uniform((step_seed ^ KEY_CAP) + j * GAMMA)``:
     the key added onto the ladder (``Tables.ladder(k)``), whose offsets
     include splitmix64's own increment, then its rounds and the map to
-    (0, 1), in place.
+    (0, 1), in place.  The phases must be independent: a shared phase
+    (plain systematic resampling) locks equal-weight parents to the same
+    offspring pick, and the ensemble stops mixing.
     """
     return _unit_interval(_rounds(ladder + (step_seed ^ KEY_CAP)))
-
-
-def _cap_keyed(
-    e: Ensemble, max_branches: int, step_seed: np.uint64,
-    group_mass: np.ndarray | None = None,
-) -> Ensemble:
-    """Thin a weighted ensemble to at most ``max_branches`` branches.
-
-    Survivors are picked by two-level stratified resampling with probe
-    phases derived from (step seed, probe index): branches are grouped
-    into contiguous runs of equal ``parent_uid`` (an engine step's
-    offspring of one parent), each probe finds its group on the group
-    masses (``group_mass``, for offspring their parents' masses; by
-    default the float sums of the groups' weights) and then its branch
-    on that group's own CDF.  Evolving an ensemble past the cap makes the
-    same selection from the parents' masses and the shared kernel CDF
-    without building the offspring, and a hand-built ensemble, whose
-    branches share one parent uid, is one group: a flat search.
-    Survivors hold their hits, out of ``max_branches``, as int64 masses,
-    so every ensemble statistic stays an exactly unbiased estimate of
-    the uncapped one.  Under the cap the ensemble is returned unchanged.
-    """
-    if e.n_branches <= max_branches:
-        return e
-    pu = e.parent_uid
-    idx, hits = _stratified_hits(
-        e.weight, _cap_probe_phases(e.tables.ladder(max_branches), step_seed),
-        group_start=np.flatnonzero(np.concatenate(([True], pu[1:] != pu[:-1]))),
-        group_mass=group_mass,
-    )
-    return Ensemble(
-        mode=e.mode, time=e.time, site=e.site[idx], origin=e.origin, params=e.params,
-        weight=hits, uid=e.uid[idx], parent_uid=e.parent_uid[idx],
-        lineage_hash=e.lineage_hash[idx], next_uid=e.next_uid, tables=e.tables,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +467,11 @@ def evolve_ensemble_step(
     applied.  Past the cap, each stratified probe finds its parent (by
     integer arithmetic when the parents' multiplicities sum to the cap),
     then its bin on the shared kernel CDF; only the survivors' rows are
-    built, holding their hits.  That is the selection ``_cap_keyed``
-    makes on the materialized offspring, grouped by parent, so the
-    capped step is bit-identical to materializing everything and then
-    capping.  Among a parent's survivors, in probe order, the first
-    keeps the parent's lineage hash and each further one on bin b gets
+    built, holding their hits.  So the capped step is bit-identical to
+    materializing every offspring, then resampling them grouped by
+    parent with the parents' masses as the group masses.  Among a
+    parent's survivors, in probe order, the first keeps the parent's
+    lineage hash and each further one on bin b gets
     ``lineage_hash_child(parent, t_event, b)``; where every parent keeps
     one survivor no hash is computed.  Under the cap offspring hold Born
     weights, but a one-bin kernel keeps integer masses.  ``p`` must be
@@ -572,57 +493,56 @@ def evolve_ensemble_step(
         raise ValueError(f"unknown timing '{timing}'")
     if p.tau <= 0:
         raise ValueError("evolution requires tau > 0")
-    cap = 1 if e.mode == "collapse" else cap
     step_seed = np.uint64(rng.integers(0, 2**64, dtype=np.uint64))
-    if timing == "poisson":
-        dt = -p.tau * math.log(float(unit_uniform(mix(step_seed ^ KEY_TIMING))))
-    else:
-        dt = p.tau
-    t_event = e.time + dt
-    step, kern, cdf, index = e.tables.kernel(dt, cap)
-    nk = step.size
-
-    # over cap, survivors are selected as (parent, bin) pairs of implicit
-    # rows and only their rows are built
-    n = e.n_branches
-    noff = n * nk
-    if noff <= cap:
-        pr = np.repeat(np.arange(n), nk)
-        oi = np.tile(np.arange(nk), n)
-        mass = (e.weight[:, None] * kern[None, :]).ravel()
-        # a one-bin kernel keeps integer multiplicities
-        weight = e.weight if nk == 1 and e.weight.dtype == np.int64 else mass / mass.sum()
-    elif n == cap and _are_multiplicities(e.weight, cap):
-        # every multiplicity 1, the steady state: parent g keeps one row, the
-        # g-th, on probe g's bin, holding its one hit and the parent's tag
-        pr, weight = None, e.weight
-        oi = _cdf_search(cdf, _cap_probe_phases(e.tables.ladder(cap), step_seed), index)
-    else:
-        u = _cap_probe_phases(e.tables.ladder(cap), step_seed)
-        pr, oi, weight = _shared_kernel_hits(cdf, index, u, e.weight)
+    t_event, step, pr, oi, weight = _step_rows(e, cap, step_seed, timing)
     # a tag changes only where its lineage splits: a parent's first survivor
     # keeps it, and each further survivor on bin b gets the child hash of b
     if pr is None:
-        site, parent_uid, lineage = e.site, e.uid, e.lineage_hash
+        site, lineage = e.site, e.lineage_hash
     else:
-        site, parent_uid, lineage = e.site.take(pr), e.uid.take(pr), e.lineage_hash.take(pr)
+        site, lineage = e.site.take(pr), e.lineage_hash.take(pr)
         split = np.flatnonzero(pr[1:] == pr[:-1])
         if split.size:
             split += 1
             lineage[split] = lineage_hash_child(lineage[split], t_event, oi[split])
-    # offspring (g, b) is implicit row g * nk + b, numbered from next_uid
-    uid = np.arange(e.next_uid, e.next_uid + noff, nk) if pr is None else pr * nk + e.next_uid
-    uid += oi
     # bin_weights' bins are consecutive, so bin b is the step step[0] + b;
     # the child sites are built in the step's own array of bins
     child_site = oi
     child_site += site
     child_site += step[0]
     return Ensemble(
-        mode=e.mode, time=t_event, site=child_site, origin=e.origin,
-        params=p, weight=weight, uid=uid, parent_uid=parent_uid,
-        lineage_hash=lineage, next_uid=int(e.next_uid + noff), tables=e.tables,
+        mode=e.mode, time=t_event, site=child_site, origin=e.origin, params=p,
+        weight=weight, lineage_hash=lineage,
+        next_uid=e.next_uid + e.n_branches * step.size, tables=e.tables,
     )
+
+
+def _step_rows(e: Ensemble, cap: int, step_seed: np.uint64, timing: str):
+    """The surviving offspring rows of one step from ``e``, keyed off its step seed.
+
+    Returns (event time, the kernel's lattice steps, parent g of each
+    survivor, its bin b, its mass).  Under the cap every implicit row
+    (g, b) survives; past it, the rows the probes hit, sorted, selected
+    as (parent, bin) pairs without building the rows.  The parents are
+    None in the steady state, where parent g keeps exactly row g.
+    """
+    cap = 1 if e.mode == "collapse" else cap
+    p = e.params
+    dt = p.tau if timing == "deterministic" else (
+        -p.tau * math.log(float(unit_uniform(mix(step_seed ^ KEY_TIMING)))))
+    step, kern, cdf, index = e.tables.kernel(dt, cap)
+    nk, n = step.size, e.n_branches
+    if n * nk <= cap:
+        mass = (e.weight[:, None] * kern[None, :]).ravel()
+        # a one-bin kernel keeps integer multiplicities
+        weight = e.weight if nk == 1 and e.weight.dtype == np.int64 else mass / mass.sum()
+        return e.time + dt, step, np.repeat(np.arange(n), nk), np.tile(np.arange(nk), n), weight
+    u = _cap_probe_phases(e.tables.ladder(cap), step_seed)
+    if n == cap and _are_multiplicities(e.weight, cap):
+        # every multiplicity 1, the steady state: parent g keeps one row, the
+        # g-th, on probe g's bin, holding its one hit
+        return e.time + dt, step, None, _cdf_search(cdf, u, index), e.weight
+    return e.time + dt, step, *_shared_kernel_hits(cdf, index, u, e.weight)
 
 
 # ---------------------------------------------------------------------------
@@ -630,29 +550,26 @@ def evolve_ensemble_step(
 
 
 def verify_tag_uniqueness(e: Ensemble) -> TagReport:
-    """Check that no two live branches share a lineage.
+    """Check that no two live branches share a lineage hash.
 
-    Engine-built branches are unique by construction: a fresh uid per
-    branch, and a lineage hash that only a parent's first survivor
-    inherits, every other survivor getting a fresh hash of (parent hash,
-    event time, offspring index).  This audits both the uids and the
-    lineage hashes so a hand-built duplicate is caught either way.  A
-    sort finds whether any value repeats; only then does ``np.unique`` name
-    the most repeated one (the smallest on ties) and its first two branches.
+    Engine-built branches are unique by construction: only a parent's
+    first survivor inherits its hash, and every other survivor gets a
+    fresh hash of (parent hash, event time, offspring index).  The audit
+    catches a hand-built duplicate.  A sort finds whether any hash
+    repeats; only then does ``np.unique`` name the most repeated one (the
+    smallest on ties) and its first two branches.
     """
-    n = e.n_branches
-    for name, arr in (("uid", e.uid), ("lineage hash", e.lineage_hash)):
-        s = np.sort(arr)
-        if (s[1:] == s[:-1]).any():
-            _, first, counts = np.unique(arr, return_index=True, return_counts=True)
-            dup_value = arr[first[np.argmax(counts)]]
-            where = np.flatnonzero(arr == dup_value)
-            i, j = int(where[0]), int(where[1])
-            return TagReport(
-                passed=False, n_branches=n,
-                message=f"branches {i} and {j} share {name} {int(dup_value)}",
-                duplicate_indices=(i, j),
-            )
+    h, n = e.lineage_hash, e.n_branches
+    s = np.sort(h)
+    if (s[1:] == s[:-1]).any():
+        _, first, counts = np.unique(h, return_index=True, return_counts=True)
+        dup = h[first[np.argmax(counts)]]
+        i, j = (int(k) for k in np.flatnonzero(h == dup)[:2])
+        return TagReport(
+            passed=False, n_branches=n,
+            message=f"branches {i} and {j} share lineage hash {int(dup)}",
+            duplicate_indices=(i, j),
+        )
     return TagReport(passed=True, n_branches=n, message="all lineages distinct")
 
 
@@ -754,27 +671,12 @@ def _exact_chain(p: PhysicalParams, steps: int) -> Iterator[tuple[float, int, np
 
 def _site_ensemble(p: PhysicalParams, t: float, lo: int, mass: np.ndarray,
                    tables: Tables | None = None) -> Ensemble:
-    """Weighted ensemble of one branch per site of a chain mass vector, in ``tables`` if given."""
+    """Weighted ensemble of one branch per site of a chain mass vector, in ``tables``
+    if given: over an ``_exact_chain`` item, the exact uncapped ensemble."""
     n = mass.size
     return Ensemble(
         mode="weighted", time=t, site=lo + np.arange(n, dtype=np.int64),
         origin=0.0, params=p, weight=mass / mass.sum(),
-        uid=np.arange(n, dtype=np.int64), parent_uid=np.full(n, -1, np.int64),
-        lineage_hash=lineage_hash_root(np.arange(n, dtype=np.uint64)), next_uid=n,
-        tables=tables,
+        lineage_hash=lineage_hash_root(np.arange(n, dtype=np.uint64)), tables=tables,
     )
 
-
-def exact_weighted_reference(p: PhysicalParams, steps: int) -> Ensemble:
-    """Uncapped weighted ensemble at t = steps * tau, aggregated by site.
-
-    Under deterministic timing every branch enters each period at width
-    w, so the site marginal closes into a Markov chain on the integers
-    driven by the shared offset kernel; iterating the chain gives the
-    exact site distribution of the infinite-cap weighted ensemble
-    started from ``midbox_ensemble(p)``.  Branches sharing a site are
-    merged (weights add), which preserves every position statistic.
-    This is the sampling-free reference that capped runs and collapse
-    trajectories are compared against.
-    """
-    return _site_ensemble(p, *collections.deque(_exact_chain(p, steps), maxlen=1)[0])

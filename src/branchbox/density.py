@@ -33,7 +33,6 @@ __all__ = [
     "build_box_hamiltonian",
     "packet_state",
     "superpose",
-    "pure_density",
     "mixture_density",
     "random_mixed_state",
     "UnitaryPropagator",
@@ -161,10 +160,6 @@ def superpose(states: Sequence[GridWavefunction], coefficients) -> GridWavefunct
     if norm < 1e-300:
         raise ValueError("superposition cancels to zero")
     return GridWavefunction(psi / norm, dx)
-
-
-def pure_density(psi: GridWavefunction) -> GridDensityMatrix:
-    return GridDensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.dx)
 
 
 def mixture_density(

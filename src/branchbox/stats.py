@@ -113,7 +113,7 @@ class ExpectationComparison:
 
 
 def _normalized_masses(e: Ensemble) -> np.ndarray:
-    m = e.masses()
+    m = e.weight
     return m / m.sum()
 
 
@@ -143,7 +143,7 @@ def effective_branch_count(e: Ensemble) -> float:
     dot m @ m, as (sum m)^2 < 2**62 bounds it; larger counts and Born
     weights are squared and summed in floats.
     """
-    m = e.masses()
+    m = e.weight
     total = float(m.sum())
     if m.dtype == np.int64 and total < _EXACT_COUNT:
         return total**2 / float(m @ m)

@@ -321,6 +321,56 @@ def cap_probe_phases(k, step_seed, key_cap):
     return unit_uniform_array((step_seed ^ key_cap) + j * np.uint64(SPLITMIX_GAMMA))
 
 
+def probe_cells(mass, u):
+    """First level of the cap: (cell of each probe, its fraction through the cell).
+
+    Probe j sits at (u[j] + j) / K of the total mass.  Integer masses
+    summing to K are multiplicities: cell g holds exactly probes H[g-1] ..
+    H[g]-1 (H the cumsum), at fraction (j - H[g-1] + u[j]) / mass[g].  Other
+    masses are searched on their float cumsum normalised to end at 1: cell g
+    holds the probes in (edge[g], edge[g + 1]].
+    """
+    k = u.size
+    j = np.arange(k)
+    if mass.dtype == np.int64 and mass.sum() == k:
+        cell = np.repeat(np.arange(mass.size), mass)
+        start = np.cumsum(mass) - mass
+        return cell, ((j - start[cell]) + u) / mass[cell]
+    edge = np.concatenate(([0.0], np.cumsum(mass)))
+    edge /= edge[-1]
+    pos = (j + u) / k
+    cell = np.searchsorted(edge[1:-1], pos, side="left")
+    return cell, (pos - edge[cell]) / (edge[cell + 1] - edge[cell])
+
+
+def stratified_hits(row_mass, u, group_start=None, group_mass=None):
+    """Two-level stratified resampling of materialized rows: one probe per stride.
+
+    ``row_mass`` holds every row and ``group_start`` the first row of each
+    contiguous group (one group if omitted).  ``probe_cells`` gives each
+    probe its group from the group masses (``group_mass``, by default the
+    float sums of the groups' rows) and its fraction through the group, in
+    (0, 1], which one search resolves on all groups' row CDFs, each
+    normalised to end at exactly 1 and group g's shifted up by g.  The
+    probes land where a flat search of all rows puts them, so row i
+    collects K * mass_i / total probes in expectation, the hits total
+    exactly K, and zero-mass rows or groups are never hit.  Returns
+    (surviving flat indices, strictly increasing; probe hits per survivor).
+    """
+    start = np.zeros(1, np.int64) if group_start is None else np.asarray(group_start)
+    cum = np.cumsum(row_mass)
+    group = np.repeat(np.arange(start.size), np.diff(start, append=row_mass.size))
+    edge = np.append(np.concatenate(([0.0], cum))[start], cum[-1])
+    span = np.diff(edge)
+    # (cum - edge) / span is exactly 1 on each group's last row
+    row_cdf = group + (cum - edge[group]) / np.where(span > 0, span, 1.0)[group]
+    cell, frac = probe_cells(span if group_mass is None else group_mass, u)
+    # a fraction lost to rounding against the offset still lands past the
+    # previous group's last entry and this group's zero-mass lead rows
+    probe = np.maximum(cell + frac, np.nextafter(cell, np.inf))
+    return np.unique(np.searchsorted(row_cdf, probe, side="left"), return_counts=True)
+
+
 def lineage_hash_child(parent_hash, table, offspring_index):
     """One splitmix64 round of parent ^ T[b] for an event's table T."""
     parent = np.asarray(parent_hash, dtype=np.uint64)

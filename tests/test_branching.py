@@ -1,5 +1,7 @@
 """Branch bookkeeping, apportionment, capping, evolution, collapse batches."""
 
+import collections
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -15,15 +17,14 @@ from branchbox import branching
 from branchbox.branching import (
     Ensemble,
     Tables,
-    _cap_keyed,
     _cdf_index,
     _cdf_search,
+    _exact_chain,
     _probe_cells,
     _shared_kernel_hits,
-    _stratified_hits,
+    _site_ensemble,
     apportion_counts,
     evolve_ensemble_step,
-    exact_weighted_reference,
     midbox_ensemble,
     run_collapse_trajectories,
     trajectory_seed,
@@ -31,7 +32,7 @@ from branchbox.branching import (
 )
 from branchbox.config import parse_config
 from branchbox.model import PhysicalParams, bin_weights, reflect_center, spread_variance
-from branchbox.rng import lineage_hash_child, lineage_hash_root, mix
+from branchbox.rng import KEY_CAP, lineage_hash_child, lineage_hash_root
 from branchbox.runner import BORN_TOTAL_COUNT, _born_event
 from branchbox.stats import ensemble_position_mean, ensemble_position_variance
 
@@ -55,12 +56,10 @@ def _kernel_cdf(kern):
 def initial_ensemble(sites, weights, mode="weighted", roots=None):
     """Unit-width branches at t = 0 on lattice sites from origin 0, with
     root lineages (default 0..n-1); integer masses stay int64."""
-    n = len(sites)
-    roots = np.arange(n) if roots is None else np.asarray(roots)
+    roots = np.arange(len(sites)) if roots is None else np.asarray(roots)
     return Ensemble(
         mode=mode, time=0.0, site=np.array(sites, np.int64), origin=0.0, params=P,
-        weight=np.asarray(weights), uid=np.arange(n), parent_uid=np.full(n, -1),
-        lineage_hash=lineage_hash_root(roots.astype(np.uint64)), next_uid=n,
+        weight=np.asarray(weights), lineage_hash=lineage_hash_root(roots.astype(np.uint64)),
     )
 
 
@@ -136,13 +135,13 @@ def test_ensemble_validation():
     # counts are int64 and need not sum to one, but each branch holds at
     # least one unit; count mode holds counts only
     counted = initial_ensemble([1, 2], [3, 4], mode="count")
-    assert counted.masses().sum() == 7
+    assert counted.weight.sum() == 7
     with pytest.raises(ValueError, match="count"):
         initial_ensemble([1, 2], [3.0, 0.5], mode="count")
     with pytest.raises(ValueError, match=">= 1"):
         initial_ensemble([1, 2], [3, 0], mode="count")
     # a capped ensemble's weighted masses are its probe hits
-    assert initial_ensemble([1, 2], [2, 1]).masses().sum() == 3
+    assert initial_ensemble([1, 2], [2, 1]).weight.sum() == 3
     with pytest.raises(ValueError, match=">= 1"):
         initial_ensemble([1, 2], [2, 0])
     with pytest.raises(ValueError, match="float64 weights"):
@@ -310,7 +309,6 @@ def test_decohere_count_conserves_multiplicity():
         assert np.all(np.abs(counts / BORN_TOTAL_COUNT - weights) <= 1.0 / BORN_TOTAL_COUNT)
         # zero-count leaves hold no branch
         kept = np.flatnonzero(counts)
-        np.testing.assert_array_equal(after.uid, initial.next_uid + kept)
         assert after.weight.dtype == np.int64
         np.testing.assert_array_equal(after.weight, counts[kept])
         zero_leaves += int((counts == 0).sum())
@@ -331,7 +329,7 @@ def test_stratified_hits_exact_total_and_support():
     for _ in range(50):
         w = rng.dirichlet(np.ones(40))
         k = 12
-        idx, hits = _stratified_hits(w, rng.random(k))
+        idx, hits = reference.stratified_hits(w, rng.random(k))
         assert hits.sum() == k
         assert idx.size <= k
         assert np.all(np.diff(idx) > 0)
@@ -345,7 +343,7 @@ def test_stratified_hits_unbiased():
     k = 8
     trials = 40_000
     u = gen(22).random((trials, k))
-    idx, hits = _stratified_hits(
+    idx, hits = reference.stratified_hits(
         np.tile(w, trials), u.ravel(),
         group_start=np.arange(trials) * w.size, group_mass=np.full(trials, k),
     )
@@ -359,7 +357,7 @@ def test_stratified_hits_heavy_branch_always_survives():
     w = np.array([0.5, 0.3, 0.1, 0.06, 0.04])
     rng = gen(23)
     for _ in range(200):
-        idx, _ = _stratified_hits(w, rng.random(4))
+        idx, _ = reference.stratified_hits(w, rng.random(4))
         assert 0 in idx and 1 in idx
 
 
@@ -382,7 +380,8 @@ def _shared_flat(kern, u, parent_mass):
 
 
 def test_stratified_hits_two_level_matches_flat_search():
-    # both two-level forms return the flat search's probe landings,
+    # the engine's shared-kernel form and the reference's materialized rows
+    # both return the flat search's probe landings,
     # sorted, with run lengths equal to np.unique's counts
     rng = gen(24)
     for _ in range(200):
@@ -396,7 +395,7 @@ def test_stratified_hits_two_level_matches_flat_search():
         want_idx, want_hits = np.unique(raw, return_counts=True)
         for idx, hits in (
             _shared_flat(kern, u, pm),
-            _stratified_hits(flat, u, group_start=starts),
+            reference.stratified_hits(flat, u, starts),
         ):
             assert hits.sum() == k
             assert np.all(np.diff(idx) > 0)
@@ -435,7 +434,7 @@ def test_stratified_hits_skip_zero_mass_rows_and_groups():
             flat, starts = _flat_rows(pm, kern)
             for idx, hits in (
                 _shared_flat(kern, u, pm),
-                _stratified_hits(flat, u, group_start=starts),
+                reference.stratified_hits(flat, u, starts),
             ):
                 np.testing.assert_array_equal(idx, want_idx)
                 np.testing.assert_array_equal(hits, want_hits)
@@ -449,7 +448,7 @@ def test_stratified_hits_skip_zero_mass_rows_and_groups():
             k = int(rng.integers(1, 60))
             u = rng.random(k)
             a = _shared_flat(kern, u, pm)
-            b = _stratified_hits(flat, u, group_start=starts)
+            b = reference.stratified_hits(flat, u, starts)
             for idx, hits in (a, b):
                 assert np.all(flat[idx] > 0)
                 assert hits.sum() == k
@@ -586,53 +585,62 @@ def test_engine_and_batch_share_the_kernel_lookup(monkeypatch):
     assert calls == [5, 5, 5, 1, 100]
 
 
+def _uncapped(e, steps, seed):
+    r = gen(seed)
+    for _ in range(steps):
+        e = evolve_ensemble_step(e, P, 8, 10**9, r)
+    return e
+
+
 def test_cap_resample_identity_below_cap():
-    e = midbox_ensemble(P)
-    e = evolve_ensemble_step(e, P, 8, 10**9, gen(1))
-    assert _cap_keyed(e, e.n_branches, np.uint64(2)) is e
-    assert _cap_keyed(e, e.n_branches + 5, np.uint64(2)) is e
+    # a cap at or above the offspring rows keeps every row as it is
+    e = _uncapped(midbox_ensemble(P), 1, 1)
+    full = evolve_ensemble_step(e, P, 8, 10**9, gen(2))
+    for cap in (full.n_branches, full.n_branches + 5):
+        at = evolve_ensemble_step(e, P, 8, cap, gen(2))
+        for name in ("site", "weight", "lineage_hash"):
+            np.testing.assert_array_equal(getattr(at, name), getattr(full, name))
+    assert evolve_ensemble_step(e, P, 8, full.n_branches - 1, gen(2)).weight.dtype == np.int64
 
 
 def test_cap_resample_weighted_invariants():
-    e = midbox_ensemble(P)
-    for _ in range(3):
-        e = evolve_ensemble_step(e, P, 8, 10**9, gen(3))
+    e = _uncapped(midbox_ensemble(P), 2, 3)
     assert e.n_branches > 400
-    capped = _cap_keyed(e, 100, np.uint64(4))
+    r = gen(4)
+    _, step, g, b, _ = branching._step_rows(e, 100, _step_seed(r), "deterministic")
+    capped = evolve_ensemble_step(e, P, 8, 100, r)
     assert capped.n_branches <= 100
     # survivors hold their hits out of the cap as int64 multiplicities
     assert capped.weight.dtype == np.int64
     assert capped.weight.sum() == 100
-    # survivors keep their identity arrays aligned
-    i = capped.n_branches // 2
-    orig = np.flatnonzero(e.uid == capped.uid[i])[0]
-    assert e.site[orig] == capped.site[i]
-    assert e.lineage_hash[orig] == capped.lineage_hash[i]
+    # each survivor sits on its own (parent, bin) row
+    np.testing.assert_array_equal(capped.site, e.site[g] + step[0] + b)
 
 
 def test_cap_equal_masses_is_exchangeable():
-    # 2K equal-mass branches: every branch must survive equally often
+    # 2K equal-mass parents and a one-bin kernel: every parent must survive
+    # a cap at K equally often
     k = 16
-    e = initial_ensemble(np.arange(2 * k), np.full(2 * k, 1.0 / (2 * k)))
+    p = PhysicalParams(tau=1e-6)
+    e = dataclasses.replace(initial_ensemble(np.arange(2 * k), np.full(2 * k, 1.0 / (2 * k))),
+                            params=p)
     seen = np.zeros(2 * k)
     trials = 4000
-    for t in range(trials):
-        capped = _cap_keyed(e, k, mix(np.uint64(7), np.uint64(t)))
-        seen[capped.uid] += 1
+    r = gen(7)
+    for _ in range(trials):
+        seen[evolve_ensemble_step(e, p, 8, k, r).site] += 1
     freq = seen / trials
     # marginal inclusion probability is exactly 1/2 for every branch
     assert np.all(np.abs(freq - 0.5) < 4 * math.sqrt(0.25 / trials) + 0.02)
 
 
 def test_capped_mean_unbiased_over_seeds():
-    # Statistic of a capped ensemble vs the uncapped value: the mean over
-    # 50 independent cappings must land within 3 standard errors.
-    e = midbox_ensemble(P, center=5.0)
-    for _ in range(3):
-        e = evolve_ensemble_step(e, P, 8, 10**9, gen(8))
-    target = ensemble_position_mean(e)
+    # Statistic of a capped step vs the uncapped step's: the mean over 50
+    # independent cappings must land within 3 standard errors.
+    e = _uncapped(midbox_ensemble(P, center=5.0), 2, 8)
+    target = ensemble_position_mean(_uncapped(e, 1, 8))
     means = np.array([
-        ensemble_position_mean(_cap_keyed(e, 300, np.uint64(100 + s)))
+        ensemble_position_mean(evolve_ensemble_step(e, P, 8, 300, gen(100 + s)))
         for s in range(50)
     ])
     se = means.std(ddof=1) / math.sqrt(means.size)
@@ -642,32 +650,27 @@ def test_capped_mean_unbiased_over_seeds():
 def test_capped_variance_unbiased_over_seeds():
     # second moments survive capping too (the old failure mode of a
     # weight-proportional selection that kept the original weights)
-    e = midbox_ensemble(P)
-    for _ in range(3):
-        e = evolve_ensemble_step(e, P, 8, 10**9, gen(9))
-    m = e.masses() / e.masses().sum()
-    target = float(m @ e.center**2)
+    e = _uncapped(midbox_ensemble(P), 2, 9)
+    full = _uncapped(e, 1, 9)
+    target = float(full.weight @ full.center**2)
     vals = []
     for s in range(50):
-        c = _cap_keyed(e, 300, np.uint64(500 + s))
-        mc = c.masses() / c.masses().sum()
-        vals.append(float(mc @ c.center**2))
+        c = evolve_ensemble_step(e, P, 8, 300, gen(500 + s))
+        vals.append(float(c.weight / c.weight.sum() @ c.center**2))
     vals = np.array(vals)
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - target) < 3 * se
 
 
 def test_cap_keyed_is_deterministic():
-    e = midbox_ensemble(P)
-    for _ in range(2):
-        e = evolve_ensemble_step(e, P, 8, 10**9, gen(10))
-    seed = np.uint64(0xABCDEF)
-    a = _cap_keyed(e, 40, seed)
-    b = _cap_keyed(e, 40, seed)
-    np.testing.assert_array_equal(a.uid, b.uid)
-    np.testing.assert_array_equal(a.weight, b.weight)
-    c = _cap_keyed(e, 40, np.uint64(0x123456))
-    assert not np.array_equal(a.uid, c.uid)
+    # the capped step's selection is keyed off the step seed alone
+    e = _uncapped(midbox_ensemble(P), 2, 10)
+    a = evolve_ensemble_step(e, P, 8, 40, gen(0xABCDEF))
+    b = evolve_ensemble_step(e, P, 8, 40, gen(0xABCDEF))
+    for name in ("site", "weight", "lineage_hash"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    c = evolve_ensemble_step(e, P, 8, 40, gen(0x123456))
+    assert not np.array_equal(a.lineage_hash, c.lineage_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -679,13 +682,13 @@ def test_evolve_advances_time_and_resets_width():
     out = evolve_ensemble_step(e, P, 8, 10**9, gen(30))
     assert out.time == P.tau
     assert out.variance == P.w**2
-    np.testing.assert_array_equal(out.parent_uid, np.zeros(out.n_branches))
-    # a second step: the children of a whole-width parent reset to w^2
-    # and take fresh uids after every offspring row of the first step
+    # a second step: the children of a whole-width parent reset to w^2;
+    # next_uid counts the offspring rows of the steps so far
     out2 = evolve_ensemble_step(out, P, 8, 10**9, gen(30))
     assert out2.time == 2 * P.tau
     assert out2.variance == P.w**2
-    assert out2.uid.min() == out.next_uid
+    nk = out.n_branches
+    assert (e.next_uid, out.next_uid, out2.next_uid) == (0, nk, nk + nk * nk)
 
 
 def test_evolve_single_step_equals_kernel():
@@ -694,7 +697,7 @@ def test_evolve_single_step_equals_kernel():
     rel, kern = bin_weights(0.0, spread_variance(P.w**2, P.tau, P) - P.w**2, 0.5)
     np.testing.assert_array_equal(out.center, 10.0 + rel)
     np.testing.assert_allclose(out.weight, kern, rtol=1e-15)
-    np.testing.assert_array_equal(out.uid, e.next_uid + np.arange(rel.size))
+    assert out.next_uid == e.next_uid + rel.size
 
 
 def test_evolve_lineage_hashes_chain():
@@ -725,34 +728,43 @@ def test_evolve_reproducible_from_seed():
     assert not np.array_equal(a.weight, c.weight)
 
 
-def _tags_at_splits(out: Ensemble, parent: Ensemble) -> np.ndarray:
-    """The tag rule on the rows of a step from ``parent``: each parent's
+def _step_seed(r):
+    """The step seed ``evolve_ensemble_step`` draws next from ``r``, drawn from a copy."""
+    return np.uint64(copy.deepcopy(r).integers(0, 2**64, dtype=np.uint64))
+
+
+def _tags_at_splits(g, b, parent: Ensemble, t: float) -> np.ndarray:
+    """The tag rule on rows (g, b) of a step from ``parent``: each parent's
     first row keeps its tag, and every further row on bin b gets
     ``lineage_hash_child(parent tag, t, b)``."""
-    nk = (out.next_uid - parent.next_uid) // parent.n_branches
-    g, b = np.divmod(out.uid - parent.next_uid, nk)
     first = np.concatenate(([True], g[1:] != g[:-1]))
     own = parent.lineage_hash[g]
-    return np.where(first, own, lineage_hash_child(own, out.time, b))
+    return np.where(first, own, lineage_hash_child(own, t, b))
 
 
 def _materialize_then_cap(e, p, cap, seed):
-    """Every offspring of ``e`` built, then capped with the parents' masses as
-    the group masses, and the tag rule applied to the survivors."""
-    step_seed = np.uint64(gen(seed).integers(0, 2**64, dtype=np.uint64))
+    """Every offspring of ``e`` built, then capped by the reference's two-level
+    resample with the parents' masses as the group masses.  Returns each
+    survivor's parent, bin, site, hits and tag under the tag rule."""
+    nk = branching._offset_kernel(p.tau, p)[0].size
     full = evolve_ensemble_step(e, p, 8, 10**9, gen(seed))
-    assert full.n_branches > cap
-    manual = _cap_keyed(full, cap, step_seed, group_mass=e.weight)
-    return dataclasses.replace(manual, lineage_hash=_tags_at_splits(manual, e))
+    assert full.n_branches == e.n_branches * nk > cap
+    u = reference.cap_probe_phases(cap, _step_seed(gen(seed)), KEY_CAP)
+    idx, hits = reference.stratified_hits(full.weight, u, np.arange(e.n_branches) * nk, e.weight)
+    g, b = np.divmod(idx, nk)
+    return g, b, full.site[idx], hits, _tags_at_splits(g, b, e, full.time)
 
 
 def _assert_fast_path_matches(e, cap, seed, p=P):
     """The capped step equals materializing every offspring, then capping
-    with the parents' masses as the group masses."""
+    with the parents' masses as the group masses: the same (parent, bin)
+    rows, sites, hits and tags."""
+    _, _, g, b, _ = branching._step_rows(e, cap, _step_seed(gen(seed)), "deterministic")
     capped = evolve_ensemble_step(e, p, 8, cap, gen(seed))
-    manual = _materialize_then_cap(e, p, cap, seed)
-    for name in ("uid", "site", "weight", "lineage_hash", "parent_uid"):
-        np.testing.assert_array_equal(getattr(capped, name), getattr(manual, name))
+    want = _materialize_then_cap(e, p, cap, seed)
+    g = np.arange(e.n_branches) if g is None else g
+    for got, ref in zip((g, b, capped.site, capped.weight, capped.lineage_hash), want):
+        np.testing.assert_array_equal(got, ref)
     assert capped.weight.dtype == np.int64 and capped.weight.sum() == cap
     return capped
 
@@ -793,13 +805,13 @@ def test_evolve_fast_path_matches_materialize_then_cap_after_capped_step():
     e = midbox_ensemble(P)
     e = evolve_ensemble_step(e, P, 8, 10**9, gen(34))
     e = evolve_ensemble_step(e, P, 8, 60, gen(35))
-    assert np.unique(e.parent_uid).size > 1
+    assert e.n_branches > 1
     assert e.weight.dtype == np.int64 and e.weight.sum() == 60
     # a cap other than the multiplicities' sum takes the float first level
     _assert_fast_path_matches(e, 45, 98)
 
 
-_FIELDS = ("site", "weight", "uid", "parent_uid", "lineage_hash")
+_FIELDS = ("site", "weight", "lineage_hash")
 
 
 @pytest.fixture(scope="module")
@@ -824,7 +836,7 @@ def test_step_leaves_its_parent_ensemble_unchanged(box_at_cap):
     for parent, cap in ((box_at_cap, 100_000), (thinned, 300), (thinned, 10**9), (e, 30)):
         before = {name: getattr(parent, name).copy() for name in _FIELDS}
         out = evolve_ensemble_step(parent, P, 8, cap, gen(73))
-        shared = ("weight", "parent_uid")
+        shared = ("weight",)
         if parent is box_at_cap:
             assert out.lineage_hash is parent.lineage_hash
             shared += ("lineage_hash",)
@@ -838,8 +850,8 @@ def test_steady_step_allocates_no_temporaries(box_at_cap):
     # one steady cap-1e5 step holds at most three 1e5-element arrays at
     # once: the probe phases, their bucket indices and the bins (and a mask
     # an eighth their size) while the kernel is looked up; the bins then
-    # become the child sites, beside the child uids.  The child tags are
-    # the parents' own array
+    # become the child sites.  The child tags and masses are the parents' own
+    # arrays
     evolve_ensemble_step(box_at_cap, P, 8, 100_000, gen(74))  # memos filled
     tracemalloc.start()
     try:
@@ -861,7 +873,7 @@ def test_one_bin_step_keeps_multiplicities():
     assert out.weight.dtype == np.int64
     np.testing.assert_array_equal(out.weight, e.weight)
     np.testing.assert_array_equal(out.site, e.site)
-    np.testing.assert_array_equal(out.parent_uid, e.uid)
+    np.testing.assert_array_equal(out.lineage_hash, e.lineage_hash)
 
 
 @st.composite
@@ -898,9 +910,9 @@ def test_every_geometry_shares_one_offset_kernel(p, start, seed):
         full = evolve_ensemble_step(e, p, 8, 10**9, gen(seed + 1))
     assert len(calls) == 3
 
-    manual = _materialize_then_cap(e, p, cap, seed + 1)
-    for name in ("uid", "site", "weight", "lineage_hash", "parent_uid"):
-        np.testing.assert_array_equal(getattr(capped, name), getattr(manual, name))
+    _, _, site, hits, tag = _materialize_then_cap(e, p, cap, seed + 1)
+    for got, want in zip((capped.site, capped.weight, capped.lineage_hash), (site, hits, tag)):
+        np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -973,7 +985,7 @@ def test_evolve_collapse_stays_single_and_lattice_bound():
             assert e.n_branches == 1
             assert e.weight[0] == 1.0
             assert e.variance == P.w**2
-            assert e.parent_uid[0] == prev.uid[0]
+            assert e.lineage_hash[0] == prev.lineage_hash[0]
             assert e.center[0] == round(e.center[0] / 0.5) * 0.5
             assert 0.0 <= e.center[0] <= P.L
 
@@ -993,7 +1005,7 @@ def test_collapse_step_is_the_weighted_step_at_cap_one(p, timing):
         w = evolve_ensemble_step(w, p, 8, 1, rw, timing=timing)
         assert (c.mode, w.mode) == ("collapse", "weighted")
         assert c.time == w.time
-        for name in ("site", "uid", "parent_uid", "lineage_hash", "weight"):
+        for name in ("site", "lineage_hash", "weight"):
             np.testing.assert_array_equal(getattr(c, name), getattr(w, name))
         assert (c.origin, c.params, c.next_uid) == (w.origin, w.params, w.next_uid)
 
@@ -1073,6 +1085,12 @@ def test_trajectory_seed_distinct():
 # exact weighted reference
 
 
+def exact_weighted_reference(p, steps):
+    """The uncapped weighted ensemble at t = steps * tau, aggregated by site:
+    ``_site_ensemble`` over the exact chain's last item, as runs build it."""
+    return _site_ensemble(p, *collections.deque(_exact_chain(p, steps), maxlen=1)[0])
+
+
 def test_exact_reference_zero_steps():
     e = exact_weighted_reference(P, 0)
     assert e.n_branches == 1
@@ -1139,7 +1157,7 @@ def test_exact_reference_converges_to_uniformity():
 
 
 def test_exact_reference_builds_one_ensemble(monkeypatch):
-    # the chain carries site masses; only the final step becomes an Ensemble
+    # the chain carries site masses; only the item read becomes an Ensemble
     built = []
 
     def counting(*args, **kwargs):
@@ -1147,7 +1165,9 @@ def test_exact_reference_builds_one_ensemble(monkeypatch):
         return Ensemble(*args, **kwargs)
 
     monkeypatch.setattr(branching, "Ensemble", counting)
-    e = exact_weighted_reference(P, 50)
+    last = collections.deque(_exact_chain(P, 50), maxlen=1)[0]
+    assert built == []
+    e = _site_ensemble(P, *last)
     assert len(built) == 1
     assert e.time == 50 * P.tau
 
@@ -1211,14 +1231,17 @@ def test_child_hashes_distinct_over_a_capped_run():
     nk = branching._offset_kernel(P.tau, P)[0].size
     rows = []
     for _ in range(300):
+        _, step, g, b, _ = branching._step_rows(e, 400, _step_seed(r), "deterministic")
         out = evolve_ensemble_step(e, P, 8, 400, r)
+        g = np.arange(e.n_branches) if g is None else g
+        # survivor (g, b) sits on its row's site
+        np.testing.assert_array_equal(out.site, e.site[g] + step[0] + b)
         row = lineage_hash_child(
             np.repeat(e.lineage_hash, nk), out.time, np.tile(np.arange(nk), e.n_branches)
         )
         rows.append(row)
-        i = out.uid - e.next_uid
         tag = out.lineage_hash
-        assert np.all((tag == row[i]) | (tag == e.lineage_hash[i // nk]))
+        assert np.all((tag == row[g * nk + b]) | (tag == e.lineage_hash[g]))
         e = out
     h = np.sort(np.concatenate(rows))
     assert h.size > 2_000_000
@@ -1245,17 +1268,19 @@ def test_a_tag_changes_only_where_its_lineage_splits(w, cap, timing, mode, steps
     for _ in range(steps):
         if cap is None and e.n_branches > 300:
             break  # uncapped rows grow as the kernel's size to the steps
-        out = evolve_ensemble_step(e, p, 8, 10**9 if cap is None else cap, r, timing=timing)
+        k = 10**9 if cap is None else cap
+        t, step, g, b, _ = branching._step_rows(e, k, _step_seed(r), timing)
+        out = evolve_ensemble_step(e, p, 8, k, r, timing=timing)
+        # the step's surviving rows (g, b), sorted by parent, are the ones built
+        g = np.arange(e.n_branches) if g is None else g
+        assert out.time == t and g.size == out.n_branches
+        assert np.all(np.diff(g) >= 0) and np.all((0 <= b) & (b < step.size))
+        np.testing.assert_array_equal(out.site, e.site[g] + step[0] + b)
         tag = out.lineage_hash
         assert np.unique(tag).size == out.n_branches
-        g = np.searchsorted(e.uid, out.parent_uid)
-        np.testing.assert_array_equal(e.uid[g], out.parent_uid)
         inherits = tag == e.lineage_hash[g]
         first = np.concatenate(([True], g[1:] != g[:-1]))
         np.testing.assert_array_equal(inherits, first)
-        nk = (out.next_uid - e.next_uid) // e.n_branches
-        b = out.uid - e.next_uid - g * nk
-        assert np.all((0 <= b) & (b < nk))
         split = np.flatnonzero(~first)
         if split.size:
             np.testing.assert_array_equal(
@@ -1266,23 +1291,12 @@ def test_a_tag_changes_only_where_its_lineage_splits(w, cap, timing, mode, steps
 
 
 def test_uniqueness_catches_duplicate_lineage():
-    # distinct uids, same root lineage
+    # two branches on one root lineage
     dup = initial_ensemble([1, 1], [0.5, 0.5], roots=[0, 0])
     rep = verify_tag_uniqueness(dup)
     assert not rep.passed
     assert rep.duplicate_indices == (0, 1)
     assert rep.message == f"branches 0 and 1 share lineage hash {int(dup.lineage_hash[0])}"
-
-
-def test_uniqueness_catches_duplicate_uid():
-    e = midbox_ensemble(P)
-    e = evolve_ensemble_step(e, P, 8, 10**9, gen(61))
-    uid = e.uid.copy()
-    uid[1] = uid[0]
-    rep = verify_tag_uniqueness(dataclasses.replace(e, uid=uid))
-    assert not rep.passed
-    assert rep.duplicate_indices == (0, 1)
-    assert rep.message == f"branches 0 and 1 share uid {int(uid[0])}"
 
 
 def test_uniqueness_names_a_duplicate_among_many_hashes(box_at_cap):

@@ -20,7 +20,6 @@ from branchbox.density import (
     interference_visibility,
     mixture_density,
     packet_state,
-    pure_density,
     random_mixed_state,
     superpose,
     von_neumann_entropy,
@@ -30,6 +29,11 @@ from branchbox.model import PhysicalParams
 import reference
 
 P = PhysicalParams()
+
+
+def _pure(psi):
+    """|psi><psi| as the one-component mixture."""
+    return mixture_density([psi], [1.0])
 
 
 def measured_moments(state):
@@ -106,6 +110,8 @@ def test_mixture_density_is_weighted_sum():
     mix = mixture_density([a, b], [0.3, 0.7])
     expected = 0.3 * a.density() + 0.7 * b.density()
     np.testing.assert_allclose(mix.density(), expected, atol=1e-12)
+    # one component of weight 1 is its outer product, bit for bit
+    np.testing.assert_array_equal(_pure(a).elements, np.outer(a.amplitudes, a.amplitudes.conj()))
     with pytest.raises(ValueError):
         mixture_density([a, b], [0.5, 0.6])
 
@@ -308,7 +314,7 @@ def test_energy_eigenstate_is_stationary():
     psi = GridWavefunction(
         u.vectors[:, 2].astype(complex) / math.sqrt(P.L / (n + 1)), P.L / (n + 1)
     )
-    rho = pure_density(psi)
+    rho = _pure(psi)
     out = u.evolve(rho, 1.3, 7)
     np.testing.assert_allclose(out.elements, rho.elements, atol=1e-12)
 
@@ -330,7 +336,7 @@ def test_packet_spreading_follows_schroedinger():
 def test_channel_damps_off_diagonals_exactly():
     n = 128
     psi = packet_state(n, P, 10.0, 1.0)
-    rho = pure_density(psi)
+    rho = _pure(psi)
     out = grw_localization_channel(rho, P)
     x = rho.positions()
     damp = np.exp(-np.subtract.outer(x, x) ** 2 / (8.0 * P.w**2))
@@ -360,7 +366,7 @@ def test_channel_factor_is_built_once_per_grid_and_width(monkeypatch):
     assert len(passed) == 1
     # the factor passed in is the one the channel builds per call without it
     n = 128
-    rho = pure_density(packet_state(n, P, 10.0, 1.0))
+    rho = _pure(packet_state(n, P, 10.0, 1.0))
     factor = density._localization_factor(n, rho.dx, P.w)
     x = rho.positions()
     d = x[:, None] - x[None, :]
@@ -374,7 +380,7 @@ def test_channel_entropy_matches_closed_form():
     # width-w channel acquires the entropy of a geometric spectrum
     for s2 in (0.5, 1.0, 2.0):
         psi = packet_state(512, P, 10.0, s2)
-        out = grw_localization_channel(pure_density(psi), P)
+        out = grw_localization_channel(_pure(psi), P)
         expected = reference.gaussian_channel_entropy(s2, P.w)
         assert von_neumann_entropy(out) == pytest.approx(expected, abs=1e-9)
 
@@ -421,7 +427,7 @@ def test_channel_requires_resolved_width():
 
 def test_entropy_pure_and_mixed_limits():
     psi = packet_state(128, P, 10.0, 1.0)
-    assert von_neumann_entropy(pure_density(psi)) == pytest.approx(0.0, abs=1e-10)
+    assert von_neumann_entropy(_pure(psi)) == pytest.approx(0.0, abs=1e-10)
     n = 64
     dx = P.L / (n + 1)
     mixed = GridDensityMatrix(np.eye(n, dtype=complex) / (n * dx), dx)

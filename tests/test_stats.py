@@ -39,12 +39,10 @@ P = PhysicalParams()
 
 def weighted_ensemble(sites, weights, p=P, origin=0.0, time=0.0):
     """Branches of width p.w on unfolded lattice sites from ``origin``."""
-    n = len(sites)
     return Ensemble(
         mode="weighted", time=float(time), site=np.array(sites, np.int64),
         origin=float(origin), params=p, weight=np.array(weights, float),
-        uid=np.arange(n), parent_uid=np.full(n, -1),
-        lineage_hash=lineage_hash_root(np.arange(n, dtype=np.uint64)), next_uid=n,
+        lineage_hash=lineage_hash_root(np.arange(len(sites), dtype=np.uint64)),
     )
 
 
@@ -131,7 +129,7 @@ def test_effective_branch_count_squares_counts_exactly_below_the_guard(counts):
 
 def test_effective_branch_count_of_counts_is_the_float_formula():
     def kish_in_floats(e):
-        m = np.asarray(e.masses(), float)
+        m = np.asarray(e.weight, float)
         return float(m.sum() ** 2 / (m * m).sum())
 
     capped, rng = midbox_ensemble(P), np.random.Generator(np.random.PCG64(1))
