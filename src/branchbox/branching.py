@@ -11,24 +11,15 @@ kernel of integer lattice steps whatever their positions.  Tags are what
 make branches permanently distinguishable: two components with different
 lineages never interfere again, no matter where their packets sit.
 
-``evolve_ensemble_step`` runs two ensemble modes:
-
-* ``weighted``  - branches carry Born weights; the ensemble is the full
-                  decoherent mixture.
-* ``collapse``  - one surviving branch; each event is the weighted step
-                  capped at one branch, which keeps one offspring with
-                  probability equal to its Born weight.
-
-A third mode, ``count``, carries integer counts instead of weights.  It
-exists only for born_test's single event, whose leaves get
-``apportion_counts`` of the parent's count, so unweighted branch
-counting reproduces the Born weights to within one unit per bin; the
-engine does not evolve count-mode ensembles.
-
-A mass is int64 exactly when it is a count (count mode's units, or the
+Collapse is not a second dynamics: it is the same step capped at one
+branch, whose single probe keeps one offspring with probability equal to
+its Born weight (the runner passes that cap for ``mode = collapse``).  A
+mass is int64 exactly when it is a count (born_test's leaves, each
+holding its ``apportion_counts`` share of the parent's count, or the
 probe hits of an ensemble the cap K produced, out of K), and a float64
-Born weight otherwise.  Past the cap each parent g thus holds an integer
-multiplicity h_g, and gets exactly h_g of the next step's probes.
+Born weight otherwise; the engine evolves both.  Past the cap each
+parent g thus holds an integer multiplicity h_g, and gets exactly h_g of
+the next step's probes.
 
 The engine is a free integer walk.  An ensemble is a time, its physical
 parameters, one float origin and flat per-branch arrays: an int64
@@ -101,14 +92,13 @@ class Ensemble:
 
     Branch b sits at the unfolded lattice offset ``site[b]`` from
     ``origin``; ``center`` folds it into the box.  ``weight`` is the
-    branch mass: int64 counts, each at least 1 (count mode, whose masses
-    are always counts, and a cap's hits, whose sum is the cap), or
-    float64 Born weights above 0 summing to 1 within 1e-12.  ``next_uid``
-    counts the implicit offspring rows the run's steps have generated so
-    far (read by bench/tracing.py).  ``tables`` are the run's (``Tables``).
+    branch mass: int64 counts, each at least 1 (born_test's leaves, and a
+    cap's hits, whose sum is the cap), or float64 Born weights above 0
+    summing to 1 within 1e-12.  ``next_uid`` counts the implicit offspring
+    rows the run's steps have generated so far (read by bench/tracing.py).
+    ``tables`` are the run's (``Tables``).
     """
 
-    mode: str
     time: float
     site: np.ndarray
     origin: float
@@ -119,8 +109,6 @@ class Ensemble:
     tables: Tables | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown ensemble mode '{self.mode}'")
         n = self.site.shape[0]
         if n < 1:
             raise ValueError("ensemble must contain at least one branch")
@@ -134,15 +122,13 @@ class Ensemble:
         if self.weight.dtype == np.int64:
             if self.weight.min() < 1:
                 raise ValueError("branch counts must be >= 1")
-        elif self.mode == "count" or self.weight.dtype != np.float64:
-            raise ValueError("masses must be int64 counts, or float64 weights (not count mode)")
+        elif self.weight.dtype != np.float64:
+            raise ValueError("masses must be int64 counts or float64 weights")
         elif not self.weight.min() > 0:
             raise ValueError("branch weights must be > 0")
         elif abs(self.weight.sum() - 1.0) > 1e-12:
             total = float(self.weight.sum())
             raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
-        if self.mode == "collapse" and n != 1:
-            raise ValueError("collapse-mode ensemble must hold exactly one branch")
         t = self.tables
         if t is None or t.origin != self.origin or t.params != self.params:
             object.__setattr__(self, "tables", Tables(self.origin, self.params))
@@ -162,22 +148,34 @@ class Ensemble:
         return self.tables.position(self.site)
 
     @functools.cached_property
+    def mass_total(self) -> tuple:
+        """(total mass, whether the masses are exact counts, whether every mass is 1).
+
+        Counts summing below 2**31 are exact: they count per site exactly in
+        float64, and their squares sum exactly in int64, as (2**31)**2 = 2**62.
+        Each count is at least 1, so counts totalling n are all 1.
+        """
+        w = self.weight
+        total = w.sum()
+        counts = w.dtype == np.int64
+        return total, counts and total < 1 << 31, counts and total == w.size
+
+    @functools.cached_property
     def position_masses(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct positions in [0, L] of the branches and their normalized masses.
 
         Masses summed per unfolded site, then per position the sites fold onto
         (``Tables.fold``), where empty sites add exact zeros; built once, as
-        every observable reads it.  Integer masses summing below 2**31 are
-        counted per site exactly (a plain count when every mass is 1), and
-        each site's count is divided by the total once, so its mass is
-        rounded once; float masses are normalized first, then summed.
+        every observable reads it.  Exact counts (``mass_total``) are counted
+        per site (a plain count when every mass is 1), and each site's count
+        is divided by the total once, so its mass is rounded once; other
+        masses are normalized first, then summed.
         """
         lo = self.site.min()
         w = self.weight
-        total = w.sum()
-        if w.dtype == np.int64 and total < _EXACT_COUNT:
-            # each mass is at least 1, so a total of n means every mass is 1
-            mass = np.bincount(self.site - lo, None if total == w.size else w) / total
+        total, exact, unit = self.mass_total
+        if exact:
+            mass = np.bincount(self.site - lo, None if unit else w) / total
         else:
             mass = np.bincount(self.site - lo, weights=w / total)
         first, x, which = self.tables.fold(lo, lo + mass.size)
@@ -188,11 +186,6 @@ class Ensemble:
     def masses(self) -> np.ndarray:
         """``weight``, the mass per branch; an alias kept for ``bench/tracing.py``."""
         return self.weight
-
-
-# Integer masses below this total count exactly in float64 per site, and their
-# squares sum exactly in int64: (2**31)**2 = 2**62.
-_EXACT_COUNT = 1 << 31
 
 
 class Tables:
@@ -266,8 +259,9 @@ def midbox_ensemble(
 
     The default center is L/2 snapped to the offspring lattice anchored
     at 0.  Pass ``center`` to start elsewhere (it is used as given, not
-    snapped).  A count-mode packet holds ``multiplicity`` units (default
-    1) as its int64 mass; other modes hold weight 1.0 and no multiplicity.
+    snapped).  ``mode`` picks only the mass type: a ``count`` packet holds
+    ``multiplicity`` units (default 1) as its int64 mass; the other modes
+    hold weight 1.0 and no multiplicity.
     """
     if multiplicity is not None and mode != "count":
         raise ValueError(f"multiplicity applies to count mode only, not {mode}")
@@ -276,8 +270,8 @@ def midbox_ensemble(
         raise ValueError(f"multiplicity must be an integer >= 1, got {multiplicity!r}")
     origin, site = (0.0, _midbox_site(p)) if center is None else (float(center), 0)
     return Ensemble(
-        mode=mode, time=0.0, site=np.array([site], np.int64), origin=origin,
-        params=p, weight=np.array([count], np.int64 if mode == "count" else float),
+        time=0.0, site=np.array([site], np.int64), origin=origin, params=p,
+        weight=np.array([count], np.int64 if mode == "count" else float),
         lineage_hash=lineage_hash_root(np.zeros(1, np.uint64)),
     )
 
@@ -453,18 +447,18 @@ def evolve_ensemble_step(
     *,
     timing: str = "deterministic",
 ) -> Ensemble:
-    """Advance a weighted or collapse ensemble through one decoherence period.
+    """Advance an ensemble through one decoherence period.
 
     Every branch spreads for the period, then decoheres into tagged
     offspring, and the branch count is capped with an unbiased
-    stratified resample when it exceeds ``cap``.  Collapse is that cap
-    at one branch: its single probe keeps one offspring with probability
-    equal to its Born weight, whatever ``cap`` is passed.  One uint64 is
-    drawn from ``rng`` per step; timing and capping are keyed off it
-    alone, so results do not depend on internal batching.  Every parent
-    shares one offset kernel: offspring (parent, bin) sits at site
-    site_parent + step_bin with mass w_parent * kern_bin, and no wall is
-    applied.  Past the cap, each stratified probe finds its parent (by
+    stratified resample when it exceeds ``cap``, whatever the masses:
+    Born weights or counts.  Collapse is that cap at one branch: its
+    single probe keeps one offspring with probability equal to its Born
+    weight.  One uint64 is drawn from ``rng`` per step; timing and
+    capping are keyed off it alone, so results do not depend on internal
+    batching.  Every parent shares one offset kernel: offspring (parent,
+    bin) sits at site site_parent + step_bin with mass w_parent *
+    kern_bin, and no wall is applied.  Past the cap, each stratified probe finds its parent (by
     integer arithmetic when the parents' multiplicities sum to the cap),
     then its bin on the shared kernel CDF; only the survivors' rows are
     built, holding their hits.  So the capped step is bit-identical to
@@ -475,14 +469,10 @@ def evolve_ensemble_step(
     ``lineage_hash_child(parent, t_event, b)``; where every parent keeps
     one survivor no hash is computed.  Under the cap offspring hold Born
     weights, but a one-bin kernel keeps integer masses.  ``p`` must be
-    the ensemble's own parameters; ``fanout`` is validated but does not
-    affect the step.  Count-mode ensembles are rejected.
+    the ensemble's own parameters, and ``fanout`` is validated but does
+    not affect the step: both stay in the signature because
+    ``bench/worker.py`` passes them positionally.
     """
-    if e.mode == "count":
-        raise ValueError(
-            "count-mode ensembles hold a single counted event and do not "
-            "evolve; use weighted or collapse mode"
-        )
     if p != e.params:
         raise ValueError(f"parameters {p} differ from the ensemble's {e.params}")
     if cap < 1:
@@ -511,9 +501,8 @@ def evolve_ensemble_step(
     child_site += site
     child_site += step[0]
     return Ensemble(
-        mode=e.mode, time=t_event, site=child_site, origin=e.origin, params=p,
-        weight=weight, lineage_hash=lineage,
-        next_uid=e.next_uid + e.n_branches * step.size, tables=e.tables,
+        time=t_event, site=child_site, origin=e.origin, params=p, weight=weight,
+        lineage_hash=lineage, next_uid=e.next_uid + e.n_branches * step.size, tables=e.tables,
     )
 
 
@@ -526,7 +515,6 @@ def _step_rows(e: Ensemble, cap: int, step_seed: np.uint64, timing: str):
     as (parent, bin) pairs without building the rows.  The parents are
     None in the steady state, where parent g keeps exactly row g.
     """
-    cap = 1 if e.mode == "collapse" else cap
     p = e.params
     dt = p.tau if timing == "deterministic" else (
         -p.tau * math.log(float(unit_uniform(mix(step_seed ^ KEY_TIMING)))))
@@ -538,7 +526,7 @@ def _step_rows(e: Ensemble, cap: int, step_seed: np.uint64, timing: str):
         weight = e.weight if nk == 1 and e.weight.dtype == np.int64 else mass / mass.sum()
         return e.time + dt, step, np.repeat(np.arange(n), nk), np.tile(np.arange(nk), n), weight
     u = _cap_probe_phases(e.tables.ladder(cap), step_seed)
-    if n == cap and _are_multiplicities(e.weight, cap):
+    if n == cap and e.mass_total[2]:
         # every multiplicity 1, the steady state: parent g keeps one row, the
         # g-th, on probe g's bin, holding its one hit
         return e.time + dt, step, None, _cdf_search(cdf, u, index), e.weight
@@ -602,9 +590,9 @@ def run_collapse_trajectories(
 ) -> CollapseBatch:
     """Run many single-branch collapse histories in lockstep.
 
-    Equivalent to evolving ``n_traj`` independent collapse ensembles from
-    ``midbox_ensemble(p, "collapse")`` with evolve_ensemble_step under
-    deterministic timing, trajectory i seeded by
+    Equivalent to evolving ``n_traj`` independent packets from
+    ``midbox_ensemble(p, "collapse")`` with evolve_ensemble_step at cap 1
+    under deterministic timing, trajectory i seeded by
     ``trajectory_seed(master_seed, i)``; vectorizing across trajectories
     is possible because every trajectory shares the fixed event schedule
     and offset kernel.  Each step looks the probe phase
@@ -675,7 +663,7 @@ def _site_ensemble(p: PhysicalParams, t: float, lo: int, mass: np.ndarray,
     if given: over an ``_exact_chain`` item, the exact uncapped ensemble."""
     n = mass.size
     return Ensemble(
-        mode="weighted", time=t, site=lo + np.arange(n, dtype=np.int64),
+        time=t, site=lo + np.arange(n, dtype=np.int64),
         origin=0.0, params=p, weight=mass / mass.sum(),
         lineage_hash=lineage_hash_root(np.arange(n, dtype=np.uint64)), tables=tables,
     )

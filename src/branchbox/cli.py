@@ -18,7 +18,7 @@ from .runner import run_scenario
 _SCENARIO_HELP = {
     "midbox": "start at rest mid-box, evolve toward coarse uniformity",
     "freespread": "wall-free spreading: variance ladder, diffusion fit, classical oracle",
-    "born_test": "count-mode apportionment of one decoherence event",
+    "born_test": "integer-count apportionment of one decoherence event",
     "collapse_compare": "collapse trajectories against the weighted ensemble",
     "peres_test": "coherent vs tagged-packet interference, tag uniqueness",
     "liouville_check": "entropy under unitary steps and the localization channel",
@@ -41,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of decoherence periods")
         sp.add_argument("--out", default=None, metavar="DIR",
                         help="output directory (default: runs)")
-        sp.add_argument("--mode", choices=MODES,
-                        default=None, help="branch bookkeeping mode")
+        sp.add_argument("--mode", choices=MODES, default=None, help="weighted, count "
+                        "(born_test's integer masses) or collapse (the cap at one branch)")
     return parser
 
 

@@ -117,7 +117,7 @@ def lineage_hash_child(parent_hash, event_time: float, offspring_index):
     The engine step calls it only where a lineage splits: a parent's
     first survivor keeps the parent's hash, and each further survivor gets
     its child hash, so a hash names one live branch (born_test's single
-    count-mode event hashes every leaf).  The triple (parent lineage,
+    counted event hashes every leaf).  The triple (parent lineage,
     event time, offspring index) identifies that branch uniquely.  A
     child is one splitmix64 round, a bijection, of
     ``parent ^ T[b]`` with the event's table T[b] = mix(event time, b),

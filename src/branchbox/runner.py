@@ -193,12 +193,11 @@ def _run_engine(c: RunConfig, steps: int, rng: np.random.Generator,
                 capture_at: tuple[int, ...] = ()):
     """Evolve a midbox ensemble, logging one series row per step."""
     e = midbox_ensemble(c.params, c.mode)
+    cap = 1 if c.mode == "collapse" else c.max_branches  # collapse: the cap at one branch
     rows = [_series_row(e, c)]
     captured = {}
     for k in range(1, steps + 1):
-        e = evolve_ensemble_step(
-            e, c.params, c.fanout, c.max_branches, rng, timing=c.timing
-        )
+        e = evolve_ensemble_step(e, c.params, c.fanout, cap, rng, timing=c.timing)
         rows.append(_series_row(e, c))
         if k in capture_at:
             captured[k] = e
@@ -339,7 +338,7 @@ def _scenario_freespread(c: RunConfig):
 
 
 def _born_event(p: PhysicalParams, initial: Ensemble, dt: float):
-    """born_test's count-mode event: the leaf's count, apportioned.
+    """born_test's event: the leaf's count, apportioned.
 
     Returns the kernel weights, the counts over the full kernel support
     (zeros included) and the leaves; a zero-count leaf gets no branch.
@@ -353,7 +352,7 @@ def _born_event(p: PhysicalParams, initial: Ensemble, dt: float):
     j = np.flatnonzero(counts)
     # bins sit on the lattice anchored at 0: leaf j is on site centers[j] / bw
     after = Ensemble(
-        mode="count", time=dt, site=np.rint(centers[j] / bw).astype(np.int64),
+        time=dt, site=np.rint(centers[j] / bw).astype(np.int64),
         origin=0.0, params=p, weight=counts[j],
         lineage_hash=lineage_hash_child(initial.lineage_hash[0], dt, j),
     )

@@ -31,8 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaincinv, ndtr
 
-from .branching import _EXACT_COUNT, CollapseBatch, Ensemble, Tables
-from .model import PhysicalParams
+from .branching import CollapseBatch, Ensemble, Tables
 
 __all__ = [
     "VarianceSeries",
@@ -112,11 +111,6 @@ class ExpectationComparison:
 # moments
 
 
-def _normalized_masses(e: Ensemble) -> np.ndarray:
-    m = e.weight
-    return m / m.sum()
-
-
 def ensemble_position_mean(e: Ensemble) -> float:
     x, m = e.position_masses
     return float(m @ x)
@@ -139,15 +133,15 @@ def _mixture_variance(x: np.ndarray, m: np.ndarray, mean: float, v: float) -> fl
 def effective_branch_count(e: Ensemble) -> float:
     """Kish effective sample size (sum m)^2 / sum m^2 of the branch masses.
 
-    Integer masses summing below 2**31 square and sum exactly as the int64
-    dot m @ m, as (sum m)^2 < 2**62 bounds it; larger counts and Born
-    weights are squared and summed in floats.
+    Exact counts (``Ensemble.mass_total``) square and sum exactly as the
+    int64 dot m @ m, which is the total when every mass is 1; larger counts
+    and Born weights are squared and summed in floats.
     """
     m = e.weight
-    total = float(m.sum())
-    if m.dtype == np.int64 and total < _EXACT_COUNT:
-        return total**2 / float(m @ m)
-    return total**2 / float(np.square(m, dtype=float).sum())
+    total, exact, unit = e.mass_total
+    if exact:
+        return float(total) ** 2 / float(total if unit else m @ m)
+    return float(total) ** 2 / float(np.square(m, dtype=float).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +192,17 @@ def _bin_mass_rows(t: Tables, x: np.ndarray, k: int) -> np.ndarray:
     return rows[at]
 
 
-def position_histogram(e: Ensemble, p: PhysicalParams, k: int) -> np.ndarray:
+def position_histogram(e: Ensemble, k: int) -> np.ndarray:
     """Coarse-grained position density over k equal bins of [0, L].
 
     Each distinct position's Gaussian is integrated over each bin with
     wall images, once per distinct position in the ensemble's tables (see
     ``_bin_mass_rows``), then the bin masses are renormalized to sum
-    exactly 1.  ``p`` must be the ensemble's own parameters.  Bins must
-    be no finer than the localization width w, below which the coarse
-    graining would resolve single packets and the histogram stops being
-    an ensemble-level object.
+    exactly 1.  Bins must be no finer than the localization width w,
+    below which the coarse graining would resolve single packets and the
+    histogram stops being an ensemble-level object.
     """
-    if p != e.params:
-        raise ValueError(f"parameters {p} differ from the ensemble's {e.params}")
+    p = e.params
     if k < 2:
         raise ValueError(f"need at least 2 bins, got {k}")
     if p.L / k < p.w:
@@ -405,8 +397,7 @@ def sample_branch_centers(e: Ensemble, n: int, rng: np.random.Generator) -> np.n
     """Draw n branch centers with probability proportional to branch mass."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    m = _normalized_masses(e)
-    idx = rng.choice(e.n_branches, size=n, p=m)
+    idx = rng.choice(e.n_branches, size=n, p=e.weight / e.mass_total[0])
     return e.center[idx]
 
 
@@ -435,7 +426,7 @@ def expectation_compare(
     mean = float(values.mean())
     sem = float(values.std(ddof=1) / math.sqrt(m))
     ref_vals = np.asarray(observable(reference.center, reference.variance), float)
-    ref_mean = float(_normalized_masses(reference) @ ref_vals)
+    ref_mean = float((reference.weight / reference.mass_total[0]) @ ref_vals)
     if sem == 0.0:
         z = 0.0 if mean == ref_mean else math.copysign(math.inf, mean - ref_mean)
     else:

@@ -53,12 +53,12 @@ def _kernel_cdf(kern):
     return cdf
 
 
-def initial_ensemble(sites, weights, mode="weighted", roots=None):
+def initial_ensemble(sites, weights, roots=None):
     """Unit-width branches at t = 0 on lattice sites from origin 0, with
     root lineages (default 0..n-1); integer masses stay int64."""
     roots = np.arange(len(sites)) if roots is None else np.asarray(roots)
     return Ensemble(
-        mode=mode, time=0.0, site=np.array(sites, np.int64), origin=0.0, params=P,
+        time=0.0, site=np.array(sites, np.int64), origin=0.0, params=P,
         weight=np.asarray(weights), lineage_hash=lineage_hash_root(roots.astype(np.uint64)),
     )
 
@@ -74,7 +74,6 @@ def test_midbox_default_center_is_lattice_aligned():
     assert (e.origin, e.site[0]) == (0.0, 20)
     assert e.variance == P.w**2
     assert e.params == P
-    assert e.mode == "weighted"
     # explicit centers are taken as given: they become the origin
     e2 = midbox_ensemble(P, center=9.87)
     assert e2.center[0] == 9.87
@@ -97,7 +96,10 @@ def test_midbox_count_mode_multiplicity():
     np.testing.assert_array_equal(
         midbox_ensemble(P, "count", multiplicity=np.int64(3)).weight, [3])
     np.testing.assert_array_equal(midbox_ensemble(P, "count").weight, [1])
-    assert midbox_ensemble(P).weight.dtype == np.float64
+    # the mode picks only the mass type: the other modes start from weight 1.0
+    for mode in ("weighted", "collapse"):
+        e = midbox_ensemble(P, mode)
+        assert (e.weight.dtype, e.weight[0], e.site[0]) == (np.float64, 1.0, 20)
 
 
 @pytest.mark.parametrize("mode, multiplicity, fragment", [
@@ -122,9 +124,6 @@ def test_ensemble_validation():
     # weights must sum to one
     with pytest.raises(ValueError):
         initial_ensemble([1, 1], [0.4, 0.4])
-    # collapse mode holds exactly one branch
-    with pytest.raises(ValueError):
-        initial_ensemble([1, 1], [0.5, 0.5], mode="collapse")
     # integer sites from one finite origin; one mass per branch
     with pytest.raises(ValueError, match="int64"):
         dataclasses.replace(initial_ensemble([1], [1.0]), site=np.array([1.0]))
@@ -132,18 +131,14 @@ def test_ensemble_validation():
         dataclasses.replace(initial_ensemble([1], [1.0]), origin=math.nan)
     with pytest.raises(ValueError, match="'weight'"):
         initial_ensemble([1, 2], [1.0])
-    # counts are int64 and need not sum to one, but each branch holds at
-    # least one unit; count mode holds counts only
-    counted = initial_ensemble([1, 2], [3, 4], mode="count")
+    # counts (born_test's leaves, a cap's hits) are int64 and need not sum
+    # to one, but each branch holds at least one unit
+    counted = initial_ensemble([1, 2], [3, 4])
     assert counted.weight.sum() == 7
-    with pytest.raises(ValueError, match="count"):
-        initial_ensemble([1, 2], [3.0, 0.5], mode="count")
+    with pytest.raises(ValueError, match="sum to 1"):
+        initial_ensemble([1, 2], [3.0, 0.5])
     with pytest.raises(ValueError, match=">= 1"):
-        initial_ensemble([1, 2], [3, 0], mode="count")
-    # a capped ensemble's weighted masses are its probe hits
-    assert initial_ensemble([1, 2], [2, 1]).weight.sum() == 3
-    with pytest.raises(ValueError, match=">= 1"):
-        initial_ensemble([1, 2], [2, 0])
+        initial_ensemble([1, 2], [3, 0])
     with pytest.raises(ValueError, match="float64 weights"):
         initial_ensemble([1, 2], np.array([0.5, 0.5], np.float32))
 
@@ -170,8 +165,8 @@ def _assert_per_row_fold(e):
 
 def _acceptance_run(overrides):
     c = parse_config("", overrides)
-    # count mode does not evolve: born_test's geometry runs weighted
-    return c.params, "weighted" if c.mode == "count" else c.mode, None, c.max_branches, c.timing
+    # as the runner steps it: collapse is the cap at one branch
+    return c.params, c.mode, None, 1 if c.mode == "collapse" else c.max_branches, c.timing
 
 
 # (params, mode, start center, cap, timing)
@@ -811,6 +806,22 @@ def test_evolve_fast_path_matches_materialize_then_cap_after_capped_step():
     _assert_fast_path_matches(e, 45, 98)
 
 
+def test_born_leaves_evolve_as_materialize_then_cap():
+    # born_test's leaves hold int64 counts summing to 10 000, and the engine
+    # steps them as it steps any masses.  A period of 100 spreads each of the
+    # 6 leaves over 2401 bins, so their 14 406 rows exceed caps below, equal
+    # to and above the total; at the total the counts are the parents'
+    # multiplicities, and each capped step equals materialize-then-cap
+    p = PhysicalParams(tau=100.0)
+    start = midbox_ensemble(p, "count", multiplicity=BORN_TOTAL_COUNT, center=10.25)
+    _, _, leaves = _born_event(p, start, p.m * p.w**2 / (3.0 * p.hbar))
+    assert leaves.weight.dtype == np.int64 and leaves.weight.sum() == BORN_TOTAL_COUNT
+    assert leaves.n_branches == 6
+    for cap in (BORN_TOTAL_COUNT // 2, BORN_TOTAL_COUNT, BORN_TOTAL_COUNT + 2000):
+        assert branching._are_multiplicities(leaves.weight, cap) == (cap == BORN_TOTAL_COUNT)
+        _assert_fast_path_matches(leaves, cap, cap, p=p)
+
+
 _FIELDS = ("site", "weight", "lineage_hash")
 
 
@@ -967,27 +978,21 @@ def test_evolve_rejects_bad_arguments():
     # the engine evolves an ensemble under its own parameters only
     with pytest.raises(ValueError, match="differ"):
         evolve_ensemble_step(e, PhysicalParams(tau=0.5), 8, 100, gen(40))
-    # count mode holds born_test's single event; the engine refuses it
-    with pytest.raises(ValueError, match="count-mode"):
-        evolve_ensemble_step(midbox_ensemble(P, "count"), P, 8, 100, gen(40))
 
 
 def test_evolve_collapse_stays_single_and_lattice_bound():
-    # a collapse step keeps one branch whatever cap it is given; 1e5 is
-    # the runner's default max_branches
-    for cap in (1, 100_000):
-        e = midbox_ensemble(P, "collapse")
-        r = gen(41)
-        for k in range(30):
-            prev = e
-            e = evolve_ensemble_step(e, P, 8, cap, r)
-            assert e.mode == "collapse"
-            assert e.n_branches == 1
-            assert e.weight[0] == 1.0
-            assert e.variance == P.w**2
-            assert e.lineage_hash[0] == prev.lineage_hash[0]
-            assert e.center[0] == round(e.center[0] / 0.5) * 0.5
-            assert 0.0 <= e.center[0] <= P.L
+    # a collapse step is the step at cap 1: it keeps one branch of mass 1
+    e = midbox_ensemble(P, "collapse")
+    r = gen(41)
+    for k in range(30):
+        prev = e
+        e = evolve_ensemble_step(e, P, 8, 1, r)
+        assert e.n_branches == 1
+        assert e.weight[0] == 1.0
+        assert e.variance == P.w**2
+        assert e.lineage_hash[0] == prev.lineage_hash[0]
+        assert e.center[0] == round(e.center[0] / 0.5) * 0.5
+        assert 0.0 <= e.center[0] <= P.L
 
 
 @pytest.mark.parametrize("p, timing", [
@@ -996,18 +1001,19 @@ def test_evolve_collapse_stays_single_and_lattice_bound():
     (PhysicalParams(w=0.3, L=20.0), "deterministic"),
 ])
 def test_collapse_step_is_the_weighted_step_at_cap_one(p, timing):
-    # collapse = cap at K = 1: same generator seed, same branch, bit for bit
-    c = midbox_ensemble(p, "collapse")
-    w = midbox_ensemble(p)
-    rc, rw = gen(43), gen(43)
+    # collapse is the step at cap K = 1: a lone packet keeps the one
+    # offspring its single probe phase picks on the kernel CDF, whether its
+    # mass is the float 1.0 it starts with or the one hit it then holds
+    e, r = midbox_ensemble(p, "collapse"), gen(43)
     for _ in range(20):
-        c = evolve_ensemble_step(c, p, 8, 100_000, rc, timing=timing)
-        w = evolve_ensemble_step(w, p, 8, 1, rw, timing=timing)
-        assert (c.mode, w.mode) == ("collapse", "weighted")
-        assert c.time == w.time
-        for name in ("site", "lineage_hash", "weight"):
-            np.testing.assert_array_equal(getattr(c, name), getattr(w, name))
-        assert (c.origin, c.params, c.next_uid) == (w.origin, w.params, w.next_uid)
+        e = dataclasses.replace(e, time=0.0)  # so the event time is the period itself
+        u = reference.cap_probe_phases(1, _step_seed(r), KEY_CAP)
+        out = evolve_ensemble_step(e, p, 8, 1, r, timing=timing)
+        step, kern = branching._offset_kernel(out.time, p)
+        picked = np.searchsorted(_kernel_cdf(kern), u)
+        np.testing.assert_array_equal(out.site, e.site + step[picked])
+        assert out.weight.tolist() == [1] and out.lineage_hash[0] == e.lineage_hash[0]
+        e = out
 
 
 def test_evolve_collapse_follows_born_weights():
@@ -1145,14 +1151,14 @@ def test_exact_reference_agrees_with_heat_kernel():
     d_eff = var_step / (2.0 * P.tau)
     t_eff = steps * P.tau + P.w**2 / var_step
     expected = reference.box_heat_bin_masses(10.0, t_eff, d_eff, P.L, 20)
-    got = position_histogram(exact_weighted_reference(P, steps), P, 20)
+    got = position_histogram(exact_weighted_reference(P, steps), 20)
     np.testing.assert_allclose(got, expected, atol=1e-3)
 
 
 def test_exact_reference_converges_to_uniformity():
     from branchbox.stats import position_histogram, tv_to_uniform
 
-    h = position_histogram(exact_weighted_reference(P, 2000), P, 20)
+    h = position_histogram(exact_weighted_reference(P, 2000), 20)
     assert tv_to_uniform(h) < 1e-3
 
 
@@ -1251,19 +1257,18 @@ def test_child_hashes_distinct_over_a_capped_run():
 @settings(max_examples=40, deadline=None)
 @given(w=st.sampled_from([0.3, 0.1]), cap=st.sampled_from([1, 30, 300, None]),
        timing=st.sampled_from(["deterministic", "poisson"]),
-       mode=st.sampled_from(["weighted", "collapse"]),
        steps=st.integers(1, 5), seed=st.integers(0, 2**32))
-@example(w=0.1, cap=300, timing="poisson", mode="weighted", steps=5, seed=0)
-@example(w=0.3, cap=None, timing="deterministic", mode="weighted", steps=3, seed=1)
-@example(w=0.3, cap=30, timing="deterministic", mode="weighted", steps=5, seed=2)
-@example(w=0.1, cap=300, timing="poisson", mode="collapse", steps=5, seed=3)
-def test_a_tag_changes_only_where_its_lineage_splits(w, cap, timing, mode, steps, seed):
+@example(w=0.1, cap=300, timing="poisson", steps=5, seed=0)
+@example(w=0.3, cap=None, timing="deterministic", steps=3, seed=1)
+@example(w=0.3, cap=30, timing="deterministic", steps=5, seed=2)
+@example(w=0.1, cap=1, timing="poisson", steps=5, seed=3)
+def test_a_tag_changes_only_where_its_lineage_splits(w, cap, timing, steps, seed):
     # after every step: live tags are distinct, a parent's first survivor
     # (and no other) carries the parent's tag, and every other survivor
     # carries lineage_hash_child(parent, t, b) of its own row; a collapse
-    # run's one branch keeps its root tag
+    # run's one branch (cap 1) keeps its root tag
     p = PhysicalParams(w=w)
-    e, r = midbox_ensemble(p, mode), gen(seed)
+    e, r = midbox_ensemble(p), gen(seed)
     root = e.lineage_hash[0]
     for _ in range(steps):
         if cap is None and e.n_branches > 300:
@@ -1285,7 +1290,7 @@ def test_a_tag_changes_only_where_its_lineage_splits(w, cap, timing, mode, steps
         if split.size:
             np.testing.assert_array_equal(
                 tag[split], lineage_hash_child(e.lineage_hash[g[split]], out.time, b[split]))
-        if mode == "collapse":
+        if cap == 1:
             assert tag.tolist() == [root]
         e = out
 

@@ -72,7 +72,7 @@ def test_series_first_row_matches_initial_state(tmp_path):
     run_scenario(c)
     _, rows = read_rows(tmp_path / "out" / "midbox_series.csv")
     e = midbox_ensemble(c.params)
-    h = position_histogram(e, c.params, c.bins)
+    h = position_histogram(e, c.bins)
     expected = [
         0.0, 1.0, effective_branch_count(e), ensemble_position_mean(e),
         ensemble_position_variance(e), coarse_entropy(h), tv_to_uniform(h),
@@ -136,6 +136,21 @@ def test_different_seed_changes_series(tmp_path):
     run_scenario(small_midbox(tmp_path, seed=8))
     b = (tmp_path / "out" / "midbox_series.csv").read_bytes()
     assert a != b
+
+
+@pytest.mark.parametrize("timing", ["deterministic", "poisson"])
+def test_collapse_run_is_the_weighted_run_at_cap_one(tmp_path, timing):
+    # the runner steps mode = collapse as the weighted run capped at one
+    # branch: both write the same series bytes
+    series = []
+    for mode, cap in (("collapse", {}), ("weighted", {"max_branches": 1})):
+        run_scenario(parse_config("", {
+            "scenario": "midbox", "mode": mode, "timing": timing, "steps": 200,
+            "seed": 7, "output_dir": str(tmp_path / mode)} | cap))
+        series.append((tmp_path / mode / "midbox_series.csv").read_bytes())
+    assert series[0] == series[1]
+    _, rows = read_rows(tmp_path / "collapse" / "midbox_series.csv")
+    assert [r[1] for r in rows] == [1.0] * 201
 
 
 def test_failed_check_sets_exit_status(tmp_path):

@@ -40,7 +40,7 @@ P = PhysicalParams()
 def weighted_ensemble(sites, weights, p=P, origin=0.0, time=0.0):
     """Branches of width p.w on unfolded lattice sites from ``origin``."""
     return Ensemble(
-        mode="weighted", time=float(time), site=np.array(sites, np.int64),
+        time=float(time), site=np.array(sites, np.int64),
         origin=float(origin), params=p, weight=np.array(weights, float),
         lineage_hash=lineage_hash_root(np.arange(len(sites), dtype=np.uint64)),
     )
@@ -165,7 +165,7 @@ def test_histogram_single_branch_matches_quadrature(center, variance):
     w = math.sqrt(variance)
     p = PhysicalParams(w=w, L=max(20.0, 20.0 * w))
     e = weighted_ensemble([0], [1.0], p=p, origin=center)
-    got = position_histogram(e, p, 20)
+    got = position_histogram(e, 20)
     expected = reference.reflected_bin_masses(center, variance, p.L, 20)
     np.testing.assert_allclose(got, expected, atol=1e-10)
     assert got.sum() == pytest.approx(1.0, abs=1e-14)
@@ -173,7 +173,7 @@ def test_histogram_single_branch_matches_quadrature(center, variance):
 
 def test_histogram_mixture_is_mass_weighted():
     e = weighted_ensemble([8, 30], [0.3, 0.7])
-    got = position_histogram(e, P, 20)
+    got = position_histogram(e, 20)
     expected = 0.3 * reference.reflected_bin_masses(4.0, 1.0, P.L, 20) \
         + 0.7 * reference.reflected_bin_masses(15.0, 1.0, P.L, 20)
     np.testing.assert_allclose(got, expected, atol=1e-10)
@@ -185,7 +185,7 @@ def test_histogram_lattice_fast_path_agrees():
     sites = [4, 4, 7, 7, 7, 20]
     weights = [0.1, 0.2, 0.1, 0.15, 0.15, 0.3]
     e = weighted_ensemble(sites, weights)
-    got = position_histogram(e, P, 20)
+    got = position_histogram(e, 20)
     expected = 0.3 * reference.reflected_bin_masses(2.0, 1.0, P.L, 20) \
         + 0.4 * reference.reflected_bin_masses(3.5, 1.0, P.L, 20) \
         + 0.3 * reference.reflected_bin_masses(10.0, 1.0, P.L, 20)
@@ -200,7 +200,7 @@ def test_histogram_off_lattice_merges_duplicate_packets():
     sites = [6, 6, 0, 32, 58, 0, 6, -1]
     weights = [0.1, 0.15, 0.05, 0.2, 0.25, 0.1, 0.1, 0.05]
     e = weighted_ensemble(sites, weights, p=p, origin=0.1)
-    got = position_histogram(e, p, 20)
+    got = position_histogram(e, 20)
     expected = 0.35 * reference.reflected_bin_masses(1.9, 0.36, p.L, 20) \
         + 0.15 * reference.reflected_bin_masses(0.1, 0.36, p.L, 20) \
         + 0.2 * reference.reflected_bin_masses(9.7, 0.36, p.L, 20) \
@@ -212,17 +212,9 @@ def test_histogram_off_lattice_merges_duplicate_packets():
 def test_histogram_validation():
     e = midbox_ensemble(P)
     with pytest.raises(ValueError):
-        position_histogram(e, P, 1)
+        position_histogram(e, 1)
     with pytest.raises(ValueError):
-        position_histogram(e, P, 21)  # L/k < w resolves single packets
-
-
-def test_histogram_refuses_foreign_params():
-    # a packet at the center of an L = 20 box must not be binned over a
-    # 40-wide box's edges
-    e = midbox_ensemble(P)
-    with pytest.raises(ValueError, match="differ"):
-        position_histogram(e, PhysicalParams(L=40.0), 20)
+        position_histogram(e, 21)  # L/k < w resolves single packets
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +237,14 @@ def test_memo_rows_match_uncached_as_positions_appear():
         x = set(e.position_masses[0].tolist())
         rows_with_new += bool(x - seen)
         seen |= x
-        assert np.array_equal(position_histogram(e, p, 20), uncached_histogram(e, p, 20))
+        assert np.array_equal(position_histogram(e, 20), uncached_histogram(e, p, 20))
     assert rows_with_new >= 15
     # a warm ensemble re-placed in another geometry gets tables of its own
     for other in (dataclasses.replace(e, origin=e.origin + 0.1),
                   dataclasses.replace(e, params=dataclasses.replace(p, w=p.w / 2, L=2 * p.L))):
         assert other.tables is not e.tables
         q = other.params
-        assert np.array_equal(position_histogram(other, q, 20), uncached_histogram(other, q, 20))
+        assert np.array_equal(position_histogram(other, 20), uncached_histogram(other, q, 20))
 
 
 def test_memo_holds_exactly_the_positions_seen():
@@ -260,11 +252,11 @@ def test_memo_holds_exactly_the_positions_seen():
     rng = np.random.Generator(np.random.PCG64(5))
     e = midbox_ensemble(p)
     seen = set(e.position_masses[0].tolist())
-    position_histogram(e, p, 20)
+    position_histogram(e, 20)
     for _ in range(300):
         e = evolve_ensemble_step(e, p, 1, 2000, rng, timing="poisson")
         seen |= set(e.position_masses[0].tolist())
-        position_histogram(e, p, 20)
+        position_histogram(e, 20)
     # the run's tables hold one bin count's rows, one per position seen
     (k, (known, rows)), = e.tables.bin_rows.items()
     assert k == 20 and e.tables.params == p
