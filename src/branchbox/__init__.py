@@ -22,6 +22,7 @@ from .branching import (
     TagReport,
     apportion_counts,
     evolve_ensemble_step,
+    evolve_ensemble_steps,
     midbox_ensemble,
     run_collapse_trajectories,
     trajectory_seed,
@@ -76,6 +77,7 @@ __all__ = [
     "TagReport",
     "apportion_counts",
     "evolve_ensemble_step",
+    "evolve_ensemble_steps",
     "midbox_ensemble",
     "run_collapse_trajectories",
     "trajectory_seed",

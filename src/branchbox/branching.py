@@ -40,11 +40,12 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .model import PhysicalParams, bin_weights, reflect_center
+from .model import TRUNCATION_SIGMAS, PhysicalParams, bin_weight_rows, reflect_center
 from .rng import (
     GAMMA,
     KEY_CAP,
@@ -65,6 +66,7 @@ __all__ = [
     "CollapseBatch",
     "apportion_counts",
     "evolve_ensemble_step",
+    "evolve_ensemble_steps",
     "verify_tag_uniqueness",
     "midbox_ensemble",
     "run_collapse_trajectories",
@@ -187,6 +189,14 @@ class Ensemble:
         """``weight``, the mass per branch; an alias kept for ``bench/tracing.py``."""
         return self.weight
 
+    def _moved(self, time: float, site: np.ndarray, next_uid: int) -> Ensemble:
+        """These branches at ``time`` on ``site``: a steady step's child, which shares
+        the masses and tags (and their ``mass_total``) and skips the checks they passed."""
+        child = object.__new__(Ensemble)
+        vars(child).update(vars(self), time=time, site=site, next_uid=next_uid)
+        vars(child).pop("position_masses", None)  # the cached properties that read sites
+        return child
+
 
 class Tables:
     """Lookup tables of one run geometry (origin, parameters), grown as the run reads them.
@@ -195,7 +205,9 @@ class Tables:
     ensemble built without it, or with another geometry's, gets a fresh one.
     Every entry is what a fresh computation gives, bit for bit.  ``bin_rows``
     holds, per bin count, the sorted positions seen and their folded bin
-    masses (``stats._bin_mass_rows``).
+    masses (``stats._bin_mass_rows``).  ``kernel`` holds one period's offset
+    kernel, the run's one under deterministic timing; Poisson steps build
+    theirs a block at a time (``_Schedule``) and keep none.
     """
 
     def __init__(self, origin: float, params: PhysicalParams):
@@ -226,13 +238,13 @@ class Tables:
         return self._fold
 
     def kernel(self, dt: float, n_probes: int):
-        """``_offset_kernel(dt)``, its CDF and ``_cdf_index`` for n_probes probes;
-        kept while (dt, n_probes) repeats."""
+        """(lattice steps, Born weights, CDF) of ``_offset_kernels``' one row at period
+        dt, and its ``_cdf_index`` for n_probes probes; kept while (dt, n_probes) repeats."""
         if self._kernel_key != (dt, n_probes):
-            step, kern = _offset_kernel(dt, self.params)
-            cdf = np.cumsum(kern)
-            cdf /= cdf[-1]  # ends at exactly 1
-            self._kernel = step, kern, cdf, _cdf_index(cdf, n_probes)
+            first, size, kern, cdf = _offset_kernels(np.array([dt]), self.params)
+            n = size[0]
+            self._kernel = (first[0] + np.arange(n), kern[0, :n], cdf[0, :n],
+                            _cdf_index(cdf[0, :n], n_probes))
             self._kernel_key = dt, n_probes
         return self._kernel
 
@@ -324,31 +336,51 @@ _MAX_BUCKETS = 4096
 
 
 def _cdf_index(cdf: np.ndarray, n_probes: int) -> np.ndarray:
-    """Bucket table of a CDF ending at 1.0 for n probes: nb buckets, a power of two
-    in (n/32, n/16], at least 1 and at most 4096.
+    """Bucket table of a CDF ending at 1.0 for n probes, or one per row of CDFs:
+    nb buckets, a power of two in (n/8, n/4], at least 1 and at most 4096
+    (at 2000 probes a Poisson kernel's 256 buckets send about 3% of the
+    probes to the search, 64 buckets about 11%).
 
     Bucket q holds the probes x in [q/nb, (q+1)/nb), so floor(x * nb) is
     exact; q = nb holds x = 1.0 alone.  A bucket that no CDF entry falls
     in answers each of its probes with the number of entries below q/nb;
-    the others hold the sentinel -1, and their probes are searched.
+    the others hold the sentinel -1, and their probes are searched.  An
+    entry c is below q/nb exactly when floor(c * nb) < q, so each row's
+    entries are counted per bucket; the 1.0 entries padding a row all
+    fall in bucket nb, which always holds the row's last entry.
     """
-    nb = min(_MAX_BUCKETS, 1 << max(n_probes.bit_length() - 5, 0))
-    below = np.searchsorted(cdf, np.arange(nb + 2) / nb, side="left")
-    return np.where(below[1:] == below[:-1], below[:-1], -1)
+    nb = min(_MAX_BUCKETS, 1 << max(n_probes.bit_length() - 3, 0))
+    rows = cdf.reshape(-1, cdf.shape[-1])
+    q = np.multiply(rows, nb, out=np.empty(rows.shape, np.int64), casting="unsafe")
+    q += (nb + 1) * np.arange(rows.shape[0])[:, None]
+    count = np.bincount(q.ravel(), minlength=rows.shape[0] * (nb + 1)).reshape(-1, nb + 1)
+    below = np.cumsum(count, axis=1)
+    below -= count
+    return np.where(count == 0, below, -1).reshape(cdf.shape[:-1] + (nb + 1,))
 
 
 def _cdf_search(cdf: np.ndarray, probe: np.ndarray, index: np.ndarray) -> np.ndarray:
     """``searchsorted(cdf, probe, "left")`` for probes in (0, 1] through ``_cdf_index``'s table.
 
     One gather answers the probes of buckets that hold no CDF entry; the
-    few in buckets that do are searched.
+    few in buckets that do are searched.  With a 2-d ``cdf`` and
+    ``index``, row r of ``probe`` is looked up on CDF row r.
     """
-    nb = index.size - 1
+    nb = index.shape[-1] - 1
     q = np.multiply(probe, nb, out=np.empty(probe.shape, np.int64), casting="unsafe")
+    if index.ndim > 1:
+        q += np.arange(0, index.size, nb + 1)[:, None]
     out = index.take(q)
-    miss = np.flatnonzero(out < 0)
-    if miss.size:
-        out[miss] = np.searchsorted(cdf, probe[miss], side="left")
+    flat, u = out.reshape(-1), probe.reshape(-1)
+    miss = np.flatnonzero(flat < 0)
+    if not miss.size:
+        return out
+    if cdf.ndim == 1:
+        flat[miss] = np.searchsorted(cdf, u[miss], side="left")
+        return out
+    cut = np.searchsorted(miss, np.arange(0, u.size + 1, probe.shape[-1])).tolist()
+    for row, a, b in zip(cdf, cut, cut[1:]):
+        flat[miss[a:b]] = np.searchsorted(row, u[miss[a:b]], side="left")
     return out
 
 
@@ -425,17 +457,149 @@ def _cap_probe_phases(ladder: np.ndarray, step_seed) -> np.ndarray:
 # evolution
 
 
-def _offset_kernel(dt: float, p: PhysicalParams):
-    """(lattice steps, Born weights) of one event's offspring relative to the parent.
+def _offset_kernels(dt: np.ndarray, p: PhysicalParams):
+    """(first lattice step, bin count, Born weights, CDF) of one event's offspring
+    relative to the parent per period in ``dt``, as padded rows.
 
-    A fresh packet of width w spreads for ``dt``, and the spread beyond
-    w is binned at the lattice pitch around 0.
+    A fresh packet of width w spreads for the period, and the spread
+    beyond w is binned at the lattice pitch around 0 (``bin_weight_rows``):
+    row i's bin b is the lattice step first[i] + b.  Each CDF row is the
+    cumulative sum of its weights divided by its last entry, so it ends at
+    exactly 1, and so do its padded entries.
     """
     w2 = p.w**2
     # spread_variance's rounding on an array: x**2 is d * d there, not pow()
     d = dt * p.hbar / (p.m * math.sqrt(w2))
-    rel, kern = bin_weights(0.0, (w2 + d * d) - w2, p.bin_width())
-    return np.rint(rel / p.bin_width()).astype(np.int64), kern
+    first, size, kern = bin_weight_rows(0.0, (w2 + d * d) - w2, p.bin_width())
+    cdf = np.cumsum(kern, axis=1)
+    cdf /= cdf[:, -1:]
+    return first, size, kern, cdf
+
+
+def _offset_kernel(dt: float, p: PhysicalParams):
+    """(lattice steps, Born weights) of one event's offspring at period dt:
+    ``_offset_kernels``' one-row case."""
+    first, size, kern, _ = _offset_kernels(np.array([dt]), p)
+    return first[0] + np.arange(size[0]), kern[0, :size[0]]
+
+
+# per-step work a block holds, in probes or kernel bins, and at most so many
+# steps: 16 steps at cap 2000, one step from cap 2**15 on
+_BLOCK_WORK = 2**15
+_BLOCK_STEPS = 64
+
+
+def _block_steps(p: PhysicalParams, cap: int) -> int:
+    """Steps per block of a run at ``cap``: about 2**15 elements of per-step
+    work, the cap's probes or the kernel's bins at one period (12 sigma over
+    the pitch), whichever is more, and at most 64 steps, which bounds a
+    block's padded kernel rows at small caps and wide kernels."""
+    bins = 2 * TRUNCATION_SIGMAS * math.sqrt(p.delta2()) / p.bin_width()
+    return max(1, min(_BLOCK_STEPS, int(_BLOCK_WORK // max(cap, bins))))
+
+
+def _periods(seed: np.ndarray, tau: float, timing: str) -> np.ndarray:
+    """Each step's period from its seed: tau, or under Poisson timing -tau ln(u)
+    with u = ``unit_uniform(mix(seed ^ KEY_TIMING))``, each logarithm
+    ``math.log``'s (numpy's differs from it in the last bit on some inputs)."""
+    if timing == "deterministic":
+        return np.full(seed.size, tau)
+    u = unit_uniform(mix(seed ^ KEY_TIMING))
+    return -tau * np.array([math.log(x) for x in u.tolist()])
+
+
+class _Schedule:
+    """A block of steps known before any of them runs: seeds, event times, kernels.
+
+    The block's step seeds are drawn in one call, which draws what as many
+    one-seed calls would.  Step k fires at the previous event time plus its
+    period (``_periods``), the times summed in step order.  Deterministic
+    steps share the run's one kernel (``Tables.kernel``); Poisson steps get
+    one row each of ``_offset_kernels``, built in one pass, and a bucket
+    table only for the steps that probe.
+    """
+
+    def __init__(self, e: Ensemble, cap: int, seed: np.ndarray, timing: str):
+        p = e.params
+        self.seed, self.cap, self.shared = seed, cap, timing == "deterministic"
+        dt = _periods(seed, p.tau, timing)
+        if self.shared:
+            step, self.kern, self.cdf, self.index = e.tables.kernel(p.tau, cap)
+            self.first, self.size = np.full(seed.size, step[0]), np.full(seed.size, step.size)
+        else:
+            self.first, self.size, self.kern, self.cdf = _offset_kernels(dt, p)
+        self.time = list(accumulate(dt.tolist(), initial=e.time))[1:]
+
+    def kernel(self, k: int) -> np.ndarray:
+        """Born weights of step k's bins."""
+        return self.kern if self.shared else self.kern[k, :self.size[k]]
+
+    def lookup(self, k: int, stop: int | None = None):
+        """(CDF, bucket table) of step k, or of steps k .. stop-1 as rows."""
+        if self.shared:
+            return self.cdf, self.index
+        cdf = self.cdf[k] if stop is None else self.cdf[k:stop]
+        return cdf, _cdf_index(cdf, self.cap)
+
+
+def _steady(e: Ensemble, cap: int) -> bool:
+    """Whether every multiplicity is 1 at the cap: each parent then keeps one
+    row, on its own probe's bin, and so does every later step."""
+    return e.n_branches == cap and e.mass_total[2]
+
+
+def evolve_ensemble_steps(
+    e: Ensemble, cap: int, rng: np.random.Generator, steps: int, *,
+    timing: str = "deterministic",
+) -> Iterator[Ensemble]:
+    """Yield the ensembles after each of ``steps`` decoherence periods from ``e``.
+
+    Every branch spreads for the period, then decoheres into tagged
+    offspring, and the branch count is capped with an unbiased
+    stratified resample when it exceeds ``cap``, whatever the masses:
+    Born weights or counts.  Collapse is that cap at one branch: its
+    single probe keeps one offspring with probability equal to its Born
+    weight.  One uint64 is drawn from ``rng`` per step; timing and
+    capping are keyed off it alone, so results do not depend on how the
+    steps are blocked.  Every parent shares one offset kernel: offspring
+    (parent, bin) sits at site site_parent + step_bin with mass w_parent *
+    kern_bin, and no wall is applied.  Past the cap, each stratified
+    probe finds its parent (by integer arithmetic when the parents'
+    multiplicities sum to the cap), then its bin on the shared kernel CDF;
+    only the survivors' rows are built, holding their hits.  So the capped
+    step is bit-identical to materializing every offspring, then
+    resampling them grouped by parent with the parents' masses as the
+    group masses.  Among a parent's survivors, in probe order, the first
+    keeps the parent's lineage hash and each further one on bin b gets
+    ``lineage_hash_child(parent, t_event, b)``; where every parent keeps
+    one survivor no hash is computed.  Under the cap offspring hold Born
+    weights, but a one-bin kernel keeps integer masses.
+
+    Schedule first: the steps run in blocks (``_block_steps``: 16 steps
+    at cap 2000, one step from cap 2**15 up), each scheduled at once
+    (``_Schedule``).  Until the ensemble is steady
+    (``_steady``) it steps one step at a time; from then on the rest of
+    each block is one walk (``_steady_walk``).  A block's seeds are drawn
+    as it starts, so a consumer that stops mid-block has drawn all of
+    them.  The checks run on the first step drawn.
+    """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    if timing not in ("deterministic", "poisson"):
+        raise ValueError(f"unknown timing '{timing}'")
+    if e.params.tau <= 0:
+        raise ValueError("evolution requires tau > 0")
+    block = _block_steps(e.params, cap)
+    for start in range(0, steps, block):
+        seed = rng.integers(0, 2**64, size=min(block, steps - start), dtype=np.uint64)
+        s = _Schedule(e, cap, seed, timing)
+        for k in range(seed.size):
+            if _steady(e, cap):
+                for e in _steady_walk(e, s, k):
+                    yield e
+                break
+            e = _child(e, s, k, *_step_rows(e, cap, s, k))
+            yield e
 
 
 def evolve_ensemble_step(
@@ -447,90 +611,85 @@ def evolve_ensemble_step(
     *,
     timing: str = "deterministic",
 ) -> Ensemble:
-    """Advance an ensemble through one decoherence period.
+    """Advance an ensemble through one decoherence period: the one-step case of
+    ``evolve_ensemble_steps``, drawing one seed from ``rng``.
 
-    Every branch spreads for the period, then decoheres into tagged
-    offspring, and the branch count is capped with an unbiased
-    stratified resample when it exceeds ``cap``, whatever the masses:
-    Born weights or counts.  Collapse is that cap at one branch: its
-    single probe keeps one offspring with probability equal to its Born
-    weight.  One uint64 is drawn from ``rng`` per step; timing and
-    capping are keyed off it alone, so results do not depend on internal
-    batching.  Every parent shares one offset kernel: offspring (parent,
-    bin) sits at site site_parent + step_bin with mass w_parent *
-    kern_bin, and no wall is applied.  Past the cap, each stratified probe finds its parent (by
-    integer arithmetic when the parents' multiplicities sum to the cap),
-    then its bin on the shared kernel CDF; only the survivors' rows are
-    built, holding their hits.  So the capped step is bit-identical to
-    materializing every offspring, then resampling them grouped by
-    parent with the parents' masses as the group masses.  Among a
-    parent's survivors, in probe order, the first keeps the parent's
-    lineage hash and each further one on bin b gets
-    ``lineage_hash_child(parent, t_event, b)``; where every parent keeps
-    one survivor no hash is computed.  Under the cap offspring hold Born
-    weights, but a one-bin kernel keeps integer masses.  ``p`` must be
-    the ensemble's own parameters, and ``fanout`` is validated but does
-    not affect the step: both stay in the signature because
-    ``bench/worker.py`` passes them positionally.
+    ``p`` must be the ensemble's own parameters, and ``fanout`` is
+    validated but does not affect the step: both stay in the signature
+    because ``bench/worker.py`` passes them positionally.
     """
     if p != e.params:
         raise ValueError(f"parameters {p} differ from the ensemble's {e.params}")
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
     if fanout < 1:
         raise ValueError(f"fanout must be >= 1, got {fanout}")
-    if timing not in ("deterministic", "poisson"):
-        raise ValueError(f"unknown timing '{timing}'")
-    if p.tau <= 0:
-        raise ValueError("evolution requires tau > 0")
-    step_seed = np.uint64(rng.integers(0, 2**64, dtype=np.uint64))
-    t_event, step, pr, oi, weight = _step_rows(e, cap, step_seed, timing)
+    return next(evolve_ensemble_steps(e, cap, rng, 1, timing=timing))
+
+
+def _child(e: Ensemble, s: _Schedule, k: int, pr, oi, weight) -> Ensemble:
+    """The ensemble of step k of ``s`` from ``e``, given its survivors' (parent, bin, mass)."""
+    t_event = s.time[k]
     # a tag changes only where its lineage splits: a parent's first survivor
     # keeps it, and each further survivor on bin b gets the child hash of b
-    if pr is None:
-        site, lineage = e.site, e.lineage_hash
-    else:
-        site, lineage = e.site.take(pr), e.lineage_hash.take(pr)
-        split = np.flatnonzero(pr[1:] == pr[:-1])
-        if split.size:
-            split += 1
-            lineage[split] = lineage_hash_child(lineage[split], t_event, oi[split])
-    # bin_weights' bins are consecutive, so bin b is the step step[0] + b;
+    lineage = e.lineage_hash.take(pr)
+    split = np.flatnonzero(pr[1:] == pr[:-1])
+    if split.size:
+        split += 1
+        lineage[split] = lineage_hash_child(lineage[split], t_event, oi[split])
     # the child sites are built in the step's own array of bins
     child_site = oi
-    child_site += site
-    child_site += step[0]
+    child_site += e.site.take(pr)
+    child_site += s.first[k]
     return Ensemble(
-        time=t_event, site=child_site, origin=e.origin, params=p, weight=weight,
-        lineage_hash=lineage, next_uid=e.next_uid + e.n_branches * step.size, tables=e.tables,
+        time=t_event, site=child_site, origin=e.origin, params=e.params, weight=weight,
+        lineage_hash=lineage, next_uid=e.next_uid + e.n_branches * int(s.size[k]),
+        tables=e.tables,
     )
 
 
-def _step_rows(e: Ensemble, cap: int, step_seed: np.uint64, timing: str):
-    """The surviving offspring rows of one step from ``e``, keyed off its step seed.
+def _step_rows(e: Ensemble, cap: int, s: _Schedule, k: int):
+    """The surviving offspring rows of step k of ``s`` from ``e``.
 
-    Returns (event time, the kernel's lattice steps, parent g of each
-    survivor, its bin b, its mass).  Under the cap every implicit row
-    (g, b) survives; past it, the rows the probes hit, sorted, selected
-    as (parent, bin) pairs without building the rows.  The parents are
-    None in the steady state, where parent g keeps exactly row g.
+    Returns (parent g of each survivor, its bin b, its mass).  Under the
+    cap every implicit row (g, b) survives; past it, the rows the probes
+    hit, sorted, selected as (parent, bin) pairs without building the
+    rows.  The parents are None in the steady state, where parent g keeps
+    exactly row g, on the bin ``_walk_bins`` finds.
     """
-    p = e.params
-    dt = p.tau if timing == "deterministic" else (
-        -p.tau * math.log(float(unit_uniform(mix(step_seed ^ KEY_TIMING)))))
-    step, kern, cdf, index = e.tables.kernel(dt, cap)
-    nk, n = step.size, e.n_branches
+    nk, n = int(s.size[k]), e.n_branches
     if n * nk <= cap:
+        kern = s.kernel(k)
         mass = (e.weight[:, None] * kern[None, :]).ravel()
         # a one-bin kernel keeps integer multiplicities
         weight = e.weight if nk == 1 and e.weight.dtype == np.int64 else mass / mass.sum()
-        return e.time + dt, step, np.repeat(np.arange(n), nk), np.tile(np.arange(nk), n), weight
-    u = _cap_probe_phases(e.tables.ladder(cap), step_seed)
-    if n == cap and e.mass_total[2]:
-        # every multiplicity 1, the steady state: parent g keeps one row, the
-        # g-th, on probe g's bin, holding its one hit
-        return e.time + dt, step, None, _cdf_search(cdf, u, index), e.weight
-    return e.time + dt, step, *_shared_kernel_hits(cdf, index, u, e.weight)
+        return np.repeat(np.arange(n), nk), np.tile(np.arange(nk), n), weight
+    if _steady(e, cap):
+        return None, _walk_bins(e, s, k, k + 1)[0], e.weight
+    u = _cap_probe_phases(e.tables.ladder(cap), s.seed[k])
+    return _shared_kernel_hits(*s.lookup(k), u, e.weight)
+
+
+def _walk_bins(e: Ensemble, s: _Schedule, k: int, stop: int) -> np.ndarray:
+    """Bins of steps k .. stop-1 of ``s`` from a steady ``e``, one row per step:
+    probe g of a step is parent g's, at its own phase, looked up on the step's CDF."""
+    u = _cap_probe_phases(e.tables.ladder(e.n_branches), s.seed[k:stop, None])
+    cdf, index = s.lookup(k, stop)
+    return _cdf_search(cdf, u, index)
+
+
+def _steady_walk(e: Ensemble, s: _Schedule, k: int) -> Iterator[Ensemble]:
+    """Yield the ensembles of steps k .. of ``s`` from a steady ``e``.
+
+    Every parent keeps one survivor with its one hit and its tag, so only
+    the sites move: each step adds its first lattice step and its bins to
+    the previous step's sites, a running sum over the steps, exact in
+    int64 (``Ensemble._moved``).
+    """
+    site = _walk_bins(e, s, k, s.seed.size)
+    site += s.first[k:, None]
+    for row, t, nk in zip(site, s.time[k:], s.size[k:].tolist()):
+        row += e.site
+        e = e._moved(t, row, e.next_uid + e.n_branches * nk)
+        yield e
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ __all__ = [
     "PhysicalParams",
     "spread_variance",
     "bin_weights",
+    "bin_weight_rows",
     "reflect_center",
     "DEFAULT_BIN_WIDTH_FRACTION",
     "TRUNCATION_SIGMAS",
@@ -119,10 +120,51 @@ def _interval_mass(lo, hi, center: float, sigma: float):
     a = (np.asarray(lo, dtype=float) - center) / sigma
     b = (np.asarray(hi, dtype=float) - center) / sigma
     # Phi(b) - Phi(a) loses precision when both arguments are large and
-    # positive; compute on the negative side instead, where ndtr is accurate.
+    # positive; compute on the negative side instead, where ndtr is accurate:
+    # there the mass is Phi(-a) - Phi(-b)
     both_pos = a >= 0
-    mass = np.where(both_pos, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
+    mass = ndtr(np.where(both_pos, -a, b)) - ndtr(np.where(both_pos, -b, a))
     return np.maximum(mass, 0.0)
+
+
+def bin_weight_rows(center: float, variances, bin_width: float):
+    """``bin_weights`` of one center at many variances, as padded rows.
+
+    Returns (lattice index k of each row's first bin, its bin count, the
+    weights): row i holds the weights of bins first[i] .. first[i] + size[i]
+    - 1 in its leading columns and zeros after them.  Every row is what
+    ``bin_weights`` computes for its variance, bit for bit: the masses are
+    elementwise, and each row is normalized by the sum of its own slice, as
+    a padded row sums in another order.
+    """
+    v = np.asarray(variances, dtype=float)
+    if not np.all((v > 0) & np.isfinite(v)):
+        raise ValueError(f"variance must be > 0, got {v[~((v > 0) & np.isfinite(v))][0]}")
+    if not (bin_width > 0):
+        raise ValueError(f"bin_width must be > 0, got {bin_width}")
+    sigma = np.sqrt(v)[:, None]
+    lo_t = center - TRUNCATION_SIGMAS * sigma
+    hi_t = center + TRUNCATION_SIGMAS * sigma
+
+    # bins whose interval [k*h - h/2, k*h + h/2] intersects [lo_t, hi_t]
+    k_lo = np.floor(lo_t / bin_width + 0.5)
+    k_hi = np.floor(hi_t / bin_width + 0.5)
+    k_hi -= hi_t == (k_hi - 0.5) * bin_width  # exact edge touch carries no mass
+    width = (k_hi - k_lo + 1.0).astype(np.int64).ravel()
+    centers = (k_lo + np.arange(width.max())) * bin_width
+    lo_edges = np.maximum(centers - bin_width / 2.0, lo_t)
+    hi_edges = np.minimum(centers + bin_width / 2.0, hi_t)
+    w = _interval_mass(lo_edges, hi_edges, center, sigma)
+    w[np.arange(w.shape[1]) >= width[:, None]] = 0.0
+    w /= np.array([np.add.reduce(row[:n]) for row, n in zip(w, width.tolist())])[:, None]
+    keep = w > 0
+    size = keep.sum(axis=1)
+    first = keep.argmax(axis=1)
+    if first.any():  # a massless bin at a row's low end: the row starts past it
+        w = np.take_along_axis(w, np.minimum(first[:, None] + np.arange(w.shape[1]),
+                                             w.shape[1] - 1), axis=1)
+        w[np.arange(w.shape[1]) >= size[:, None]] = 0.0
+    return k_lo.ravel().astype(np.int64) + first, size, w
 
 
 def bin_weights(center: float, variance: float, bin_width: float):
@@ -131,7 +173,7 @@ def bin_weights(center: float, variance: float, bin_width: float):
     Bins have width ``bin_width`` and centers at integer multiples of
     ``bin_width`` (a fixed lattice anchored at 0, independent of
     ``center``).  Mass is integrated per bin, truncated at +-6 sigma and
-    renormalized to sum exactly 1.
+    renormalized to sum exactly 1.  The one-row case of ``bin_weight_rows``.
 
     Parameters
     ----------
@@ -146,24 +188,5 @@ def bin_weights(center: float, variance: float, bin_width: float):
     weights : ndarray
         Strictly positive, summing to 1.
     """
-    if not (variance > 0 and math.isfinite(variance)):
-        raise ValueError(f"variance must be > 0, got {variance}")
-    if not (bin_width > 0):
-        raise ValueError(f"bin_width must be > 0, got {bin_width}")
-    sigma = math.sqrt(variance)
-    lo_t = center - TRUNCATION_SIGMAS * sigma
-    hi_t = center + TRUNCATION_SIGMAS * sigma
-
-    # bins whose interval [k*h - h/2, k*h + h/2] intersects [lo_t, hi_t]
-    k_lo = int(math.floor(lo_t / bin_width + 0.5))
-    k_hi = int(math.floor(hi_t / bin_width + 0.5))
-    if hi_t == (k_hi - 0.5) * bin_width:  # exact edge touch carries no mass
-        k_hi -= 1
-    ks = np.arange(k_lo, k_hi + 1)
-    centers = ks * bin_width
-    lo_edges = np.maximum(centers - bin_width / 2.0, lo_t)
-    hi_edges = np.minimum(centers + bin_width / 2.0, hi_t)
-    w = _interval_mass(lo_edges, hi_edges, center, sigma)
-    w = w / w.sum()
-    keep = w > 0
-    return centers[keep], w[keep]
+    first, size, w = bin_weight_rows(center, [variance], bin_width)
+    return (first[0] + np.arange(size[0])) * bin_width, w[0, :size[0]]

@@ -34,7 +34,7 @@ from .branching import (
     _exact_chain,
     _site_ensemble,
     apportion_counts,
-    evolve_ensemble_step,
+    evolve_ensemble_steps,
     midbox_ensemble,
     run_collapse_trajectories,
     verify_tag_uniqueness,
@@ -147,9 +147,13 @@ def _atomic_write(path: Path, text: str):
     os.replace(tmp, path)
 
 
+# one series row: _fmt's 17 significant digits for floats, an int's digits
+_ROW_FORMAT = "%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g"
+
+
 def _write_series(path: Path, rows: list[tuple]):
     lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(_ROW_FORMAT % row for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -191,13 +195,17 @@ def _series_row(e: Ensemble, c: RunConfig) -> tuple:
 
 def _run_engine(c: RunConfig, steps: int, rng: np.random.Generator,
                 capture_at: tuple[int, ...] = ()):
-    """Evolve a midbox ensemble, logging one series row per step."""
+    """Evolve a midbox ensemble, logging one series row per step.
+
+    The steps come from the ``evolve_ensemble_steps`` generator, which
+    schedules and walks them a block at a time and yields each step's
+    ensemble; the ensembles of the steps in ``capture_at`` are kept.
+    """
     e = midbox_ensemble(c.params, c.mode)
     cap = 1 if c.mode == "collapse" else c.max_branches  # collapse: the cap at one branch
     rows = [_series_row(e, c)]
     captured = {}
-    for k in range(1, steps + 1):
-        e = evolve_ensemble_step(e, c.params, c.fanout, cap, rng, timing=c.timing)
+    for k, e in enumerate(evolve_ensemble_steps(e, cap, rng, steps, timing=c.timing), 1):
         rows.append(_series_row(e, c))
         if k in capture_at:
             captured[k] = e

@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaincinv, ndtr
@@ -189,7 +189,7 @@ def _bin_mass_rows(t: Tables, x: np.ndarray, k: int) -> np.ndarray:
         rows = np.insert(rows, where, new_rows, axis=0)
         t.bin_rows[k] = known, rows
         at = np.searchsorted(known, x)
-    return rows[at]
+    return rows.take(at, axis=0)
 
 
 def position_histogram(e: Ensemble, k: int) -> np.ndarray:

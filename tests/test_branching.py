@@ -31,10 +31,14 @@ from branchbox.branching import (
     verify_tag_uniqueness,
 )
 from branchbox.config import parse_config
-from branchbox.model import PhysicalParams, bin_weights, reflect_center, spread_variance
-from branchbox.rng import KEY_CAP, lineage_hash_child, lineage_hash_root
+from branchbox.model import (
+    PhysicalParams, bin_weight_rows, bin_weights, reflect_center, spread_variance,
+)
+from branchbox.rng import (
+    KEY_CAP, KEY_TIMING, lineage_hash_child, lineage_hash_root, mix, unit_uniform,
+)
 from branchbox.runner import BORN_TOTAL_COUNT, _born_event
-from branchbox.stats import ensemble_position_mean, ensemble_position_variance
+from branchbox.stats import ensemble_position_mean
 
 import reference
 from test_config_space import ACCEPTANCE
@@ -549,9 +553,9 @@ def test_cdf_index_sizes_buckets_to_the_probes_and_is_memoized():
     tables = Tables(0.0, P)
     step, kern, cdf, index = tables.kernel(P.tau, 64)
     assert cdf[-1] == 1.0 and np.array_equal(cdf, _kernel_cdf(kern))
-    # nb + 1 entries, nb a power of two near K / 16, at least 1 and at most 4096
-    sizes = [_cdf_index(cdf, n).size for n in (1, 31, 32, 64, 2000, 100_000)]
-    assert sizes == [2, 2, 3, 5, 65, 4097]
+    # nb + 1 entries, nb a power of two near K / 4, at least 1 and at most 4096
+    sizes = [_cdf_index(cdf, n).size for n in (1, 7, 8, 64, 2000, 100_000)]
+    assert sizes == [2, 2, 3, 17, 257, 4097]
     # the run's tables keep the kernel while (dt, probes) repeat, and only then
     assert tables.kernel(P.tau, 64)[3] is index
     assert np.array_equal(tables.kernel(P.tau, 2000)[3], _cdf_index(cdf, 2000))
@@ -602,7 +606,7 @@ def test_cap_resample_weighted_invariants():
     e = _uncapped(midbox_ensemble(P), 2, 3)
     assert e.n_branches > 400
     r = gen(4)
-    _, step, g, b, _ = branching._step_rows(e, 100, _step_seed(r), "deterministic")
+    _, step, g, b, _ = _step_rows(e, 100, r)
     capped = evolve_ensemble_step(e, P, 8, 100, r)
     assert capped.n_branches <= 100
     # survivors hold their hits out of the cap as int64 multiplicities
@@ -728,6 +732,13 @@ def _step_seed(r):
     return np.uint64(copy.deepcopy(r).integers(0, 2**64, dtype=np.uint64))
 
 
+def _step_rows(e, cap, r, timing="deterministic"):
+    """(event time, kernel lattice steps, parent g, bin b, mass) of the survivors of
+    the step ``evolve_ensemble_step`` takes next from ``r``, drawn from a copy."""
+    s = branching._Schedule(e, cap, np.array([_step_seed(r)]), timing)
+    return (s.time[0], s.first[0] + np.arange(s.size[0]), *branching._step_rows(e, cap, s, 0))
+
+
 def _tags_at_splits(g, b, parent: Ensemble, t: float) -> np.ndarray:
     """The tag rule on rows (g, b) of a step from ``parent``: each parent's
     first row keeps its tag, and every further row on bin b gets
@@ -754,7 +765,7 @@ def _assert_fast_path_matches(e, cap, seed, p=P):
     """The capped step equals materializing every offspring, then capping
     with the parents' masses as the group masses: the same (parent, bin)
     rows, sites, hits and tags."""
-    _, _, g, b, _ = branching._step_rows(e, cap, _step_seed(gen(seed)), "deterministic")
+    _, _, g, b, _ = _step_rows(e, cap, gen(seed))
     capped = evolve_ensemble_step(e, p, 8, cap, gen(seed))
     want = _materialize_then_cap(e, p, cap, seed)
     g = np.arange(e.n_branches) if g is None else g
@@ -905,17 +916,18 @@ def geometries(draw):
 @example(p=PhysicalParams(w=0.3, L=20.0), start=0.123, seed=3)  # off-lattice start
 def test_every_geometry_shares_one_offset_kernel(p, start, seed):
     # no geometry has a second path: each weighted step bins one offset
-    # kernel, and the capped step equals materialize-then-cap bit for bit
+    # kernel (a new cap builds it anew), and the capped step equals
+    # materialize-then-cap bit for bit
     calls = []
 
-    def counted_bin_weights(*args, **kwargs):
+    def counted_bin_weight_rows(*args, **kwargs):
         calls.append(args)
-        return bin_weights(*args, **kwargs)
+        return bin_weight_rows(*args, **kwargs)
 
     e = midbox_ensemble(p, center=None if start is None else start * p.L)
     cap = 37
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(branching, "bin_weights", counted_bin_weights)
+        mp.setattr(branching, "bin_weight_rows", counted_bin_weight_rows)
         e = evolve_ensemble_step(e, p, 8, 60, gen(seed))
         capped = evolve_ensemble_step(e, p, 8, cap, gen(seed + 1))
         full = evolve_ensemble_step(e, p, 8, 10**9, gen(seed + 1))
@@ -937,6 +949,58 @@ def test_offset_kernel_spreads_as_spread_variance_does_on_an_array(p, m, hbar, d
     step, got = branching._offset_kernel(dt, p)
     assert got.tobytes() == kern.tobytes()
     np.testing.assert_array_equal(step, np.rint(rel / p.bin_width()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(variances=st.lists(st.floats(1e-4, 400.0), min_size=1, max_size=20),
+       h=st.sampled_from([0.5, 0.15, 0.05]), center=st.sampled_from([0.0, 0.3, 10.25]))
+@example(variances=[0.390625, 1.0, 0.04], h=0.5, center=0.0)  # 6 sigma = 3.75: an edge touch
+@example(variances=[1.0, 0.0625, 7.3], h=0.5, center=0.25)    # 0.25 + 6 sigma = 1.75: another
+@example(variances=[1.0, 0.007656250000000002], h=0.15, center=0.0)  # a massless first bin
+def test_kernel_rows_are_bin_weights_row_by_row(variances, h, center):
+    # a block's kernels are padded rows of one call; each row is the one-row
+    # call for its own variance, bit for bit, with zeros past its bins
+    first, size, w = bin_weight_rows(center, variances, h)
+    for i, v in enumerate(variances):
+        centers, kern = bin_weights(center, v, h)
+        assert ((first[i] + np.arange(size[i])) * h).tobytes() == centers.tobytes()
+        assert w[i, :size[i]].tobytes() == kern.tobytes()
+        assert (w[i, :size[i]] > 0).all() and not w[i, size[i]:].any()
+
+
+@pytest.mark.parametrize("timing", ["deterministic", "poisson"])
+@pytest.mark.parametrize("cap", [1, 300, 2000, 20_000])
+def test_steps_equal_chained_single_steps(cap, timing):
+    # n steps of the schedule-first generator are n chained one-step calls,
+    # bit for bit, over blocks that end mid-run, steps before and inside the
+    # steady walk, and ensembles kept from interior steps.  The event times
+    # are math.log's of each step's own timing uniform, summed in step order
+    start = midbox_ensemble(P)
+    block = branching._block_steps(P, cap)
+    assert block == {1: 64, 300: 64, 2000: 16, 20_000: 1}[cap]
+    n = 2001 if cap == 1 else 2 * block + 3
+    walked = list(branching.evolve_ensemble_steps(start, cap, gen(5), n, timing=timing))
+    e, r, chained = start, gen(5), []
+    for _ in range(n):
+        e = evolve_ensemble_step(e, P, 8, cap, r, timing=timing)
+        chained.append(e)
+    assert len(walked) == n
+    for a, b in zip(walked, chained):
+        for name in ("site", "weight", "lineage_hash"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert (a.time, a.next_uid) == (b.time, b.next_uid)
+    seeds = gen(5).integers(0, 2**64, size=n, dtype=np.uint64)
+    dt = [P.tau if timing == "deterministic" else
+          -P.tau * math.log(float(unit_uniform(mix(seed ^ KEY_TIMING)))) for seed in seeds]
+    assert branching._periods(seeds, P.tau, timing).tolist() == dt
+    t = 0.0
+    for period, a in zip(dt, walked):
+        t += period
+        assert a.time == t
+    steady = [branching._steady(x, cap) for x in chained]
+    if cap == 2000:
+        # the steady walk takes over within the first block, and holds
+        assert 0 < steady.index(True) < block and all(steady[steady.index(True):])
 
 
 def test_evolve_wall_reflection_keeps_box():
@@ -1237,7 +1301,7 @@ def test_child_hashes_distinct_over_a_capped_run():
     nk = branching._offset_kernel(P.tau, P)[0].size
     rows = []
     for _ in range(300):
-        _, step, g, b, _ = branching._step_rows(e, 400, _step_seed(r), "deterministic")
+        _, step, g, b, _ = _step_rows(e, 400, r)
         out = evolve_ensemble_step(e, P, 8, 400, r)
         g = np.arange(e.n_branches) if g is None else g
         # survivor (g, b) sits on its row's site
@@ -1274,7 +1338,7 @@ def test_a_tag_changes_only_where_its_lineage_splits(w, cap, timing, steps, seed
         if cap is None and e.n_branches > 300:
             break  # uncapped rows grow as the kernel's size to the steps
         k = 10**9 if cap is None else cap
-        t, step, g, b, _ = branching._step_rows(e, k, _step_seed(r), timing)
+        t, step, g, b, _ = _step_rows(e, k, r, timing)
         out = evolve_ensemble_step(e, p, 8, k, r, timing=timing)
         # the step's surviving rows (g, b), sorted by parent, are the ones built
         g = np.arange(e.n_branches) if g is None else g

@@ -8,7 +8,6 @@ from branchbox.config import (
     LIOUVILLE_GRID,
     PERES_GRID,
     ConfigError,
-    RunConfig,
     config_lines,
     default_config,
     parse_config,

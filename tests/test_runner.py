@@ -1,6 +1,5 @@
 """Scenario runner and CLI: file formats, reproducibility, exit semantics."""
 
-import math
 import os
 import subprocess
 import sys
