@@ -463,14 +463,22 @@ def _offset_kernels(dt: np.ndarray, p: PhysicalParams):
 
     A fresh packet of width w spreads for the period, and the spread
     beyond w is binned at the lattice pitch around 0 (``bin_weight_rows``):
-    row i's bin b is the lattice step first[i] + b.  Each CDF row is the
+    row i's bin b is the lattice step first[i] + b.  A spread that rounds
+    to 0 (a period below about 1e-8 m w^2 / hbar) has not left the packet's
+    bin: its row is one bin, at step 0, of weight 1.  Each CDF row is the
     cumulative sum of its weights divided by its last entry, so it ends at
     exactly 1, and so do its padded entries.
     """
     w2 = p.w**2
     # spread_variance's rounding on an array: x**2 is d * d there, not pow()
     d = dt * p.hbar / (p.m * math.sqrt(w2))
-    first, size, kern = bin_weight_rows(0.0, (w2 + d * d) - w2, p.bin_width())
+    spread = (w2 + d * d) - w2
+    flat = spread == 0
+    if flat.any():  # binned at w^2 in place of 0, then set to the one bin
+        spread[flat] = w2
+    first, size, kern = bin_weight_rows(0.0, spread, p.bin_width())
+    if flat.any():
+        first[flat], size[flat], kern[flat] = 0, 1, np.eye(1, kern.shape[1])
     cdf = np.cumsum(kern, axis=1)
     cdf /= cdf[:, -1:]
     return first, size, kern, cdf
@@ -652,8 +660,7 @@ def _step_rows(e: Ensemble, cap: int, s: _Schedule, k: int):
     Returns (parent g of each survivor, its bin b, its mass).  Under the
     cap every implicit row (g, b) survives; past it, the rows the probes
     hit, sorted, selected as (parent, bin) pairs without building the
-    rows.  The parents are None in the steady state, where parent g keeps
-    exactly row g, on the bin ``_walk_bins`` finds.
+    rows.  A steady ``e`` takes ``_steady_walk`` instead.
     """
     nk, n = int(s.size[k]), e.n_branches
     if n * nk <= cap:
@@ -662,8 +669,6 @@ def _step_rows(e: Ensemble, cap: int, s: _Schedule, k: int):
         # a one-bin kernel keeps integer multiplicities
         weight = e.weight if nk == 1 and e.weight.dtype == np.int64 else mass / mass.sum()
         return np.repeat(np.arange(n), nk), np.tile(np.arange(nk), n), weight
-    if _steady(e, cap):
-        return None, _walk_bins(e, s, k, k + 1)[0], e.weight
     u = _cap_probe_phases(e.tables.ladder(cap), s.seed[k])
     return _shared_kernel_hits(*s.lookup(k), u, e.weight)
 

@@ -21,7 +21,6 @@ __all__ = [
     "RunConfig",
     "SCENARIOS",
     "parse_config",
-    "default_config",
     "config_lines",
 ]
 
@@ -142,10 +141,6 @@ class RunConfig:
                 f"mode: count mode holds born_test's single event; {self.scenario} "
                 "evolves ensembles and requires mode = weighted or collapse"
             )
-
-
-def default_config() -> RunConfig:
-    return RunConfig()
 
 
 def _parse_value(key: str, raw: str):

@@ -183,7 +183,7 @@ def _derived_rng(seed: int, tag: int) -> np.random.Generator:
 
 
 def _series_row(e: Ensemble, c: RunConfig) -> tuple:
-    # e has c.params, whose bins RunConfig validated: the kernels skip the checks
+    # e has c.params, whose bin count RunConfig validated
     x, m = e.position_masses
     mean = float(m @ x)
     h = _coarse_histogram(e.tables, x, m, c.bins)
@@ -193,9 +193,9 @@ def _series_row(e: Ensemble, c: RunConfig) -> tuple:
     )
 
 
-def _run_engine(c: RunConfig, steps: int, rng: np.random.Generator,
-                capture_at: tuple[int, ...] = ()):
-    """Evolve a midbox ensemble, logging one series row per step.
+def _run_engine(c: RunConfig, capture_at: tuple[int, ...] = ()):
+    """Evolve a midbox ensemble ``c.steps`` steps from seed ``c.seed``, logging one
+    series row per step.
 
     The steps come from the ``evolve_ensemble_steps`` generator, which
     schedules and walks them a block at a time and yields each step's
@@ -203,9 +203,10 @@ def _run_engine(c: RunConfig, steps: int, rng: np.random.Generator,
     """
     e = midbox_ensemble(c.params, c.mode)
     cap = 1 if c.mode == "collapse" else c.max_branches  # collapse: the cap at one branch
+    rng = np.random.Generator(np.random.PCG64(c.seed))
     rows = [_series_row(e, c)]
     captured = {}
-    for k, e in enumerate(evolve_ensemble_steps(e, cap, rng, steps, timing=c.timing), 1):
+    for k, e in enumerate(evolve_ensemble_steps(e, cap, rng, c.steps, timing=c.timing), 1):
         rows.append(_series_row(e, c))
         if k in capture_at:
             captured[k] = e
@@ -231,8 +232,7 @@ def _uniqueness_check(e: Ensemble) -> CheckResult:
 
 def _scenario_midbox(c: RunConfig):
     p = c.params
-    rng = np.random.Generator(np.random.PCG64(c.seed))
-    final, rows, _ = _run_engine(c, c.steps, rng)
+    final, rows, _ = _run_engine(c)
     metrics = {}
     checks = [_uniqueness_check(final)]
 
@@ -285,9 +285,8 @@ def _scenario_midbox(c: RunConfig):
 
 def _scenario_freespread(c: RunConfig):
     p = c.params
-    rng = np.random.Generator(np.random.PCG64(c.seed))
     capture = (KS_AT_STEP,) if c.steps >= KS_AT_STEP else ()
-    final, rows, captured = _run_engine(c, c.steps, rng, capture_at=capture)
+    final, rows, captured = _run_engine(c, capture_at=capture)
     metrics = {}
     checks = [_uniqueness_check(final)]
 
@@ -498,8 +497,7 @@ def _scenario_peres(c: RunConfig):
     separation = content_coherent / max(content_tagged, 1e-300)
 
     # engine side: tag uniqueness after a long randomized-timing run
-    rng = np.random.Generator(np.random.PCG64(c.seed))
-    final, rows, _ = _run_engine(c, c.steps, rng)
+    final, rows, _ = _run_engine(c)
 
     metrics = {
         "t_overlap": t_star,

@@ -12,8 +12,10 @@ sites fold onto, looked up in the fold index of the run's tables
 (``branching.Tables``).  A position's folded bin masses depend only on
 that position, the packet width, L and the bin count, so the run's tables
 keep them: each is computed once per distinct position and run, and
-reused by every later histogram of the run.  Series rows read the
-aggregation once, through the unchecked private kernels.
+reused by every later histogram of the run.  A series row
+(``runner._series_row``) reads the aggregation once and hands it to the
+kernels here (variance, histogram, entropy, TV), which check nothing:
+``RunConfig`` has validated the bin count.
 
 The checks (diffusion fit, chi-square frequency test, collapse-vs-
 ensemble z-scores) are deliberately plain: ordinary least squares and
@@ -38,12 +40,7 @@ __all__ = [
     "DiffusionEstimate",
     "ChiSquareResult",
     "ExpectationComparison",
-    "ensemble_position_mean",
-    "ensemble_position_variance",
     "effective_branch_count",
-    "position_histogram",
-    "tv_to_uniform",
-    "coarse_entropy",
     "fit_diffusion",
     "chi_square_frequencies",
     "pool_small_cells",
@@ -111,22 +108,10 @@ class ExpectationComparison:
 # moments
 
 
-def ensemble_position_mean(e: Ensemble) -> float:
-    x, m = e.position_masses
-    return float(m @ x)
-
-
-def ensemble_position_variance(e: Ensemble) -> float:
-    """Mixture position variance: center dispersion plus packet variance.
-
-    Exact for Gaussian mixtures: Var(x) = sum_b m_b (c_b - mean)^2 + v,
-    centered first so a box far from the origin keeps every digit.
-    """
-    x, m = e.position_masses
-    return _mixture_variance(x, m, float(m @ x), e.variance)
-
-
 def _mixture_variance(x: np.ndarray, m: np.ndarray, mean: float, v: float) -> float:
+    """Var(x) = sum_b m_b (x_b - mean)^2 + v of a Gaussian mixture: center
+    dispersion plus packet variance, centered first so a box far from the
+    origin keeps every digit."""
     return float(m @ np.square(x - mean)) + v
 
 
@@ -192,56 +177,20 @@ def _bin_mass_rows(t: Tables, x: np.ndarray, k: int) -> np.ndarray:
     return rows.take(at, axis=0)
 
 
-def position_histogram(e: Ensemble, k: int) -> np.ndarray:
-    """Coarse-grained position density over k equal bins of [0, L].
-
-    Each distinct position's Gaussian is integrated over each bin with
-    wall images, once per distinct position in the ensemble's tables (see
-    ``_bin_mass_rows``), then the bin masses are renormalized to sum
-    exactly 1.  Bins must be no finer than the localization width w,
-    below which the coarse graining would resolve single packets and the
-    histogram stops being an ensemble-level object.
-    """
-    p = e.params
-    if k < 2:
-        raise ValueError(f"need at least 2 bins, got {k}")
-    if p.L / k < p.w:
-        raise ValueError(
-            f"bin width L/k = {p.L / k} is finer than the localization width "
-            f"w = {p.w}; coarse-graining requires L/k >= w"
-        )
-    return _coarse_histogram(e.tables, *e.position_masses, k)
-
-
 def _coarse_histogram(t: Tables, x: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
+    """Position density over k equal bins of [0, L] of masses m at positions x,
+    renormalized to sum exactly 1; ``RunConfig`` keeps the bins no finer than w."""
     h = m @ _bin_mass_rows(t, x, k)
     return h / h.sum()
 
 
-def _density_vector(h) -> np.ndarray:
-    h = np.asarray(h, float)
-    if h.ndim != 1 or h.size < 1:
-        raise ValueError("density vector must be 1-d and non-empty")
-    if abs(h.sum() - 1.0) > 1e-6 or np.any(h < 0):
-        raise ValueError("densities must be >= 0 and sum to 1")
-    return h
-
-
-def tv_to_uniform(h: np.ndarray) -> float:
-    """Total-variation distance between a density vector and uniform."""
-    return _tv_to_uniform(_density_vector(h))
-
-
 def _tv_to_uniform(h: np.ndarray) -> float:
+    """Total-variation distance between a density vector and uniform."""
     return float(0.5 * np.abs(h - 1.0 / h.size).sum())
 
 
-def coarse_entropy(h: np.ndarray) -> float:
-    """Shannon entropy -sum h ln h of a density vector, in nats."""
-    return _coarse_entropy(_density_vector(h))
-
-
 def _coarse_entropy(h: np.ndarray) -> float:
+    """Shannon entropy -sum h ln h of a density vector, in nats."""
     pos = h[h > 0]
     return float(-(pos @ np.log(pos)))
 

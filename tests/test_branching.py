@@ -38,7 +38,7 @@ from branchbox.rng import (
     KEY_CAP, KEY_TIMING, lineage_hash_child, lineage_hash_root, mix, unit_uniform,
 )
 from branchbox.runner import BORN_TOTAL_COUNT, _born_event
-from branchbox.stats import ensemble_position_mean
+from branchbox.stats import _coarse_histogram, _tv_to_uniform
 
 import reference
 from test_config_space import ACCEPTANCE
@@ -637,11 +637,13 @@ def test_capped_mean_unbiased_over_seeds():
     # Statistic of a capped step vs the uncapped step's: the mean over 50
     # independent cappings must land within 3 standard errors.
     e = _uncapped(midbox_ensemble(P, center=5.0), 2, 8)
-    target = ensemble_position_mean(_uncapped(e, 1, 8))
-    means = np.array([
-        ensemble_position_mean(evolve_ensemble_step(e, P, 8, 300, gen(100 + s)))
-        for s in range(50)
-    ])
+    full = _uncapped(e, 1, 8)
+    target = float(full.weight @ full.center)
+    means = []
+    for s in range(50):
+        c = evolve_ensemble_step(e, P, 8, 300, gen(100 + s))
+        means.append(float(c.weight / c.weight.sum() @ c.center))
+    means = np.array(means)
     se = means.std(ddof=1) / math.sqrt(means.size)
     assert abs(means.mean() - target) < 3 * se
 
@@ -734,9 +736,15 @@ def _step_seed(r):
 
 def _step_rows(e, cap, r, timing="deterministic"):
     """(event time, kernel lattice steps, parent g, bin b, mass) of the survivors of
-    the step ``evolve_ensemble_step`` takes next from ``r``, drawn from a copy."""
+    the step ``evolve_ensemble_step`` takes next from ``r``, drawn from a copy.  In
+    the steady state the parents are None: parent g keeps exactly row g, on the
+    bin the walk finds."""
     s = branching._Schedule(e, cap, np.array([_step_seed(r)]), timing)
-    return (s.time[0], s.first[0] + np.arange(s.size[0]), *branching._step_rows(e, cap, s, 0))
+    if branching._steady(e, cap):
+        rows = None, branching._walk_bins(e, s, 0, 1)[0], e.weight
+    else:
+        rows = branching._step_rows(e, cap, s, 0)
+    return (s.time[0], s.first[0] + np.arange(s.size[0]), *rows)
 
 
 def _tags_at_splits(g, b, parent: Ensemble, t: float) -> np.ndarray:
@@ -1003,6 +1011,46 @@ def test_steps_equal_chained_single_steps(cap, timing):
         assert 0 < steady.index(True) < block and all(steady[steady.index(True):])
 
 
+def test_zero_spread_steps_equal_chained_single_steps(monkeypatch):
+    # a period whose spread (w^2 + d^2) - w^2 rounds to 0 is a one-bin kernel
+    # at step 0 with CDF 1, a padded row among its block's kernels; every
+    # fourth step gets one, in one-step, capped and steady-walk blocks (their
+    # bucket tables built over it), and the generator still equals chained
+    # one-step calls bit for bit, each such step leaving every site in place
+    dt = np.array([1.0, 1e-9, 0.5])
+    first, size, kern, cdf = branching._offset_kernels(dt, P)
+    assert (first[1], size[1], kern[1, 0]) == (0, 1, 1.0)
+    assert not kern[1, 1:].any() and (cdf[1] == 1.0).all()
+    for i in (0, 2):
+        step, one = branching._offset_kernel(dt[i], P)
+        assert (first[i], size[i]) == (step[0], step.size)
+        assert kern[i, :size[i]].tobytes() == one.tobytes()
+
+    periods = branching._periods
+
+    def with_short_periods(seed, tau, timing):
+        dt = periods(seed, tau, timing)
+        dt[seed % 4 == 0] = 1e-9
+        return dt
+
+    monkeypatch.setattr(branching, "_periods", with_short_periods)
+    n, cap = 35, 2000
+    short = np.flatnonzero(gen(5).integers(0, 2**64, size=n, dtype=np.uint64) % 4 == 0)
+    walked = list(branching.evolve_ensemble_steps(
+        midbox_ensemble(P), cap, gen(5), n, timing="poisson"))
+    e, r = midbox_ensemble(P), gen(5)
+    for k, a in enumerate(walked):
+        b = evolve_ensemble_step(e, P, 8, cap, r, timing="poisson")
+        for name in ("site", "weight", "lineage_hash"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert (a.time, a.next_uid) == (b.time, b.next_uid)
+        if k in short:
+            np.testing.assert_array_equal(b.site, e.site)
+        e = b
+    steady = [branching._steady(x, cap) for x in walked].index(True)
+    assert short.min() < steady < short.max() and (short > steady + 1).sum() >= 3
+
+
 def test_evolve_wall_reflection_keeps_box():
     e = midbox_ensemble(P, center=0.5)
     r = gen(37)
@@ -1207,23 +1255,20 @@ def test_exact_reference_agrees_with_heat_kernel():
     # the packet width, must track the reflecting-wall heat kernel with
     # the empirical per-step variance (lattice Sheppard inflation
     # included) and the packet width folded into an earlier start time
-    from branchbox.stats import position_histogram
-
     steps = 12
     c, m = reference.lattice_bin_masses(0.0, 1.0, 0.5)
     var_step = float(m @ c**2)
     d_eff = var_step / (2.0 * P.tau)
     t_eff = steps * P.tau + P.w**2 / var_step
     expected = reference.box_heat_bin_masses(10.0, t_eff, d_eff, P.L, 20)
-    got = position_histogram(exact_weighted_reference(P, steps), 20)
+    e = exact_weighted_reference(P, steps)
+    got = _coarse_histogram(e.tables, *e.position_masses, 20)
     np.testing.assert_allclose(got, expected, atol=1e-3)
 
 
 def test_exact_reference_converges_to_uniformity():
-    from branchbox.stats import position_histogram, tv_to_uniform
-
-    h = position_histogram(exact_weighted_reference(P, 2000), 20)
-    assert tv_to_uniform(h) < 1e-3
+    e = exact_weighted_reference(P, 2000)
+    assert _tv_to_uniform(_coarse_histogram(e.tables, *e.position_masses, 20)) < 1e-3
 
 
 def test_exact_reference_builds_one_ensemble(monkeypatch):

@@ -8,8 +8,8 @@ from branchbox.config import (
     LIOUVILLE_GRID,
     PERES_GRID,
     ConfigError,
+    RunConfig,
     config_lines,
-    default_config,
     parse_config,
 )
 from branchbox.density import build_box_hamiltonian
@@ -36,7 +36,7 @@ output_dir = out/run1
 
 
 def test_defaults():
-    c = default_config()
+    c = RunConfig()
     assert c.scenario == "midbox"
     assert c.mode == "weighted"
     assert c.steps == 200
@@ -60,7 +60,7 @@ def test_parse_full_document():
 
 
 def test_parse_empty_document_gives_defaults():
-    assert parse_config("") == default_config()
+    assert parse_config("") == RunConfig()
 
 
 def test_overrides_apply_on_top():
@@ -230,7 +230,7 @@ def test_config_lines_round_trip():
 
 
 def test_config_lines_order():
-    keys = [line.split(" = ")[0] for line in config_lines(default_config())]
+    keys = [line.split(" = ")[0] for line in config_lines(RunConfig())]
     assert keys == [
         "scenario", "m", "w", "tau", "hbar", "L", "mode", "steps",
         "fanout", "max_branches", "bins", "seed", "timing", "output_dir",
@@ -238,6 +238,6 @@ def test_config_lines_order():
 
 
 def test_runconfig_is_frozen():
-    c = default_config()
+    c = RunConfig()
     with pytest.raises(AttributeError):
         c.steps = 5

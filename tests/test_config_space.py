@@ -15,7 +15,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from branchbox.branching import MODES, _offset_kernel
@@ -85,6 +85,13 @@ def run_bytes(c):
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(overrides=configs())
+# periods short enough that a packet's spread (w^2 + d^2) - w^2 rounds to 0,
+# every period or (Poisson) some: a one-bin kernel at step 0
+@example(overrides={"scenario": "midbox", "tau": 1e-8, "steps": 3})
+@example(overrides={"scenario": "freespread", "tau": 1e-9, "L": 100.0})
+@example(overrides={"scenario": "collapse_compare", "mode": "collapse", "tau": 1e-9, "steps": 5})
+@example(overrides={"scenario": "midbox", "tau": 1e-7, "steps": 50, "timing": "poisson"})
+@example(overrides={"scenario": "midbox", "tau": 1e-6, "steps": 200, "timing": "poisson"})
 def test_every_config_runs_or_is_refused_naming_a_key(overrides):
     with tempfile.TemporaryDirectory() as tmp:
         try:

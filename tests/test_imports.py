@@ -1,14 +1,18 @@
-"""Every name a module imports is used: the import lint, as a test.
+"""Every name a module imports is used, and the package root exports only what is read.
 
 No lint tool is installed, so each file under ``src/`` and ``tests/`` is
 parsed with ``ast``, and an imported name that no expression reads fails
-its test.  A name re-exported through ``__all__`` counts as used.
+its test.  A name re-exported through ``__all__`` counts as used.  The
+files under ``bench/`` and ``tests/`` are parsed for the names they
+import from the package root, which must be ``branchbox.__all__``.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import branchbox
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py"))
@@ -42,3 +46,18 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def root_imports() -> set[str]:
+    """Names ``from branchbox import ...`` reads under bench/ and tests/, submodules aside."""
+    submodules = {path.stem for path in (ROOT / "src" / "branchbox").glob("*.py")}
+    names = set()
+    for path in (p for top in ("bench", "tests") for p in (ROOT / top).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "branchbox" and not node.level:
+                names.update(alias.name for alias in node.names)
+    return names - submodules
+
+
+def test_the_package_root_exports_what_is_read_from_it():
+    assert root_imports() == set(branchbox.__all__)

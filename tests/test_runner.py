@@ -15,15 +15,6 @@ from branchbox.cli import main
 from branchbox.config import LIOUVILLE_GRID, config_lines, parse_config
 from branchbox.density import UnitaryPropagator, grid_points, random_mixed_state
 from branchbox.runner import CSV_COLUMNS, run_scenario
-from branchbox.stats import (
-    coarse_entropy,
-    effective_branch_count,
-    ensemble_position_mean,
-    ensemble_position_variance,
-    position_histogram,
-    tv_to_uniform,
-)
-from branchbox.branching import midbox_ensemble
 
 import reference
 
@@ -70,13 +61,13 @@ def test_series_first_row_matches_initial_state(tmp_path):
     c = small_midbox(tmp_path)
     run_scenario(c)
     _, rows = read_rows(tmp_path / "out" / "midbox_series.csv")
-    e = midbox_ensemble(c.params)
-    h = position_histogram(e, c.bins)
-    expected = [
-        0.0, 1.0, effective_branch_count(e), ensemble_position_mean(e),
-        ensemble_position_variance(e), coarse_entropy(h), tv_to_uniform(h),
-    ]
-    assert rows[0] == pytest.approx(expected, rel=1e-15)
+    # one packet of width w at L/2: its bin masses by quadrature of the
+    # wall-folded Gaussian, independent of the package's histogram
+    p = c.params
+    h = reference.reflected_bin_masses(p.L / 2, p.w**2, p.L, c.bins)
+    assert rows[0][:5] == [0.0, 1.0, 1.0, p.L / 2, p.w**2]
+    assert rows[0][5:] == pytest.approx(
+        [-(h @ np.log(h)), 0.5 * np.abs(h - 1 / c.bins).sum()], rel=1e-10)
 
 
 def test_series_full_precision(tmp_path):

@@ -12,24 +12,23 @@ from scipy import stats as sps
 from branchbox import stats
 from branchbox.branching import CollapseBatch, Ensemble, evolve_ensemble_step, midbox_ensemble
 from branchbox.branching import apportion_counts
+from branchbox.config import RunConfig
 from branchbox.model import PhysicalParams, bin_weights
 from branchbox.rng import lineage_hash_root
-from branchbox.runner import BORN_TOTAL_COUNT, _born_event
+from branchbox.runner import BORN_TOTAL_COUNT, _born_event, _series_row
 from branchbox.stats import (
     VarianceSeries,
+    _coarse_entropy,
+    _coarse_histogram,
+    _tv_to_uniform,
     chi_square_frequencies,
-    coarse_entropy,
     effective_branch_count,
-    ensemble_position_mean,
-    ensemble_position_variance,
     expectation_compare,
     fit_diffusion,
     pool_small_cells,
-    position_histogram,
     position_square,
     position_value,
     sample_branch_centers,
-    tv_to_uniform,
 )
 
 import reference
@@ -50,19 +49,23 @@ def weighted_ensemble(sites, weights, p=P, origin=0.0, time=0.0):
 # moments and effective size
 
 
+def moments(e):
+    """The (mean_x, var_x) columns of the series row of ``e``."""
+    return _series_row(e, RunConfig())[3:5]
+
+
 def test_position_moments_hand_case():
     # sites 4 and 12 at pitch 0.5 sit at 2 and 6; width w = 1
     e = weighted_ensemble([4, 12], [0.25, 0.75])
     mean = 0.25 * 2 + 0.75 * 6
     second = 0.25 * (4 + 1) + 0.75 * (36 + 1)
-    assert ensemble_position_mean(e) == pytest.approx(mean, rel=1e-15)
-    assert ensemble_position_variance(e) == pytest.approx(second - mean**2, rel=1e-15)
+    assert moments(e) == pytest.approx((mean, second - mean**2), rel=1e-15)
 
 
 def test_variance_includes_packet_width():
     # a single branch has no center dispersion; variance is the packet's
     e = weighted_ensemble([0], [1.0], p=PhysicalParams(w=0.7), origin=5.0)
-    assert ensemble_position_variance(e) == pytest.approx(0.49, rel=1e-15)
+    assert moments(e)[1] == pytest.approx(0.49, rel=1e-15)
 
 
 def test_variance_is_translation_invariant_far_from_the_origin():
@@ -70,8 +73,8 @@ def test_variance_is_translation_invariant_far_from_the_origin():
     # must keep its variance to 1e-12, which E[x^2] - mean^2 does not
     p = PhysicalParams(L=10_000.0)
     sites, weights = [0, 1, 3, 4, 9], [0.1, 0.3, 0.2, 0.25, 0.15]
-    near = ensemble_position_variance(weighted_ensemble(sites, weights, p=p, origin=5.3))
-    far = ensemble_position_variance(weighted_ensemble(sites, weights, p=p, origin=5005.3))
+    near = moments(weighted_ensemble(sites, weights, p=p, origin=5.3))[1]
+    far = moments(weighted_ensemble(sites, weights, p=p, origin=5005.3))[1]
     assert far == pytest.approx(near, rel=1e-12)
 
 
@@ -81,9 +84,8 @@ def test_moments_fold_unfolded_sites():
     e = weighted_ensemble([-4, 36, 4], [0.5, 0.25, 0.25])
     folded = weighted_ensemble([4, 36, 4], [0.5, 0.25, 0.25])
     mean = 0.75 * 2 + 0.25 * 18
-    assert ensemble_position_mean(e) == pytest.approx(mean, rel=1e-15)
-    assert ensemble_position_mean(e) == ensemble_position_mean(folded)
-    assert ensemble_position_variance(e) == ensemble_position_variance(folded)
+    assert moments(e)[0] == pytest.approx(mean, rel=1e-15)
+    assert moments(e) == moments(folded)
 
 
 def test_effective_branch_count_kish():
@@ -165,7 +167,7 @@ def test_histogram_single_branch_matches_quadrature(center, variance):
     w = math.sqrt(variance)
     p = PhysicalParams(w=w, L=max(20.0, 20.0 * w))
     e = weighted_ensemble([0], [1.0], p=p, origin=center)
-    got = position_histogram(e, 20)
+    got = _coarse_histogram(e.tables, *e.position_masses, 20)
     expected = reference.reflected_bin_masses(center, variance, p.L, 20)
     np.testing.assert_allclose(got, expected, atol=1e-10)
     assert got.sum() == pytest.approx(1.0, abs=1e-14)
@@ -173,7 +175,7 @@ def test_histogram_single_branch_matches_quadrature(center, variance):
 
 def test_histogram_mixture_is_mass_weighted():
     e = weighted_ensemble([8, 30], [0.3, 0.7])
-    got = position_histogram(e, 20)
+    got = _coarse_histogram(e.tables, *e.position_masses, 20)
     expected = 0.3 * reference.reflected_bin_masses(4.0, 1.0, P.L, 20) \
         + 0.7 * reference.reflected_bin_masses(15.0, 1.0, P.L, 20)
     np.testing.assert_allclose(got, expected, atol=1e-10)
@@ -185,7 +187,7 @@ def test_histogram_lattice_fast_path_agrees():
     sites = [4, 4, 7, 7, 7, 20]
     weights = [0.1, 0.2, 0.1, 0.15, 0.15, 0.3]
     e = weighted_ensemble(sites, weights)
-    got = position_histogram(e, 20)
+    got = _coarse_histogram(e.tables, *e.position_masses, 20)
     expected = 0.3 * reference.reflected_bin_masses(2.0, 1.0, P.L, 20) \
         + 0.4 * reference.reflected_bin_masses(3.5, 1.0, P.L, 20) \
         + 0.3 * reference.reflected_bin_masses(10.0, 1.0, P.L, 20)
@@ -200,21 +202,13 @@ def test_histogram_off_lattice_merges_duplicate_packets():
     sites = [6, 6, 0, 32, 58, 0, 6, -1]
     weights = [0.1, 0.15, 0.05, 0.2, 0.25, 0.1, 0.1, 0.05]
     e = weighted_ensemble(sites, weights, p=p, origin=0.1)
-    got = position_histogram(e, 20)
+    got = _coarse_histogram(e.tables, *e.position_masses, 20)
     expected = 0.35 * reference.reflected_bin_masses(1.9, 0.36, p.L, 20) \
         + 0.15 * reference.reflected_bin_masses(0.1, 0.36, p.L, 20) \
         + 0.2 * reference.reflected_bin_masses(9.7, 0.36, p.L, 20) \
         + 0.25 * reference.reflected_bin_masses(17.5, 0.36, p.L, 20) \
         + 0.05 * reference.reflected_bin_masses(0.2, 0.36, p.L, 20)
     np.testing.assert_allclose(got, expected, atol=1e-10)
-
-
-def test_histogram_validation():
-    e = midbox_ensemble(P)
-    with pytest.raises(ValueError):
-        position_histogram(e, 1)
-    with pytest.raises(ValueError):
-        position_histogram(e, 21)  # L/k < w resolves single packets
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +231,16 @@ def test_memo_rows_match_uncached_as_positions_appear():
         x = set(e.position_masses[0].tolist())
         rows_with_new += bool(x - seen)
         seen |= x
-        assert np.array_equal(position_histogram(e, 20), uncached_histogram(e, p, 20))
+        assert np.array_equal(_coarse_histogram(e.tables, *e.position_masses, 20),
+                              uncached_histogram(e, p, 20))
     assert rows_with_new >= 15
     # a warm ensemble re-placed in another geometry gets tables of its own
     for other in (dataclasses.replace(e, origin=e.origin + 0.1),
                   dataclasses.replace(e, params=dataclasses.replace(p, w=p.w / 2, L=2 * p.L))):
         assert other.tables is not e.tables
         q = other.params
-        assert np.array_equal(position_histogram(other, 20), uncached_histogram(other, q, 20))
+        assert np.array_equal(_coarse_histogram(other.tables, *other.position_masses, 20),
+                              uncached_histogram(other, q, 20))
 
 
 def test_memo_holds_exactly_the_positions_seen():
@@ -252,11 +248,11 @@ def test_memo_holds_exactly_the_positions_seen():
     rng = np.random.Generator(np.random.PCG64(5))
     e = midbox_ensemble(p)
     seen = set(e.position_masses[0].tolist())
-    position_histogram(e, 20)
+    _coarse_histogram(e.tables, *e.position_masses, 20)
     for _ in range(300):
         e = evolve_ensemble_step(e, p, 1, 2000, rng, timing="poisson")
         seen |= set(e.position_masses[0].tolist())
-        position_histogram(e, 20)
+        _coarse_histogram(e.tables, *e.position_masses, 20)
     # the run's tables hold one bin count's rows, one per position seen
     (k, (known, rows)), = e.tables.bin_rows.items()
     assert k == 20 and e.tables.params == p
@@ -271,33 +267,21 @@ def test_memo_holds_exactly_the_positions_seen():
 
 
 def test_tv_to_uniform_values():
-    assert tv_to_uniform(np.full(20, 0.05)) == 0.0
+    assert _tv_to_uniform(np.full(20, 0.05)) == 0.0
     point = np.zeros(4)
     point[0] = 1.0
-    assert tv_to_uniform(point) == pytest.approx(0.75, rel=1e-15)
+    assert _tv_to_uniform(point) == pytest.approx(0.75, rel=1e-15)
 
 
 def test_coarse_entropy_values():
-    assert coarse_entropy(np.full(20, 0.05)) == pytest.approx(math.log(20), rel=1e-12)
+    assert _coarse_entropy(np.full(20, 0.05)) == pytest.approx(math.log(20), rel=1e-12)
     point = np.zeros(4)
     point[0] = 1.0
-    assert coarse_entropy(point) == 0.0
+    assert _coarse_entropy(point) == 0.0
     h = np.array([0.5, 0.25, 0.25])
-    assert coarse_entropy(h) == pytest.approx(
+    assert _coarse_entropy(h) == pytest.approx(
         -(0.5 * math.log(0.5) + 0.5 * math.log(0.25)), rel=1e-12
     )
-
-
-@pytest.mark.parametrize("bad", [
-    np.array([0.5, 0.4]),          # does not sum to 1
-    np.array([1.5, -0.5]),         # negative entry
-    np.zeros((2, 2)),              # wrong rank
-])
-def test_density_vector_validation(bad):
-    with pytest.raises(ValueError):
-        tv_to_uniform(bad)
-    with pytest.raises(ValueError):
-        coarse_entropy(bad)
 
 
 # ---------------------------------------------------------------------------
