@@ -51,6 +51,7 @@ from .rng import (
     KEY_CAP,
     KEY_PRUNE,
     KEY_TIMING,
+    _last_round,
     _rounds,
     _unit_interval,
     lineage_hash_child,
@@ -162,29 +163,6 @@ class Ensemble:
         counts = w.dtype == np.int64
         return total, counts and total < 1 << 31, counts and total == w.size
 
-    @functools.cached_property
-    def position_masses(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct positions in [0, L] of the branches and their normalized masses.
-
-        Masses summed per unfolded site, then per position the sites fold onto
-        (``Tables.fold``), where empty sites add exact zeros; built once, as
-        every observable reads it.  Exact counts (``mass_total``) are counted
-        per site (a plain count when every mass is 1), and each site's count
-        is divided by the total once, so its mass is rounded once; other
-        masses are normalized first, then summed.
-        """
-        lo = self.site.min()
-        w = self.weight
-        total, exact, unit = self.mass_total
-        if exact:
-            mass = np.bincount(self.site - lo, None if unit else w) / total
-        else:
-            mass = np.bincount(self.site - lo, weights=w / total)
-        first, x, which = self.tables.fold(lo, lo + mass.size)
-        m = np.bincount(which[lo - first:][:mass.size], weights=mass, minlength=x.size)
-        hit = np.flatnonzero(m)
-        return x[hit], m[hit]
-
     def masses(self) -> np.ndarray:
         """``weight``, the mass per branch; an alias kept for ``bench/tracing.py``."""
         return self.weight
@@ -194,7 +172,6 @@ class Ensemble:
         the masses and tags (and their ``mass_total``) and skips the checks they passed."""
         child = object.__new__(Ensemble)
         vars(child).update(vars(self), time=time, site=site, next_uid=next_uid)
-        vars(child).pop("position_masses", None)  # the cached properties that read sites
         return child
 
 
@@ -368,19 +345,26 @@ def _cdf_search(cdf: np.ndarray, probe: np.ndarray, index: np.ndarray) -> np.nda
     """
     nb = index.shape[-1] - 1
     q = np.multiply(probe, nb, out=np.empty(probe.shape, np.int64), casting="unsafe")
+    return _bucket_search(cdf, index, q, probe.reshape(-1).take)
+
+
+def _bucket_search(cdf: np.ndarray, index: np.ndarray, q: np.ndarray, probes) -> np.ndarray:
+    """``_cdf_search`` from each probe's bucket q, floor(probe * nb); ``probes(i)`` gives
+    the probes at flat positions i, asked for those in buckets holding an entry."""
     if index.ndim > 1:
-        q += np.arange(0, index.size, nb + 1)[:, None]
+        q += np.arange(0, index.size, index.shape[-1])[:, None]
     out = index.take(q)
-    flat, u = out.reshape(-1), probe.reshape(-1)
+    flat = out.reshape(-1)
     miss = np.flatnonzero(flat < 0)
     if not miss.size:
         return out
+    u = probes(miss)
     if cdf.ndim == 1:
-        flat[miss] = np.searchsorted(cdf, u[miss], side="left")
+        flat[miss] = np.searchsorted(cdf, u, side="left")
         return out
-    cut = np.searchsorted(miss, np.arange(0, u.size + 1, probe.shape[-1])).tolist()
+    cut = np.searchsorted(miss, np.arange(0, flat.size + 1, q.shape[-1])).tolist()
     for row, a, b in zip(cdf, cut, cut[1:]):
-        flat[miss[a:b]] = np.searchsorted(row, u[miss[a:b]], side="left")
+        flat[miss[a:b]] = np.searchsorted(row, u[a:b], side="left")
     return out
 
 
@@ -675,10 +659,19 @@ def _step_rows(e: Ensemble, cap: int, s: _Schedule, k: int):
 
 def _walk_bins(e: Ensemble, s: _Schedule, k: int, stop: int) -> np.ndarray:
     """Bins of steps k .. stop-1 of ``s`` from a steady ``e``, one row per step:
-    probe g of a step is parent g's, at its own phase, looked up on the step's CDF."""
-    u = _cap_probe_phases(e.tables.ladder(e.n_branches), s.seed[k:stop, None])
+    probe g of a step is parent g's, at its own phase, looked up on the step's CDF.
+
+    A steady probe's fraction is its phase (``_cap_probe_phases``), (m + 1/2)
+    2**-52 for the top 52 bits m of its hash, so its bucket is the hash's top
+    log2(nb) bits, read before splitmix64's last xor-shift, which keeps them.
+    Only probes in buckets holding a CDF entry (1-3%) become phases.
+    """
+    z = _rounds(e.tables.ladder(e.n_branches) + (s.seed[k:stop, None] ^ KEY_CAP), last=False)
     cdf, index = s.lookup(k, stop)
-    return _cdf_search(cdf, u, index)
+    bits = (index.shape[-1] - 1).bit_length() - 1  # log2(nb) of nb + 1 entries
+    q = (z >> (64 - bits)).view(np.int64) if bits else np.zeros(z.shape, np.int64)
+    return _bucket_search(cdf, index, q,
+                          lambda miss: _unit_interval(_last_round(z.reshape(-1)[miss])))
 
 
 def _steady_walk(e: Ensemble, s: _Schedule, k: int) -> Iterator[Ensemble]:

@@ -168,25 +168,13 @@ def bin_weight_rows(center: float, variances, bin_width: float):
 
 
 def bin_weights(center: float, variance: float, bin_width: float):
-    """Gaussian probability mass per lattice bin.
+    """(bin centers, weights): the mass of a Gaussian (mean ``center``, variance
+    > 0) per lattice bin, the one-row case of ``bin_weight_rows``.
 
-    Bins have width ``bin_width`` and centers at integer multiples of
-    ``bin_width`` (a fixed lattice anchored at 0, independent of
-    ``center``).  Mass is integrated per bin, truncated at +-6 sigma and
-    renormalized to sum exactly 1.  The one-row case of ``bin_weight_rows``.
-
-    Parameters
-    ----------
-    center, variance : float
-        Mean and variance of the Gaussian being discretized.
-    bin_width : float
-        Lattice pitch, > 0.
-
-    Returns
-    -------
-    bin_centers : ndarray
-    weights : ndarray
-        Strictly positive, summing to 1.
+    Bins have width ``bin_width`` > 0 and centers at integer multiples of it
+    (a fixed lattice anchored at 0, independent of ``center``).  Mass is
+    integrated per bin, truncated at +-6 sigma and renormalized to sum
+    exactly 1; every weight is above 0.
     """
     first, size, w = bin_weight_rows(center, [variance], bin_width)
     return (first[0] + np.arange(size[0])) * bin_width, w[0, :size[0]]

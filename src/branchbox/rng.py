@@ -58,14 +58,19 @@ def splitmix64(x):
     return _rounds(z)
 
 
-def _rounds(z: np.ndarray) -> np.ndarray:
-    """splitmix64's three xor-shift rounds and two multiplies, in place on a
-    uint64 array (0-d included) with one scratch buffer; returns ``z``."""
+def _rounds(z: np.ndarray, last: bool = True) -> np.ndarray:
+    """splitmix64's three xor-shift rounds and two multiplies, in place on a uint64
+    array (0-d included) with one scratch buffer, or all but ``_last_round``."""
     t = np.empty_like(z)
     z ^= np.right_shift(z, _S30, out=t)
     z *= _M1
     z ^= np.right_shift(z, _S27, out=t)
     z *= _M2
+    return _last_round(z, t) if last else z
+
+
+def _last_round(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64's last xor-shift, in place; it leaves the top 31 bits as they are."""
     z ^= np.right_shift(z, _S31, out=t)
     return z
 

@@ -25,12 +25,15 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from .branching import (
     Ensemble,
+    Tables,
+    _block_steps,
     _exact_chain,
     _site_ensemble,
     apportion_counts,
@@ -59,10 +62,10 @@ from .model import PhysicalParams, bin_weights, spread_variance
 from .rng import lineage_hash_child, mix
 from .stats import (
     VarianceSeries,
-    _coarse_entropy,
-    _coarse_histogram,
-    _mixture_variance,
-    _tv_to_uniform,
+    _coarse_histograms,
+    _entropy_tv,
+    _mixture_moments,
+    _position_masses,
     chi_square_frequencies,
     effective_branch_count,
     expectation_compare,
@@ -182,35 +185,42 @@ def _derived_rng(seed: int, tag: int) -> np.random.Generator:
 # shared engine loop
 
 
-def _series_row(e: Ensemble, c: RunConfig) -> tuple:
-    # e has c.params, whose bin count RunConfig validated
-    x, m = e.position_masses
-    mean = float(m @ x)
-    h = _coarse_histogram(e.tables, x, m, c.bins)
-    return (
-        float(e.time), e.n_branches, effective_branch_count(e), mean,
-        _mixture_variance(x, m, mean, e.variance), _coarse_entropy(h), _tv_to_uniform(h),
-    )
+def _series_rows(ensembles: list[Ensemble], c: RunConfig) -> list[tuple]:
+    """Rows of ensembles of one run's tables (and c.params, whose bins RunConfig
+    validated) from one mass array; a row's bytes depend only on its ensemble."""
+    x, m = _position_masses(ensembles)
+    mean, var = _mixture_moments(x, m, ensembles[0].variance)
+    entropy, tv = _entropy_tv(_coarse_histograms(ensembles[0].tables, x, m, c.bins))
+    return list(zip([float(e.time) for e in ensembles], [e.n_branches for e in ensembles],
+                    [effective_branch_count(e) for e in ensembles], mean.tolist(),
+                    var.tolist(), entropy.tolist(), tv.tolist()))
+
+
+def _series(ensembles, c: RunConfig, size: int, capture_at: tuple[int, ...] = ()):
+    """(last ensemble, series rows, {k: ensemble k for k in capture_at}) of an
+    iterable of one run's ensembles, whose rows are built ``size`` at a time."""
+    rows, captured, it = [], {}, iter(ensembles)
+    while chunk := list(islice(it, size)):
+        captured.update((k, chunk[k - len(rows)]) for k in capture_at
+                        if 0 <= k - len(rows) < len(chunk))
+        rows += _series_rows(chunk, c)
+        last = chunk[-1]
+    return last, rows, captured
 
 
 def _run_engine(c: RunConfig, capture_at: tuple[int, ...] = ()):
     """Evolve a midbox ensemble ``c.steps`` steps from seed ``c.seed``, logging one
     series row per step.
 
-    The steps come from the ``evolve_ensemble_steps`` generator, which
-    schedules and walks them a block at a time and yields each step's
-    ensemble; the ensembles of the steps in ``capture_at`` are kept.
+    The ``evolve_ensemble_steps`` generator schedules and walks the steps a
+    block at a time, and their rows are built a block's steps at a time
+    (``_block_steps``); the ensembles of the steps in ``capture_at`` are kept.
     """
     e = midbox_ensemble(c.params, c.mode)
     cap = 1 if c.mode == "collapse" else c.max_branches  # collapse: the cap at one branch
     rng = np.random.Generator(np.random.PCG64(c.seed))
-    rows = [_series_row(e, c)]
-    captured = {}
-    for k, e in enumerate(evolve_ensemble_steps(e, cap, rng, c.steps, timing=c.timing), 1):
-        rows.append(_series_row(e, c))
-        if k in capture_at:
-            captured[k] = e
-    return e, rows, captured
+    steps = evolve_ensemble_steps(e, cap, rng, c.steps, timing=c.timing)
+    return _series(chain([e], steps), c, _block_steps(c.params, cap), capture_at)
 
 
 def _series_from_rows(rows: list[tuple]) -> VarianceSeries:
@@ -348,13 +358,16 @@ def _born_event(p: PhysicalParams, initial: Ensemble, dt: float):
     """born_test's event: the leaf's count, apportioned.
 
     Returns the kernel weights, the counts over the full kernel support
-    (zeros included) and the leaves; a zero-count leaf gets no branch.
+    (zeros included) and the leaves; a zero-count leaf gets no branch.  At a
+    spread that rounds to 0 the parent, on a bin edge, splits 1/2 and 1/2.
     """
     w2 = p.w**2
     bw = p.bin_width()
-    centers, weights = bin_weights(
-        float(initial.center[0]), spread_variance(w2, dt, p) - w2, bw
-    )
+    center, spread = float(initial.center[0]), spread_variance(w2, dt, p) - w2
+    if spread > 0:
+        centers, weights = bin_weights(center, spread, bw)
+    else:
+        centers, weights = (math.floor(center / bw) + np.arange(2)) * bw, np.full(2, 0.5)
     counts = apportion_counts(weights, int(initial.weight[0]))
     j = np.flatnonzero(counts)
     # bins sit on the lattice anchored at 0: leaf j is on site centers[j] / bw
@@ -414,7 +427,8 @@ def _scenario_born(c: RunConfig):
         f"({chi.dof} dof, alpha = {_fmt(chi.alpha)})",
     ))
 
-    rows = [_series_row(initial, c), _series_row(after, c)]
+    # two geometries: the event's leaves sit on the lattice anchored at 0
+    rows = _series_rows([initial], c) + _series_rows([after], c)
     return rows, metrics, checks
 
 
@@ -422,11 +436,10 @@ def _scenario_collapse(c: RunConfig):
     p = c.params
     # reference: the exact (sampling-free) weighted mixture, so the z
     # scores carry only the trajectories' own Monte Carlo error
-    rows, tables = [], None
-    for t, lo, mass in _exact_chain(p, c.steps):
-        reference = _site_ensemble(p, t, lo, mass, tables)
-        tables = reference.tables
-        rows.append(_series_row(reference, c))
+    tables = Tables(0.0, p)
+    chain_ensembles = (_site_ensemble(p, t, lo, mass, tables)
+                       for t, lo, mass in _exact_chain(p, c.steps))
+    reference, rows, _ = _series(chain_ensembles, c, _block_steps(p, 1))
 
     batch = run_collapse_trajectories(p, COLLAPSE_TRAJECTORIES, c.steps, c.seed)
     cmp_mean = expectation_compare(batch, reference, position_value)
@@ -550,12 +563,11 @@ def _liouville_series(c: RunConfig, prop: UnitaryPropagator, x: np.ndarray) -> l
             np.multiply(rho_e, step_factor, out=rho_e)
         prob = np.maximum(sums[: k.size] @ diagonal.table, 0.0)
         prob /= prob.sum(axis=1, keepdims=True)
-        mean = prob @ x
-        var = (prob * (x - mean[:, None]) ** 2).sum(axis=1)
-        hist = prob @ in_bin
-        # the coarse columns share the engine rows' kernels, one row at a time
-        rows.extend((t, 1, 1.0, mu, sq, _coarse_entropy(h), _tv_to_uniform(h)) for t, mu, sq, h
-                    in zip((k * p.tau).tolist(), mean.tolist(), var.tolist(), hist))
+        # the engine rows' kernels: a grid point is a position, with no packet width
+        mean, var = _mixture_moments(x, prob.T, 0.0)
+        entropy, tv = _entropy_tv((prob @ in_bin).T)
+        rows.extend(zip((k * p.tau).tolist(), [1] * k.size, [1.0] * k.size, mean.tolist(),
+                        var.tolist(), entropy.tolist(), tv.tolist()))
     return rows
 
 

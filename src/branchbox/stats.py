@@ -5,17 +5,12 @@ are the mixture weights and every branch contributes both its center
 dispersion and the ensemble's packet variance.  Histograms integrate each
 component's Gaussian over each bin (fold-by-images at the walls) instead
 of point-assigning centers, so results are exact for the mixture and do
-not depend on the branching lattice.  Mean, variance and histogram read
-one aggregation, built once per ensemble (``Ensemble.position_masses``):
-branch masses summed per unfolded lattice site, then per position the
-sites fold onto, looked up in the fold index of the run's tables
-(``branching.Tables``).  A position's folded bin masses depend only on
-that position, the packet width, L and the bin count, so the run's tables
-keep them: each is computed once per distinct position and run, and
-reused by every later histogram of the run.  A series row
-(``runner._series_row``) reads the aggregation once and hands it to the
-kernels here (variance, histogram, entropy, TV), which check nothing:
-``RunConfig`` has validated the bin count.
+not depend on the branching lattice.  Series rows (``runner._series_rows``)
+reduce a position-major mass array of many ensembles (``_position_masses``)
+column by column, every sum in position (or bin) order, so a row's bytes
+depend only on its own ensemble, not on what shares the array nor on what
+the run's tables (``branching.Tables``) memoize: each position's folded
+bin masses.  The kernels check nothing: ``RunConfig`` validated the bins.
 
 The checks (diffusion fit, chi-square frequency test, collapse-vs-
 ensemble z-scores) are deliberately plain: ordinary least squares and
@@ -108,11 +103,56 @@ class ExpectationComparison:
 # moments
 
 
-def _mixture_variance(x: np.ndarray, m: np.ndarray, mean: float, v: float) -> float:
-    """Var(x) = sum_b m_b (x_b - mean)^2 + v of a Gaussian mixture: center
-    dispersion plus packet variance, centered first so a box far from the
-    origin keeps every digit."""
-    return float(m @ np.square(x - mean)) + v
+def _in_order(a: np.ndarray) -> np.ndarray:
+    """Sums over the first axis of ``a`` added in index order, so an exact 0 adds
+    nothing wherever it sits.  numpy adds pairwise only along its inner loop: it
+    sums the outer axis of a C-contiguous array row by row, a lone column by
+    accumulating."""
+    a = np.ascontiguousarray(a)
+    return np.add.reduce(a) if a[0].size > 1 else np.add.accumulate(a)[-1]
+
+
+def _position_masses(ensembles: list[Ensemble]) -> tuple[np.ndarray, np.ndarray]:
+    """(x, m) of ensembles of one run's tables: the sorted distinct positions in
+    [0, L] their branches fold onto, and m[i, j] the normalized mass of
+    ensemble j at x[i] (position-major, 0 where it has none).
+
+    One ``bincount`` of the sites, offset by ensemble, sums masses per site:
+    exact counts (``mass_total``) are counted, then divided by the total, and
+    other masses normalized, then summed.  One more sums the sites per
+    position (``Tables.fold``) in site order, empty sites adding exact zeros,
+    so column j is ensemble j's bit for bit, whatever shares its array.
+    """
+    t = ensembles[0].tables
+    if any(e.tables is not t for e in ensembles):
+        raise ValueError("the ensembles of one array must share one run's tables")
+    totals, n = [e.mass_total for e in ensembles], len(ensembles)
+    site = np.concatenate([e.site for e in ensembles]) if n > 1 else ensembles[0].site
+    lo = int(site.min())
+    if n > 1:  # ensemble j's sites from j * width on
+        width = int(site.max()) + 1 - lo
+        site += np.repeat(np.arange(-lo, n * width - lo, width), [e.n_branches for e in ensembles])
+    else:
+        width, site = 0, site - lo
+    weights = None if all(unit for *_, unit in totals) else np.concatenate(
+        [e.weight if exact else e.weight / total for e, (total, exact, _) in zip(ensembles, totals)])
+    div = np.array([float(total) if exact else 1.0 for total, exact, _ in totals])
+    mass = np.bincount(site, weights, n * width).reshape(n, -1) / div[:, None]
+    first, x, which = t.fold(lo, lo + mass.shape[1])
+    which = which[lo - first:lo - first + mass.shape[1]]
+    low = int(which.min())  # the positions of these sites only, from x[low] on
+    cell = (which - low) * n + np.arange(n)[:, None]
+    m = np.bincount(cell.ravel(), mass.ravel(), (int(which.max()) - low + 1) * n).reshape(-1, n)
+    hit = np.flatnonzero(m.any(axis=1))
+    return x[low + hit], m[hit]
+
+
+def _mixture_moments(x: np.ndarray, m: np.ndarray, v: float):
+    """Mean and variance sum m (x - mean)^2 + v of each column of position-major
+    masses m at positions x and packet variance v, centered first so a box
+    far from the origin keeps every digit; sums in position order."""
+    mean = _in_order(m * x[:, None])
+    return mean, _in_order(m * np.square(x[:, None] - mean)) + v
 
 
 def effective_branch_count(e: Ensemble) -> float:
@@ -177,22 +217,19 @@ def _bin_mass_rows(t: Tables, x: np.ndarray, k: int) -> np.ndarray:
     return rows.take(at, axis=0)
 
 
-def _coarse_histogram(t: Tables, x: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
-    """Position density over k equal bins of [0, L] of masses m at positions x,
-    renormalized to sum exactly 1; ``RunConfig`` keeps the bins no finer than w."""
-    h = m @ _bin_mass_rows(t, x, k)
-    return h / h.sum()
+def _coarse_histograms(t: Tables, x: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
+    """Bin-major densities over k equal bins of [0, L] (no finer than w) of each
+    column of masses m at positions x of t's geometry, each renormalized to sum
+    1; sums in position, then bin order."""
+    h = _in_order(m[:, None, :] * _bin_mass_rows(t, x, k)[:, :, None])
+    return h / _in_order(h)
 
 
-def _tv_to_uniform(h: np.ndarray) -> float:
-    """Total-variation distance between a density vector and uniform."""
-    return float(0.5 * np.abs(h - 1.0 / h.size).sum())
-
-
-def _coarse_entropy(h: np.ndarray) -> float:
-    """Shannon entropy -sum h ln h of a density vector, in nats."""
-    pos = h[h > 0]
-    return float(-(pos @ np.log(pos)))
+def _entropy_tv(h: np.ndarray):
+    """Shannon entropy -sum h ln h, in nats, and the total-variation distance to
+    uniform of each column of bin-major density vectors h; sums in bin order."""
+    h_ln_h = h * np.log(np.where(h > 0, h, 1.0))
+    return -_in_order(h_ln_h), 0.5 * _in_order(np.abs(h - 1.0 / h.shape[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,43 @@ def folded_site_masses(site, weight, origin, pitch, L):
     return x, np.bincount(which, weights=mass[occupied])
 
 
+def kish_effective_count(weight):
+    """(sum m)^2 / sum m^2: counts summing below 2**31 squared and summed as
+    Python integers, other masses as floats."""
+    if weight.dtype == np.int64 and (total := int(weight.sum())) < 2**31:
+        return float(total) ** 2 / float(sum(int(c) * int(c) for c in weight))
+    m = np.asarray(weight, float)
+    return float(int(weight.sum()) if weight.dtype == np.int64 else m.sum()) ** 2 \
+        / float(np.square(m).sum())
+
+
+def coarse_entropy(h):
+    """Shannon entropy -sum h ln h of a density vector, in nats."""
+    pos = h[h > 0]
+    return float(-(pos @ np.log(pos)))
+
+
+def tv_to_uniform(h):
+    """Total-variation distance between a density vector and uniform."""
+    return float(0.5 * np.abs(h - 1.0 / h.size).sum())
+
+
+def series_row(e, bins, bin_masses):
+    """(t, n_branches, n_effective, mean_x, var_x, coarse entropy, TV to uniform)
+    of one ensemble, one row at a time: the per-row fold
+    (``folded_site_masses``), dot products over its positions, and the
+    histogram m @ ``bin_masses(x)``, the rows of each position's bin masses,
+    renormalized.  Reads the ensemble's attributes; imports nothing."""
+    p = e.params
+    x, m = folded_site_masses(e.site, e.weight, e.origin, p.bin_width(), p.L)
+    mean = float(m @ x)
+    var = float(m @ np.square(x - mean)) + p.w**2
+    h = m @ bin_masses(x)
+    h = h / h.sum()
+    return (float(e.time), e.site.size, kish_effective_count(e.weight), mean, var,
+            coarse_entropy(h), tv_to_uniform(h))
+
+
 def walk_chain_masses(kernel_sites, kernel_masses, start_site, top_site, steps):
     """Reflected lattice walk, dict-based: site index -> probability mass.
 
@@ -306,6 +343,26 @@ def splitmix64_array(x):
     z = z ^ (z >> 27)
     z = z * 0x94D049BB133111EB
     return (z ^ (z >> 31)).reshape(x.shape)
+
+
+def splitmix64_unrounds(z):
+    """The uint64 (a Python int) whose splitmix64 rounds, without the gamma
+    increment, give the Python int z: each xor-shift and multiply undone,
+    last first (x ^ (x >> s) is inverted by iterating x = z ^ (x >> s), and
+    an odd multiplier by its inverse mod 2**64)."""
+    mask = (1 << 64) - 1
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 1 << 64) & mask
+    z = unshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask
+    return unshift(z, 30)
 
 
 def unit_uniform_array(key):

@@ -38,7 +38,7 @@ from branchbox.rng import (
     KEY_CAP, KEY_TIMING, lineage_hash_child, lineage_hash_root, mix, unit_uniform,
 )
 from branchbox.runner import BORN_TOTAL_COUNT, _born_event
-from branchbox.stats import _coarse_histogram, _tv_to_uniform
+from branchbox.stats import _coarse_histograms, _entropy_tv, _position_masses
 
 import reference
 from test_config_space import ACCEPTANCE
@@ -160,11 +160,18 @@ def test_center_folds_unfolded_sites_into_the_box():
 # the fold indexes
 
 
-def _assert_per_row_fold(e):
-    x, m = e.position_masses
-    rx, rm = reference.folded_site_masses(
-        e.site, e.weight, e.origin, e.params.bin_width(), e.params.L)
-    assert (x.tobytes(), m.tobytes()) == (rx.tobytes(), rm.tobytes())
+def _folded(ensembles):
+    """Each ensemble's (positions, masses): the nonzero part of its column of
+    ``_position_masses``, the ensembles sharing one array."""
+    x, m = _position_masses(list(ensembles))
+    return [(x[col > 0], col[col > 0]) for col in m.T]
+
+
+def _assert_per_row_fold(*ensembles):
+    for e, (x, m) in zip(ensembles, _folded(ensembles), strict=True):
+        rx, rm = reference.folded_site_masses(
+            e.site, e.weight, e.origin, e.params.bin_width(), e.params.L)
+        assert (x.tobytes(), m.tobytes()) == (rx.tobytes(), rm.tobytes())
 
 
 def _acceptance_run(overrides):
@@ -186,10 +193,14 @@ FOLD_RUNS = {o["scenario"]: _acceptance_run(o) for o in ACCEPTANCE} | {
 def test_position_masses_equal_the_per_row_fold(case):
     p, mode, center, cap, timing = FOLD_RUNS[case]
     e, rng = midbox_ensemble(p, mode, center=center), gen(17)
+    run = [e]
     _assert_per_row_fold(e)
     for _ in range(12):
         e = evolve_ensemble_step(e, p, 8, cap, rng, timing=timing)
         _assert_per_row_fold(e)
+        run.append(e)
+    # and so is each column of the run's ensembles in one array
+    _assert_per_row_fold(*run)
     # a warm ensemble re-placed in another geometry gets tables of its own
     for other in (dataclasses.replace(e, origin=e.origin + 0.1),
                   dataclasses.replace(e, params=dataclasses.replace(p, w=p.w / 2, L=2 * p.L))):
@@ -211,7 +222,7 @@ def test_position_masses_of_counts_round_once_below_the_exact_total(counts):
     # sites 0 and 80 fold onto one position, and so do 1 and 79
     e = initial_ensemble([0, 1, 80, 79, 1], np.array(counts, np.int64))
     _assert_per_row_fold(e)
-    x, m = e.position_masses
+    (x, m), = _folded([e])
     assert x.tolist() == [0.0, 0.5]
     if sum(counts) < 2**31:
         total = sum(counts)
@@ -239,10 +250,10 @@ def test_fold_index_grows_and_restarts_bit_for_bit():
     assert 0 < len(moves) <= 5
     assert all(b[0] <= a[0] and a[1] <= b[1] for a, b in moves)
     # tables built afresh from the last row give the grown index's aggregation
-    grown = e.position_masses
+    grown = _position_masses([e])
     again = dataclasses.replace(e, tables=None)
     assert again.tables is not e.tables
-    assert [a.tobytes() for a in again.position_masses] == [g.tobytes() for g in grown]
+    assert [a.tobytes() for a in _position_masses([again])] == [g.tobytes() for g in grown]
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +558,71 @@ def test_cdf_search_equals_searchsorted(case):
         _cdf_search(cdf, probe, _cdf_index(cdf, probe.size)),
         np.searchsorted(cdf, probe, side="left"),
     )
+
+
+def _steady_ensemble(n):
+    """n branches of count 1 on one site: steady at cap n."""
+    return initial_ensemble(np.zeros(n, np.int64), np.ones(n, np.int64), np.arange(n))
+
+
+def _seed_for_hash(z, probe):
+    """The step seed whose cap probe ``probe`` hashes to the 64 bits z:
+    (seed ^ KEY_CAP) + (probe + 1) * gamma is the input of the rounds."""
+    x = reference.splitmix64_unrounds(z)
+    seed = ((x - (probe + 1) * reference.SPLITMIX_GAMMA) % 2**64) ^ int(KEY_CAP)
+    assert int(reference.splitmix64_array(
+        np.uint64(((seed ^ int(KEY_CAP)) + probe * reference.SPLITMIX_GAMMA) % 2**64))) == z
+    return seed
+
+
+@st.composite
+def walk_cases(draw):
+    """(cap, timing, seeds, first step, targets): a steady block of one or many
+    rows, caps from 1 to 2**17 (1 to 4096 buckets), and probes aimed at the
+    top of a bucket or next to a CDF entry, as (row, probe, kind, a, b)."""
+    bits = draw(st.integers(0, 17))
+    cap = draw(st.integers(2**bits, min(2**(bits + 1) - 1, 2**17)))
+    rows = draw(st.integers(1, 3 if cap > 2**14 else 16))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=rows, max_size=rows))
+    target = st.tuples(st.integers(0, rows - 1), st.integers(0, cap - 1),
+                       st.sampled_from(("top", "entry")), st.integers(0, 2**12 - 1),
+                       st.integers(-1, 1))
+    return (cap, draw(st.sampled_from(("poisson", "deterministic"))), seeds,
+            draw(st.integers(0, rows - 1)), draw(st.lists(target, max_size=4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=walk_cases())
+# the top of the last bucket: the largest phase, 1 - 2**-53
+@example(case=(2000, "poisson", [3, 5, 7], 0, [(1, 4, "top", 255, 0)]))
+@example(case=(1, "deterministic", [11], 0, [(0, 0, "top", 0, 0)]))
+# a probe in a bucket that holds a CDF entry, just below, at and above it
+@example(case=(2000, "poisson", list(range(16)), 3,
+               [(5, 9, "entry", 7, -1), (6, 9, "entry", 7, 0), (7, 9, "entry", 7, 1)]))
+@example(case=(2**17, "poisson", [1, 2], 1, [(1, 2**17 - 1, "entry", 12, 0),
+                                           (1, 0, "top", 4095, 0)]))
+def test_walk_reads_buckets_from_the_hash_bits(case):
+    # the steady walk's bins are the phases' bins on each step's CDF, bit for
+    # bit; a targeted row's seed is replaced after its kernel is drawn, as
+    # the walk reads a step's kernel and its seed apart
+    cap, timing, seeds, k, targets = case
+    e = _steady_ensemble(cap)
+    s = branching._Schedule(e, cap, np.array(seeds, np.uint64), timing)
+    nb = s.lookup(0)[1].size - 1
+    for row, probe, kind, a, b in targets:
+        if kind == "top":  # the last hash of bucket a
+            z = ((a % nb + 1) << (64 - nb.bit_length() + 1)) - 1
+        else:  # hash bits m, 12 more, with (m + 1/2) 2**-52 next to entry a
+            cdf = s.lookup(row)[0]
+            m = int(cdf[a % cdf.size] * 2**52) + b
+            z = (min(max(m, 0), 2**52 - 1) << 12) | (a * 2654435761 % 2**12)
+        s.seed[row] = _seed_for_hash(z, probe)
+    cdf, index = s.lookup(k, len(seeds))
+    u = branching._cap_probe_phases(e.tables.ladder(cap), s.seed[k:, None])
+    bins = branching._walk_bins(e, s, k, len(seeds))
+    np.testing.assert_array_equal(bins, _cdf_search(cdf, u, index))
+    for row, (b, phase) in enumerate(zip(bins, u), k):
+        np.testing.assert_array_equal(b, np.searchsorted(s.lookup(row)[0], phase, side="left"))
 
 
 def test_cdf_index_sizes_buckets_to_the_probes_and_is_memoized():
@@ -1262,13 +1338,14 @@ def test_exact_reference_agrees_with_heat_kernel():
     t_eff = steps * P.tau + P.w**2 / var_step
     expected = reference.box_heat_bin_masses(10.0, t_eff, d_eff, P.L, 20)
     e = exact_weighted_reference(P, steps)
-    got = _coarse_histogram(e.tables, *e.position_masses, 20)
+    got = _coarse_histograms(e.tables, *_position_masses([e]), 20)[:, 0]
     np.testing.assert_allclose(got, expected, atol=1e-3)
 
 
 def test_exact_reference_converges_to_uniformity():
     e = exact_weighted_reference(P, 2000)
-    assert _tv_to_uniform(_coarse_histogram(e.tables, *e.position_masses, 20)) < 1e-3
+    _, tv = _entropy_tv(_coarse_histograms(e.tables, *_position_masses([e]), 20))
+    assert tv[0] < 1e-3
 
 
 def test_exact_reference_builds_one_ensemble(monkeypatch):

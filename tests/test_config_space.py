@@ -60,14 +60,17 @@ def log_uniform(lo, hi):
 def configs(draw):
     scenario = draw(st.sampled_from(SCENARIOS))
     usual = USUAL_MODE.get(scenario, "weighted")
-    w = draw(log_uniform(0.1, 2.0))
+    w, m, hbar = draw(log_uniform(0.1, 2.0)), draw(log_uniform(0.3, 3.0)), draw(log_uniform(0.3, 3.0))
     return {
         "scenario": scenario,
         "mode": draw(st.sampled_from((usual,) * 4 + MODES)),
-        "m": draw(log_uniform(0.3, 3.0)),
+        "m": m,
         "w": w,
-        "tau": draw(log_uniform(0.3, 3.0)),
-        "hbar": draw(log_uniform(0.3, 3.0)),
+        # the dimensionless period tau hbar / (m w^2): a packet's spread over
+        # a period rounds to 0 below about 1e-8, and WORK_BOUND refuses all
+        # but the shortest runs near the top
+        "tau": draw(log_uniform(1e-12, 1e2)) * m * w**2 / hbar,
+        "hbar": hbar,
         "L": w * draw(log_uniform(*L_OVER_W.get(scenario, (21.0, 200.0)))),
         "bins": draw(st.integers(2, 40)),
         "max_branches": draw(st.integers(1, 2000)),
@@ -92,6 +95,9 @@ def run_bytes(c):
 @example(overrides={"scenario": "collapse_compare", "mode": "collapse", "tau": 1e-9, "steps": 5})
 @example(overrides={"scenario": "midbox", "tau": 1e-7, "steps": 50, "timing": "poisson"})
 @example(overrides={"scenario": "midbox", "tau": 1e-6, "steps": 200, "timing": "poisson"})
+# born_test's random period: its parent sits on a bin edge, split 1/2 and 1/2
+@example(overrides={"scenario": "born_test", "mode": "count", "tau": 1e-9})
+@example(overrides={"scenario": "born_test", "mode": "count", "tau": 1e-12})
 def test_every_config_runs_or_is_refused_naming_a_key(overrides):
     with tempfile.TemporaryDirectory() as tmp:
         try:

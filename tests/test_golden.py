@@ -39,39 +39,39 @@ CASES = {
 # (series sha256, summary sha256)
 GOLDEN = {
     "born_test": (
-        "f32c741b37272df999f28439c8ccce4132be4c40720091decf09555cf15faebb",
+        "4d6dd077e9a3c6af85b617f087fe3cc9f475e99121f256fd593366b8fc90e289",
         "dcbd1643685bfdb02c131aeb248502166a247cc3cce7f04067f8dc4f97a237ba",
     ),
     "collapse_compare": (
-        "9907498742b96015785bbd473755b90c1f774eb7b30a3ede6028968526a6558b",
+        "0e6126a0a8c77d282467a841a01927814837f4cf036c437b84e901872c2f1a43",
         "8bf5fdd66083a45fa0d88c537db3133edfd4f1a9a349ab9a5e0295d9d4e49705",
     ),
     "freespread": (
-        "f8a8659517c99d12984e3cec460acc6efad7a7bc8cc0dfc1d324919add7042ec",
-        "17da5ad156572a99dd4a61d5425b8fa0c53f529ccf4ef51705dbba527447d39a",
+        "c5ac9915db185d2c17cc9c2205a3833ba8871539cf5b22962c4cc788e1786fc8",
+        "89f3a91d44bcf159e6630d95e04b6c22c26c3fc7ffd6316d75b3d7220c4f9bf7",
     ),
     "liouville_check": (
-        "4168f9b5ad73521ab9939f34c0b8d69a6a1a7f305d71c6517bedd37ebd636cfb",
+        "c01709278759241b63052a5a3a78ca9897cd2760f10820448116dfc832c7971b",
         "4b2032bcc258ab5186d09bc7233814b04e9ef5a0cd27ffcb3074cb456fa5b83d",
     ),
     "midbox": (
-        "93b569a79baffa1036396ecf7d6db1be3efee1d66a9582f91abd44e65fa59ffc",
-        "05a0351b28c05904e98b668ee2538255c121816631627c08282e3d6aac57b7e6",
+        "d58c60deebf5598151e55455363845212b6425b68c433f3b566c91dfb660033c",
+        "425054543bca3c3c5f5283e9f732cf042786edee51e4b230f5bbc20a8d36693e",
     ),
     "midbox_capped_distinct": (
-        "51b3bbf907c0a62cab2f6ef8dbbc6e2ff4e4391f394690d2dcddb1d3528118dd",
-        "990ec125060eea1376229de00c295dd2da459e99c57eb84db1d48277e7a00c0c",
+        "788ed57259b9042a9188b3ffa11ff0ce1ed190265be13f0e4919c860f4bd7b15",
+        "dcc595267595fd6f15b9255bb6ae3421f1f7312163729ce5d0c9016ab09c4568",
     ),
     "midbox_collapse_poisson": (
-        "6d20233405a945993f666e194a0a88c98dd011cf917cb6f9e4a1b3fb8504439a",
-        "03aa19a9eb508c49af9bfe1abf8c6b5ec2d4b9bdc888252009d4f424ac3f9cd1",
+        "3dc13a5096393d3afb63b89324f9f59fdd104dfb714785c15d6e1b287278fee3",
+        "273533b2d28c0ac232fe3fc1ee93162376d7016296ce534bdb21b41f08e4a6c9",
     ),
     "midbox_offlattice": (
-        "4c33bb2ed5ad0087e335bb395284f0c0c676d2647aa619a871071825d8bdf61c",
-        "5b612c9cd27f945fe769b9ee0466eb039d64ed2c662a07900c693094ffef918c",
+        "d93c7f745a4550c99a1f79700da218577702313e45337fefdcf8471db2def83a",
+        "20b08f97cb401490fbdeb7716ec6961bff8b7cf4c5e9a707f64d3dd18ec6e3fb",
     ),
     "peres_test": (
-        "bdb6ee5a3c3f3e4e25f6124a31845b62b5eaffedc3cc23f67b03fefe50225616",
+        "ec7a209efe6197fe2091ec976e3f143589e43b45ba0de0f8cbcd3addb96da686",
         "9e0cfc46fe57f09e7a1138c64cc78bfba7f147ced4c997a6ec5523962e5b09a4",
     ),
 }

@@ -1,16 +1,19 @@
 """Scenario runner and CLI: file formats, reproducibility, exit semantics."""
 
+import dataclasses
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import branchbox
-from branchbox import runner
+from branchbox import branching, runner, stats
 from branchbox.cli import main
 from branchbox.config import LIOUVILLE_GRID, config_lines, parse_config
 from branchbox.density import UnitaryPropagator, grid_points, random_mixed_state
@@ -295,6 +298,69 @@ def test_liouville_runs_at_its_grid_limit(tmp_path):
     c = parse_config("", {"scenario": "liouville_check", "L": 32.25, "steps": 1,
                           "output_dir": str(tmp_path)})
     assert run_scenario(c).passed
+
+
+def _engine_ensembles(c):
+    """The ensembles whose rows ``runner._run_engine`` logs: the start, then each step's."""
+    e = branching.midbox_ensemble(c.params, c.mode)
+    rng = np.random.Generator(np.random.PCG64(c.seed))
+    steps = branching.evolve_ensemble_steps(e, c.max_branches, rng, c.steps, timing=c.timing)
+    return list(chain([e], steps))
+
+
+def _born_leaves(c):
+    """born_test's count ensembles: the leaves of its event at several periods, in
+    one run's tables."""
+    p = c.params
+    start = branching.midbox_ensemble(p, "count", multiplicity=runner.BORN_TOTAL_COUNT,
+                                      center=10.25)
+    leaves = [runner._born_event(p, start, f * p.m * p.w**2 / p.hbar)[2]
+              for f in (1 / 3, 0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 1e-9)]
+    return [dataclasses.replace(e, tables=leaves[0].tables) for e in leaves]
+
+
+ROW_RUNS = {
+    "peres poisson": ({"scenario": "peres_test", "L": 40.0, "steps": 60,
+                       "max_branches": 2000, "timing": "poisson"}, _engine_ensembles),
+    "midbox w 0.3": ({"scenario": "midbox", "w": 0.3, "steps": 40, "max_branches": 2000},
+                     _engine_ensembles),
+    "born_test counts": ({"scenario": "born_test", "mode": "count"}, _born_leaves),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_RUNS))
+def test_series_rows_depend_only_on_their_own_ensemble(case):
+    overrides, ensembles = ROW_RUNS[case]
+    c = parse_config("", overrides | {"seed": 2025})
+    run = ensembles(c)
+    assert all(e.tables is run[0].tables for e in run)
+
+    def rows_in_chunks(size):
+        return [r for i in range(0, len(run), size) for r in runner._series_rows(run[i:i + size], c)]
+
+    # one ensemble at a time, a block's steps at a time and 7 at a time
+    one = rows_in_chunks(1)
+    block = branching._block_steps(c.params, c.max_branches)
+    assert block > 1 or case == "born_test counts"
+    for size in (block, 7, len(run)):
+        assert np.array(rows_in_chunks(size)).tobytes() == np.array(one).tobytes(), size
+    if overrides["scenario"] != "born_test":
+        assert runner._run_engine(c)[1] == one
+
+    # the rows of the reference's per-row fold and dot products
+    p = c.params
+    edges = np.linspace(0.0, p.L, c.bins + 1)
+
+    def bin_masses(x):
+        return stats._folded_bin_masses(x, math.sqrt(p.w**2), edges, p.L)
+
+    x, m = stats._position_masses(run)
+    for e, row, col in zip(run, one, m.T, strict=True):
+        want = reference.series_row(e, c.bins, bin_masses)
+        assert row[:3] == want[:3] and [type(v) for v in row] == [type(v) for v in want]
+        np.testing.assert_allclose(row[3:], want[3:], rtol=1e-13, atol=1e-15)
+        rx, rm = reference.folded_site_masses(e.site, e.weight, e.origin, p.bin_width(), p.L)
+        assert (x[col > 0].tobytes(), col[col > 0].tobytes()) == (rx.tobytes(), rm.tobytes())
 
 
 def test_liouville_series_is_the_evolved_density():

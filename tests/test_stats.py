@@ -15,12 +15,12 @@ from branchbox.branching import apportion_counts
 from branchbox.config import RunConfig
 from branchbox.model import PhysicalParams, bin_weights
 from branchbox.rng import lineage_hash_root
-from branchbox.runner import BORN_TOTAL_COUNT, _born_event, _series_row
+from branchbox.runner import BORN_TOTAL_COUNT, _born_event, _series_rows
 from branchbox.stats import (
     VarianceSeries,
-    _coarse_entropy,
-    _coarse_histogram,
-    _tv_to_uniform,
+    _coarse_histograms,
+    _entropy_tv,
+    _position_masses,
     chi_square_frequencies,
     effective_branch_count,
     expectation_compare,
@@ -51,7 +51,17 @@ def weighted_ensemble(sites, weights, p=P, origin=0.0, time=0.0):
 
 def moments(e):
     """The (mean_x, var_x) columns of the series row of ``e``."""
-    return _series_row(e, RunConfig())[3:5]
+    return _series_rows([e], RunConfig())[0][3:5]
+
+
+def histogram(e, k=20):
+    """The coarse histogram over k bins of ``e`` alone."""
+    return _coarse_histograms(e.tables, *_position_masses([e]), k)[:, 0]
+
+
+def positions(e):
+    """The distinct positions ``e``'s branches fold onto."""
+    return set(_position_masses([e])[0].tolist())
 
 
 def test_position_moments_hand_case():
@@ -167,7 +177,7 @@ def test_histogram_single_branch_matches_quadrature(center, variance):
     w = math.sqrt(variance)
     p = PhysicalParams(w=w, L=max(20.0, 20.0 * w))
     e = weighted_ensemble([0], [1.0], p=p, origin=center)
-    got = _coarse_histogram(e.tables, *e.position_masses, 20)
+    got = histogram(e)
     expected = reference.reflected_bin_masses(center, variance, p.L, 20)
     np.testing.assert_allclose(got, expected, atol=1e-10)
     assert got.sum() == pytest.approx(1.0, abs=1e-14)
@@ -175,7 +185,7 @@ def test_histogram_single_branch_matches_quadrature(center, variance):
 
 def test_histogram_mixture_is_mass_weighted():
     e = weighted_ensemble([8, 30], [0.3, 0.7])
-    got = _coarse_histogram(e.tables, *e.position_masses, 20)
+    got = histogram(e)
     expected = 0.3 * reference.reflected_bin_masses(4.0, 1.0, P.L, 20) \
         + 0.7 * reference.reflected_bin_masses(15.0, 1.0, P.L, 20)
     np.testing.assert_allclose(got, expected, atol=1e-10)
@@ -187,7 +197,7 @@ def test_histogram_lattice_fast_path_agrees():
     sites = [4, 4, 7, 7, 7, 20]
     weights = [0.1, 0.2, 0.1, 0.15, 0.15, 0.3]
     e = weighted_ensemble(sites, weights)
-    got = _coarse_histogram(e.tables, *e.position_masses, 20)
+    got = histogram(e)
     expected = 0.3 * reference.reflected_bin_masses(2.0, 1.0, P.L, 20) \
         + 0.4 * reference.reflected_bin_masses(3.5, 1.0, P.L, 20) \
         + 0.3 * reference.reflected_bin_masses(10.0, 1.0, P.L, 20)
@@ -202,7 +212,7 @@ def test_histogram_off_lattice_merges_duplicate_packets():
     sites = [6, 6, 0, 32, 58, 0, 6, -1]
     weights = [0.1, 0.15, 0.05, 0.2, 0.25, 0.1, 0.1, 0.05]
     e = weighted_ensemble(sites, weights, p=p, origin=0.1)
-    got = _coarse_histogram(e.tables, *e.position_masses, 20)
+    got = histogram(e)
     expected = 0.35 * reference.reflected_bin_masses(1.9, 0.36, p.L, 20) \
         + 0.15 * reference.reflected_bin_masses(0.1, 0.36, p.L, 20) \
         + 0.2 * reference.reflected_bin_masses(9.7, 0.36, p.L, 20) \
@@ -215,11 +225,11 @@ def test_histogram_off_lattice_merges_duplicate_packets():
 # the run's folded bin-mass rows
 
 
-def uncached_histogram(e, p, k):
-    x, m = e.position_masses
-    edges = np.linspace(0.0, p.L, k + 1)
-    h = m @ stats._folded_bin_masses(x, math.sqrt(e.variance), edges, p.L)
-    return h / h.sum()
+def uncached_histogram(e):
+    """``histogram`` of ``e`` through fresh tables, which hold no bin-mass rows."""
+    fresh = dataclasses.replace(e, tables=None)
+    assert fresh.tables is not e.tables and not fresh.tables.bin_rows
+    return histogram(fresh)
 
 
 def test_memo_rows_match_uncached_as_positions_appear():
@@ -228,31 +238,28 @@ def test_memo_rows_match_uncached_as_positions_appear():
     e, seen, rows_with_new = midbox_ensemble(p), set(), 0
     for _ in range(20):
         e = evolve_ensemble_step(e, p, 1, 2000, rng)
-        x = set(e.position_masses[0].tolist())
+        x = positions(e)
         rows_with_new += bool(x - seen)
         seen |= x
-        assert np.array_equal(_coarse_histogram(e.tables, *e.position_masses, 20),
-                              uncached_histogram(e, p, 20))
+        assert np.array_equal(histogram(e), uncached_histogram(e))
     assert rows_with_new >= 15
     # a warm ensemble re-placed in another geometry gets tables of its own
     for other in (dataclasses.replace(e, origin=e.origin + 0.1),
                   dataclasses.replace(e, params=dataclasses.replace(p, w=p.w / 2, L=2 * p.L))):
         assert other.tables is not e.tables
-        q = other.params
-        assert np.array_equal(_coarse_histogram(other.tables, *other.position_masses, 20),
-                              uncached_histogram(other, q, 20))
+        assert np.array_equal(histogram(other), uncached_histogram(other))
 
 
 def test_memo_holds_exactly_the_positions_seen():
     p = PhysicalParams(L=40.0)
     rng = np.random.Generator(np.random.PCG64(5))
     e = midbox_ensemble(p)
-    seen = set(e.position_masses[0].tolist())
-    _coarse_histogram(e.tables, *e.position_masses, 20)
+    seen = positions(e)
+    histogram(e)
     for _ in range(300):
         e = evolve_ensemble_step(e, p, 1, 2000, rng, timing="poisson")
-        seen |= set(e.position_masses[0].tolist())
-        _coarse_histogram(e.tables, *e.position_masses, 20)
+        seen |= positions(e)
+        histogram(e)
     # the run's tables hold one bin count's rows, one per position seen
     (k, (known, rows)), = e.tables.bin_rows.items()
     assert k == 20 and e.tables.params == p
@@ -266,20 +273,26 @@ def test_memo_holds_exactly_the_positions_seen():
 # density-vector functionals
 
 
+def entropy_tv(h):
+    """(coarse entropy, TV to uniform) of one density vector."""
+    entropy, tv = _entropy_tv(np.asarray(h, float)[:, None])
+    return entropy[0], tv[0]
+
+
 def test_tv_to_uniform_values():
-    assert _tv_to_uniform(np.full(20, 0.05)) == 0.0
+    assert entropy_tv(np.full(20, 0.05))[1] == 0.0
     point = np.zeros(4)
     point[0] = 1.0
-    assert _tv_to_uniform(point) == pytest.approx(0.75, rel=1e-15)
+    assert entropy_tv(point)[1] == pytest.approx(0.75, rel=1e-15)
 
 
 def test_coarse_entropy_values():
-    assert _coarse_entropy(np.full(20, 0.05)) == pytest.approx(math.log(20), rel=1e-12)
+    assert entropy_tv(np.full(20, 0.05))[0] == pytest.approx(math.log(20), rel=1e-12)
     point = np.zeros(4)
     point[0] = 1.0
-    assert _coarse_entropy(point) == 0.0
+    assert entropy_tv(point)[0] == 0.0
     h = np.array([0.5, 0.25, 0.25])
-    assert _coarse_entropy(h) == pytest.approx(
+    assert entropy_tv(h)[0] == pytest.approx(
         -(0.5 * math.log(0.5) + 0.5 * math.log(0.25)), rel=1e-12
     )
 
