@@ -57,6 +57,7 @@ from .rng import (
     lineage_hash_child,
     lineage_hash_root,
     mix,
+    step_keys,
     unit_uniform,
 )
 
@@ -424,17 +425,17 @@ def _shared_kernel_hits(cdf: np.ndarray, index, u: np.ndarray, parent_mass: np.n
     return _hit_runs(cell, _cdf_search(cdf, frac, index), per_cell)
 
 
-def _cap_probe_phases(ladder: np.ndarray, step_seed) -> np.ndarray:
-    """Phases of probes 0 .. k-1, a splitmix64 stream per step seed.
+def _cap_probe_phases(ladder: np.ndarray, step_key) -> np.ndarray:
+    """Phases of probes 0 .. k-1, a splitmix64 stream per step key.
 
-    Probe j's phase is ``unit_uniform((step_seed ^ KEY_CAP) + j * GAMMA)``:
+    Probe j's phase is ``unit_uniform((step_key ^ KEY_CAP) + j * GAMMA)``:
     the key added onto the ladder (``Tables.ladder(k)``), whose offsets
     include splitmix64's own increment, then its rounds and the map to
     (0, 1), in place.  The phases must be independent: a shared phase
     (plain systematic resampling) locks equal-weight parents to the same
     offspring pick, and the ensemble stops mixing.
     """
-    return _unit_interval(_rounds(ladder + (step_seed ^ KEY_CAP)))
+    return _unit_interval(_rounds(ladder + (step_key ^ KEY_CAP)))
 
 
 # ---------------------------------------------------------------------------
@@ -490,34 +491,33 @@ def _block_steps(p: PhysicalParams, cap: int) -> int:
     return max(1, min(_BLOCK_STEPS, int(_BLOCK_WORK // max(cap, bins))))
 
 
-def _periods(seed: np.ndarray, tau: float, timing: str) -> np.ndarray:
-    """Each step's period from its seed: tau, or under Poisson timing -tau ln(u)
-    with u = ``unit_uniform(mix(seed ^ KEY_TIMING))``, each logarithm
+def _periods(key: np.ndarray, tau: float, timing: str) -> np.ndarray:
+    """Each step's period from its key: tau, or under Poisson timing -tau ln(u)
+    with u = ``unit_uniform(mix(key ^ KEY_TIMING))``, each logarithm
     ``math.log``'s (numpy's differs from it in the last bit on some inputs)."""
     if timing == "deterministic":
-        return np.full(seed.size, tau)
-    u = unit_uniform(mix(seed ^ KEY_TIMING))
+        return np.full(key.size, tau)
+    u = unit_uniform(mix(key ^ KEY_TIMING))
     return -tau * np.array([math.log(x) for x in u.tolist()])
 
 
 class _Schedule:
-    """A block of steps known before any of them runs: seeds, event times, kernels.
+    """A block of steps known before any of them runs: keys, event times, kernels.
 
-    The block's step seeds are drawn in one call, which draws what as many
-    one-seed calls would.  Step k fires at the previous event time plus its
-    period (``_periods``), the times summed in step order.  Deterministic
+    Step k fires at the previous event time plus its period (``_periods``
+    of its key), the times summed in step order.  Deterministic
     steps share the run's one kernel (``Tables.kernel``); Poisson steps get
     one row each of ``_offset_kernels``, built in one pass, and a bucket
     table only for the steps that probe.
     """
 
-    def __init__(self, e: Ensemble, cap: int, seed: np.ndarray, timing: str):
+    def __init__(self, e: Ensemble, cap: int, key: np.ndarray, timing: str):
         p = e.params
-        self.seed, self.cap, self.shared = seed, cap, timing == "deterministic"
-        dt = _periods(seed, p.tau, timing)
+        self.key, self.cap, self.shared = key, cap, timing == "deterministic"
+        dt = _periods(key, p.tau, timing)
         if self.shared:
             step, self.kern, self.cdf, self.index = e.tables.kernel(p.tau, cap)
-            self.first, self.size = np.full(seed.size, step[0]), np.full(seed.size, step.size)
+            self.first, self.size = np.full(key.size, step[0]), np.full(key.size, step.size)
         else:
             self.first, self.size, self.kern, self.cdf = _offset_kernels(dt, p)
         self.time = list(accumulate(dt.tolist(), initial=e.time))[1:]
@@ -541,39 +541,38 @@ def _steady(e: Ensemble, cap: int) -> bool:
 
 
 def evolve_ensemble_steps(
-    e: Ensemble, cap: int, rng: np.random.Generator, steps: int, *,
-    timing: str = "deterministic",
+    e: Ensemble, cap: int, keys: np.ndarray, *, timing: str = "deterministic",
 ) -> Iterator[Ensemble]:
-    """Yield the ensembles after each of ``steps`` decoherence periods from ``e``.
+    """Yield the ensembles after each decoherence period from ``e``, one per uint64
+    key in ``keys`` (a run's are ``rng.step_keys(seed, arange(steps))``).
 
     Every branch spreads for the period, then decoheres into tagged
     offspring, and the branch count is capped with an unbiased
     stratified resample when it exceeds ``cap``, whatever the masses:
     Born weights or counts.  Collapse is that cap at one branch: its
     single probe keeps one offspring with probability equal to its Born
-    weight.  One uint64 is drawn from ``rng`` per step; timing and
-    capping are keyed off it alone, so results do not depend on how the
-    steps are blocked.  Every parent shares one offset kernel: offspring
-    (parent, bin) sits at site site_parent + step_bin with mass w_parent *
-    kern_bin, and no wall is applied.  Past the cap, each stratified
-    probe finds its parent (by integer arithmetic when the parents'
-    multiplicities sum to the cap), then its bin on the shared kernel CDF;
-    only the survivors' rows are built, holding their hits.  So the capped
-    step is bit-identical to materializing every offspring, then
-    resampling them grouped by parent with the parents' masses as the
-    group masses.  Among a parent's survivors, in probe order, the first
-    keeps the parent's lineage hash and each further one on bin b gets
-    ``lineage_hash_child(parent, t_event, b)``; where every parent keeps
-    one survivor no hash is computed.  Under the cap offspring hold Born
-    weights, but a one-bin kernel keeps integer masses.
+    weight.  A step's timing and capping are keyed off its key alone, so
+    the same keys give the same bytes however the steps are blocked, and
+    a run resumes at step k from its ensemble there and ``keys[k:]``.
+    Every parent shares one offset kernel: offspring (parent, bin) sits at
+    site site_parent + step_bin with mass w_parent * kern_bin, and no wall
+    is applied.  Past the cap, each stratified probe finds its parent (by
+    integer arithmetic when the parents' multiplicities sum to the cap),
+    then its bin on the shared kernel CDF; only the survivors' rows are
+    built, holding their hits.  So the capped step is bit-identical to
+    materializing every offspring, then resampling them grouped by parent
+    with the parents' masses as the group masses.  Among a parent's
+    survivors, in probe order, the first keeps the parent's lineage hash
+    and each further one on bin b gets ``lineage_hash_child(parent,
+    t_event, b)``; where every parent keeps one survivor no hash is
+    computed.  Under the cap offspring hold Born weights, but a one-bin
+    kernel keeps integer masses.
 
     Schedule first: the steps run in blocks (``_block_steps``: 16 steps
     at cap 2000, one step from cap 2**15 up), each scheduled at once
-    (``_Schedule``).  Until the ensemble is steady
-    (``_steady``) it steps one step at a time; from then on the rest of
-    each block is one walk (``_steady_walk``).  A block's seeds are drawn
-    as it starts, so a consumer that stops mid-block has drawn all of
-    them.  The checks run on the first step drawn.
+    (``_Schedule``).  Until the ensemble is steady (``_steady``) it steps
+    one step at a time; from then on the rest of each block is one walk
+    (``_steady_walk``).  The checks run on the first step taken.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -582,10 +581,9 @@ def evolve_ensemble_steps(
     if e.params.tau <= 0:
         raise ValueError("evolution requires tau > 0")
     block = _block_steps(e.params, cap)
-    for start in range(0, steps, block):
-        seed = rng.integers(0, 2**64, size=min(block, steps - start), dtype=np.uint64)
-        s = _Schedule(e, cap, seed, timing)
-        for k in range(seed.size):
+    for start in range(0, keys.size, block):
+        s = _Schedule(e, cap, keys[start:start + block], timing)
+        for k in range(s.key.size):
             if _steady(e, cap):
                 for e in _steady_walk(e, s, k):
                     yield e
@@ -604,17 +602,18 @@ def evolve_ensemble_step(
     timing: str = "deterministic",
 ) -> Ensemble:
     """Advance an ensemble through one decoherence period: the one-step case of
-    ``evolve_ensemble_steps``, drawing one seed from ``rng``.
+    ``evolve_ensemble_steps``, on one key drawn from ``rng``.
 
     ``p`` must be the ensemble's own parameters, and ``fanout`` is
-    validated but does not affect the step: both stay in the signature
-    because ``bench/worker.py`` passes them positionally.
+    validated but does not affect the step: they and the Generator stay
+    in the signature because ``bench/worker.py`` passes them positionally.
     """
     if p != e.params:
         raise ValueError(f"parameters {p} differ from the ensemble's {e.params}")
     if fanout < 1:
         raise ValueError(f"fanout must be >= 1, got {fanout}")
-    return next(evolve_ensemble_steps(e, cap, rng, 1, timing=timing))
+    key = rng.integers(0, 2**64, size=1, dtype=np.uint64)
+    return next(evolve_ensemble_steps(e, cap, key, timing=timing))
 
 
 def _child(e: Ensemble, s: _Schedule, k: int, pr, oi, weight) -> Ensemble:
@@ -653,7 +652,7 @@ def _step_rows(e: Ensemble, cap: int, s: _Schedule, k: int):
         # a one-bin kernel keeps integer multiplicities
         weight = e.weight if nk == 1 and e.weight.dtype == np.int64 else mass / mass.sum()
         return np.repeat(np.arange(n), nk), np.tile(np.arange(nk), n), weight
-    u = _cap_probe_phases(e.tables.ladder(cap), s.seed[k])
+    u = _cap_probe_phases(e.tables.ladder(cap), s.key[k])
     return _shared_kernel_hits(*s.lookup(k), u, e.weight)
 
 
@@ -666,7 +665,7 @@ def _walk_bins(e: Ensemble, s: _Schedule, k: int, stop: int) -> np.ndarray:
     log2(nb) bits, read before splitmix64's last xor-shift, which keeps them.
     Only probes in buckets holding a CDF entry (1-3%) become phases.
     """
-    z = _rounds(e.tables.ladder(e.n_branches) + (s.seed[k:stop, None] ^ KEY_CAP), last=False)
+    z = _rounds(e.tables.ladder(e.n_branches) + (s.key[k:stop, None] ^ KEY_CAP), last=False)
     cdf, index = s.lookup(k, stop)
     bits = (index.shape[-1] - 1).bit_length() - 1  # log2(nb) of nb + 1 entries
     q = (z >> (64 - bits)).view(np.int64) if bits else np.zeros(z.shape, np.int64)
@@ -682,7 +681,7 @@ def _steady_walk(e: Ensemble, s: _Schedule, k: int) -> Iterator[Ensemble]:
     the previous step's sites, a running sum over the steps, exact in
     int64 (``Ensemble._moved``).
     """
-    site = _walk_bins(e, s, k, s.seed.size)
+    site = _walk_bins(e, s, k, s.key.size)
     site += s.first[k:, None]
     for row, t, nk in zip(site, s.time[k:], s.size[k:].tolist()):
         row += e.site
@@ -732,9 +731,10 @@ class CollapseBatch:
     n_steps: int
 
 
-def trajectory_seed(master_seed: int, index: int) -> int:
-    """Run seed of the ``index``-th collapse trajectory of a batch."""
-    return int(mix(np.uint64(master_seed), KEY_PRUNE, np.uint64(index)))
+def trajectory_seed(master_seed: int, index: int | np.ndarray):
+    """Run seed of the ``index``-th collapse trajectory of a batch, as a uint64
+    (an array of them for an array of indices)."""
+    return mix(np.uint64(master_seed), KEY_PRUNE, index)
 
 
 def run_collapse_trajectories(
@@ -747,41 +747,29 @@ def run_collapse_trajectories(
 ) -> CollapseBatch:
     """Run many single-branch collapse histories in lockstep.
 
-    Equivalent to evolving ``n_traj`` independent packets from
-    ``midbox_ensemble(p, "collapse")`` with evolve_ensemble_step at cap 1
-    under deterministic timing, trajectory i seeded by
-    ``trajectory_seed(master_seed, i)``; vectorizing across trajectories
-    is possible because every trajectory shares the fixed event schedule
-    and offset kernel.  Each step looks the probe phase
-    ``_cap_probe_phases(1, step_seed)`` up on the normalized kernel CDF
-    with the engine's ``_cdf_search``, as a capped step does for one
-    parent of weight 1, whose probe fraction is the phase itself, and
-    moves the trajectory's site; the sites are folded into the box once,
-    by the ensemble's own rule, so batch and sequential runs agree bit
-    for bit.
-    ``select_rule`` replaces the Born-weighted survivor choice and exists
-    for bias-detection tests.
+    Trajectory i is ``evolve_ensemble_steps`` at cap 1 under deterministic
+    timing from ``midbox_ensemble(p, "collapse")``, over the step keys of
+    its run seed ``trajectory_seed(master_seed, i)``, bit for bit.  Every
+    trajectory shares the event schedule and offset kernel, so step k
+    takes all their keys in one ``step_keys`` call and looks their probe
+    phases up on the kernel CDF (``_cdf_search``), as a capped step does
+    for one parent of weight 1; the sites are folded into the box once, by
+    the ensemble's own rule.  ``select_rule`` replaces the Born-weighted
+    survivor choice, for bias-detection tests.
     """
     if n_traj < 1 or steps < 0:
         raise ValueError("need n_traj >= 1 and steps >= 0")
-    gens = [np.random.Generator(np.random.PCG64(trajectory_seed(master_seed, i)))
-            for i in range(n_traj)]
+    seeds = trajectory_seed(master_seed, np.arange(n_traj, dtype=np.uint64))
     start = midbox_ensemble(p, "collapse")
     site = np.full(n_traj, start.site[0])
     step, kern, cdf, index = start.tables.kernel(p.tau, n_traj)
     ladder = start.tables.ladder(1)
     t = 0.0
-    for _ in range(steps):
-        step_seeds = np.array(
-            [g.integers(0, 2**64, dtype=np.uint64) for g in gens], np.uint64
-        )
+    for k in range(steps):
         t += p.tau
-        u = _cap_probe_phases(ladder, step_seeds)
-        if select_rule is None:
-            sel = _cdf_search(cdf, u, index)
-        else:
-            sel = np.asarray(select_rule(kern, u))
-        site += step[sel]
+        u = _cap_probe_phases(ladder, step_keys(seeds, k))
+        site += step[_cdf_search(cdf, u, index) if select_rule is None
+                     else np.asarray(select_rule(kern, u))]
     return CollapseBatch(time=t, center=start.tables.position(site), variance=start.variance,
                          n_steps=steps)
 

@@ -1,14 +1,17 @@
 """Keyed, stateless random streams for the branching engine.
 
-Every stochastic decision in a run (cap resampling, collapse being the
-cap at one probe, and Poisson event timing) is derived from a 64-bit key
-built out of the run seed, a purpose constant and the identity of the
-thing being decided (probe index, trajectory index); ``KEY_PRUNE`` only
-derives collapse trajectories' run seeds.  Two consequences:
-
-* a run is reproducible bit for bit from (config, seed), and
-* the draw a branch sees does not depend on how the ensemble happens to
-  be batched or ordered internally.
+Every stochastic decision in a run is derived from a 64-bit key built
+out of the run seed, a purpose constant and the identity of the thing
+being decided.  Step k of a run seeded s has the key ``step_keys(s, k)``
+(``KEY_STEP``); in it ``KEY_CAP`` and the probe index key the cap's
+probes (collapse is the cap at one probe), and ``KEY_TIMING`` the
+Poisson period.  ``KEY_PRUNE`` derives collapse trajectories' run seeds
+and ``KEY_ROOT`` the tags at t = 0.  So a run is reproducible bit for bit
+from (config, seed), resumes at step k from its ensemble there and the
+keys from k on, and the draw a branch sees does not depend on how the
+ensemble is batched or ordered.  Only what is no engine state stays a
+seeded PCG64 (``runner._derived_rng``): freespread's KS sample pairs and
+classical walkers, and liouville_check's random density states.
 
 The mixer is splitmix64, which is cheap, vectorizes over uint64 arrays
 and has full 64-bit avalanche.  These uniforms feed selection rules and
@@ -31,6 +34,7 @@ KEY_PRUNE = _U64(0x9E3779B97F4A7C15)
 KEY_CAP = _U64(0xC2B2AE3D27D4EB4F)
 KEY_TIMING = _U64(0x165667B19E3779F9)
 KEY_ROOT = _U64(0xD6E8FEB86659FD93)
+KEY_STEP = _U64(0x85EBCA77C2B2AE63)
 
 
 # splitmix64's round multipliers and shifts, and the bits of 1.0 and of
@@ -95,6 +99,11 @@ def mix(*parts):
         scalar = isinstance(p, (int, np.generic)) and isinstance(acc, np.generic)
         acc = splitmix64(int(acc) ^ int(p) if scalar else acc ^ np.asarray(p, dtype=_U64))
     return acc
+
+
+def step_keys(seed, k):
+    """Key of step k of the run seeded ``seed``; either may be a uint64 array."""
+    return mix(seed, KEY_STEP, k)
 
 
 def float_bits(t: float):

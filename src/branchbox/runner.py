@@ -35,6 +35,7 @@ from .branching import (
     Tables,
     _block_steps,
     _exact_chain,
+    _periods,
     _site_ensemble,
     apportion_counts,
     evolve_ensemble_steps,
@@ -59,7 +60,7 @@ from .density import (
     von_neumann_entropy,
 )
 from .model import PhysicalParams, bin_weights, spread_variance
-from .rng import lineage_hash_child, mix
+from .rng import lineage_hash_child, mix, step_keys
 from .stats import (
     VarianceSeries,
     _coarse_histograms,
@@ -209,8 +210,8 @@ def _series(ensembles, c: RunConfig, size: int, capture_at: tuple[int, ...] = ()
 
 
 def _run_engine(c: RunConfig, capture_at: tuple[int, ...] = ()):
-    """Evolve a midbox ensemble ``c.steps`` steps from seed ``c.seed``, logging one
-    series row per step.
+    """Evolve a midbox ensemble over the ``c.steps`` step keys of seed ``c.seed``,
+    logging one series row per step.
 
     The ``evolve_ensemble_steps`` generator schedules and walks the steps a
     block at a time, and their rows are built a block's steps at a time
@@ -218,8 +219,8 @@ def _run_engine(c: RunConfig, capture_at: tuple[int, ...] = ()):
     """
     e = midbox_ensemble(c.params, c.mode)
     cap = 1 if c.mode == "collapse" else c.max_branches  # collapse: the cap at one branch
-    rng = np.random.Generator(np.random.PCG64(c.seed))
-    steps = evolve_ensemble_steps(e, cap, rng, c.steps, timing=c.timing)
+    keys = step_keys(c.seed, np.arange(c.steps, dtype=np.uint64))
+    steps = evolve_ensemble_steps(e, cap, keys, timing=c.timing)
     return _series(chain([e], steps), c, _block_steps(c.params, cap), capture_at)
 
 
@@ -409,10 +410,9 @@ def _scenario_born(c: RunConfig):
         _uniqueness_check(after),
     ]
 
-    # stochastic-timing variant: a random event interval, counts tested
-    # against the weights realized at that interval
-    rng = np.random.Generator(np.random.PCG64(c.seed))
-    dt_random = float(rng.exponential(p.tau))
+    # stochastic-timing variant: the Poisson period of step key 0, counts
+    # tested against the weights realized at that interval
+    dt_random = float(_periods(step_keys(c.seed, np.zeros(1, np.uint64)), p.tau, "poisson")[0])
     weights_r, counts_r, _ = _born_event(p, initial, dt_random)
     obs, exp = pool_small_cells(counts_r, weights_r)
     chi = chi_square_frequencies(obs, exp, alpha=0.001)

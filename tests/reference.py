@@ -372,10 +372,10 @@ def unit_uniform_array(key):
     return (np.asarray(bits >> 12, dtype=np.float64) + 0.5) * 2.0**-52
 
 
-def cap_probe_phases(k, step_seed, key_cap):
-    """Probe j's phase: unit_uniform((step_seed ^ key_cap) + j * gamma)."""
+def cap_probe_phases(k, step_key, key_cap):
+    """Probe j's phase: unit_uniform((step_key ^ key_cap) + j * gamma)."""
     j = np.arange(k, dtype=np.uint64)
-    return unit_uniform_array((step_seed ^ key_cap) + j * np.uint64(SPLITMIX_GAMMA))
+    return unit_uniform_array((step_key ^ key_cap) + j * np.uint64(SPLITMIX_GAMMA))
 
 
 def probe_cells(mass, u):

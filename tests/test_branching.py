@@ -35,7 +35,7 @@ from branchbox.model import (
     PhysicalParams, bin_weight_rows, bin_weights, reflect_center, spread_variance,
 )
 from branchbox.rng import (
-    KEY_CAP, KEY_TIMING, lineage_hash_child, lineage_hash_root, mix, unit_uniform,
+    KEY_CAP, KEY_TIMING, lineage_hash_child, lineage_hash_root, mix, step_keys, unit_uniform,
 )
 from branchbox.runner import BORN_TOTAL_COUNT, _born_event
 from branchbox.stats import _coarse_histograms, _entropy_tv, _position_masses
@@ -565,29 +565,29 @@ def _steady_ensemble(n):
     return initial_ensemble(np.zeros(n, np.int64), np.ones(n, np.int64), np.arange(n))
 
 
-def _seed_for_hash(z, probe):
-    """The step seed whose cap probe ``probe`` hashes to the 64 bits z:
-    (seed ^ KEY_CAP) + (probe + 1) * gamma is the input of the rounds."""
+def _key_for_hash(z, probe):
+    """The step key whose cap probe ``probe`` hashes to the 64 bits z:
+    (key ^ KEY_CAP) + (probe + 1) * gamma is the input of the rounds."""
     x = reference.splitmix64_unrounds(z)
-    seed = ((x - (probe + 1) * reference.SPLITMIX_GAMMA) % 2**64) ^ int(KEY_CAP)
+    key = ((x - (probe + 1) * reference.SPLITMIX_GAMMA) % 2**64) ^ int(KEY_CAP)
     assert int(reference.splitmix64_array(
-        np.uint64(((seed ^ int(KEY_CAP)) + probe * reference.SPLITMIX_GAMMA) % 2**64))) == z
-    return seed
+        np.uint64(((key ^ int(KEY_CAP)) + probe * reference.SPLITMIX_GAMMA) % 2**64))) == z
+    return key
 
 
 @st.composite
 def walk_cases(draw):
-    """(cap, timing, seeds, first step, targets): a steady block of one or many
+    """(cap, timing, keys, first step, targets): a steady block of one or many
     rows, caps from 1 to 2**17 (1 to 4096 buckets), and probes aimed at the
     top of a bucket or next to a CDF entry, as (row, probe, kind, a, b)."""
     bits = draw(st.integers(0, 17))
     cap = draw(st.integers(2**bits, min(2**(bits + 1) - 1, 2**17)))
     rows = draw(st.integers(1, 3 if cap > 2**14 else 16))
-    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=rows, max_size=rows))
+    keys = draw(st.lists(st.integers(0, 2**64 - 1), min_size=rows, max_size=rows))
     target = st.tuples(st.integers(0, rows - 1), st.integers(0, cap - 1),
                        st.sampled_from(("top", "entry")), st.integers(0, 2**12 - 1),
                        st.integers(-1, 1))
-    return (cap, draw(st.sampled_from(("poisson", "deterministic"))), seeds,
+    return (cap, draw(st.sampled_from(("poisson", "deterministic"))), keys,
             draw(st.integers(0, rows - 1)), draw(st.lists(target, max_size=4)))
 
 
@@ -603,11 +603,11 @@ def walk_cases(draw):
                                            (1, 0, "top", 4095, 0)]))
 def test_walk_reads_buckets_from_the_hash_bits(case):
     # the steady walk's bins are the phases' bins on each step's CDF, bit for
-    # bit; a targeted row's seed is replaced after its kernel is drawn, as
-    # the walk reads a step's kernel and its seed apart
-    cap, timing, seeds, k, targets = case
+    # bit; a targeted row's key is replaced after its kernel is drawn, as
+    # the walk reads a step's kernel and its key apart
+    cap, timing, keys, k, targets = case
     e = _steady_ensemble(cap)
-    s = branching._Schedule(e, cap, np.array(seeds, np.uint64), timing)
+    s = branching._Schedule(e, cap, np.array(keys, np.uint64), timing)
     nb = s.lookup(0)[1].size - 1
     for row, probe, kind, a, b in targets:
         if kind == "top":  # the last hash of bucket a
@@ -616,10 +616,10 @@ def test_walk_reads_buckets_from_the_hash_bits(case):
             cdf = s.lookup(row)[0]
             m = int(cdf[a % cdf.size] * 2**52) + b
             z = (min(max(m, 0), 2**52 - 1) << 12) | (a * 2654435761 % 2**12)
-        s.seed[row] = _seed_for_hash(z, probe)
-    cdf, index = s.lookup(k, len(seeds))
-    u = branching._cap_probe_phases(e.tables.ladder(cap), s.seed[k:, None])
-    bins = branching._walk_bins(e, s, k, len(seeds))
+        s.key[row] = _key_for_hash(z, probe)
+    cdf, index = s.lookup(k, len(keys))
+    u = branching._cap_probe_phases(e.tables.ladder(cap), s.key[k:, None])
+    bins = branching._walk_bins(e, s, k, len(keys))
     np.testing.assert_array_equal(bins, _cdf_search(cdf, u, index))
     for row, (b, phase) in enumerate(zip(bins, u), k):
         np.testing.assert_array_equal(b, np.searchsorted(s.lookup(row)[0], phase, side="left"))
@@ -740,7 +740,7 @@ def test_capped_variance_unbiased_over_seeds():
 
 
 def test_cap_keyed_is_deterministic():
-    # the capped step's selection is keyed off the step seed alone
+    # the capped step's selection is keyed off the step key alone
     e = _uncapped(midbox_ensemble(P), 2, 10)
     a = evolve_ensemble_step(e, P, 8, 40, gen(0xABCDEF))
     b = evolve_ensemble_step(e, P, 8, 40, gen(0xABCDEF))
@@ -805,8 +805,8 @@ def test_evolve_reproducible_from_seed():
     assert not np.array_equal(a.weight, c.weight)
 
 
-def _step_seed(r):
-    """The step seed ``evolve_ensemble_step`` draws next from ``r``, drawn from a copy."""
+def _step_key(r):
+    """The step key ``evolve_ensemble_step`` draws next from ``r``, drawn from a copy."""
     return np.uint64(copy.deepcopy(r).integers(0, 2**64, dtype=np.uint64))
 
 
@@ -815,7 +815,7 @@ def _step_rows(e, cap, r, timing="deterministic"):
     the step ``evolve_ensemble_step`` takes next from ``r``, drawn from a copy.  In
     the steady state the parents are None: parent g keeps exactly row g, on the
     bin the walk finds."""
-    s = branching._Schedule(e, cap, np.array([_step_seed(r)]), timing)
+    s = branching._Schedule(e, cap, np.array([_step_key(r)]), timing)
     if branching._steady(e, cap):
         rows = None, branching._walk_bins(e, s, 0, 1)[0], e.weight
     else:
@@ -839,7 +839,7 @@ def _materialize_then_cap(e, p, cap, seed):
     nk = branching._offset_kernel(p.tau, p)[0].size
     full = evolve_ensemble_step(e, p, 8, 10**9, gen(seed))
     assert full.n_branches == e.n_branches * nk > cap
-    u = reference.cap_probe_phases(cap, _step_seed(gen(seed)), KEY_CAP)
+    u = reference.cap_probe_phases(cap, _step_key(gen(seed)), KEY_CAP)
     idx, hits = reference.stratified_hits(full.weight, u, np.arange(e.n_branches) * nk, e.weight)
     g, b = np.divmod(idx, nk)
     return g, b, full.site[idx], hits, _tags_at_splits(g, b, e, full.time)
@@ -861,7 +861,7 @@ def _assert_fast_path_matches(e, cap, seed, p=P):
 
 def test_evolve_fast_path_matches_materialize_then_cap():
     # the capped weighted fast path must be bit-identical to building
-    # every offspring row and then capping with the same step seed
+    # every offspring row and then capping with the same step key
     e = midbox_ensemble(P)
     e = evolve_ensemble_step(e, P, 8, 10**9, gen(33))
     _assert_fast_path_matches(e, 37, 99)
@@ -1052,31 +1052,41 @@ def test_kernel_rows_are_bin_weights_row_by_row(variances, h, center):
         assert (w[i, :size[i]] > 0).all() and not w[i, size[i]:].any()
 
 
-@pytest.mark.parametrize("timing", ["deterministic", "poisson"])
-@pytest.mark.parametrize("cap", [1, 300, 2000, 20_000])
-def test_steps_equal_chained_single_steps(cap, timing):
-    # n steps of the schedule-first generator are n chained one-step calls,
-    # bit for bit, over blocks that end mid-run, steps before and inside the
-    # steady walk, and ensembles kept from interior steps.  The event times
-    # are math.log's of each step's own timing uniform, summed in step order
-    start = midbox_ensemble(P)
-    block = branching._block_steps(P, cap)
-    assert block == {1: 64, 300: 64, 2000: 16, 20_000: 1}[cap]
-    n = 2001 if cap == 1 else 2 * block + 3
-    walked = list(branching.evolve_ensemble_steps(start, cap, gen(5), n, timing=timing))
-    e, r, chained = start, gen(5), []
-    for _ in range(n):
-        e = evolve_ensemble_step(e, P, 8, cap, r, timing=timing)
-        chained.append(e)
-    assert len(walked) == n
+def _assert_same_steps(walked, chained):
+    """Two sequences of ensembles agree bit for bit, step for step."""
+    assert len(walked) == len(chained)
     for a, b in zip(walked, chained):
         for name in ("site", "weight", "lineage_hash"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert (a.time, a.next_uid) == (b.time, b.next_uid)
-    seeds = gen(5).integers(0, 2**64, size=n, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("timing", ["deterministic", "poisson"])
+@pytest.mark.parametrize("cap", [1, 300, 2000, 20_000])
+def test_steps_equal_chained_single_steps(cap, timing):
+    # the schedule-first generator over n keys is n chained one-key calls,
+    # bit for bit, over blocks that end mid-run, steps before and inside the
+    # steady walk, and ensembles kept from interior steps.  A run resumed at
+    # step k, on and off a block boundary, from its ensemble there and
+    # keys[k:] is the same run.  The event times are math.log's of each
+    # step's own timing uniform, summed in step order
+    start = midbox_ensemble(P)
+    block = branching._block_steps(P, cap)
+    assert block == {1: 64, 300: 64, 2000: 16, 20_000: 1}[cap]
+    n = 2001 if cap == 1 else 2 * block + 3
+    keys = step_keys(5, np.arange(n, dtype=np.uint64))
+    walked = list(branching.evolve_ensemble_steps(start, cap, keys, timing=timing))
+    e, chained = start, []
+    for k in range(n):
+        e = next(branching.evolve_ensemble_steps(e, cap, keys[k:k + 1], timing=timing))
+        chained.append(e)
+    _assert_same_steps(walked, chained)
+    for k in sorted({block, block + 1, block // 2 + 1, n - 1}):
+        resumed = branching.evolve_ensemble_steps(walked[k - 1], cap, keys[k:], timing=timing)
+        _assert_same_steps(walked[k:], list(resumed))
     dt = [P.tau if timing == "deterministic" else
-          -P.tau * math.log(float(unit_uniform(mix(seed ^ KEY_TIMING)))) for seed in seeds]
-    assert branching._periods(seeds, P.tau, timing).tolist() == dt
+          -P.tau * math.log(float(unit_uniform(mix(key ^ KEY_TIMING)))) for key in keys]
+    assert branching._periods(keys, P.tau, timing).tolist() == dt
     t = 0.0
     for period, a in zip(dt, walked):
         t += period
@@ -1085,6 +1095,10 @@ def test_steps_equal_chained_single_steps(cap, timing):
     if cap == 2000:
         # the steady walk takes over within the first block, and holds
         assert 0 < steady.index(True) < block and all(steady[steady.index(True):])
+    # the one-step API is the one-key call on the key it draws from its rng
+    one = evolve_ensemble_step(start, P, 8, cap, gen(5), timing=timing)
+    key = gen(5).integers(0, 2**64, size=1, dtype=np.uint64)
+    _assert_same_steps([one], list(branching.evolve_ensemble_steps(start, cap, key, timing=timing)))
 
 
 def test_zero_spread_steps_equal_chained_single_steps(monkeypatch):
@@ -1104,22 +1118,20 @@ def test_zero_spread_steps_equal_chained_single_steps(monkeypatch):
 
     periods = branching._periods
 
-    def with_short_periods(seed, tau, timing):
-        dt = periods(seed, tau, timing)
-        dt[seed % 4 == 0] = 1e-9
+    def with_short_periods(key, tau, timing):
+        dt = periods(key, tau, timing)
+        dt[key % 4 == 0] = 1e-9
         return dt
 
     monkeypatch.setattr(branching, "_periods", with_short_periods)
     n, cap = 35, 2000
-    short = np.flatnonzero(gen(5).integers(0, 2**64, size=n, dtype=np.uint64) % 4 == 0)
-    walked = list(branching.evolve_ensemble_steps(
-        midbox_ensemble(P), cap, gen(5), n, timing="poisson"))
-    e, r = midbox_ensemble(P), gen(5)
+    keys = step_keys(5, np.arange(n, dtype=np.uint64))
+    short = np.flatnonzero(keys % 4 == 0)
+    walked = list(branching.evolve_ensemble_steps(midbox_ensemble(P), cap, keys, timing="poisson"))
+    e = midbox_ensemble(P)
     for k, a in enumerate(walked):
-        b = evolve_ensemble_step(e, P, 8, cap, r, timing="poisson")
-        for name in ("site", "weight", "lineage_hash"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        assert (a.time, a.next_uid) == (b.time, b.next_uid)
+        b = next(branching.evolve_ensemble_steps(e, cap, keys[k:k + 1], timing="poisson"))
+        _assert_same_steps([a], [b])
         if k in short:
             np.testing.assert_array_equal(b.site, e.site)
         e = b
@@ -1195,7 +1207,7 @@ def test_collapse_step_is_the_weighted_step_at_cap_one(p, timing):
     e, r = midbox_ensemble(p, "collapse"), gen(43)
     for _ in range(20):
         e = dataclasses.replace(e, time=0.0)  # so the event time is the period itself
-        u = reference.cap_probe_phases(1, _step_seed(r), KEY_CAP)
+        u = reference.cap_probe_phases(1, _step_key(r), KEY_CAP)
         out = evolve_ensemble_step(e, p, 8, 1, r, timing=timing)
         step, kern = branching._offset_kernel(out.time, p)
         picked = np.searchsorted(_kernel_cdf(kern), u)
@@ -1236,10 +1248,8 @@ def test_batch_matches_sequential_collapse_evolution():
     for p in (P, PhysicalParams(w=0.3, L=20.0)):
         batch = run_collapse_trajectories(p, 8, steps, master)
         for i in range(8):
-            e = midbox_ensemble(p, "collapse")
-            r = gen(trajectory_seed(master, i))
-            for _ in range(steps):
-                e = evolve_ensemble_step(e, p, 8, 1, r)
+            keys = step_keys(trajectory_seed(master, i), np.arange(steps, dtype=np.uint64))
+            *_, e = branching.evolve_ensemble_steps(midbox_ensemble(p, "collapse"), 1, keys)
             assert e.center[0] == batch.center[i]
             assert e.time == batch.time
 

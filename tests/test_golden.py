@@ -40,38 +40,38 @@ CASES = {
 GOLDEN = {
     "born_test": (
         "4d6dd077e9a3c6af85b617f087fe3cc9f475e99121f256fd593366b8fc90e289",
-        "dcbd1643685bfdb02c131aeb248502166a247cc3cce7f04067f8dc4f97a237ba",
+        "0a9743d7bfc7dabbb80c1aeb245665a6e329e573f9e90a9ddb02585f72b10d09",
     ),
     "collapse_compare": (
         "0e6126a0a8c77d282467a841a01927814837f4cf036c437b84e901872c2f1a43",
-        "8bf5fdd66083a45fa0d88c537db3133edfd4f1a9a349ab9a5e0295d9d4e49705",
+        "207aba1164f28f67e6f9acd0e1f786e72e96374ef44711f52e724d87df00dda7",
     ),
     "freespread": (
-        "c5ac9915db185d2c17cc9c2205a3833ba8871539cf5b22962c4cc788e1786fc8",
-        "89f3a91d44bcf159e6630d95e04b6c22c26c3fc7ffd6316d75b3d7220c4f9bf7",
+        "383abf605447e0b0778c333b1bf229445a16708fbbe73114cbd7a3169db4c1b6",
+        "d693606c3d451da4b77a498a04212a406f265f906ae67248901b56c5d69b1209",
     ),
     "liouville_check": (
         "c01709278759241b63052a5a3a78ca9897cd2760f10820448116dfc832c7971b",
         "4b2032bcc258ab5186d09bc7233814b04e9ef5a0cd27ffcb3074cb456fa5b83d",
     ),
     "midbox": (
-        "d58c60deebf5598151e55455363845212b6425b68c433f3b566c91dfb660033c",
-        "425054543bca3c3c5f5283e9f732cf042786edee51e4b230f5bbc20a8d36693e",
+        "9300d692c4bd75bd05b71c707d33eebf41ef8f8c408ad0487a6755a377310384",
+        "71eada765a94389f3e2cd4457fb08212b283e30391a0ee141b43976e2025d749",
     ),
     "midbox_capped_distinct": (
-        "788ed57259b9042a9188b3ffa11ff0ce1ed190265be13f0e4919c860f4bd7b15",
-        "dcc595267595fd6f15b9255bb6ae3421f1f7312163729ce5d0c9016ab09c4568",
+        "ada5b01d169eb8c95202f5ab867759c3dc1ca439facd0279ce15eab42db12856",
+        "bf4d4e4058b3e9cf7fa67f8512cd76f5a58753be0b343a0c52d016bc6176ec7c",
     ),
     "midbox_collapse_poisson": (
-        "3dc13a5096393d3afb63b89324f9f59fdd104dfb714785c15d6e1b287278fee3",
-        "273533b2d28c0ac232fe3fc1ee93162376d7016296ce534bdb21b41f08e4a6c9",
+        "e3f45517361496c7bd4954b6058ca05ed4bd036fdca1f974b0636e475e3f56b9",
+        "c6bb2812316575c63c8b15b6aadca36e363a19b7a9b223364ca919ac31e27f60",
     ),
     "midbox_offlattice": (
-        "d93c7f745a4550c99a1f79700da218577702313e45337fefdcf8471db2def83a",
-        "20b08f97cb401490fbdeb7716ec6961bff8b7cf4c5e9a707f64d3dd18ec6e3fb",
+        "55179d4e6c3f47e87400fc451803faad0a1e887e916d7a76d4b51129f836912e",
+        "b888107eb2e32d45da6dc1a5a5687f8661b4418f0f8cc76040005e324e827743",
     ),
     "peres_test": (
-        "ec7a209efe6197fe2091ec976e3f143589e43b45ba0de0f8cbcd3addb96da686",
+        "f31c87a442023e97530f9e8442d1119a682d3a90787b2e03f9376c42d5845466",
         "9e0cfc46fe57f09e7a1138c64cc78bfba7f147ced4c997a6ec5523962e5b09a4",
     ),
 }

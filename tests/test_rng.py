@@ -11,12 +11,14 @@ from branchbox.rng import (
     KEY_CAP,
     KEY_PRUNE,
     KEY_ROOT,
+    KEY_STEP,
     KEY_TIMING,
     float_bits,
     lineage_hash_child,
     lineage_hash_root,
     mix,
     splitmix64,
+    step_keys,
     unit_uniform,
 )
 
@@ -102,8 +104,23 @@ def test_scalar_paths_equal_array_paths():
 
 
 def test_purpose_keys_distinct():
-    keys = {int(KEY_CAP), int(KEY_PRUNE), int(KEY_TIMING), int(KEY_ROOT)}
-    assert len(keys) == 4
+    keys = {int(KEY_CAP), int(KEY_PRUNE), int(KEY_TIMING), int(KEY_ROOT), int(KEY_STEP)}
+    assert len(keys) == 5
+
+
+def test_step_keys_are_a_counter_based_stream():
+    # step k's key is mix(seed, KEY_STEP, k) whether seeds or steps come as
+    # scalars or arrays: a run's keys from k on are the keys of steps k ..,
+    # and a batch's keys at step k are each trajectory's own
+    seeds = [0, 7, MASK]
+    steps = np.arange(50, dtype=np.uint64)
+    for s in seeds:
+        run = step_keys(s, steps)
+        assert run.dtype == np.uint64 and np.unique(run).size == steps.size
+        assert [int(step_keys(s, k)) for k in range(50)] == run.tolist()
+        assert int(run[3]) == int(mix(np.uint64(s), KEY_STEP, np.uint64(3)))
+    batch = step_keys(np.array(seeds, np.uint64), 3)
+    assert batch.tolist() == [int(step_keys(s, 3)) for s in seeds]
 
 
 def test_unit_uniform_range_and_determinism():
@@ -193,7 +210,7 @@ def test_cap_probe_phases_equal_the_stream_formula(k):
         got = branching._cap_probe_phases(tables.ladder(k), np.uint64(seed))
         assert got.shape == (k,)
         np.testing.assert_array_equal(got, reference.cap_probe_phases(k, np.uint64(seed), KEY_CAP))
-    # a vector of step seeds at one probe, as the collapse batch draws them
+    # a vector of step keys at one probe, as the collapse batch derives them
     seeds = _random_keys(23, 50)
     np.testing.assert_array_equal(
         branching._cap_probe_phases(tables.ladder(1), seeds),

@@ -17,6 +17,7 @@ from branchbox import branching, runner, stats
 from branchbox.cli import main
 from branchbox.config import LIOUVILLE_GRID, config_lines, parse_config
 from branchbox.density import UnitaryPropagator, grid_points, random_mixed_state
+from branchbox.rng import step_keys
 from branchbox.runner import CSV_COLUMNS, run_scenario
 
 import reference
@@ -303,8 +304,8 @@ def test_liouville_runs_at_its_grid_limit(tmp_path):
 def _engine_ensembles(c):
     """The ensembles whose rows ``runner._run_engine`` logs: the start, then each step's."""
     e = branching.midbox_ensemble(c.params, c.mode)
-    rng = np.random.Generator(np.random.PCG64(c.seed))
-    steps = branching.evolve_ensemble_steps(e, c.max_branches, rng, c.steps, timing=c.timing)
+    keys = step_keys(c.seed, np.arange(c.steps, dtype=np.uint64))
+    steps = branching.evolve_ensemble_steps(e, c.max_branches, keys, timing=c.timing)
     return list(chain([e], steps))
 
 
