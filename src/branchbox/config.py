@@ -40,6 +40,16 @@ TIMINGS = ("deterministic", "poisson")
 LIOUVILLE_GRID = 128
 PERES_GRID = 256
 
+# the memory model a run must fit in MEMORY_BUDGET by.  Per branch of the cap:
+# 24 B of ensemble arrays (site, weight, lineage hash) and about 80 B of a
+# capped step's mass and probe temporaries.  Per step: one series row (a tuple
+# of seven Python numbers) and one 8 B step key.  Both are tracemalloc peaks of
+# midbox runs: 104 B per branch at caps 1e4 to 4e5, 301 B per step of slope
+# from 2000 to 20000 steps.
+MEMORY_BUDGET = 4 * 2**30
+_BRANCH_BYTES = 104
+_STEP_BYTES = 300
+
 _PARAM_KEYS = ("m", "w", "tau", "hbar", "L")
 _INT_KEYS = ("steps", "fanout", "max_branches", "bins", "seed")
 _STR_KEYS = ("scenario", "mode", "timing", "output_dir")
@@ -87,6 +97,23 @@ class RunConfig:
                 f"w = {self.params.w}; coarse-graining requires L/bins >= w"
             )
         self._check_scenario()
+        self._check_memory()
+
+    def _check_memory(self):
+        """Refuse a run the memory model puts over MEMORY_BUDGET, naming the key
+        of the larger share.  Weighted engine runs grow to the cap; born_test's
+        event, collapse (the cap at one branch) and liouville_check do not."""
+        grows = self.mode == "weighted" and self.scenario != "liouville_check"
+        shares = {"max_branches": _BRANCH_BYTES * self.max_branches if grows else 0,
+                  "steps": _STEP_BYTES * (self.steps + 1)}
+        need = sum(shares.values())
+        if need > MEMORY_BUDGET:
+            key = max(shares, key=shares.get)
+            raise ConfigError(
+                f"{key}: {self.steps} steps at cap {self.max_branches} need about "
+                f"{need / 2**30:.3g} GiB ({_BRANCH_BYTES} B per branch of the cap, "
+                f"{_STEP_BYTES} B per step), over the {MEMORY_BUDGET / 2**30:g} GiB budget"
+            )
 
     def _check_scenario(self):
         p = self.params

@@ -6,8 +6,10 @@ evolution, absence of recoherence for tagged components, diffusive
 spreading) has an exact counterpart on a modest position grid.  This
 module provides that counterpart: hard-wall box Hamiltonians, unitary
 propagation and O(n^2) position densities in their closed-form DST-I sine
-eigenbasis, the width-w Gaussian localization channel, von Neumann
-entropy, interference visibility, and a classical reflected random walk.
+eigenbasis, the width-w Gaussian localization channel, random mixtures
+drawn as a rank-r factor, von Neumann entropy (of a matrix, or of a
+mixture from its factor), interference visibility, and a classical
+reflected random walk.
 
 Grid convention: n interior points x_i = i*dx, i = 1..n, with dx =
 L/(n+1); hard walls sit at 0 and L.  Wavefunctions and density matrices
@@ -34,11 +36,14 @@ __all__ = [
     "packet_state",
     "superpose",
     "mixture_density",
+    "random_mixed_factor",
+    "factor_density",
     "random_mixed_state",
     "UnitaryPropagator",
     "SineDiagonal",
     "grw_localization_channel",
     "von_neumann_entropy",
+    "factor_entropy",
     "interference_visibility",
     "fringe_content",
     "classical_random_walk_oracle",
@@ -181,15 +186,16 @@ def mixture_density(
     return GridDensityMatrix(rho, dx)
 
 
-def random_mixed_state(
+def random_mixed_factor(
     n: int, p: PhysicalParams, rng: np.random.Generator,
     rank: int | None = None, n_modes: int = 16,
-) -> GridDensityMatrix:
-    """Random mixture of smooth random states (positive by construction).
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The draw of ``random_mixed_state``: (psi, weights, dx) of rho = sum_k w_k psi_k psi_k^H.
 
-    Components are random superpositions of the lowest box sine modes,
-    so they respect the walls and have structure on scales the grid and
-    the localization channel both resolve.
+    psi holds ``rank`` continuum-normalized columns, random superpositions
+    of the lowest box sine modes, so they respect the walls and have
+    structure on scales the grid and the localization channel both
+    resolve; the weights are a Dirichlet draw summing to 1.
     """
     if rank is None:
         rank = int(rng.integers(1, 9))
@@ -202,9 +208,23 @@ def random_mixed_state(
     c = rng.normal(size=(rank, 2, n_modes))
     psi = modes @ (c[:, 0] + 1j * c[:, 1]).T
     psi /= np.linalg.norm(psi, axis=0) * math.sqrt(dx)
+    return psi, weights, dx
+
+
+def factor_density(psi: np.ndarray, weights: np.ndarray, dx: float) -> GridDensityMatrix:
+    """The mixture sum_k w_k psi_k psi_k^H of a factor's columns, as one product."""
     rho = (psi * weights) @ psi.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return GridDensityMatrix(rho, dx)
+    return GridDensityMatrix(0.5 * (rho + rho.conj().T), dx)
+
+
+def random_mixed_state(
+    n: int, p: PhysicalParams, rng: np.random.Generator,
+    rank: int | None = None, n_modes: int = 16,
+) -> GridDensityMatrix:
+    """Random mixture of smooth random states (positive by construction):
+    ``factor_density`` of ``random_mixed_factor``'s draw.  Its entropy is
+    ``factor_entropy`` of that draw, with no n x n eigensolve."""
+    return factor_density(*random_mixed_factor(n, p, rng, rank, n_modes))
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +369,24 @@ def _localization_factor(n: int, dx: float, w: float) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: GridDensityMatrix) -> float:
-    """Tr(-rho ln rho) in nats, from the eigenvalues of rho * dx.
+    """Tr(-rho ln rho) in nats, from a full solve for the eigenvalues of rho * dx
+    (``_spectrum_entropy``); ``factor_entropy`` gives a mixture's from its factor."""
+    return _spectrum_entropy(np.linalg.eigvalsh(rho.elements) * rho.dx)
 
-    Eigenvalues are clamped into [0, 1] within 1e-12 of tolerance; a
-    value below -1e-10 means the input is not a valid state and raises.
+
+def factor_entropy(psi: np.ndarray, weights: np.ndarray, dx: float) -> float:
+    """``von_neumann_entropy`` of ``factor_density(psi, weights, dx)``, from its factor.
+
+    rho * dx = A A^H with A = psi sqrt(w dx), whose nonzero eigenvalues are
+    those of the rank x rank Gram matrix A^H A (``_spectrum_entropy``).
     """
-    lam = np.linalg.eigvalsh(rho.elements) * rho.dx
+    a = psi * np.sqrt(weights * dx)
+    return _spectrum_entropy(np.linalg.eigvalsh(a.conj().T @ a))
+
+
+def _spectrum_entropy(lam: np.ndarray) -> float:
+    """-sum lam ln lam of a state's spectrum, each eigenvalue clamped into [0, 1];
+    a value below -1e-10 means the input is not a valid state and raises."""
     if lam.min() < -1e-10:
         raise ValueError(
             f"density matrix has eigenvalue {lam.min():.3e} below -1e-10; not a valid state"

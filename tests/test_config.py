@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from branchbox import config
 from branchbox.config import (
     LIOUVILLE_GRID,
     PERES_GRID,
@@ -220,6 +221,28 @@ def test_count_mode_is_born_only(scenario):
     valid = {"freespread": {"L": 10_000.0}, "peres_test": {"L": 40.0}}.get(scenario, {})
     with pytest.raises(ConfigError, match="^mode: "):
         parse_config("", {"scenario": scenario, "mode": "count"} | valid)
+
+
+def test_memory_model_refuses_runs_over_the_budget():
+    # parse_config only: none of these configs may be run
+    with pytest.raises(ConfigError, match="^max_branches: .* over the 4 GiB budget"):
+        parse_config("", {"max_branches": 10**9})
+    with pytest.raises(ConfigError, match="^steps: .* over the 4 GiB budget"):
+        parse_config("", {"steps": 10**10})
+    with pytest.raises(ConfigError, match="^steps: "):
+        parse_config("", {"scenario": "liouville_check", "steps": 10**10})
+    # the budget is the edge: the largest cap it holds at 1 step, and one more
+    steps_share = 2 * config._STEP_BYTES
+    cap = (config.MEMORY_BUDGET - steps_share) // config._BRANCH_BYTES
+    assert parse_config("", {"steps": 1, "max_branches": cap}).max_branches == cap
+    with pytest.raises(ConfigError, match="^max_branches: "):
+        parse_config("", {"steps": 1, "max_branches": cap + 1})
+    # no ensemble grows to the cap: born_test's event, collapse and liouville_check
+    for overrides in ({"scenario": "born_test", "mode": "count"},
+                      {"scenario": "midbox", "mode": "collapse"},
+                      {"scenario": "collapse_compare", "mode": "collapse"},
+                      {"scenario": "liouville_check"}):
+        parse_config("", overrides | {"max_branches": 10**9})
 
 
 def test_config_lines_round_trip():

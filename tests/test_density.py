@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchbox import density, runner
 from branchbox.config import LIOUVILLE_GRID, parse_config
@@ -14,12 +16,15 @@ from branchbox.density import (
     UnitaryPropagator,
     build_box_hamiltonian,
     classical_random_walk_oracle,
+    factor_density,
+    factor_entropy,
     fringe_content,
     grid_points,
     grw_localization_channel,
     interference_visibility,
     mixture_density,
     packet_state,
+    random_mixed_factor,
     random_mixed_state,
     superpose,
     von_neumann_entropy,
@@ -158,15 +163,41 @@ def test_random_mixed_state_is_valid():
 
 def test_random_mixed_state_is_the_per_component_sum():
     # one product of the weighted components equals the sum of their outer
-    # products, and both consume the same draws in the same order
-    for seed, rank in ((12, None), (13, 1), (14, 8)):
-        a = np.random.Generator(np.random.PCG64(seed))
-        b = np.random.Generator(np.random.PCG64(seed))
+    # products, and both consume the same draws in the same order; the
+    # factor's draw and its product are random_mixed_state's, bit for bit
+    for seed, rank in ((12, None), (13, 1), (14, 8), (15, 10)):
+        a, b, c = (np.random.Generator(np.random.PCG64(seed)) for _ in range(3))
         got = random_mixed_state(128, P, a, rank=rank).elements
         want = reference.random_mixed_state(
             128, P.L, b, int(b.integers(1, 9)) if rank is None else rank)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-        assert a.normal() == b.normal()
+        psi, weights, dx = random_mixed_factor(128, P, c, rank=rank)
+        assert psi.shape == (128, weights.size) and dx == grid_points(128, P)[1]
+        assert factor_density(psi, weights, dx).elements.tobytes() == got.tobytes()
+        assert a.normal() == b.normal() == c.normal()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), rank=st.none() | st.integers(1, 10))
+def test_factor_entropy_equals_the_full_solve(seed, rank):
+    # two implementations of one entropy: the rank x rank Gram matrix of the
+    # factor, and eigvalsh of the n x n matrix the factor builds
+    factor = random_mixed_factor(LIOUVILLE_GRID, P, np.random.Generator(np.random.PCG64(seed)),
+                                 rank=rank)
+    full = von_neumann_entropy(factor_density(*factor))
+    assert factor_entropy(*factor) == pytest.approx(full, rel=0, abs=1e-12)
+
+
+def test_factor_entropy_limits():
+    for seed in range(20):
+        factor = random_mixed_factor(128, P, np.random.Generator(np.random.PCG64(seed)), rank=1)
+        assert abs(factor_entropy(*factor)) <= 1e-15
+    # two orthogonal sine modes at equal weight
+    x, dx = grid_points(128, P)
+    psi = np.sin(np.outer(x, [1, 2]) * math.pi / P.L).astype(complex)
+    psi /= np.linalg.norm(psi, axis=0) * math.sqrt(dx)
+    assert factor_entropy(psi, np.array([0.5, 0.5]), dx) == pytest.approx(
+        math.log(2), rel=0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ GOLDEN = {
     ),
     "liouville_check": (
         "c01709278759241b63052a5a3a78ca9897cd2760f10820448116dfc832c7971b",
-        "4b2032bcc258ab5186d09bc7233814b04e9ef5a0cd27ffcb3074cb456fa5b83d",
+        "0e12c9c89c61c36878380e28303f2390c5ae12809c4c42b4ac7468166da46059",
     ),
     "midbox": (
         "9300d692c4bd75bd05b71c707d33eebf41ef8f8c408ad0487a6755a377310384",

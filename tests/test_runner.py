@@ -408,6 +408,25 @@ def test_liouville_series_blocks_equal_the_per_step_rows(steps):
         np.testing.assert_allclose(g[3:], w[3:], rtol=1e-12, atol=0, err_msg=f"row {t}")
 
 
+def test_liouville_solves_only_the_matrices_it_checks(monkeypatch):
+    # each input's entropy is its rank <= 10 factor's; the 20 evolved states
+    # and the 100 channel outputs each take a full 128 x 128 solve
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    c = parse_config("", {"scenario": "liouville_check", "steps": 20, "seed": 2025})
+    checks = runner._scenario_liouville(c)[2]
+    assert all(ch.passed for ch in checks)
+    assert sizes.count(LIOUVILLE_GRID) == 120
+    assert sum(1 for n in sizes if n <= 10) == 120
+    assert len(sizes) == 240
+
+
 def test_liouville_memory_does_not_grow_with_steps():
     # the series buffers are sized by the block, not by the run: 800 more
     # steps add little beyond their rows (a whole-run table of sums would
