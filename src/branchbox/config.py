@@ -9,6 +9,7 @@ L = 20, seed 42, fanout 8, branch cap 1e5, 20 histogram bins).
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, field
 
@@ -148,6 +149,9 @@ class RunConfig:
                     "timing: born_test runs its own deterministic and stochastic-timing "
                     "variants; leave timing = deterministic"
                 )
+            # its chi-square threshold reads scipy.special, about 0.25 s to import:
+            # loaded with the config, it is set-up, and the run times only itself
+            importlib.import_module("scipy.special")
         if self.scenario == "collapse_compare":
             if self.mode != "collapse":
                 raise ConfigError("mode: collapse_compare requires mode = collapse")

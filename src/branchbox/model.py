@@ -22,10 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "PhysicalParams",
+    "ndtr",
     "spread_variance",
     "bin_weights",
     "bin_weight_rows",
@@ -115,15 +115,76 @@ def reflect_center(x, L: float):
     return y
 
 
-def _interval_mass(lo, hi, center: float, sigma: float):
-    """Gaussian mass on [lo, hi], evaluated in the tail to avoid cancellation."""
-    a = (np.asarray(lo, dtype=float) - center) / sigma
-    b = (np.asarray(hi, dtype=float) - center) / sigma
-    # Phi(b) - Phi(a) loses precision when both arguments are large and
-    # positive; compute on the negative side instead, where ndtr is accurate:
-    # there the mass is Phi(-a) - Phi(-b)
-    both_pos = a >= 0
-    mass = ndtr(np.where(both_pos, -a, b)) - ndtr(np.where(both_pos, -b, a))
+# Cephes' ndtr (Moshier's form of Cody's rational approximations, the
+# form scipy.special.ndtr evaluates).  With x = a/sqrt(2) and z = |x|:
+# erf(x) = x T(z^2)/U(z^2) for z < 1, erfc(z) = exp(-z^2) P(z)/Q(z) for
+# z < 8 and exp(-z^2) R(z)/S(z) from 8 on, and 0 once z^2 > MAXLOG.  Q, S
+# and U are monic.  _RATIONALS holds the three numerators, then the three
+# denominators, each padded with leading zeros to nine coefficients, so
+# every element takes one Horner pass of its own region's coefficients.
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_RATIONALS = np.array([(0.0,) * (9 - len(c)) + c for c in (_T, _P, _R, _U, _Q, _S)]).T.copy()
+_MAXLOG = 7.09782712893383996843e2
+# the least double whose square exceeds MAXLOG
+_Z_ZERO = math.nextafter(math.sqrt(_MAXLOG), math.inf)
+
+
+def ndtr(a):
+    """Standard normal CDF of each element of ``a``, in a's shape.
+
+    Evaluates Cephes' ``ndtr`` term for term, so it is within 4 ulps of
+    ``scipy.special.ndtr`` on [-40, 40] (bit-equal at most points; the
+    difference is the platform's exp).  It gives exactly 0, 1/2 and 1 where
+    scipy does, 0 and 1 at -inf and inf, and NaN at NaN.
+    """
+    a = np.asarray(a, dtype=float)
+    x = a.reshape(-1) * math.sqrt(0.5)
+    z = np.abs(x)
+    zero_tail = z >= _Z_ZERO
+    if zero_tail.any():  # exactly 0 or 1, and an exp that underflows is slow
+        y = (x > 0).astype(float)
+        rest = ~zero_tail
+        y[rest] = ndtr(a.reshape(-1)[rest])
+        return y.reshape(a.shape)[()]
+    zz = z * z
+    small = z < 1.0
+    region = np.add(z >= 1.0, z >= 8.0, dtype=np.intp)
+    arg = np.where(small, zz, z)
+    arg = np.concatenate((arg, arg))
+    coef = _RATIONALS.take(np.concatenate((region, region + 3)), axis=1)
+    acc = coef[0] * arg + coef[1]
+    for c in coef[2:]:
+        acc *= arg
+        acc += c
+    # 0.5 erf(x) below 1, else 0.5 erfc(z)
+    half = 0.5 * (np.where(small, x, np.exp(-zz)) * acc[:x.size] / acc[x.size:])
+    y = np.where(small, 0.5 + half, np.where(x > 0, 1.0 - half, half))
+    return y.reshape(a.shape)[()]
+
+
+def _edge_masses(s):
+    """Gaussian mass between consecutive standardized edges ``s``.
+
+    Each edge takes its tail mass Phi(-|s|), accurate to the last bits in
+    both tails; a bin above the center is a difference of upper tails, one
+    below it of lower tails, so no mass is a difference of two numbers near 1.
+    """
+    tail = ndtr(-np.abs(s))
+    sa, sb, ta, tb = s[:-1], s[1:], tail[:-1], tail[1:]
+    mass = np.where(sa >= 0, ta - tb, np.where(sb <= 0, tb - ta, 1.0 - ta - tb))
     return np.maximum(mass, 0.0)
 
 
@@ -133,16 +194,16 @@ def bin_weight_rows(center: float, variances, bin_width: float):
     Returns (lattice index k of each row's first bin, its bin count, the
     weights): row i holds the weights of bins first[i] .. first[i] + size[i]
     - 1 in its leading columns and zeros after them.  Every row is what
-    ``bin_weights`` computes for its variance, bit for bit: the masses are
-    elementwise, and each row is normalized by the sum of its own slice, as
-    a padded row sums in another order.
+    ``bin_weights`` computes for its variance, bit for bit: a row's masses
+    come from its own edges only, and each row is normalized by its sum taken
+    in column order, which the zeros past its end do not change.
     """
     v = np.asarray(variances, dtype=float)
     if not np.all((v > 0) & np.isfinite(v)):
         raise ValueError(f"variance must be > 0, got {v[~((v > 0) & np.isfinite(v))][0]}")
     if not (bin_width > 0):
         raise ValueError(f"bin_width must be > 0, got {bin_width}")
-    sigma = np.sqrt(v)[:, None]
+    sigma = np.sqrt(v)
     lo_t = center - TRUNCATION_SIGMAS * sigma
     hi_t = center + TRUNCATION_SIGMAS * sigma
 
@@ -150,13 +211,17 @@ def bin_weight_rows(center: float, variances, bin_width: float):
     k_lo = np.floor(lo_t / bin_width + 0.5)
     k_hi = np.floor(hi_t / bin_width + 0.5)
     k_hi -= hi_t == (k_hi - 0.5) * bin_width  # exact edge touch carries no mass
-    width = (k_hi - k_lo + 1.0).astype(np.int64).ravel()
-    centers = (k_lo + np.arange(width.max())) * bin_width
-    lo_edges = np.maximum(centers - bin_width / 2.0, lo_t)
-    hi_edges = np.minimum(centers + bin_width / 2.0, hi_t)
-    w = _interval_mass(lo_edges, hi_edges, center, sigma)
-    w[np.arange(w.shape[1]) >= width[:, None]] = 0.0
-    w /= np.array([np.add.reduce(row[:n]) for row, n in zip(w, width.tolist())])[:, None]
+    width = (k_hi - k_lo + 1.0).astype(np.int64)
+    # each row's width + 1 bin edges, cut to [lo_t, hi_t], one row after another;
+    # edge j of row i starts bin j of the row when j < width[i]
+    row = np.repeat(np.arange(v.size), width + 1)
+    j = np.arange(row.size) - (np.cumsum(width + 1) - (width + 1))[row]
+    edges = np.minimum(np.maximum((k_lo[row] + j - 0.5) * bin_width, lo_t[row]), hi_t[row])
+    mass = _edge_masses((edges - center) / sigma[row])
+    starts = (j < width[row])[:-1]
+    w = np.zeros((v.size, width.max()))
+    w[row[:-1][starts], j[:-1][starts]] = mass[starts]
+    w /= np.cumsum(w, axis=1)[:, -1:]
     keep = w > 0
     size = keep.sum(axis=1)
     first = keep.argmax(axis=1)
@@ -164,7 +229,7 @@ def bin_weight_rows(center: float, variances, bin_width: float):
         w = np.take_along_axis(w, np.minimum(first[:, None] + np.arange(w.shape[1]),
                                              w.shape[1] - 1), axis=1)
         w[np.arange(w.shape[1]) >= size[:, None]] = 0.0
-    return k_lo.ravel().astype(np.int64) + first, size, w
+    return k_lo.astype(np.int64) + first, size, w
 
 
 def bin_weights(center: float, variance: float, bin_width: float):

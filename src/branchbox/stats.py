@@ -26,9 +26,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaincinv, ndtr
+# a lazy namespace, which bench/worker.py reads for its version; scipy.special
+# loads when the chi-square threshold reads it
+import scipy
 
 from .branching import CollapseBatch, Ensemble, Tables
+from .model import ndtr
 
 __all__ = [
     "VarianceSeries",
@@ -184,14 +187,13 @@ def _folded_bin_masses(
     is below double precision.
     """
     n_images = int(math.ceil(6.0 * s / (2.0 * L))) + 1
+    shift = (2.0 * L * np.arange(-n_images, n_images + 1))[:, None, None]
     c = centers[:, None]
+    direct, mirrored = ndtr(np.stack([edges + shift - c, shift - edges - c]) / s)
     out = np.zeros((centers.size, edges.size - 1))
-    for j in range(-n_images, n_images + 1):
-        shift = 2.0 * j * L
-        direct = ndtr((edges[None, :] + shift - c) / s)
-        out += direct[:, 1:] - direct[:, :-1]
-        mirrored = ndtr((shift - edges[None, :] - c) / s)
-        out += mirrored[:, :-1] - mirrored[:, 1:]
+    for d, m in zip(direct, mirrored):
+        out += d[:, 1:] - d[:, :-1]
+        out += m[:, :-1] - m[:, 1:]
     return np.maximum(out, 0.0)
 
 
@@ -357,8 +359,9 @@ def chi_square_frequencies(
     statistic = float(((obs - scaled) ** 2 / scaled).sum())
     dof = obs.size - 1
     # the chi-square quantile as scipy.stats.chi2.ppf computes it, bit for
-    # bit, without importing scipy.stats
-    threshold = float(2.0 * gammaincinv(dof / 2, 1.0 - alpha))
+    # bit; scipy.special loads on first use here (a born_test config loads it
+    # when validated), and scipy.stats is never imported
+    threshold = float(2.0 * scipy.special.gammaincinv(dof / 2, 1.0 - alpha))
     return ChiSquareResult(
         statistic=statistic, dof=dof, threshold=threshold,
         alpha=alpha, passed=bool(statistic < threshold),

@@ -40,14 +40,14 @@ CASES = {
 GOLDEN = {
     "born_test": (
         "4d6dd077e9a3c6af85b617f087fe3cc9f475e99121f256fd593366b8fc90e289",
-        "0a9743d7bfc7dabbb80c1aeb245665a6e329e573f9e90a9ddb02585f72b10d09",
+        "64203591695023bca3bf0a54632f4bb726d04ad86b226092bfc1c49d0828e0b4",
     ),
     "collapse_compare": (
-        "0e6126a0a8c77d282467a841a01927814837f4cf036c437b84e901872c2f1a43",
+        "bdaa5a2f4635d70d53f651ba90b0fd845fc85fd1ac101159de4195ea2734a790",
         "207aba1164f28f67e6f9acd0e1f786e72e96374ef44711f52e724d87df00dda7",
     ),
     "freespread": (
-        "383abf605447e0b0778c333b1bf229445a16708fbbe73114cbd7a3169db4c1b6",
+        "357bc6f3406aa3cdef2b443254ba6e3daf77d1f3fa59dd93ec009c0b80b6b6c0",
         "d693606c3d451da4b77a498a04212a406f265f906ae67248901b56c5d69b1209",
     ),
     "liouville_check": (
@@ -55,23 +55,23 @@ GOLDEN = {
         "0e12c9c89c61c36878380e28303f2390c5ae12809c4c42b4ac7468166da46059",
     ),
     "midbox": (
-        "9300d692c4bd75bd05b71c707d33eebf41ef8f8c408ad0487a6755a377310384",
+        "01d5a2a9a596a1d3f1bf543d5516e68f1335ab088799b2f1d6d7d731b52ad499",
         "71eada765a94389f3e2cd4457fb08212b283e30391a0ee141b43976e2025d749",
     ),
     "midbox_capped_distinct": (
-        "ada5b01d169eb8c95202f5ab867759c3dc1ca439facd0279ce15eab42db12856",
-        "bf4d4e4058b3e9cf7fa67f8512cd76f5a58753be0b343a0c52d016bc6176ec7c",
+        "f2725475cc02c1189a79b0a28f9b4f357e74d6073b0b29bb5aca578fcd49e948",
+        "8afad08287f728a8e437dbf45b7df4665ec30833c2a3908d0c0030c21361ee18",
     ),
     "midbox_collapse_poisson": (
-        "e3f45517361496c7bd4954b6058ca05ed4bd036fdca1f974b0636e475e3f56b9",
+        "41283532209f04a1393188d001a390fa42bd8a04b409d3a21dd0f33dbd6e87c3",
         "c6bb2812316575c63c8b15b6aadca36e363a19b7a9b223364ca919ac31e27f60",
     ),
     "midbox_offlattice": (
-        "55179d4e6c3f47e87400fc451803faad0a1e887e916d7a76d4b51129f836912e",
+        "866ec92fba66dad844a020f812487bc896264561e7f8b3244bf544c48b77c301",
         "b888107eb2e32d45da6dc1a5a5687f8661b4418f0f8cc76040005e324e827743",
     ),
     "peres_test": (
-        "f31c87a442023e97530f9e8442d1119a682d3a90787b2e03f9376c42d5845466",
+        "9267937b8de980b64086302c07bc63391f9f0bd2baf7294bf9354f7cc01c7558",
         "9e0cfc46fe57f09e7a1138c64cc78bfba7f147ced4c997a6ec5523962e5b09a4",
     ),
 }

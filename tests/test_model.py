@@ -2,13 +2,16 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 from branchbox.model import (
     DEFAULT_BIN_WIDTH_FRACTION,
     PhysicalParams,
     bin_weights,
+    ndtr,
     reflect_center,
     spread_variance,
 )
@@ -136,6 +139,59 @@ def test_reflect_center_scalar_vs_array():
 def test_reflect_center_rejects_bad_box():
     with pytest.raises(ValueError):
         reflect_center(1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian CDF
+
+# a dense grid over |x| <= 40, and the points around +-37.68 past which the
+# upper tail is exactly 0
+NDTR_GRID = np.concatenate([np.linspace(-40.0, 40.0, 1_600_001),
+                            np.linspace(37.6, 37.7, 20_001), np.linspace(-37.7, -37.6, 20_001)])
+
+
+def test_ndtr_within_4_ulps_of_scipy():
+    got, want = ndtr(NDTR_GRID), scipy.special.ndtr(NDTR_GRID)
+    nonzero = (got != 0) | (want != 0)
+    ulps = np.abs(got - want) / np.spacing(np.maximum(np.abs(got), np.abs(want)))
+    assert ulps[nonzero].max() <= 4
+
+
+def test_ndtr_exact_where_scipy_is():
+    got, want = ndtr(NDTR_GRID), scipy.special.ndtr(NDTR_GRID)
+    for value in (0.0, 0.5, 1.0):
+        assert np.array_equal(got == value, want == value), value
+    assert (want == 0).any() and (want == 1).any() and (want == 0.5).any()
+    edge = np.array([-np.inf, np.inf, np.nan, -0.0, 0.0])
+    assert np.array_equal(ndtr(edge), [0.0, 1.0, np.nan, 0.5, 0.5], equal_nan=True)
+    assert np.isnan(ndtr(np.nan))
+
+
+def test_ndtr_against_mpmath():
+    # the lower tail to a relative error that grows with x^2, as exp(-x^2/2)'s
+    # does from rounding its argument; the upper half to an ulp of 1
+    rng = np.random.default_rng(3)
+    lower = np.concatenate([rng.uniform(-37.5, 0.0, 400), np.linspace(-37.5, 0.0, 151)])
+    upper = np.concatenate([rng.uniform(0.0, 9.0, 200), np.linspace(0.0, 9.0, 91)])
+    with mpmath.workprec(120):
+        exact_lower = np.array([float(mpmath.ncdf(v)) for v in lower])
+        exact_upper = np.array([float(mpmath.ncdf(v)) for v in upper])
+    assert np.all(np.abs(ndtr(lower) / exact_lower - 1.0) <= 4e-16 * (8.0 + lower**2))
+    assert np.abs(ndtr(upper) - exact_upper).max() <= 2.0**-52
+
+
+def test_ndtr_keeps_the_shape():
+    # 0-d input gives a numpy scalar, as a ufunc does
+    for scalar in (0.3, np.array(-1.5)):
+        assert isinstance(ndtr(scalar), np.float64)
+        assert ndtr(scalar) == ndtr(np.array([scalar]))[0]
+    x = np.linspace(-9.0, 9.0, 24)
+    for shaped in (x, x.reshape(4, 6), x.reshape(2, 3, 4), np.zeros((3, 0))):
+        assert ndtr(shaped).shape == shaped.shape
+        assert np.array_equal(ndtr(shaped), ndtr(shaped.ravel()).reshape(shaped.shape))
+    # a row of 2-d input does not depend on its neighbours, past-the-tail ones included
+    rows = np.stack([x, np.full(24, -50.0), x[::-1]])
+    assert np.array_equal(ndtr(rows)[0], ndtr(x)) and np.array_equal(ndtr(rows)[2], ndtr(x[::-1]))
 
 
 # ---------------------------------------------------------------------------

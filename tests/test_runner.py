@@ -281,16 +281,48 @@ sys.exit(1 if loaded else 0)
 """
 
 
-def test_cold_start_leaves_scipy_stats_unimported(tmp_path):
-    # a fresh interpreter, since other tests import scipy.stats in this one;
-    # only freespread's KS check may import it
+NUMPY_ONLY = """
+import sys
+import branchbox
+from branchbox.config import parse_config
+from branchbox.runner import run_scenario
+
+out = sys.argv[1]
+for overrides in (
+    {"scenario": "midbox", "steps": 3, "max_branches": 200},
+    {"scenario": "peres_test", "L": 40.0, "steps": 5, "max_branches": 200,
+     "timing": "poisson"},
+    {"scenario": "liouville_check", "steps": 2},
+):
+    c = parse_config("", overrides | {"output_dir": out})
+    assert run_scenario(c).passed, overrides["scenario"]
+special = sorted(m for m in sys.modules if m.startswith("scipy.special"))
+assert not special, special
+assert "scipy" in sys.modules, "the benchmark reads scipy's version"
+parse_config("", {"scenario": "born_test", "mode": "count"})
+assert "scipy.special" in sys.modules, "a born_test config loads its threshold's module"
+"""
+
+
+def _fresh_interpreter(script: str, out) -> subprocess.CompletedProcess:
     src = str(Path(branchbox.__file__).resolve().parents[1])
     env = os.environ | {"PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, "-c", script, str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cold_start_leaves_scipy_stats_unimported(tmp_path):
+    # a fresh interpreter, since other tests import scipy.stats in this one;
+    # only freespread's KS check may import it
+    proc = _fresh_interpreter(COLD_START, tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_engine_runs_leave_scipy_special_unimported(tmp_path):
+    # the package's Gaussian CDF is numpy's; only born_test's chi-square
+    # threshold reads scipy.special, and its config loads it at set-up
+    proc = _fresh_interpreter(NUMPY_ONLY, tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
