@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .branching import MODES
 from .density import grid_points
-from .model import PhysicalParams
+from .model import TRUNCATION_SIGMAS, PhysicalParams
 
 __all__ = [
     "ConfigError",
@@ -46,10 +46,14 @@ PERES_GRID = 256
 # capped step's mass and probe temporaries.  Per step: one series row (a tuple
 # of seven Python numbers) and one 8 B step key.  Both are tracemalloc peaks of
 # midbox runs: 104 B per branch at caps 1e4 to 4e5, 301 B per step of slope
-# from 2000 to 20000 steps.
+# from 2000 to 20000 steps; 283 B per bin of the widest offset kernel (12 sigma
+# of a period's spread at pitch w/2), at 1.7e4 to 7.2e5 bins under either timing.
+# A Poisson period is at most 53 ln 2 tau: unit_uniform draws no u below 2**-53.
 MEMORY_BUDGET = 4 * 2**30
 _BRANCH_BYTES = 104
 _STEP_BYTES = 300
+_KERNEL_BYTES = 283
+_LONGEST_POISSON_PERIOD = 53 * math.log(2)
 
 _PARAM_KEYS = ("m", "w", "tau", "hbar", "L")
 _INT_KEYS = ("steps", "fanout", "max_branches", "bins", "seed")
@@ -102,18 +106,25 @@ class RunConfig:
 
     def _check_memory(self):
         """Refuse a run the memory model puts over MEMORY_BUDGET, naming the key
-        of the larger share.  Weighted engine runs grow to the cap; born_test's
-        event, collapse (the cap at one branch) and liouville_check do not."""
-        grows = self.mode == "weighted" and self.scenario != "liouville_check"
+        of the largest share.  Weighted engine runs grow to the cap; born_test's
+        event, collapse (the cap at one branch) and liouville_check do not.
+        liouville_check builds no offset kernel; born_test's is at a Poisson period."""
+        p, kernel = self.params, self.scenario != "liouville_check"
+        grows = self.mode == "weighted" and kernel
+        poisson = self.timing == "poisson" or self.scenario == "born_test"
+        spread = (_LONGEST_POISSON_PERIOD if poisson else 1.0) * math.sqrt(p.delta2())
+        bins = kernel * 2 * TRUNCATION_SIGMAS * spread / p.bin_width()
         shares = {"max_branches": _BRANCH_BYTES * self.max_branches if grows else 0,
-                  "steps": _STEP_BYTES * (self.steps + 1)}
+                  "steps": _STEP_BYTES * (self.steps + 1),
+                  "tau": _KERNEL_BYTES * bins}
         need = sum(shares.values())
         if need > MEMORY_BUDGET:
             key = max(shares, key=shares.get)
             raise ConfigError(
-                f"{key}: {self.steps} steps at cap {self.max_branches} need about "
-                f"{need / 2**30:.3g} GiB ({_BRANCH_BYTES} B per branch of the cap, "
-                f"{_STEP_BYTES} B per step), over the {MEMORY_BUDGET / 2**30:g} GiB budget"
+                f"{key}: {self.steps} steps at cap {self.max_branches} with a {bins:.3g}-bin "
+                f"offset kernel need about {need / 2**30:.3g} GiB ({_BRANCH_BYTES} B per "
+                f"branch of the cap, {_STEP_BYTES} B per step, {_KERNEL_BYTES} B per kernel "
+                f"bin), over the {MEMORY_BUDGET / 2**30:g} GiB budget"
             )
 
     def _check_scenario(self):

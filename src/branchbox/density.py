@@ -4,12 +4,11 @@ The branching engine never touches a wavefunction; everything it claims
 (entropy growth under localization, Liouville conservation under unitary
 evolution, absence of recoherence for tagged components, diffusive
 spreading) has an exact counterpart on a modest position grid.  This
-module provides that counterpart: hard-wall box Hamiltonians, unitary
-propagation and O(n^2) position densities in their closed-form DST-I sine
-eigenbasis, the width-w Gaussian localization channel, random mixtures
-drawn as a rank-r factor, von Neumann entropy (of a matrix, or of a
-mixture from its factor), interference visibility, and a classical
-reflected random walk.
+module provides that counterpart: unitary propagation under the hard-wall
+box Hamiltonian in its closed-form DST-I sine eigenbasis, the width-w
+Gaussian localization channel, random mixtures drawn as a rank-r factor,
+von Neumann entropy (of a matrix, or of a mixture from its factor),
+interference visibility, and a classical reflected random walk.
 
 Grid convention: n interior points x_i = i*dx, i = 1..n, with dx =
 L/(n+1); hard walls sit at 0 and L.  Wavefunctions and density matrices
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .model import PhysicalParams, reflect_center
 
@@ -32,7 +30,6 @@ __all__ = [
     "GridWavefunction",
     "GridDensityMatrix",
     "grid_points",
-    "build_box_hamiltonian",
     "packet_state",
     "superpose",
     "mixture_density",
@@ -40,7 +37,6 @@ __all__ = [
     "factor_density",
     "random_mixed_state",
     "UnitaryPropagator",
-    "SineDiagonal",
     "grw_localization_channel",
     "von_neumann_entropy",
     "factor_entropy",
@@ -70,8 +66,10 @@ class GridWavefunction:
             raise ValueError("amplitudes must be a 1-d vector of length >= 2")
         if not (self.dx > 0):
             raise ValueError(f"dx must be > 0, got {self.dx}")
+        if not np.isfinite(self.amplitudes).all():
+            raise ValueError("wavefunction amplitudes must be finite")
         norm = float(np.vdot(self.amplitudes, self.amplitudes).real) * self.dx
-        if abs(norm - 1.0) > 1e-10:
+        if not (abs(norm - 1.0) <= 1e-10):
             raise ValueError(f"wavefunction norm must be 1 within 1e-10, got {norm!r}")
 
     @property
@@ -103,16 +101,19 @@ class GridDensityMatrix:
             raise ValueError("elements must be a square matrix of size >= 2")
         if not (self.dx > 0):
             raise ValueError(f"dx must be > 0, got {self.dx}")
-        # |m - m^H| <= 1e-12 elementwise, compared squared: no square roots
-        off = m.real - m.real.T
-        np.square(off, out=off)
-        if np.iscomplexobj(m):
-            im = m.imag + m.imag.T
-            off += np.square(im, out=im)
-        if off.max() > 1e-24:
-            raise ValueError("density matrix must be Hermitian within 1e-12")
+        # m^H - m is exactly 0 for a finite, exactly Hermitian m, as every matrix
+        # this module builds is; a NaN or inf element leaves NaN or inf in it
+        defect = np.conjugate(m.T, order="C")
+        with np.errstate(invalid="ignore"):
+            defect -= m
+        if defect.any():
+            if not np.isfinite(m).all():
+                raise ValueError("density matrix elements must be finite")
+            # |m - m^H| <= 1e-12 elementwise, compared squared: no square roots
+            if not ((defect * defect.conj()).real.max() <= 1e-24):
+                raise ValueError("density matrix must be Hermitian within 1e-12")
         trace = float(np.trace(m).real) * self.dx
-        if abs(trace - 1.0) > 1e-10:
+        if not (abs(trace - 1.0) <= 1e-10):
             raise ValueError(f"trace * dx must be 1 within 1e-10, got {trace!r}")
 
     @property
@@ -214,7 +215,9 @@ def random_mixed_factor(
 def factor_density(psi: np.ndarray, weights: np.ndarray, dx: float) -> GridDensityMatrix:
     """The mixture sum_k w_k psi_k psi_k^H of a factor's columns, as one product."""
     rho = (psi * weights) @ psi.conj().T
-    return GridDensityMatrix(0.5 * (rho + rho.conj().T), dx)
+    rho += rho.conj().T
+    rho *= 0.5
+    return GridDensityMatrix(rho, dx)
 
 
 def random_mixed_state(
@@ -243,31 +246,18 @@ def _box_kinetic_scale(n: int, p: PhysicalParams) -> float:
     return p.hbar**2 / (2.0 * p.m * dx * dx)
 
 
-def build_box_hamiltonian(n: int, p: PhysicalParams) -> np.ndarray:
-    """Kinetic operator -(hbar^2/2m) d^2/dx^2 with hard walls at 0 and L.
-
-    Second-order central differences on the interior grid; Dirichlet
-    boundaries come from simply omitting the wall points.  The matrix is
-    real symmetric and positive definite.
-    """
-    k = _box_kinetic_scale(n, p)
-    h = np.zeros((n, n))
-    np.fill_diagonal(h, 2.0 * k)
-    idx = np.arange(n - 1)
-    h[idx, idx + 1] = -k
-    h[idx + 1, idx] = -k
-    return h
-
-
 def _sine_angles(rows: np.ndarray, n: int) -> np.ndarray:
     """DST-I arguments pi r j/(n+1), modes j = 1..n, with r*j reduced mod 2(n+1)."""
     return (np.outer(rows, np.arange(1, n + 1)) % (2 * (n + 1))) * (math.pi / (n + 1))
 
 
 class UnitaryPropagator:
-    """Exact unitary evolution under ``build_box_hamiltonian(n, p)``.
+    """Exact unitary evolution under the box grid's kinetic operator.
 
-    H is k times the Dirichlet second difference, whose eigenpairs are the
+    H is -(hbar^2/2m) d^2/dx^2 with hard walls at 0 and L, in second-order
+    central differences on the interior grid, the wall points omitted
+    (Dirichlet walls): real symmetric and positive definite, k = hbar^2/(2 m
+    dx^2) times the Dirichlet second difference.  Its eigenpairs are the
     DST-I sine basis (Strang, SIAM Review 41, 1999), so no eigensolver runs:
     E_j = 2k(1 - cos(pi j/(n+1))) = 4k sin^2(pi j/(2(n+1))), ascending, and
     V_ij = sqrt(2/(n+1)) sin(pi i j/(n+1)), real, symmetric and orthogonal.
@@ -279,10 +269,6 @@ class UnitaryPropagator:
         self.energies = 4.0 * k * np.sin(j * (math.pi / (2 * (n + 1)))) ** 2
         self.vectors = math.sqrt(2.0 / (n + 1)) * np.sin(_sine_angles(j, n))
         self.hbar = p.hbar
-
-    def sine_diagonal(self) -> "SineDiagonal":
-        """The O(n^2) reader of diag(V R V^T) for this propagator's basis V."""
-        return SineDiagonal(self.vectors.shape[0])
 
     def propagate(self, psi: GridWavefunction, t: float) -> GridWavefunction:
         """Pure state psi -> exp(-i H t / hbar) psi, exact in the energy basis."""
@@ -303,33 +289,6 @@ class UnitaryPropagator:
         m = np.outer(phase, phase.conj()) * (v.T @ re @ v + 1j * (v.T @ im @ v))
         out = v @ m.real @ v.T + 1j * (v @ m.imag @ v.T)
         return GridDensityMatrix(0.5 * (out + out.conj().T), rho.dx)
-
-
-class SineDiagonal:
-    """diag(V R V^T) in O(n^2) for the n-point DST-I basis V and a real n x n R.
-
-    V is ``UnitaryPropagator``'s basis, whose ``sine_diagonal`` builds this reader;
-    V_ia V_ib = (cos(pi i (a - b)/(n + 1)) - cos(pi i (a + b)/(n + 1)))/(n + 1), so the
-    diagonal is R's 2n - 1 diagonal and 2n - 1 anti-diagonal sums times ``table``.
-    """
-
-    def __init__(self, n: int):
-        sign = np.repeat([1.0, -1.0], 2 * n - 1)[:, None] / (n + 1)
-        self.table = sign * np.cos(_sine_angles(np.r_[n - 1:-n:-1, 2:2 * n + 1], n))
-        # R sits in rows 1..n of a zero (n + 1, 2n) buffer; the views shift its row a right
-        # by n - 1 - a, resp. by a, so column c sums a - b = n - 1 - c, resp. a + b = c (0-based)
-        self._pad = np.zeros((n + 1, 2 * n))
-        flat, item = self._pad.ravel(), self._pad.itemsize
-        self._diag = as_strided(flat[n + 1:], (n, 2 * n - 1), ((2 * n + 1) * item, item))
-        self._anti = as_strided(flat[2 * n:], (n, 2 * n - 1), ((2 * n - 1) * item, item))
-        self._ones = np.ones(n)
-
-    def sums(self, r: np.ndarray, out: np.ndarray) -> None:
-        """Write R's diagonal, then anti-diagonal sums (``table``'s rows) into ``out``."""
-        n = self._ones.size
-        np.copyto(self._pad[1:, :n], r)
-        np.matmul(self._ones, self._diag, out=out[: 2 * n - 1])
-        np.matmul(self._ones, self._anti, out=out[2 * n - 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +345,8 @@ def factor_entropy(psi: np.ndarray, weights: np.ndarray, dx: float) -> float:
 
 def _spectrum_entropy(lam: np.ndarray) -> float:
     """-sum lam ln lam of a state's spectrum, each eigenvalue clamped into [0, 1];
-    a value below -1e-10 means the input is not a valid state and raises."""
-    if lam.min() < -1e-10:
+    a value below -1e-10, or NaN, means the input is not a valid state and raises."""
+    if not (lam.min() >= -1e-10):
         raise ValueError(
             f"density matrix has eigenvalue {lam.min():.3e} below -1e-10; not a valid state"
         )

@@ -31,7 +31,7 @@ import numpy as np
 import scipy
 
 from .branching import CollapseBatch, Ensemble, Tables
-from .model import ndtr
+from .model import _Z_ZERO, ndtr
 
 __all__ = [
     "VarianceSeries",
@@ -184,16 +184,22 @@ def _folded_bin_masses(
     Reflecting walls map x to the box by mirroring across 0 and L, so the
     in-box density is the image sum rho(y) = sum_j rho_free(2jL + y) +
     rho_free(2jL - y).  Enough images are taken that the neglected tail
-    is below double precision.
+    is below double precision.  An image whose CDF arguments all sit in
+    ``ndtr``'s zero tail on one side, for every center, adds exactly 0 to
+    each bin, so only the images in reach of some center are evaluated.
     """
     n_images = int(math.ceil(6.0 * s / (2.0 * L))) + 1
     shift = (2.0 * L * np.arange(-n_images, n_images + 1))[:, None, None]
     c = centers[:, None]
-    direct, mirrored = ndtr(np.stack([edges + shift - c, shift - edges - c]) / s)
+    # image j's direct arguments at row 2j, its mirrored ones at row 2j + 1
+    a = np.stack([edges + shift - c, shift - edges - c], axis=1) / s
+    a = a.reshape(2 * shift.size, centers.size, edges.size)
+    x = a * math.sqrt(0.5)  # ndtr's own scaling, so the tail test is its own
+    flat = ((x >= _Z_ZERO).all(axis=2) | (x <= -_Z_ZERO).all(axis=2)).all(axis=1)
+    reach = np.flatnonzero(~flat)
     out = np.zeros((centers.size, edges.size - 1))
-    for d, m in zip(direct, mirrored):
-        out += d[:, 1:] - d[:, :-1]
-        out += m[:, :-1] - m[:, 1:]
+    for row, cdf in zip(reach, ndtr(a[reach])):
+        out += cdf[:, :-1] - cdf[:, 1:] if row % 2 else cdf[:, 1:] - cdf[:, :-1]
     return np.maximum(out, 0.0)
 
 

@@ -278,6 +278,21 @@ def pool_small_cells_rescan(observed, expected, min_expected=5.0):
     return np.array(obs), np.array(exp)
 
 
+def build_box_hamiltonian(n, p):
+    """Kinetic operator -(hbar^2/2m) d^2/dx^2 with hard walls at 0 and L, as an
+    n x n matrix: second-order central differences on the interior grid of
+    pitch dx = L/(n+1), the wall points omitted (Dirichlet walls).  Reads
+    p.L, p.m and p.hbar; checks no grid rule."""
+    dx = p.L / (n + 1)
+    k = p.hbar**2 / (2.0 * p.m * dx * dx)
+    h = np.zeros((n, n))
+    for i in range(n):
+        h[i, i] = 2.0 * k
+        if i + 1 < n:
+            h[i, i + 1] = h[i + 1, i] = -k
+    return h
+
+
 def unitary_step(hamiltonian, rho, dt, hbar=1.0):
     """rho -> U rho U^+ with U = exp(-i H dt / hbar) from a dense matrix
     exponential, with no use of H's eigenbasis."""

@@ -13,7 +13,7 @@ from branchbox.config import (
     config_lines,
     parse_config,
 )
-from branchbox.density import build_box_hamiltonian
+from branchbox.density import UnitaryPropagator
 from branchbox.model import PhysicalParams
 
 GOOD_DOC = """
@@ -185,7 +185,7 @@ def check_grid_limit(scenario, grid, w):
               2.0 * limit):
         p = PhysicalParams(w=w, L=L)
         try:
-            build_box_hamiltonian(grid, p)
+            UnitaryPropagator(grid, p)
             grid_ok = True
         except ValueError:
             grid_ok = False
@@ -231,8 +231,9 @@ def test_memory_model_refuses_runs_over_the_budget():
         parse_config("", {"steps": 10**10})
     with pytest.raises(ConfigError, match="^steps: "):
         parse_config("", {"scenario": "liouville_check", "steps": 10**10})
-    # the budget is the edge: the largest cap it holds at 1 step, and one more
-    steps_share = 2 * config._STEP_BYTES
+    # the budget is the edge: the largest cap it holds at 1 step, and one more;
+    # at unit parameters the kernel spans 12 sigma of 1 at the pitch 1/2
+    steps_share = 2 * config._STEP_BYTES + 24 * config._KERNEL_BYTES
     cap = (config.MEMORY_BUDGET - steps_share) // config._BRANCH_BYTES
     assert parse_config("", {"steps": 1, "max_branches": cap}).max_branches == cap
     with pytest.raises(ConfigError, match="^max_branches: "):
@@ -243,6 +244,25 @@ def test_memory_model_refuses_runs_over_the_budget():
                       {"scenario": "collapse_compare", "mode": "collapse"},
                       {"scenario": "liouville_check"}):
         parse_config("", overrides | {"max_branches": 10**9})
+
+
+def test_memory_model_charges_the_widest_kernel():
+    # parse_config only: none of these configs may be run.  At unit parameters a
+    # kernel spans 24 tau bins, and a Poisson period is at most 53 ln 2 tau
+    for overrides in ({"tau": 1e6}, {"tau": 1e8},
+                      {"scenario": "collapse_compare", "mode": "collapse", "tau": 1e6},
+                      {"tau": 1e5, "timing": "poisson"},
+                      {"scenario": "born_test", "mode": "count", "tau": 1e5}):
+        with pytest.raises(ConfigError, match="^tau: .* over the 4 GiB budget"):
+            parse_config("", overrides)
+    for overrides in ({"tau": 1e5}, {"tau": 1e4, "timing": "poisson"},
+                      {"scenario": "liouville_check", "tau": 1e8}):
+        parse_config("", overrides)
+    # the kernel share alone at the edge of the budget, and past it
+    tau = config.MEMORY_BUDGET / (24 * config._KERNEL_BYTES) / 2
+    parse_config("", {"tau": tau, "steps": 1, "max_branches": 1})
+    with pytest.raises(ConfigError, match="^tau: "):
+        parse_config("", {"tau": 2.01 * tau, "steps": 1, "max_branches": 1})
 
 
 def test_config_lines_round_trip():

@@ -101,6 +101,9 @@ def run_bytes(c):
 @example(overrides={"scenario": "born_test", "mode": "count", "tau": 1e-12})
 # the one step count RunConfig refuses
 @example(overrides={"scenario": "midbox", "steps": 0})
+# offset kernels past the memory budget, at unit parameters
+@example(overrides={"scenario": "midbox", "tau": 1e6})
+@example(overrides={"scenario": "midbox", "tau": 1e8})
 def test_every_config_runs_or_is_refused_naming_a_key(overrides):
     with tempfile.TemporaryDirectory() as tmp:
         try:
@@ -110,6 +113,8 @@ def test_every_config_runs_or_is_refused_naming_a_key(overrides):
             assert named, str(err)
             if overrides.get("steps") == 0:
                 assert named.group(1) == "steps", str(err)
+            if overrides.get("tau", 0.0) >= 1e6:
+                assert named.group(1) == "tau", str(err)
             event(f"refused, naming {named.group(1)}")
             return
         rows, _ = _offset_kernel(c.params.tau, c.params)

@@ -12,9 +12,7 @@ from branchbox.config import LIOUVILLE_GRID, parse_config
 from branchbox.density import (
     GridDensityMatrix,
     GridWavefunction,
-    SineDiagonal,
     UnitaryPropagator,
-    build_box_hamiltonian,
     classical_random_walk_oracle,
     factor_density,
     factor_entropy,
@@ -134,6 +132,25 @@ def test_density_matrix_validation():
         GridDensityMatrix(bad, dx)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_states_refuse_non_finite_elements(bad):
+    # NaN fails every comparison, so each bound is written to fail on it
+    n = 4
+    dx = P.L / (n + 1)
+    rho = np.eye(n, dtype=complex) / (n * dx)
+    for i, j in ((0, 0), (1, 2)):
+        m = rho.copy()
+        m[i, j] = m[j, i] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GridDensityMatrix(m, dx)
+    psi = np.full(n, 1.0 / math.sqrt(n * dx), dtype=complex)
+    psi[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GridWavefunction(psi, dx)
+    with pytest.raises(ValueError, match="not a valid state"):
+        density._spectrum_entropy(np.array([math.nan, 1.0]))
+
+
 @pytest.mark.parametrize("unit", [1.0, 1j])
 def test_density_matrix_hermiticity_tolerance(unit):
     # |rho - rho^H| is held to 1e-12 elementwise, in the real and the
@@ -206,7 +223,7 @@ def test_factor_entropy_limits():
 
 def test_hamiltonian_discrete_spectrum_exact():
     n = 512
-    h = build_box_hamiltonian(n, P)
+    h = reference.build_box_hamiltonian(n, P)
     energies = np.linalg.eigvalsh(h)
     k = P.hbar**2 / (2.0 * P.m * (P.L / (n + 1)) ** 2)
     exact = 2.0 * k * (1.0 - np.cos(np.arange(1, n + 1) * math.pi / (n + 1)))
@@ -215,7 +232,7 @@ def test_hamiltonian_discrete_spectrum_exact():
 
 def test_hamiltonian_low_modes_reach_continuum():
     n = 512
-    energies = np.linalg.eigvalsh(build_box_hamiltonian(n, P))
+    energies = np.linalg.eigvalsh(reference.build_box_hamiltonian(n, P))
     modes = np.arange(1, 6)
     continuum = (P.hbar * math.pi * modes / P.L) ** 2 / (2.0 * P.m)
     np.testing.assert_allclose(energies[:5], continuum, rtol=1e-4)
@@ -223,9 +240,9 @@ def test_hamiltonian_low_modes_reach_continuum():
 
 def test_hamiltonian_validation():
     with pytest.raises(ValueError):
-        build_box_hamiltonian(16, P)
+        UnitaryPropagator(16, P)
     with pytest.raises(ValueError):
-        build_box_hamiltonian(64, P)  # dx = 20/65 > w/4
+        UnitaryPropagator(64, P)  # dx = 20/65 > w/4
 
 
 def test_unitary_step_preserves_state_properties():
@@ -242,7 +259,7 @@ def test_unitary_step_preserves_state_properties():
 def test_propagator_closed_form_matches_eigh(n, L):
     # the Liouville and Peres grids at their acceptance boxes
     p = PhysicalParams(L=L)
-    h = build_box_hamiltonian(n, p)
+    h = reference.build_box_hamiltonian(n, p)
     u = UnitaryPropagator(n, p)
     energies, vectors = np.linalg.eigh(h)
     # eigh's own error is ~1e-16 of the spectrum's top, which near E_1 is
@@ -269,23 +286,19 @@ def test_propagator_energies_relative_accuracy():
 
 
 def test_propagator_refuses_unresolved_grids():
-    # the grid rules are build_box_hamiltonian's
     limit = 129 / 4  # n = 128 resolves w = 1 up to dx = L/129 = w/4
     for n, L, match in ((16, 20.0, "grid size"), (31, 20.0, "grid size"),
                         (64, 20.0, "does not resolve"),
                         (128, math.nextafter(limit, math.inf), "does not resolve")):
-        p = PhysicalParams(L=L)
         with pytest.raises(ValueError, match=match):
-            build_box_hamiltonian(n, p)
-        with pytest.raises(ValueError, match=match):
-            UnitaryPropagator(n, p)
+            UnitaryPropagator(n, PhysicalParams(L=L))
     UnitaryPropagator(128, PhysicalParams(L=limit))
 
 
 def test_propagator_evolve_matches_repeated_step():
     n = 128
     u = UnitaryPropagator(n, P)
-    h = build_box_hamiltonian(n, P)
+    h = reference.build_box_hamiltonian(n, P)
     rng = np.random.Generator(np.random.PCG64(10))
     rho = random_mixed_state(n, P, rng, rank=2)
     stepped = rho.elements
@@ -318,25 +331,6 @@ def test_propagator_evolve_is_the_complex_product():
     out = v @ (np.outer(phase, phase.conj()) * (v.T @ rho.elements @ v)) @ v.T
     np.testing.assert_allclose(u.evolve(rho, P.tau, 7).elements, 0.5 * (out + out.conj().T),
                                rtol=0, atol=1e-13)
-
-
-@pytest.mark.parametrize("n", [32, 128, 256])
-def test_sine_diagonal_is_the_dense_diagonal(n):
-    # diag(V R V^T) from R's diagonal and anti-diagonal sums, with one
-    # buffer serving successive matrices
-    j = np.arange(1, n + 1)
-    v = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
-    rng = np.random.Generator(np.random.PCG64(n))
-    d = SineDiagonal(n)
-    assert d.table.shape == (4 * n - 2, n)
-    sums = np.empty(4 * n - 2)
-    for scale in (1.0, 1e-3, 40.0):
-        r = rng.normal(size=(n, n)) * scale
-        r += r.T
-        want = np.einsum("ij,ij->i", v @ r, v)
-        d.sums(r, out=sums)
-        got = sums @ d.table
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(r).max()
 
 
 def test_energy_eigenstate_is_stationary():

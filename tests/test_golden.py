@@ -51,7 +51,7 @@ GOLDEN = {
         "d693606c3d451da4b77a498a04212a406f265f906ae67248901b56c5d69b1209",
     ),
     "liouville_check": (
-        "c01709278759241b63052a5a3a78ca9897cd2760f10820448116dfc832c7971b",
+        "8439412e2324553ebdc187dfd5e083a340dc95ee7dd0c2733f2dcf9d940637f5",
         "0e12c9c89c61c36878380e28303f2390c5ae12809c4c42b4ac7468166da46059",
     ),
     "midbox": (

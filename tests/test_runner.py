@@ -16,7 +16,14 @@ import branchbox
 from branchbox import branching, runner, stats
 from branchbox.cli import main
 from branchbox.config import LIOUVILLE_GRID, config_lines, parse_config
-from branchbox.density import UnitaryPropagator, grid_points, random_mixed_state
+from branchbox.density import (
+    GridDensityMatrix,
+    UnitaryPropagator,
+    factor_density,
+    grid_points,
+    random_mixed_factor,
+    random_mixed_state,
+)
 from branchbox.rng import step_keys
 from branchbox.runner import CSV_COLUMNS, run_scenario
 
@@ -397,8 +404,8 @@ def test_series_rows_depend_only_on_their_own_ensemble(case):
 
 
 def test_liouville_series_is_the_evolved_density():
-    # the series loop reads each step's diagonal from O(n^2) sine sums of
-    # Re(rho_e); UnitaryPropagator.evolve is the independent path
+    # the series reads each step's density from the tracked state's rank-r
+    # factor; UnitaryPropagator.evolve of the dense matrix is the independent path
     from branchbox import runner
     from branchbox.config import LIOUVILLE_GRID
     from branchbox.density import UnitaryPropagator, grid_points, random_mixed_state
@@ -422,7 +429,7 @@ def test_liouville_series_is_the_evolved_density():
 @pytest.mark.parametrize("steps", [1, runner._SERIES_BLOCK - 1, runner._SERIES_BLOCK,
                                    runner._SERIES_BLOCK + 1])
 def test_liouville_series_blocks_equal_the_per_step_rows(steps):
-    # sine-sum diagonals formed a block at a time give the rows of the
+    # factor densities formed a block at a time give the rows of the
     # per-step dense-matmul loop, across and at block boundaries
     c = parse_config("", {"scenario": "liouville_check", "steps": steps, "seed": 2025})
     p = c.params
@@ -438,6 +445,56 @@ def test_liouville_series_blocks_equal_the_per_step_rows(steps):
     for t, (g, w) in enumerate(zip(got, want)):
         assert all(type(a) is type(b) for a, b in zip(g, w)), t
         np.testing.assert_allclose(g[3:], w[3:], rtol=1e-12, atol=0, err_msg=f"row {t}")
+
+
+@pytest.mark.parametrize("rank", [1, 8])
+def test_factor_densities_are_the_evolved_density(rank):
+    # a block's GEMM densities of the factor equal the dense matrix evolved
+    # k steps at once, at a block's first and last steps and the run's last
+    p = parse_config("", {"scenario": "liouville_check"}).params
+    prop = UnitaryPropagator(LIOUVILLE_GRID, p)
+    psi, weights, dx = random_mixed_factor(
+        LIOUVILLE_GRID, p, np.random.Generator(np.random.PCG64(rank)), rank=rank)
+    steps = 200
+    blocks = list(runner._factor_densities(prop, psi, weights, p.tau, steps))
+    assert [start for start, _ in blocks] == list(range(0, steps + 1, runner._SERIES_BLOCK))
+    dens = np.hstack([d for _, d in blocks])
+    assert dens.shape == (LIOUVILLE_GRID, steps + 1)
+    rho0 = factor_density(psi, weights, dx)
+    for k in (0, runner._SERIES_BLOCK - 1, runner._SERIES_BLOCK, runner._SERIES_BLOCK + 1,
+              steps):
+        np.testing.assert_allclose(dens[:, k], prop.evolve(rho0, p.tau, k).density(),
+                                   rtol=1e-12, atol=0, err_msg=f"step {k}")
+
+
+def test_liouville_conservation_fails_on_a_nan_drift(monkeypatch):
+    # a NaN entropy drift must fail the check, not fall out of the fold
+    calls = []
+
+    def entropy(rho):
+        calls.append(rho)
+        return math.nan if len(calls) == 1 else 0.0
+
+    monkeypatch.setattr(runner, "von_neumann_entropy", entropy)
+    monkeypatch.setattr(runner, "factor_entropy", lambda *factor: 0.0)
+    c = parse_config("", {"scenario": "liouville_check", "steps": 2, "seed": 2025})
+    _, metrics, checks = runner._scenario_liouville(c)
+    assert math.isnan(metrics["max_abs_entropy_drift"])
+    assert not {ch.name: ch.passed for ch in checks}["liouville_conservation"]
+
+
+def test_liouville_refuses_a_propagator_returning_nan(monkeypatch):
+    evolve = UnitaryPropagator.evolve
+
+    def poisoned(self, rho, dt, n_steps):
+        out = evolve(self, rho, dt, n_steps).elements.copy()
+        out[3, 5] = out[5, 3] = math.nan
+        return GridDensityMatrix(out, rho.dx)
+
+    monkeypatch.setattr(UnitaryPropagator, "evolve", poisoned)
+    c = parse_config("", {"scenario": "liouville_check", "steps": 2, "seed": 2025})
+    with pytest.raises(ValueError, match="finite"):
+        runner._scenario_liouville(c)
 
 
 def test_liouville_solves_only_the_matrices_it_checks(monkeypatch):

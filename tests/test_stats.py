@@ -13,7 +13,7 @@ from branchbox import stats
 from branchbox.branching import CollapseBatch, Ensemble, evolve_ensemble_step, midbox_ensemble
 from branchbox.branching import apportion_counts
 from branchbox.config import RunConfig
-from branchbox.model import PhysicalParams, bin_weights
+from branchbox.model import PhysicalParams, bin_weights, ndtr
 from branchbox.rng import lineage_hash_root
 from branchbox.runner import BORN_TOTAL_COUNT, _born_event, _series_rows
 from branchbox.stats import (
@@ -267,6 +267,33 @@ def test_memo_holds_exactly_the_positions_seen():
     assert known.size <= p.L / p.bin_width() + 1
     edges = np.linspace(0.0, p.L, k + 1)
     assert np.array_equal(rows, stats._folded_bin_masses(known, p.w, edges, p.L))
+
+
+def all_images_bin_masses(centers, s, edges, L):
+    """``_folded_bin_masses`` evaluating every image, in the same order."""
+    n_images = int(math.ceil(6.0 * s / (2.0 * L))) + 1
+    shift = (2.0 * L * np.arange(-n_images, n_images + 1))[:, None, None]
+    c = centers[:, None]
+    direct, mirrored = ndtr(np.stack([edges + shift - c, shift - edges - c]) / s)
+    out = np.zeros((centers.size, edges.size - 1))
+    for d, m in zip(direct, mirrored):
+        out += d[:, 1:] - d[:, :-1]
+        out += m[:, :-1] - m[:, 1:]
+    return np.maximum(out, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(L=st.floats(0.5, 1e4), s_over_L=st.floats(1e-4, 10.0), k=st.integers(2, 40),
+       at=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+@example(L=40.0, s_over_L=1 / 40, k=20, at=[0.0, 0.5, 1.0])
+@example(L=20.0, s_over_L=3.0, k=2, at=[0.25])
+def test_folded_bin_masses_skip_only_images_that_add_zero(L, s_over_L, k, at):
+    # an image out of every center's reach adds exactly 0 to every bin, so
+    # skipping it leaves each mass bit-equal to the all-images sum
+    centers, s = L * np.array(at), s_over_L * L
+    edges = np.linspace(0.0, L, k + 1)
+    got = stats._folded_bin_masses(centers, s, edges, L)
+    assert got.tobytes() == all_images_bin_masses(centers, s, edges, L).tobytes()
 
 
 # ---------------------------------------------------------------------------
