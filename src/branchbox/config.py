@@ -88,11 +88,12 @@ class RunConfig:
             raise ConfigError(f"mode: unknown mode '{self.mode}' (choose from {', '.join(MODES)})")
         if self.timing not in TIMINGS:
             raise ConfigError(f"timing: unknown timing '{self.timing}'")
+        # a bool is an int to Python, but its echo "True" would not parse back
         for name, minimum in (("steps", 1), ("fanout", 1), ("max_branches", 1), ("bins", 2)):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < minimum:
+            if type(v) is not int or v < minimum:
                 raise ConfigError(f"{name}: must be an integer >= {minimum}, got {v!r}")
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
+        if type(self.seed) is not int or not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed: must be an integer in [0, 2^64), got {self.seed!r}")
         if self.params.tau <= 0:
             raise ConfigError("tau: runs require a positive decoherence period")

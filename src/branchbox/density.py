@@ -4,11 +4,15 @@ The branching engine never touches a wavefunction; everything it claims
 (entropy growth under localization, Liouville conservation under unitary
 evolution, absence of recoherence for tagged components, diffusive
 spreading) has an exact counterpart on a modest position grid.  This
-module provides that counterpart: unitary propagation under the hard-wall
-box Hamiltonian in its closed-form DST-I sine eigenbasis, the width-w
-Gaussian localization channel, random mixtures drawn as a rank-r factor,
-von Neumann entropy (of a matrix, or of a mixture from its factor),
-interference visibility, and a classical reflected random walk.
+module provides that counterpart.  A state is a factor: an n x r array of
+continuum-normalized wavefunction columns with weights w (a pure state is
+one column of weight 1), whose density matrix rho = sum_k w_k psi_k psi_k^H
+``factor_density`` builds.  ``UnitaryPropagator.propagate`` evolves a
+factor's columns under the hard-wall box Hamiltonian in its closed-form
+DST-I sine eigenbasis.  Also here: the width-w Gaussian localization
+channel on a density matrix, random mixtures drawn as a rank-r factor, von
+Neumann entropy (of a matrix, or of a mixture from its factor), interference
+diagnostics on a position density, and a classical reflected random walk.
 
 Grid convention: n interior points x_i = i*dx, i = 1..n, with dx =
 L/(n+1); hard walls sit at 0 and L.  Wavefunctions and density matrices
@@ -32,10 +36,8 @@ __all__ = [
     "grid_points",
     "packet_state",
     "superpose",
-    "mixture_density",
     "random_mixed_factor",
     "factor_density",
-    "random_mixed_state",
     "UnitaryPropagator",
     "grw_localization_channel",
     "von_neumann_entropy",
@@ -44,6 +46,10 @@ __all__ = [
     "fringe_content",
     "classical_random_walk_oracle",
 ]
+
+
+# the lowest box sine modes superposed in each random_mixed_factor column
+RANDOM_MODES = 16
 
 
 def grid_points(n: int, p: PhysicalParams) -> tuple[np.ndarray, float]:
@@ -75,13 +81,6 @@ class GridWavefunction:
     @property
     def n(self) -> int:
         return self.amplitudes.size
-
-    @property
-    def box_length(self) -> float:
-        return self.dx * (self.n + 1)
-
-    def positions(self) -> np.ndarray:
-        return self.dx * np.arange(1, self.n + 1, dtype=float)
 
     def density(self) -> np.ndarray:
         """Position density |psi|^2 on the grid (integrates to 1 with dx)."""
@@ -120,13 +119,6 @@ class GridDensityMatrix:
     def n(self) -> int:
         return self.elements.shape[0]
 
-    @property
-    def box_length(self) -> float:
-        return self.dx * (self.n + 1)
-
-    def positions(self) -> np.ndarray:
-        return self.dx * np.arange(1, self.n + 1, dtype=float)
-
     def density(self) -> np.ndarray:
         """Diagonal position density (integrates to 1 with dx)."""
         return np.maximum(self.elements.real.diagonal(), 0.0)
@@ -136,15 +128,12 @@ class GridDensityMatrix:
 # states
 
 
-def packet_state(
-    n: int, p: PhysicalParams, center: float, variance: float,
-    momentum: float = 0.0,
-) -> GridWavefunction:
-    """Gaussian packet with position variance ``variance`` and mean momentum."""
+def packet_state(n: int, p: PhysicalParams, center: float, variance: float) -> GridWavefunction:
+    """Gaussian packet at rest with position variance ``variance``."""
     if not (variance > 0):
         raise ValueError(f"variance must be > 0, got {variance}")
     x, dx = grid_points(n, p)
-    psi = np.exp(-((x - center) ** 2) / (4.0 * variance) + 1j * momentum * x / p.hbar)
+    psi = np.exp(-((x - center) ** 2) / (4.0 * variance))
     norm = math.sqrt(float(np.vdot(psi, psi).real) * dx)
     if norm == 0:
         raise ValueError("packet has no support on the grid")
@@ -168,45 +157,26 @@ def superpose(states: Sequence[GridWavefunction], coefficients) -> GridWavefunct
     return GridWavefunction(psi / norm, dx)
 
 
-def mixture_density(
-    states: Sequence[GridWavefunction], weights
-) -> GridDensityMatrix:
-    """Incoherent mixture sum w_k |psi_k><psi_k| (tagged components never
-    contribute cross terms, so a tagged ensemble maps to exactly this)."""
-    if not states:
-        raise ValueError("need at least one state")
-    w = np.asarray(weights, float)
-    if w.shape != (len(states),) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must be >= 0 and sum to 1")
-    dx = states[0].dx
-    rho = np.zeros((states[0].n, states[0].n), complex)
-    for wk, s in zip(w, states):
-        if s.dx != dx or s.n != states[0].n:
-            raise ValueError("states must share one grid")
-        rho += wk * np.outer(s.amplitudes, s.amplitudes.conj())
-    return GridDensityMatrix(rho, dx)
-
-
 def random_mixed_factor(
-    n: int, p: PhysicalParams, rng: np.random.Generator,
-    rank: int | None = None, n_modes: int = 16,
+    n: int, p: PhysicalParams, rng: np.random.Generator, rank: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The draw of ``random_mixed_state``: (psi, weights, dx) of rho = sum_k w_k psi_k psi_k^H.
+    """A random mixture, positive by construction: (psi, weights, dx) of
+    rho = sum_k w_k psi_k psi_k^H (``factor_density``).
 
     psi holds ``rank`` continuum-normalized columns, random superpositions
-    of the lowest box sine modes, so they respect the walls and have
-    structure on scales the grid and the localization channel both
+    of the RANDOM_MODES lowest box sine modes, so they respect the walls and
+    have structure on scales the grid and the localization channel both
     resolve; the weights are a Dirichlet draw summing to 1.
     """
     if rank is None:
         rank = int(rng.integers(1, 9))
-    if rank < 1 or n_modes < 1:
-        raise ValueError("rank and n_modes must be >= 1")
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
     x, dx = grid_points(n, p)
-    modes = np.sin(np.outer(x, np.arange(1, n_modes + 1)) * math.pi / p.L)
+    modes = np.sin(np.outer(x, np.arange(1, RANDOM_MODES + 1)) * math.pi / p.L)
     weights = rng.dirichlet(np.ones(rank))
-    # component k draws its n_modes real parts, then its n_modes imaginary parts
-    c = rng.normal(size=(rank, 2, n_modes))
+    # component k draws its RANDOM_MODES real parts, then as many imaginary parts
+    c = rng.normal(size=(rank, 2, RANDOM_MODES))
     psi = modes @ (c[:, 0] + 1j * c[:, 1]).T
     psi /= np.linalg.norm(psi, axis=0) * math.sqrt(dx)
     return psi, weights, dx
@@ -218,16 +188,6 @@ def factor_density(psi: np.ndarray, weights: np.ndarray, dx: float) -> GridDensi
     rho += rho.conj().T
     rho *= 0.5
     return GridDensityMatrix(rho, dx)
-
-
-def random_mixed_state(
-    n: int, p: PhysicalParams, rng: np.random.Generator,
-    rank: int | None = None, n_modes: int = 16,
-) -> GridDensityMatrix:
-    """Random mixture of smooth random states (positive by construction):
-    ``factor_density`` of ``random_mixed_factor``'s draw.  Its entropy is
-    ``factor_entropy`` of that draw, with no n x n eigensolve."""
-    return factor_density(*random_mixed_factor(n, p, rng, rank, n_modes))
 
 
 # ---------------------------------------------------------------------------
@@ -270,25 +230,11 @@ class UnitaryPropagator:
         self.vectors = math.sqrt(2.0 / (n + 1)) * np.sin(_sine_angles(j, n))
         self.hbar = p.hbar
 
-    def propagate(self, psi: GridWavefunction, t: float) -> GridWavefunction:
-        """Pure state psi -> exp(-i H t / hbar) psi, exact in the energy basis."""
+    def propagate(self, psi: np.ndarray, t: float) -> np.ndarray:
+        """Each column of the n x r factor psi -> exp(-i H t / hbar) psi_k, exact in
+        the energy basis: V (exp(-i E t / hbar) o V^T psi)."""
         v = self.vectors
-        amp = v @ (np.exp(-1j * self.energies * t / self.hbar) * (v.T @ psi.amplitudes))
-        return GridWavefunction(amp, psi.dx)
-
-    def evolve(self, rho: GridDensityMatrix, dt: float, n_steps: int) -> GridDensityMatrix:
-        """n_steps unitary steps of size dt, composed in the energy basis.
-
-        The n_steps phase factors compose into one power, applied once; the
-        real basis multiplies Re and Im separately, never cast to complex.
-        """
-        if n_steps < 0:
-            raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-        v, re, im = self.vectors, rho.elements.real, rho.elements.imag
-        phase = np.exp(-1j * self.energies * dt / self.hbar) ** n_steps
-        m = np.outer(phase, phase.conj()) * (v.T @ re @ v + 1j * (v.T @ im @ v))
-        out = v @ m.real @ v.T + 1j * (v @ m.imag @ v.T)
-        return GridDensityMatrix(0.5 * (out + out.conj().T), rho.dx)
+        return v @ (np.exp(-1j * self.energies * t / self.hbar)[:, None] * (v.T @ psi))
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +305,8 @@ def _spectrum_entropy(lam: np.ndarray) -> float:
 # interference
 
 
-def _grid_density(state) -> tuple[np.ndarray, np.ndarray, float]:
-    if isinstance(state, (GridWavefunction, GridDensityMatrix)):
-        return state.positions(), state.density(), state.box_length
-    raise TypeError(
-        f"state must be a GridWavefunction or GridDensityMatrix, got {type(state).__name__}"
-    )
-
-
-def interference_visibility(state, region: tuple[float, float]) -> float:
-    """(max - min) / (max + min) of the position density over a region.
+def interference_visibility(density: np.ndarray, dx: float, region: tuple[float, float]) -> float:
+    """(max - min) / (max + min) of a grid position density over a region.
 
     Coherent superpositions of overlapping paths show near-unit
     visibility from their cross terms; an incoherent (tagged) mixture of
@@ -376,14 +314,14 @@ def interference_visibility(state, region: tuple[float, float]) -> float:
     mixture is the weighted sum of component densities by construction,
     which is exactly the statement that tags kill cross terms.
     """
-    x, dens, L = _grid_density(state)
-    lo, hi = float(region[0]), float(region[1])
+    n = density.size
+    lo, hi, L = float(region[0]), float(region[1]), dx * (n + 1)
     if not (0.0 <= lo < hi <= L):
         raise ValueError(f"region ({lo}, {hi}) must lie inside [0, {L}]")
-    sel = (x >= lo) & (x <= hi)
-    if sel.sum() < 2:
+    x = dx * np.arange(1, n + 1, dtype=float)
+    d = density[(x >= lo) & (x <= hi)]
+    if d.size < 2:
         raise ValueError("region contains fewer than 2 grid points")
-    d = dens[sel]
     top, bottom = float(d.max()), float(d.min())
     if top + bottom == 0.0:
         return 0.0

@@ -55,7 +55,6 @@ from .density import (
     grid_points,
     grw_localization_channel,
     interference_visibility,
-    mixture_density,
     packet_state,
     random_mixed_factor,
     superpose,
@@ -64,7 +63,6 @@ from .density import (
 from .model import PhysicalParams, bin_weights, spread_variance
 from .rng import lineage_hash_child, mix, step_keys
 from .stats import (
-    VarianceSeries,
     _coarse_histograms,
     _entropy_tv,
     _mixture_moments,
@@ -226,11 +224,6 @@ def _run_engine(c: RunConfig, capture_at: tuple[int, ...] = ()):
     return _series(chain([e], steps), c, _block_steps(c.params, cap), capture_at)
 
 
-def _series_from_rows(rows: list[tuple]) -> VarianceSeries:
-    arr = np.array([(r[0], r[4], r[2]) for r in rows], float)
-    return VarianceSeries(times=arr[:, 0], variances=arr[:, 1], n_effective=arr[:, 2])
-
-
 def _uniqueness_check(e: Ensemble) -> CheckResult:
     report = verify_tag_uniqueness(e)
     return CheckResult(
@@ -252,7 +245,8 @@ def _scenario_midbox(c: RunConfig):
     # diffusion estimate over the pre-wall window (variance below (L/4)^2)
     pre_wall = [r for r in rows[1:] if r[4] <= (p.L / 4.0) ** 2]
     if len(pre_wall) >= 10:
-        est = fit_diffusion(_series_from_rows(pre_wall))
+        arr = np.array(pre_wall, float)
+        est = fit_diffusion(arr[:, 0], arr[:, 4])
         metrics["diffusion"] = est.diffusion
         metrics["diffusion_stderr"] = est.stderr
         metrics["diffusion_intercept"] = est.intercept
@@ -326,7 +320,8 @@ def _scenario_freespread(c: RunConfig):
 
     fit_rows = rows[20:]
     if len(fit_rows) >= 10:
-        est = fit_diffusion(_series_from_rows(fit_rows))
+        arr = np.array(fit_rows, float)
+        est = fit_diffusion(arr[:, 0], arr[:, 4])
         metrics["diffusion"] = est.diffusion
         metrics["diffusion_stderr"] = est.stderr
         metrics["diffusion_intercept"] = est.intercept
@@ -496,19 +491,20 @@ def _scenario_peres(c: RunConfig):
     left = packet_state(PERES_GRID, p, c_left, p.w**2)
     right = packet_state(PERES_GRID, p, c_right, p.w**2)
     amp = 1.0 / math.sqrt(2.0)
-    coherent = prop.propagate(superpose([left, right], [amp, amp]), t_star)
-    left_t = prop.propagate(left, t_star)
-    right_t = prop.propagate(right, t_star)
-    tagged = mixture_density([left_t, right_t], [0.5, 0.5])
-    envelope = 0.5 * left_t.density() + 0.5 * right_t.density()
+    start = superpose([left, right], [amp, amp])
+    # columns at t*: the coherent superposition, then the two tagged components
+    out = prop.propagate(np.column_stack([s.amplitudes for s in (start, left, right)]), t_star)
+    coherent = np.abs(out[:, 0]) ** 2
+    tagged = factor_density(out[:, 1:], np.array([0.5, 0.5]), left.dx).density()
+    envelope = 0.5 * np.abs(out[:, 1]) ** 2 + 0.5 * np.abs(out[:, 2]) ** 2
 
     # fringe spacing at overlap: 2 pi hbar t / (m * separation)
     spacing = 2.0 * math.pi * p.hbar * t_star / (p.m * 2.0 * half_sep)
     region = (p.L / 2.0 - spacing / 2.0, p.L / 2.0 + spacing / 2.0)
-    vis_coherent = interference_visibility(coherent, region)
-    vis_tagged = interference_visibility(tagged, region)
-    content_coherent = fringe_content(coherent.density(), envelope)
-    content_tagged = fringe_content(tagged.density(), envelope)
+    vis_coherent = interference_visibility(coherent, left.dx, region)
+    vis_tagged = interference_visibility(tagged, left.dx, region)
+    content_coherent = fringe_content(coherent, envelope)
+    content_tagged = fringe_content(tagged, envelope)
     separation = content_coherent / max(content_tagged, 1e-300)
 
     # engine side: tag uniqueness after a long randomized-timing run
@@ -549,8 +545,9 @@ def _factor_densities(prop: UnitaryPropagator, psi: np.ndarray, weights: np.ndar
     position-major column per step start .. start + 63, through step ``steps``.
 
     Step k's energy-basis amplitudes are phase^k C, C = V^T psi sqrt(w), with phase^k
-    composed as in ``UnitaryPropagator.evolve``.  With Re and Im kept apart, a block's
-    densities sum_j |V phase^k c_j|^2 are two real GEMMs, (n x n) (n x 64 r).
+    the block start's power times a power within the block, so no per-step rounding
+    accumulates.  With Re and Im kept apart, a block's densities sum_j |V phase^k c_j|^2
+    are two real GEMMs, (n x n) (n x 64 r).
     """
     v, (n, r) = prop.vectors, psi.shape
     amp = v.T @ (psi * np.sqrt(weights))
@@ -591,13 +588,14 @@ def _scenario_liouville(c: RunConfig):
     rows = _liouville_series(c, prop, x)
 
     # entropy conservation under pure unitary evolution; an input's entropy
-    # is its factor's, each output's a full solve of the matrix under test
+    # is its factor's, each output's a full solve of the matrix its evolved
+    # factor builds, so a propagator that is not unitary moves the spectrum
     cons_rng = _derived_rng(c.seed, _TAG_CONSERVATION)
     drifts = []
     for _ in range(LIOUVILLE_STATES):
-        factor = random_mixed_factor(LIOUVILLE_GRID, p, cons_rng)
-        s0 = factor_entropy(*factor)
-        s1 = von_neumann_entropy(prop.evolve(factor_density(*factor), p.tau, c.steps))
+        psi, weights, _ = random_mixed_factor(LIOUVILLE_GRID, p, cons_rng)
+        s0 = factor_entropy(psi, weights, dx)
+        s1 = von_neumann_entropy(factor_density(prop.propagate(psi, c.steps * p.tau), weights, dx))
         drifts.append(abs(s1 - s0))
     worst_ds = float(np.max(drifts))  # a NaN drift stays NaN, and fails the check
 

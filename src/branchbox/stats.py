@@ -34,7 +34,6 @@ from .branching import CollapseBatch, Ensemble, Tables
 from .model import _Z_ZERO, ndtr
 
 __all__ = [
-    "VarianceSeries",
     "DiffusionEstimate",
     "ChiSquareResult",
     "ExpectationComparison",
@@ -50,30 +49,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# series types
-
-
-@dataclass(frozen=True)
-class VarianceSeries:
-    """Per-step (time, ensemble variance, effective branch count) samples."""
-
-    times: np.ndarray
-    variances: np.ndarray
-    n_effective: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, float)
-        if t.ndim != 1 or t.size == 0:
-            raise ValueError("series must contain at least one sample")
-        if self.variances.shape != t.shape or self.n_effective.shape != t.shape:
-            raise ValueError("series arrays must have matching lengths")
-        if not np.all(np.diff(t) > 0):
-            raise ValueError("sample times must be strictly increasing")
-        if not np.all(np.isfinite(self.variances)) or np.any(self.variances <= 0):
-            raise ValueError("variances must be finite and > 0")
-
-    def __len__(self) -> int:
-        return self.times.size
+# result types
 
 
 @dataclass(frozen=True)
@@ -244,32 +220,37 @@ def _entropy_tv(h: np.ndarray):
 # diffusion fit
 
 
-def fit_diffusion(series: VarianceSeries) -> DiffusionEstimate:
-    """Least-squares fit of var(t) = 2 D t + c.
+def fit_diffusion(times: np.ndarray, variances: np.ndarray) -> DiffusionEstimate:
+    """Least-squares fit of var(t) = 2 D t + c to per-step (time, variance) samples.
 
     Returns the slope-derived diffusion constant, its standard error from
     the fit residuals, and the intercept.  The caller is responsible for
     restricting the series to the pre-wall regime (var well below L^2);
-    the fit itself only demands enough samples for a meaningful residual.
+    the fit demands at least 10 samples, for a meaningful residual, at
+    strictly increasing times, with finite variances > 0.
     """
-    if len(series) < 10:
-        raise ValueError(f"need at least 10 samples to fit, got {len(series)}")
-    t = np.asarray(series.times, float)
-    v = np.asarray(series.variances, float)
-    if t[-1] - t[0] <= 0:
-        raise ValueError("degenerate time span")
+    t = np.asarray(times, float)
+    v = np.asarray(variances, float)
+    if t.ndim != 1 or v.shape != t.shape:
+        raise ValueError("times and variances must be matching 1-d arrays")
+    if t.size < 10:
+        raise ValueError(f"need at least 10 samples to fit, got {t.size}")
+    if not np.all(np.diff(t) > 0):
+        raise ValueError("sample times must be strictly increasing")
+    if not (np.all(np.isfinite(v)) and np.all(v > 0)):
+        raise ValueError("variances must be finite and > 0")
     x = 2.0 * t
     xc = x - x.mean()
     sxx = float(xc @ xc)
     slope = float(xc @ v) / sxx
     intercept = float(v.mean() - slope * x.mean())
     resid = v - (slope * x + intercept)
-    s2 = float(resid @ resid) / (len(series) - 2)
+    s2 = float(resid @ resid) / (t.size - 2)
     return DiffusionEstimate(
         diffusion=slope,
         stderr=math.sqrt(s2 / sxx),
         intercept=intercept,
-        n_samples=len(series),
+        n_samples=t.size,
     )
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from branchbox.config import parse_config
 from branchbox.runner import run_scenario
-from branchbox.stats import VarianceSeries, fit_diffusion
+from branchbox.stats import fit_diffusion
 
 SEED = 2025
 
@@ -87,7 +87,7 @@ def test_criterion_02_diffusion_constant(freespread_run):
     # the same run's variance slope: D = delta^2 / (2 tau) = 0.5, fit
     # must land in [0.45, 0.55]
     rows = read_series(freespread_run)[20:]
-    fit = fit_diffusion(VarianceSeries(rows[:, 0], rows[:, 4], rows[:, 2]))
+    fit = fit_diffusion(rows[:, 0], rows[:, 4])
     ok = 0.45 <= fit.diffusion <= 0.55
     report(2, ok, (
         f"fitted D = {fit.diffusion:.4f} (+- {fit.stderr:.4f}) "

@@ -3,10 +3,11 @@
 A property over the whole config space: physical parameters, box, bins,
 caps, steps and timing, across all six scenarios.  Each drawn config is
 either refused by ``parse_config`` with a ``ConfigError`` that names a
-config key, or it runs to completion with no ``RuntimeWarning`` and a
-rerun that writes byte-identical files.  The cost of a drawn run is
-bounded by counting work (offset-kernel rows times steps), not by timing
-it, so the property cannot turn flaky on a slow machine.
+config key, or its summary echo parses back to the same config and it
+runs to completion with no ``RuntimeWarning`` and a rerun that writes
+byte-identical files.  The cost of a drawn run is bounded by counting
+work (offset-kernel rows times steps), not by timing it, so the property
+cannot turn flaky on a slow machine.
 """
 
 import math
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from branchbox.branching import MODES, _offset_kernel
-from branchbox.config import SCENARIOS, TIMINGS, ConfigError, parse_config
+from branchbox.config import SCENARIOS, TIMINGS, ConfigError, config_lines, parse_config
 from branchbox.runner import run_scenario
 
 KEYS = ("scenario", "m", "w", "tau", "hbar", "L", "mode", "steps", "fanout",
@@ -104,6 +105,12 @@ def run_bytes(c):
 # offset kernels past the memory budget, at unit parameters
 @example(overrides={"scenario": "midbox", "tau": 1e6})
 @example(overrides={"scenario": "midbox", "tau": 1e8})
+# booleans are ints to Python, and their echo "True" would not parse back
+@example(overrides={"steps": True})
+@example(overrides={"fanout": True})
+@example(overrides={"max_branches": True})
+@example(overrides={"bins": True})
+@example(overrides={"seed": False})
 def test_every_config_runs_or_is_refused_naming_a_key(overrides):
     with tempfile.TemporaryDirectory() as tmp:
         try:
@@ -115,8 +122,12 @@ def test_every_config_runs_or_is_refused_naming_a_key(overrides):
                 assert named.group(1) == "steps", str(err)
             if overrides.get("tau", 0.0) >= 1e6:
                 assert named.group(1) == "tau", str(err)
+            for key, value in overrides.items():
+                if isinstance(value, bool):
+                    assert named.group(1) == key, str(err)
             event(f"refused, naming {named.group(1)}")
             return
+        assert parse_config("\n".join(config_lines(c))) == c
         rows, _ = _offset_kernel(c.params.tau, c.params)
         assume(rows.size * c.steps <= WORK_BOUND)
         event(f"ran {c.scenario}")

@@ -20,10 +20,8 @@ from branchbox.density import (
     grid_points,
     grw_localization_channel,
     interference_visibility,
-    mixture_density,
     packet_state,
     random_mixed_factor,
-    random_mixed_state,
     superpose,
     von_neumann_entropy,
 )
@@ -35,8 +33,18 @@ P = PhysicalParams()
 
 
 def _pure(psi):
-    """|psi><psi| as the one-component mixture."""
-    return mixture_density([psi], [1.0])
+    """|psi><psi| as the one-column factor's density matrix."""
+    return factor_density(psi.amplitudes[:, None], np.ones(1), psi.dx)
+
+
+def _mixture(states, weights):
+    """The density matrix of a mixture of wavefunctions on one grid."""
+    return factor_density(np.column_stack([s.amplitudes for s in states]),
+                          np.asarray(weights, float), states[0].dx)
+
+
+def _random_mixed_state(n, rng, rank=None):
+    return factor_density(*random_mixed_factor(n, P, rng, rank=rank))
 
 
 def measured_moments(state):
@@ -64,13 +72,6 @@ def test_packet_state_moments():
     assert mean == pytest.approx(8.0, abs=1e-9)
     assert var == pytest.approx(0.81, rel=1e-6)
     assert float(psi.density().sum()) * psi.dx == pytest.approx(1.0, abs=1e-12)
-
-
-def test_packet_momentum_leaves_density():
-    a = packet_state(256, P, 10.0, 1.0)
-    b = packet_state(256, P, 10.0, 1.0, momentum=2.0)
-    np.testing.assert_allclose(a.density(), b.density(), atol=1e-12)
-    assert not np.allclose(a.amplitudes, b.amplitudes)
 
 
 def test_packet_state_validation():
@@ -110,13 +111,13 @@ def test_superpose_validation():
 def test_mixture_density_is_weighted_sum():
     a = packet_state(256, P, 6.0, 1.0)
     b = packet_state(256, P, 14.0, 1.0)
-    mix = mixture_density([a, b], [0.3, 0.7])
+    mix = _mixture([a, b], [0.3, 0.7])
     expected = 0.3 * a.density() + 0.7 * b.density()
     np.testing.assert_allclose(mix.density(), expected, atol=1e-12)
     # one component of weight 1 is its outer product, bit for bit
     np.testing.assert_array_equal(_pure(a).elements, np.outer(a.amplitudes, a.amplitudes.conj()))
     with pytest.raises(ValueError):
-        mixture_density([a, b], [0.5, 0.6])
+        _mixture([a, b], [0.5, 0.6])
 
 
 def test_density_matrix_validation():
@@ -171,27 +172,25 @@ def test_density_matrix_hermiticity_tolerance(unit):
 def test_random_mixed_state_is_valid():
     rng = np.random.Generator(np.random.PCG64(8))
     for _ in range(5):
-        rho = random_mixed_state(128, P, rng)
+        rho = _random_mixed_state(128, rng)
         assert von_neumann_entropy(rho) >= 0.0
-    fixed = random_mixed_state(128, P, rng, rank=4)
+    fixed = _random_mixed_state(128, rng, rank=4)
     lam = np.linalg.eigvalsh(fixed.elements) * fixed.dx
     assert (lam > 1e-10).sum() == 4
 
 
 def test_random_mixed_state_is_the_per_component_sum():
-    # one product of the weighted components equals the sum of their outer
-    # products, and both consume the same draws in the same order; the
-    # factor's draw and its product are random_mixed_state's, bit for bit
+    # one product of the factor's weighted columns equals the sum of their
+    # outer products, and both consume the same draws in the same order
     for seed, rank in ((12, None), (13, 1), (14, 8), (15, 10)):
-        a, b, c = (np.random.Generator(np.random.PCG64(seed)) for _ in range(3))
-        got = random_mixed_state(128, P, a, rank=rank).elements
+        b, c = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
         want = reference.random_mixed_state(
             128, P.L, b, int(b.integers(1, 9)) if rank is None else rank)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
         psi, weights, dx = random_mixed_factor(128, P, c, rank=rank)
         assert psi.shape == (128, weights.size) and dx == grid_points(128, P)[1]
-        assert factor_density(psi, weights, dx).elements.tobytes() == got.tobytes()
-        assert a.normal() == b.normal() == c.normal()
+        np.testing.assert_allclose(factor_density(psi, weights, dx).elements, want,
+                                   rtol=0, atol=1e-14)
+        assert b.normal() == c.normal()
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,9 +247,9 @@ def test_hamiltonian_validation():
 def test_unitary_step_preserves_state_properties():
     n = 128
     rng = np.random.Generator(np.random.PCG64(9))
-    rho = random_mixed_state(n, P, rng, rank=3)
-    s0 = von_neumann_entropy(rho)
-    out = UnitaryPropagator(n, P).evolve(rho, 0.7, 1)
+    psi, weights, dx = random_mixed_factor(n, P, rng, rank=3)
+    s0 = von_neumann_entropy(factor_density(psi, weights, dx))
+    out = factor_density(UnitaryPropagator(n, P).propagate(psi, 0.7), weights, dx)
     assert float(np.trace(out.elements).real) * out.dx == pytest.approx(1.0, abs=1e-10)
     assert abs(von_neumann_entropy(out) - s0) < 1e-10
 
@@ -295,61 +294,54 @@ def test_propagator_refuses_unresolved_grids():
     UnitaryPropagator(128, PhysicalParams(L=limit))
 
 
-def test_propagator_evolve_matches_repeated_step():
+def test_propagate_matches_repeated_step():
+    # the closed-form basis against a dense matrix exponential of H, five
+    # steps of rho -> U rho U^H against one propagation of the factor's columns
     n = 128
     u = UnitaryPropagator(n, P)
     h = reference.build_box_hamiltonian(n, P)
     rng = np.random.Generator(np.random.PCG64(10))
-    rho = random_mixed_state(n, P, rng, rank=2)
-    stepped = rho.elements
+    psi, weights, dx = random_mixed_factor(n, P, rng, rank=2)
+    stepped = factor_density(psi, weights, dx).elements
     for _ in range(5):
         stepped = reference.unitary_step(h, stepped, 0.3, P.hbar)
-    fast = u.evolve(rho, 0.3, 5)
+    fast = factor_density(u.propagate(psi, 5 * 0.3), weights, dx)
     np.testing.assert_allclose(fast.elements, stepped, atol=1e-12)
+    # each column evolves alone: a pure state is a one-column factor
+    np.testing.assert_allclose(u.propagate(psi[:, 1:], 1.5), u.propagate(psi, 1.5)[:, 1:],
+                               rtol=0, atol=1e-14)
 
 
-def test_propagator_evolve_is_one_phase_power():
+def test_propagator_composes_in_time():
     n = 128
     u = UnitaryPropagator(n, P)
-    rho = random_mixed_state(n, P, np.random.Generator(np.random.PCG64(11)), rank=4)
-    many = u.evolve(rho, P.tau, 1000)
-    once = u.evolve(rho, 1000 * P.tau, 1)
-    np.testing.assert_allclose(many.elements, once.elements, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(u.evolve(rho, P.tau, 0).elements, rho.elements,
+    psi, _, _ = random_mixed_factor(n, P, np.random.Generator(np.random.PCG64(11)), rank=4)
+    once = u.propagate(psi, 1000 * P.tau)
+    np.testing.assert_allclose(u.propagate(u.propagate(psi, 600 * P.tau), 400 * P.tau), once,
                                rtol=0, atol=1e-12)
-    with pytest.raises(ValueError, match="n_steps"):
-        u.evolve(rho, P.tau, -1)
-
-
-def test_propagator_evolve_is_the_complex_product():
-    # evolve multiplies the real basis into Re and Im separately
-    n = 128
-    u = UnitaryPropagator(n, P)
-    rho = random_mixed_state(n, P, np.random.Generator(np.random.PCG64(15)), rank=5)
-    v = u.vectors.astype(complex)
-    phase = np.exp(-1j * u.energies * P.tau / P.hbar) ** 7
-    out = v @ (np.outer(phase, phase.conj()) * (v.T @ rho.elements @ v)) @ v.T
-    np.testing.assert_allclose(u.evolve(rho, P.tau, 7).elements, 0.5 * (out + out.conj().T),
-                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(u.propagate(psi, 0.0), psi, rtol=0, atol=1e-12)
 
 
 def test_energy_eigenstate_is_stationary():
+    # an eigenvector of the closed-form basis is stationary under the dense
+    # matrix exponential of H, and propagate only turns its phase
     n = 128
     u = UnitaryPropagator(n, P)
-    psi = GridWavefunction(
-        u.vectors[:, 2].astype(complex) / math.sqrt(P.L / (n + 1)), P.L / (n + 1)
-    )
-    rho = _pure(psi)
-    out = u.evolve(rho, 1.3, 7)
-    np.testing.assert_allclose(out.elements, rho.elements, atol=1e-12)
+    dx = P.L / (n + 1)
+    psi = u.vectors[:, 2:3].astype(complex) / math.sqrt(dx)
+    rho = _pure(GridWavefunction(psi[:, 0], dx)).elements
+    h = reference.build_box_hamiltonian(n, P)
+    np.testing.assert_allclose(reference.unitary_step(h, rho, 1.3 * 7, P.hbar), rho, atol=1e-12)
+    out = factor_density(u.propagate(psi, 1.3 * 7), np.ones(1), dx)
+    np.testing.assert_allclose(out.elements, rho, atol=1e-12)
 
 
 def test_packet_spreading_follows_schroedinger():
     # true QM spreading of a minimum packet: var(t) = var0 + (hbar t / (2 m sigma0))^2
     n = 512
     psi = packet_state(n, P, 10.0, 1.0)
-    out = UnitaryPropagator(n, P).propagate(psi, 1.0)
-    _, var = measured_moments(out)
+    out = UnitaryPropagator(n, P).propagate(psi.amplitudes[:, None], 1.0)
+    _, var = measured_moments(GridWavefunction(out[:, 0], psi.dx))
     expected = 1.0 + (P.hbar * 1.0 / (2.0 * P.m * 1.0)) ** 2
     assert var == pytest.approx(expected, rel=1e-3)
 
@@ -363,7 +355,7 @@ def test_channel_damps_off_diagonals_exactly():
     psi = packet_state(n, P, 10.0, 1.0)
     rho = _pure(psi)
     out = grw_localization_channel(rho, P)
-    x = rho.positions()
+    x, _ = grid_points(n, P)
     damp = np.exp(-np.subtract.outer(x, x) ** 2 / (8.0 * P.w**2))
     np.testing.assert_allclose(out.elements, rho.elements * damp, atol=1e-15)
     np.testing.assert_allclose(out.density(), rho.density(), atol=1e-14)
@@ -393,7 +385,7 @@ def test_channel_factor_is_built_once_per_grid_and_width(monkeypatch):
     n = 128
     rho = _pure(packet_state(n, P, 10.0, 1.0))
     factor = density._localization_factor(n, rho.dx, P.w)
-    x = rho.positions()
+    x, _ = grid_points(n, P)
     d = x[:, None] - x[None, :]
     np.testing.assert_array_equal(factor, np.exp(-(d * d) / (8.0 * P.w**2)))
     np.testing.assert_array_equal(grw_localization_channel(rho, P, factor).elements,
@@ -422,7 +414,7 @@ def test_channel_on_orthogonal_mixture_adds_ln2():
     n = 512
     a = packet_state(n, P, 6.0, 1.0)
     b = packet_state(n, P, 14.0, 1.0)
-    mix = mixture_density([a, b], [0.5, 0.5])
+    mix = _mixture([a, b], [0.5, 0.5])
     assert von_neumann_entropy(mix) == pytest.approx(math.log(2), abs=1e-6)
     s = von_neumann_entropy(grw_localization_channel(mix, P))
     expected = reference.gaussian_channel_entropy(1.0, P.w) + math.log(2)
@@ -436,7 +428,7 @@ def test_channel_fixed_point_and_trace():
     out = grw_localization_channel(mixed, P)
     np.testing.assert_allclose(out.elements, mixed.elements, atol=1e-15)
     rng = np.random.Generator(np.random.PCG64(11))
-    rho = random_mixed_state(n, P, rng)
+    rho = _random_mixed_state(n, rng)
     out = grw_localization_channel(rho, P)
     assert float(np.trace(out.elements).real) * dx == pytest.approx(1.0, abs=1e-12)
 
@@ -475,24 +467,23 @@ def test_entropy_rejects_invalid_state():
 
 
 def test_visibility_coherent_vs_mixture():
+    # the odd superposition's cross term cancels the density between the
+    # packets; the mixture of the same packets has only its smooth envelope
     n = 512
     a = packet_state(n, P, 9.0, 1.0)
-    b = packet_state(n, P, 11.0, 1.0, momentum=8.0)
-    sup = superpose([a, b], [1 / math.sqrt(2), 1 / math.sqrt(2)])
-    mix = mixture_density([a, b], [0.5, 0.5])
+    b = packet_state(n, P, 11.0, 1.0)
+    sup = superpose([a, b], [1 / math.sqrt(2), -1 / math.sqrt(2)])
+    mix = _mixture([a, b], [0.5, 0.5])
     region = (8.5, 11.5)
-    assert interference_visibility(sup, region) > 0.5
-    assert interference_visibility(mix, region) < 0.3
+    assert interference_visibility(sup.density(), sup.dx, region) > 0.5
+    assert interference_visibility(mix.density(), mix.dx, region) < 0.3
 
 
 def test_visibility_validation():
     psi = packet_state(128, P, 10.0, 1.0)
-    with pytest.raises(ValueError):
-        interference_visibility(psi, (5.0, 25.0))
-    with pytest.raises(ValueError):
-        interference_visibility(psi, (5.0, 5.0))
-    with pytest.raises(TypeError):
-        interference_visibility(np.zeros(4), (0.0, 1.0))
+    for region in ((5.0, 25.0), (5.0, 5.0), (10.0, 10.1)):  # 10.1 - 10 < dx
+        with pytest.raises(ValueError):
+            interference_visibility(psi.density(), psi.dx, region)
 
 
 def test_fringe_content_zero_for_envelope():

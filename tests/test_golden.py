@@ -5,10 +5,14 @@ and compared with stored digests, so a refactor that claims to change no
 output can be held to it.  Runs write to a relative ``output_dir`` inside
 a temporary working directory, so the summary's echoed ``output_dir``
 does not depend on where the test runs.  A change that moves output
-bytes on purpose updates these digests and says so.
+bytes on purpose updates these digests and says so: run this file as a
+script (``PYTHONPATH=src python tests/test_golden.py``) to print every
+case's current digests in ``GOLDEN``'s own format.
 """
 
 import hashlib
+import os
+import tempfile
 
 import pytest
 
@@ -52,7 +56,7 @@ GOLDEN = {
     ),
     "liouville_check": (
         "8439412e2324553ebdc187dfd5e083a340dc95ee7dd0c2733f2dcf9d940637f5",
-        "0e12c9c89c61c36878380e28303f2390c5ae12809c4c42b4ac7468166da46059",
+        "fcceaf943b67ada8891fb0051380179cb438f39eb1ab76dabf95d6cc777c436e",
     ),
     "midbox": (
         "01d5a2a9a596a1d3f1bf543d5516e68f1335ab088799b2f1d6d7d731b52ad499",
@@ -72,7 +76,7 @@ GOLDEN = {
     ),
     "peres_test": (
         "9267937b8de980b64086302c07bc63391f9f0bd2baf7294bf9354f7cc01c7558",
-        "9e0cfc46fe57f09e7a1138c64cc78bfba7f147ced4c997a6ec5523962e5b09a4",
+        "6c5ff6e00bb11f18bd6a41e7442485841ab5209f90e744dadbc4f23fe47517c8",
     ),
 }
 
@@ -87,3 +91,15 @@ def test_output_bytes_are_pinned(case, tmp_path, monkeypatch):
     c = parse_config("", CASES[case] | {"seed": SEED, "output_dir": "out"})
     summary = run_scenario(c)
     assert (_sha(summary.series_path), _sha(summary.summary_path)) == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        print("GOLDEN = {")
+        for case in sorted(CASES):
+            c = parse_config("", CASES[case] | {"seed": SEED, "output_dir": "out"})
+            summary = run_scenario(c)
+            print(f'    "{case}": (\n        "{_sha(summary.series_path)}",\n'
+                  f'        "{_sha(summary.summary_path)}",\n    ),')
+        print("}")

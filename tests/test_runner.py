@@ -17,12 +17,10 @@ from branchbox import branching, runner, stats
 from branchbox.cli import main
 from branchbox.config import LIOUVILLE_GRID, config_lines, parse_config
 from branchbox.density import (
-    GridDensityMatrix,
     UnitaryPropagator,
     factor_density,
     grid_points,
     random_mixed_factor,
-    random_mixed_state,
 )
 from branchbox.rng import step_keys
 from branchbox.runner import CSV_COLUMNS, run_scenario
@@ -405,21 +403,21 @@ def test_series_rows_depend_only_on_their_own_ensemble(case):
 
 def test_liouville_series_is_the_evolved_density():
     # the series reads each step's density from the tracked state's rank-r
-    # factor; UnitaryPropagator.evolve of the dense matrix is the independent path
-    from branchbox import runner
-    from branchbox.config import LIOUVILLE_GRID
-    from branchbox.density import UnitaryPropagator, grid_points, random_mixed_state
-
+    # factor; the dense matrix stepped by a matrix exponential of H is the
+    # independent path
     c = parse_config("", {"scenario": "liouville_check", "steps": 20, "seed": 2025})
     rows = runner._scenario_liouville(c)[0]
     p = c.params
-    rho0 = random_mixed_state(
-        LIOUVILLE_GRID, p, runner._derived_rng(c.seed, runner._TAG_SERIES_STATE))
-    prop = UnitaryPropagator(LIOUVILLE_GRID, p)
+    rho = factor_density(*random_mixed_factor(
+        LIOUVILLE_GRID, p, runner._derived_rng(c.seed, runner._TAG_SERIES_STATE))).elements
+    h = reference.build_box_hamiltonian(LIOUVILLE_GRID, p)
     x, _ = grid_points(LIOUVILLE_GRID, p)
     mean_col, var_col = CSV_COLUMNS.index("mean_x"), CSV_COLUMNS.index("var_x")
-    for k in (1, 7, 20):
-        prob = np.maximum(prop.evolve(rho0, p.tau, k).density(), 0.0)
+    for k in range(1, 21):
+        rho = reference.unitary_step(h, rho, p.tau, p.hbar)
+        if k not in (1, 7, 20):
+            continue
+        prob = np.maximum(rho.diagonal().real, 0.0)
         prob /= prob.sum()
         mean = prob @ x
         assert rows[k][mean_col] == pytest.approx(mean, rel=1e-12, abs=0)
@@ -434,8 +432,8 @@ def test_liouville_series_blocks_equal_the_per_step_rows(steps):
     c = parse_config("", {"scenario": "liouville_check", "steps": steps, "seed": 2025})
     p = c.params
     prop = UnitaryPropagator(LIOUVILLE_GRID, p)
-    rho0 = random_mixed_state(
-        LIOUVILLE_GRID, p, runner._derived_rng(c.seed, runner._TAG_SERIES_STATE))
+    rho0 = factor_density(*random_mixed_factor(
+        LIOUVILLE_GRID, p, runner._derived_rng(c.seed, runner._TAG_SERIES_STATE)))
     x, _ = grid_points(LIOUVILLE_GRID, p)
     want = reference.density_series(rho0.elements, prop.vectors, prop.energies, p.tau,
                                     p.hbar, steps, x, c.bins, p.L)
@@ -450,7 +448,10 @@ def test_liouville_series_blocks_equal_the_per_step_rows(steps):
 @pytest.mark.parametrize("rank", [1, 8])
 def test_factor_densities_are_the_evolved_density(rank):
     # a block's GEMM densities of the factor equal the dense matrix evolved
-    # k steps at once, at a block's first and last steps and the run's last
+    # by a matrix exponential of H over k steps' time, at a block's first and
+    # last steps and the run's last.  The exponential's scaling and squaring
+    # at t = 200 tau errs by up to 3e-13 of the peak density (up to 4e-12
+    # relative in the tails), so compare on the peak's scale
     p = parse_config("", {"scenario": "liouville_check"}).params
     prop = UnitaryPropagator(LIOUVILLE_GRID, p)
     psi, weights, dx = random_mixed_factor(
@@ -460,11 +461,13 @@ def test_factor_densities_are_the_evolved_density(rank):
     assert [start for start, _ in blocks] == list(range(0, steps + 1, runner._SERIES_BLOCK))
     dens = np.hstack([d for _, d in blocks])
     assert dens.shape == (LIOUVILLE_GRID, steps + 1)
-    rho0 = factor_density(psi, weights, dx)
+    rho0 = factor_density(psi, weights, dx).elements
+    h = reference.build_box_hamiltonian(LIOUVILLE_GRID, p)
     for k in (0, runner._SERIES_BLOCK - 1, runner._SERIES_BLOCK, runner._SERIES_BLOCK + 1,
               steps):
-        np.testing.assert_allclose(dens[:, k], prop.evolve(rho0, p.tau, k).density(),
-                                   rtol=1e-12, atol=0, err_msg=f"step {k}")
+        want = reference.unitary_step(h, rho0, k * p.tau, p.hbar).diagonal().real
+        np.testing.assert_allclose(dens[:, k], want, rtol=0, atol=1e-12 * want.max(),
+                                   err_msg=f"step {k}")
 
 
 def test_liouville_conservation_fails_on_a_nan_drift(monkeypatch):
@@ -484,17 +487,38 @@ def test_liouville_conservation_fails_on_a_nan_drift(monkeypatch):
 
 
 def test_liouville_refuses_a_propagator_returning_nan(monkeypatch):
-    evolve = UnitaryPropagator.evolve
+    propagate = UnitaryPropagator.propagate
 
-    def poisoned(self, rho, dt, n_steps):
-        out = evolve(self, rho, dt, n_steps).elements.copy()
-        out[3, 5] = out[5, 3] = math.nan
-        return GridDensityMatrix(out, rho.dx)
+    def poisoned(self, psi, t):
+        out = propagate(self, psi, t)
+        out[3, 0] = math.nan
+        return out
 
-    monkeypatch.setattr(UnitaryPropagator, "evolve", poisoned)
+    monkeypatch.setattr(UnitaryPropagator, "propagate", poisoned)
     c = parse_config("", {"scenario": "liouville_check", "steps": 2, "seed": 2025})
     with pytest.raises(ValueError, match="finite"):
         runner._scenario_liouville(c)
+
+
+def test_liouville_conservation_fails_on_a_non_unitary_propagator(monkeypatch):
+    # one energy mode grows by 1e-6 and each column is renormalized, so every
+    # evolved matrix keeps its unit trace but not its spectrum
+    propagate = UnitaryPropagator.propagate
+    c = parse_config("", {"scenario": "liouville_check", "steps": 2, "seed": 2025})
+    dx = grid_points(LIOUVILLE_GRID, c.params)[1]
+
+    def leaky(self, psi, t):
+        amp = self.vectors.T @ propagate(self, psi, t)
+        amp[0] *= 1.0 + 1e-6
+        out = self.vectors @ amp
+        return out / (np.linalg.norm(out, axis=0) * math.sqrt(dx))
+
+    monkeypatch.setattr(UnitaryPropagator, "propagate", leaky)
+    _, metrics, checks = runner._scenario_liouville(c)
+    assert metrics["max_abs_entropy_drift"] > 1e-8
+    assert {ch.name: ch.passed for ch in checks} == {
+        "liouville_conservation": False, "channel_monotone": True,
+        "channel_strict_increase": True, "channel_fixed_point": True}
 
 
 def test_liouville_solves_only_the_matrices_it_checks(monkeypatch):

@@ -17,7 +17,6 @@ from branchbox.model import PhysicalParams, bin_weights, ndtr
 from branchbox.rng import lineage_hash_root
 from branchbox.runner import BORN_TOTAL_COUNT, _born_event, _series_rows
 from branchbox.stats import (
-    VarianceSeries,
     _coarse_histograms,
     _entropy_tv,
     _position_masses,
@@ -331,8 +330,7 @@ def test_coarse_entropy_values():
 def test_fit_diffusion_exact_line():
     t = np.arange(1.0, 31.0)
     d, c0 = 0.37, 1.2
-    series = VarianceSeries(t, 2 * d * t + c0, np.full(t.size, 100.0))
-    fit = fit_diffusion(series)
+    fit = fit_diffusion(t, 2 * d * t + c0)
     assert fit.diffusion == pytest.approx(d, rel=1e-12)
     assert fit.intercept == pytest.approx(c0, rel=1e-12)
     assert fit.stderr == pytest.approx(0.0, abs=1e-12)
@@ -344,25 +342,30 @@ def test_fit_diffusion_recovers_noisy_slope():
     t = np.arange(1.0, 101.0)
     d = 0.5
     noise = rng.normal(0.0, 0.3, t.size)
-    series = VarianceSeries(t, 2 * d * t + 1.0 + noise, np.full(t.size, 100.0))
-    fit = fit_diffusion(series)
+    fit = fit_diffusion(t, 2 * d * t + 1.0 + noise)
     assert abs(fit.diffusion - d) < 4 * fit.stderr
     assert fit.stderr < 0.01
 
 
 def test_fit_diffusion_validation():
-    short = VarianceSeries(np.arange(5.0) + 1, np.ones(5), np.ones(5))
-    with pytest.raises(ValueError):
-        fit_diffusion(short)
+    with pytest.raises(ValueError, match="at least 10"):
+        fit_diffusion(np.arange(9.0) + 1, np.ones(9))
+    fit_diffusion(np.arange(10.0) + 1, np.arange(10.0) + 1)
 
 
 def test_variance_series_validation():
-    with pytest.raises(ValueError):
-        VarianceSeries(np.array([1.0, 1.0]), np.ones(2), np.ones(2))
-    with pytest.raises(ValueError):
-        VarianceSeries(np.array([1.0, 2.0]), np.array([1.0, 0.0]), np.ones(2))
-    with pytest.raises(ValueError):
-        VarianceSeries(np.array([1.0, 2.0]), np.ones(3), np.ones(2))
+    t = np.arange(12.0) + 1
+    for times, variances, match in (
+        (np.r_[t[:5], t[4:11]], np.ones(12), "strictly increasing"),
+        (np.r_[t[:5], math.nan, t[6:]], np.ones(12), "strictly increasing"),
+        (t, np.r_[np.ones(11), 0.0], "finite and > 0"),
+        (t, np.r_[np.ones(11), math.inf], "finite and > 0"),
+        (t, np.r_[np.ones(11), math.nan], "finite and > 0"),
+        (t, np.ones(13), "matching"),
+        (t[:, None], np.ones((12, 1)), "matching"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            fit_diffusion(times, variances)
 
 
 # ---------------------------------------------------------------------------
