@@ -728,7 +728,6 @@ class CollapseBatch:
     time: float
     center: np.ndarray
     variance: float
-    n_steps: int
 
 
 def trajectory_seed(master_seed: int, index: int | np.ndarray):
@@ -770,8 +769,7 @@ def run_collapse_trajectories(
         u = _cap_probe_phases(ladder, step_keys(seeds, k))
         site += step[_cdf_search(cdf, u, index) if select_rule is None
                      else np.asarray(select_rule(kern, u))]
-    return CollapseBatch(time=t, center=start.tables.position(site), variance=start.variance,
-                         n_steps=steps)
+    return CollapseBatch(time=t, center=start.tables.position(site), variance=start.variance)
 
 
 def _exact_chain(p: PhysicalParams, steps: int) -> Iterator[tuple[float, int, np.ndarray]]:

@@ -4,15 +4,17 @@ The branching engine never touches a wavefunction; everything it claims
 (entropy growth under localization, Liouville conservation under unitary
 evolution, absence of recoherence for tagged components, diffusive
 spreading) has an exact counterpart on a modest position grid.  This
-module provides that counterpart.  A state is a factor: an n x r array of
-continuum-normalized wavefunction columns with weights w (a pure state is
-one column of weight 1), whose density matrix rho = sum_k w_k psi_k psi_k^H
-``factor_density`` builds.  ``UnitaryPropagator.propagate`` evolves a
-factor's columns under the hard-wall box Hamiltonian in its closed-form
-DST-I sine eigenbasis.  Also here: the width-w Gaussian localization
-channel on a density matrix, random mixtures drawn as a rank-r factor, von
-Neumann entropy (of a matrix, or of a mixture from its factor), interference
-diagnostics on a position density, and a classical reflected random walk.
+module provides that counterpart.  The one state type is a factor: an n x r
+array of continuum-normalized wavefunction columns with weights w (a pure
+state is one column of weight 1, as ``packet_state`` and ``superpose`` make),
+whose density matrix rho = sum_k w_k psi_k psi_k^H ``factor_density`` builds.
+``UnitaryPropagator`` evolves a factor under the hard-wall box Hamiltonian in
+its closed-form DST-I sine eigenbasis: ``propagate`` maps its columns to one
+time, ``series_densities`` gives its position densities at every step of a
+run.  Also here: the width-w Gaussian localization channel on a density matrix,
+random mixtures drawn as a rank-r factor, von Neumann entropy (of a matrix, or
+of a mixture from its factor), interference diagnostics on a position density,
+and a classical reflected random walk.
 
 Grid convention: n interior points x_i = i*dx, i = 1..n, with dx =
 L/(n+1); hard walls sit at 0 and L.  Wavefunctions and density matrices
@@ -24,14 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .model import PhysicalParams, reflect_center
 
 __all__ = [
-    "GridWavefunction",
     "GridDensityMatrix",
     "grid_points",
     "packet_state",
@@ -40,6 +40,7 @@ __all__ = [
     "factor_density",
     "UnitaryPropagator",
     "grw_localization_channel",
+    "localization_factor",
     "von_neumann_entropy",
     "factor_entropy",
     "interference_visibility",
@@ -50,6 +51,7 @@ __all__ = [
 
 # the lowest box sine modes superposed in each random_mixed_factor column
 RANDOM_MODES = 16
+_SERIES_BLOCK = 64  # series_densities steps per block; buffers scale with it
 
 
 def grid_points(n: int, p: PhysicalParams) -> tuple[np.ndarray, float]:
@@ -58,33 +60,6 @@ def grid_points(n: int, p: PhysicalParams) -> tuple[np.ndarray, float]:
         raise ValueError(f"grid needs at least 2 points, got {n}")
     dx = p.L / (n + 1)
     return dx * np.arange(1, n + 1, dtype=float), dx
-
-
-@dataclass(frozen=True)
-class GridWavefunction:
-    """Complex amplitudes on the interior grid, continuum-normalized."""
-
-    amplitudes: np.ndarray
-    dx: float
-
-    def __post_init__(self):
-        if self.amplitudes.ndim != 1 or self.amplitudes.size < 2:
-            raise ValueError("amplitudes must be a 1-d vector of length >= 2")
-        if not (self.dx > 0):
-            raise ValueError(f"dx must be > 0, got {self.dx}")
-        if not np.isfinite(self.amplitudes).all():
-            raise ValueError("wavefunction amplitudes must be finite")
-        norm = float(np.vdot(self.amplitudes, self.amplitudes).real) * self.dx
-        if not (abs(norm - 1.0) <= 1e-10):
-            raise ValueError(f"wavefunction norm must be 1 within 1e-10, got {norm!r}")
-
-    @property
-    def n(self) -> int:
-        return self.amplitudes.size
-
-    def density(self) -> np.ndarray:
-        """Position density |psi|^2 on the grid (integrates to 1 with dx)."""
-        return np.abs(self.amplitudes) ** 2
 
 
 @dataclass(frozen=True)
@@ -115,10 +90,6 @@ class GridDensityMatrix:
         if not (abs(trace - 1.0) <= 1e-10):
             raise ValueError(f"trace * dx must be 1 within 1e-10, got {trace!r}")
 
-    @property
-    def n(self) -> int:
-        return self.elements.shape[0]
-
     def density(self) -> np.ndarray:
         """Diagonal position density (integrates to 1 with dx)."""
         return np.maximum(self.elements.real.diagonal(), 0.0)
@@ -128,8 +99,8 @@ class GridDensityMatrix:
 # states
 
 
-def packet_state(n: int, p: PhysicalParams, center: float, variance: float) -> GridWavefunction:
-    """Gaussian packet at rest with position variance ``variance``."""
+def packet_state(n: int, p: PhysicalParams, center: float, variance: float) -> np.ndarray:
+    """Continuum-normalized column of a Gaussian at rest, position variance ``variance``."""
     if not (variance > 0):
         raise ValueError(f"variance must be > 0, got {variance}")
     x, dx = grid_points(n, p)
@@ -137,24 +108,19 @@ def packet_state(n: int, p: PhysicalParams, center: float, variance: float) -> G
     norm = math.sqrt(float(np.vdot(psi, psi).real) * dx)
     if norm == 0:
         raise ValueError("packet has no support on the grid")
-    return GridWavefunction(psi / norm, dx)
+    return psi / norm
 
 
-def superpose(states: Sequence[GridWavefunction], coefficients) -> GridWavefunction:
-    """Coherent superposition sum c_k psi_k, renormalized."""
-    if not states:
-        raise ValueError("need at least one state")
-    dx = states[0].dx
-    if any(s.dx != dx or s.n != states[0].n for s in states):
-        raise ValueError("states must share one grid")
+def superpose(columns: np.ndarray, coefficients, dx: float) -> np.ndarray:
+    """Coherent superposition sum c_k psi_k of a factor's columns, renormalized."""
     c = np.asarray(coefficients, complex)
-    if c.shape != (len(states),):
-        raise ValueError("one coefficient per state required")
-    psi = sum(ck * s.amplitudes for ck, s in zip(c, states))
+    if c.shape != (columns.shape[1],):
+        raise ValueError("one coefficient per column required")
+    psi = sum(ck * col for ck, col in zip(c, columns.T))
     norm = math.sqrt(float(np.vdot(psi, psi).real) * dx)
     if norm < 1e-300:
         raise ValueError("superposition cancels to zero")
-    return GridWavefunction(psi / norm, dx)
+    return psi / norm
 
 
 def random_mixed_factor(
@@ -236,13 +202,33 @@ class UnitaryPropagator:
         v = self.vectors
         return v @ (np.exp(-1j * self.energies * t / self.hbar)[:, None] * (v.T @ psi))
 
+    def series_densities(self, psi: np.ndarray, weights: np.ndarray, dt: float, steps: int):
+        """Blocks (start, densities) of sum_j w_j psi_j psi_j^H evolved by steps of dt: one
+        position-major column per step start .. start + 63, through step ``steps``.
+
+        Step k's energy-basis amplitudes are phase^k C, C = V^T psi sqrt(w), with phase^k
+        the block start's power times a power within the block, so no per-step rounding
+        accumulates.  With Re and Im kept apart, a block's densities sum_j |V phase^k c_j|^2
+        are two real GEMMs, (n x n) (n x 64 r).
+        """
+        v, (n, r) = self.vectors, psi.shape
+        amp = v.T @ (psi * np.sqrt(weights))
+        phase = np.exp(-1j * self.energies * dt / self.hbar)
+        turn = phase[:, None, None] ** np.arange(_SERIES_BLOCK)[:, None]
+        for start in range(0, steps + 1, _SERIES_BLOCK):
+            c = (phase**start)[:, None, None] * amp[:, None]
+            re = turn.real * c.real - turn.imag * c.imag
+            im = turn.real * c.imag + turn.imag * c.real
+            dens = np.square(v @ re.reshape(n, -1)) + np.square(v @ im.reshape(n, -1))
+            yield start, dens.reshape(n, _SERIES_BLOCK, r).sum(axis=2)[:, :steps + 1 - start]
+
 
 # ---------------------------------------------------------------------------
 # localization channel
 
 
 def grw_localization_channel(
-    rho: GridDensityMatrix, p: PhysicalParams, factor: np.ndarray | None = None
+    rho: GridDensityMatrix, p: PhysicalParams, factor: np.ndarray
 ) -> GridDensityMatrix:
     """Width-w Gaussian localization: rho_ij -> rho_ij exp(-(x_i-x_j)^2 / 8w^2).
 
@@ -254,19 +240,17 @@ def grw_localization_channel(
     the walls would leak trace for states near a wall.  Complete
     positivity: the factor matrix is a Gaussian kernel, hence positive
     semidefinite, and a Schur product with a PSD matrix preserves PSD.
-    ``factor`` is ``_localization_factor(rho.n, rho.dx, p.w)``, built per
-    call unless a run passes the one it built.
+    ``factor`` is ``localization_factor(n, rho.dx, p.w)`` of rho's n-point
+    grid, built once per grid and width.
     """
     if rho.dx > p.w / 4.0:
         raise ValueError(
             f"grid pitch {rho.dx} does not resolve the localization width w = {p.w}"
         )
-    if factor is None:
-        factor = _localization_factor(rho.n, rho.dx, p.w)
     return GridDensityMatrix(rho.elements * factor, rho.dx)
 
 
-def _localization_factor(n: int, dx: float, w: float) -> np.ndarray:
+def localization_factor(n: int, dx: float, w: float) -> np.ndarray:
     """The channel's damping factor on the n-point grid of pitch dx."""
     x = dx * np.arange(1, n + 1, dtype=float)
     d = x[:, None] - x[None, :]

@@ -104,15 +104,12 @@ def reflect_center(x, L: float):
 
     The fold is periodic with period 2L followed by mirroring of the
     upper half; it is idempotent on [0, L] and exact for values that are
-    many periods outside the box.  Accepts scalars or arrays.
+    many periods outside the box.  Accepts scalars or arrays; returns an array.
     """
     if not (L > 0):
         raise ValueError(f"box length must be > 0, got {L}")
     y = np.mod(x, 2.0 * L)
-    y = np.where(y > L, 2.0 * L - y, y)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(y)
-    return y
+    return np.where(y > L, 2.0 * L - y, y)
 
 
 # Cephes' ndtr (Moshier's form of Cody's rational approximations, the

@@ -113,11 +113,8 @@ def float_bits(t: float):
 
 def unit_uniform(key):
     """Map uint64 keys to uniforms in (0, 1); vectorized, deterministic."""
-    bits = splitmix64(key)
     # 52 bits offset by half their ulp: 2**-53 .. 1 - 2**-53, each exact
-    if isinstance(bits, np.generic):
-        return np.float64(((int(bits) >> 12) + 0.5) * 2.0**-52)
-    return _unit_interval(bits)
+    return _unit_interval(splitmix64(key))
 
 
 def lineage_hash_root(index: int | np.ndarray):

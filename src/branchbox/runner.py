@@ -47,7 +47,6 @@ from .config import LIOUVILLE_GRID, PERES_GRID, RunConfig, config_lines
 from .density import (
     GridDensityMatrix,
     UnitaryPropagator,
-    _localization_factor,
     classical_random_walk_oracle,
     factor_density,
     factor_entropy,
@@ -55,6 +54,7 @@ from .density import (
     grid_points,
     grw_localization_channel,
     interference_visibility,
+    localization_factor,
     packet_state,
     random_mixed_factor,
     superpose,
@@ -101,7 +101,6 @@ BORN_TOTAL_COUNT = 10_000
 KS_SAMPLE = 1000
 KS_PAIRS = 20
 KS_AT_STEP = 100
-_SERIES_BLOCK = 64  # liouville_check series steps per block; buffers scale with it
 
 # tags deriving auxiliary rng streams from the run seed
 _TAG_KS_PAIR = 0x4B50
@@ -487,22 +486,21 @@ def _scenario_peres(c: RunConfig):
     # t >> 2 m w^2 / hbar, so both reach the midpoint around t*
     t_star = 2.0 * p.m * half_sep * p.w / p.hbar
     prop = UnitaryPropagator(PERES_GRID, p)
+    _, dx = grid_points(PERES_GRID, p)
 
-    left = packet_state(PERES_GRID, p, c_left, p.w**2)
-    right = packet_state(PERES_GRID, p, c_right, p.w**2)
+    packets = np.column_stack([packet_state(PERES_GRID, p, x0, p.w**2) for x0 in (c_left, c_right)])
     amp = 1.0 / math.sqrt(2.0)
-    start = superpose([left, right], [amp, amp])
     # columns at t*: the coherent superposition, then the two tagged components
-    out = prop.propagate(np.column_stack([s.amplitudes for s in (start, left, right)]), t_star)
+    out = prop.propagate(np.column_stack([superpose(packets, [amp, amp], dx), packets]), t_star)
     coherent = np.abs(out[:, 0]) ** 2
-    tagged = factor_density(out[:, 1:], np.array([0.5, 0.5]), left.dx).density()
+    tagged = factor_density(out[:, 1:], np.array([0.5, 0.5]), dx).density()
     envelope = 0.5 * np.abs(out[:, 1]) ** 2 + 0.5 * np.abs(out[:, 2]) ** 2
 
     # fringe spacing at overlap: 2 pi hbar t / (m * separation)
     spacing = 2.0 * math.pi * p.hbar * t_star / (p.m * 2.0 * half_sep)
     region = (p.L / 2.0 - spacing / 2.0, p.L / 2.0 + spacing / 2.0)
-    vis_coherent = interference_visibility(coherent, left.dx, region)
-    vis_tagged = interference_visibility(tagged, left.dx, region)
+    vis_coherent = interference_visibility(coherent, dx, region)
+    vis_tagged = interference_visibility(tagged, dx, region)
     content_coherent = fringe_content(coherent, envelope)
     content_tagged = fringe_content(tagged, envelope)
     separation = content_coherent / max(content_tagged, 1e-300)
@@ -539,30 +537,8 @@ def _scenario_peres(c: RunConfig):
     return rows, metrics, checks
 
 
-def _factor_densities(prop: UnitaryPropagator, psi: np.ndarray, weights: np.ndarray,
-                      dt: float, steps: int):
-    """Blocks (start, densities) of sum_j w_j psi_j psi_j^H evolved by steps of dt: one
-    position-major column per step start .. start + 63, through step ``steps``.
-
-    Step k's energy-basis amplitudes are phase^k C, C = V^T psi sqrt(w), with phase^k
-    the block start's power times a power within the block, so no per-step rounding
-    accumulates.  With Re and Im kept apart, a block's densities sum_j |V phase^k c_j|^2
-    are two real GEMMs, (n x n) (n x 64 r).
-    """
-    v, (n, r) = prop.vectors, psi.shape
-    amp = v.T @ (psi * np.sqrt(weights))
-    phase = np.exp(-1j * prop.energies * dt / prop.hbar)
-    turn = phase[:, None, None] ** np.arange(_SERIES_BLOCK)[:, None]
-    for start in range(0, steps + 1, _SERIES_BLOCK):
-        c = (phase**start)[:, None, None] * amp[:, None]
-        re = turn.real * c.real - turn.imag * c.imag
-        im = turn.real * c.imag + turn.imag * c.real
-        dens = np.square(v @ re.reshape(n, -1)) + np.square(v @ im.reshape(n, -1))
-        yield start, dens.reshape(n, _SERIES_BLOCK, r).sum(axis=2)[:, :steps + 1 - start]
-
-
 def _liouville_series(c: RunConfig, prop: UnitaryPropagator, x: np.ndarray) -> list[tuple]:
-    """Rows of one tracked state, from its rank-r factor, _SERIES_BLOCK steps at a time."""
+    """Rows of one tracked state, from its rank-r factor's ``series_densities`` blocks."""
     p = c.params
     edges = np.linspace(0.0, p.L, c.bins + 1)
     # one-hot coarse bin of each grid point, fixed for the run
@@ -570,7 +546,7 @@ def _liouville_series(c: RunConfig, prop: UnitaryPropagator, x: np.ndarray) -> l
     rng = _derived_rng(c.seed, _TAG_SERIES_STATE)
     psi, weights, _ = random_mixed_factor(LIOUVILLE_GRID, p, rng)
     rows = []
-    for start, dens in _factor_densities(prop, psi, weights, p.tau, c.steps):
+    for start, dens in prop.series_densities(psi, weights, p.tau, c.steps):
         k = np.arange(start, start + dens.shape[1])
         prob = dens / dens.sum(axis=0)
         # the engine rows' kernels: a grid point is a position, with no packet width
@@ -602,7 +578,7 @@ def _scenario_liouville(c: RunConfig):
     # localization channel: entropy never drops, and strictly grows on
     # low-entropy inputs
     chan_rng = _derived_rng(c.seed, _TAG_CHANNEL)
-    damp = _localization_factor(LIOUVILLE_GRID, dx, p.w)
+    damp = localization_factor(LIOUVILLE_GRID, dx, p.w)
     gains, initial_entropies = [], []
     for i in range(CHANNEL_STATES):
         factor = random_mixed_factor(LIOUVILLE_GRID, p, chan_rng, rank=1 + i % 10)

@@ -390,7 +390,7 @@ def expectation_compare(
     set with a displaced mean (a deterministic, biased pruning rule)
     yields an infinite z-score rather than an error.
     """
-    if trajectories.n_steps < 0 or trajectories.center.size < 2:
+    if trajectories.center.size < 2:
         raise ValueError("need at least 2 trajectories")
     if abs(trajectories.time - reference.time) > 1e-9 * max(1.0, abs(reference.time)):
         raise ValueError(

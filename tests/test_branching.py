@@ -1261,7 +1261,6 @@ def test_batch_deterministic_and_seed_sensitive():
     np.testing.assert_array_equal(a.center, b.center)
     assert not np.array_equal(a.center, c.center)
     assert a.time == 10 * P.tau
-    assert a.n_steps == 10
 
 
 def test_batch_select_rule_override():

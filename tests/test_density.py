@@ -11,7 +11,6 @@ from branchbox import density, runner
 from branchbox.config import LIOUVILLE_GRID, parse_config
 from branchbox.density import (
     GridDensityMatrix,
-    GridWavefunction,
     UnitaryPropagator,
     classical_random_walk_oracle,
     factor_density,
@@ -20,6 +19,7 @@ from branchbox.density import (
     grid_points,
     grw_localization_channel,
     interference_visibility,
+    localization_factor,
     packet_state,
     random_mixed_factor,
     superpose,
@@ -32,24 +32,34 @@ import reference
 P = PhysicalParams()
 
 
+def _dx(psi):
+    """Pitch of the grid a column lives on."""
+    return grid_points(psi.shape[0], P)[1]
+
+
 def _pure(psi):
     """|psi><psi| as the one-column factor's density matrix."""
-    return factor_density(psi.amplitudes[:, None], np.ones(1), psi.dx)
+    return factor_density(psi[:, None], np.ones(1), _dx(psi))
 
 
-def _mixture(states, weights):
-    """The density matrix of a mixture of wavefunctions on one grid."""
-    return factor_density(np.column_stack([s.amplitudes for s in states]),
-                          np.asarray(weights, float), states[0].dx)
+def _mixture(columns, weights):
+    """The density matrix of a mixture of columns on one grid."""
+    return factor_density(np.column_stack(columns), np.asarray(weights, float), _dx(columns[0]))
 
 
 def _random_mixed_state(n, rng, rank=None):
     return factor_density(*random_mixed_factor(n, P, rng, rank=rank))
 
 
-def measured_moments(state):
-    x, dx = grid_points(state.n, P)
-    d = state.density()
+def _channel(rho):
+    """The localization channel at P.w, its factor built for rho's grid."""
+    factor = localization_factor(rho.elements.shape[0], rho.dx, P.w)
+    return grw_localization_channel(rho, P, factor)
+
+
+def measured_moments(psi):
+    x, dx = grid_points(psi.size, P)
+    d = np.abs(psi) ** 2
     mean = float(d @ x) * dx
     var = float(d @ (x - mean) ** 2) * dx
     return mean, var
@@ -71,7 +81,7 @@ def test_packet_state_moments():
     mean, var = measured_moments(psi)
     assert mean == pytest.approx(8.0, abs=1e-9)
     assert var == pytest.approx(0.81, rel=1e-6)
-    assert float(psi.density().sum()) * psi.dx == pytest.approx(1.0, abs=1e-12)
+    assert float(psi @ psi) * _dx(psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_packet_state_validation():
@@ -85,37 +95,34 @@ def test_superpose_interferes():
     n = 511  # odd interior count puts a grid point exactly at L/2
     a = packet_state(n, P, 9.0, 1.0)
     b = packet_state(n, P, 11.0, 1.0)
-    sup = superpose([a, b], [1 / math.sqrt(2), 1 / math.sqrt(2)])
-    norm = float(sup.density().sum()) * sup.dx
+    x, dx = grid_points(n, P)
+    sup = superpose(np.column_stack([a, b]), [1 / math.sqrt(2), 1 / math.sqrt(2)], dx)
+    norm = float(np.vdot(sup, sup).real) * dx
     assert norm == pytest.approx(1.0, abs=1e-12)
     # overlapping packets in phase: the midpoint density doubles before
     # renormalization by 1 + <a|b>, overlap exp(-d^2/(8 s2)) = exp(-1/2)
-    x, _ = grid_points(n, P)
     i_mid = int(np.argmin(np.abs(x - 10.0)))
-    incoherent = 0.5 * (a.density()[i_mid] + b.density()[i_mid])
-    ratio = sup.density()[i_mid] / incoherent
+    incoherent = 0.5 * (a[i_mid] ** 2 + b[i_mid] ** 2)
+    ratio = abs(sup[i_mid]) ** 2 / incoherent
     assert ratio == pytest.approx(2.0 / (1.0 + math.exp(-0.5)), rel=1e-6)
 
 
 def test_superpose_validation():
     a = packet_state(256, P, 9.0, 1.0)
-    b = packet_state(128, P, 9.0, 1.0)
-    with pytest.raises(ValueError):
-        superpose([a, b], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        superpose([a], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        superpose([a, a], [1.0, -1.0])  # exact cancellation
+    with pytest.raises(ValueError, match="one coefficient per column"):
+        superpose(a[:, None], [0.5, 0.5], _dx(a))
+    with pytest.raises(ValueError, match="cancels"):
+        superpose(np.column_stack([a, a]), [1.0, -1.0], _dx(a))  # exact cancellation
 
 
 def test_mixture_density_is_weighted_sum():
     a = packet_state(256, P, 6.0, 1.0)
     b = packet_state(256, P, 14.0, 1.0)
     mix = _mixture([a, b], [0.3, 0.7])
-    expected = 0.3 * a.density() + 0.7 * b.density()
+    expected = 0.3 * a**2 + 0.7 * b**2
     np.testing.assert_allclose(mix.density(), expected, atol=1e-12)
     # one component of weight 1 is its outer product, bit for bit
-    np.testing.assert_array_equal(_pure(a).elements, np.outer(a.amplitudes, a.amplitudes.conj()))
+    np.testing.assert_array_equal(_pure(a).elements, np.outer(a, a.conj()))
     with pytest.raises(ValueError):
         _mixture([a, b], [0.5, 0.6])
 
@@ -144,10 +151,6 @@ def test_states_refuse_non_finite_elements(bad):
         m[i, j] = m[j, i] = bad
         with pytest.raises(ValueError, match="finite"):
             GridDensityMatrix(m, dx)
-    psi = np.full(n, 1.0 / math.sqrt(n * dx), dtype=complex)
-    psi[2] = bad
-    with pytest.raises(ValueError, match="finite"):
-        GridWavefunction(psi, dx)
     with pytest.raises(ValueError, match="not a valid state"):
         density._spectrum_entropy(np.array([math.nan, 1.0]))
 
@@ -322,6 +325,23 @@ def test_propagator_composes_in_time():
     np.testing.assert_allclose(u.propagate(psi, 0.0), psi, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("rank", [1, 8])
+def test_series_densities_equal_propagate(rank):
+    # the two evolution methods against each other: the series' densities at
+    # step k are sum_j |propagate(psi sqrt(w), k tau)_j|^2, at a block's first
+    # and last steps and the run's last
+    n, steps, block = LIOUVILLE_GRID, 200, density._SERIES_BLOCK
+    u = UnitaryPropagator(n, P)
+    psi, weights, _ = random_mixed_factor(
+        n, P, np.random.Generator(np.random.PCG64(30 + rank)), rank=rank)
+    dens = np.hstack([d for _, d in u.series_densities(psi, weights, P.tau, steps)])
+    assert dens.shape == (n, steps + 1)
+    for k in (0, block - 1, block, block + 1, steps):
+        want = (np.abs(u.propagate(psi * np.sqrt(weights), k * P.tau)) ** 2).sum(axis=1)
+        np.testing.assert_allclose(dens[:, k], want, rtol=0, atol=1e-12 * want.max(),
+                                   err_msg=f"step {k}")
+
+
 def test_energy_eigenstate_is_stationary():
     # an eigenvector of the closed-form basis is stationary under the dense
     # matrix exponential of H, and propagate only turns its phase
@@ -329,7 +349,7 @@ def test_energy_eigenstate_is_stationary():
     u = UnitaryPropagator(n, P)
     dx = P.L / (n + 1)
     psi = u.vectors[:, 2:3].astype(complex) / math.sqrt(dx)
-    rho = _pure(GridWavefunction(psi[:, 0], dx)).elements
+    rho = _pure(psi[:, 0]).elements
     h = reference.build_box_hamiltonian(n, P)
     np.testing.assert_allclose(reference.unitary_step(h, rho, 1.3 * 7, P.hbar), rho, atol=1e-12)
     out = factor_density(u.propagate(psi, 1.3 * 7), np.ones(1), dx)
@@ -340,8 +360,8 @@ def test_packet_spreading_follows_schroedinger():
     # true QM spreading of a minimum packet: var(t) = var0 + (hbar t / (2 m sigma0))^2
     n = 512
     psi = packet_state(n, P, 10.0, 1.0)
-    out = UnitaryPropagator(n, P).propagate(psi.amplitudes[:, None], 1.0)
-    _, var = measured_moments(GridWavefunction(out[:, 0], psi.dx))
+    out = UnitaryPropagator(n, P).propagate(psi[:, None], 1.0)
+    _, var = measured_moments(out[:, 0])
     expected = 1.0 + (P.hbar * 1.0 / (2.0 * P.m * 1.0)) ** 2
     assert var == pytest.approx(expected, rel=1e-3)
 
@@ -354,7 +374,7 @@ def test_channel_damps_off_diagonals_exactly():
     n = 128
     psi = packet_state(n, P, 10.0, 1.0)
     rho = _pure(psi)
-    out = grw_localization_channel(rho, P)
+    out = _channel(rho)
     x, _ = grid_points(n, P)
     damp = np.exp(-np.subtract.outer(x, x) ** 2 / (8.0 * P.w**2))
     np.testing.assert_allclose(out.elements, rho.elements * damp, atol=1e-15)
@@ -365,7 +385,7 @@ def test_channel_factor_is_built_once_per_grid_and_width(monkeypatch):
     # the Liouville run builds its grid's factor once and hands it to every
     # channel call, as it builds its propagator once
     built, passed = [], set()
-    build, channel = runner._localization_factor, runner.grw_localization_channel
+    build, channel = runner.localization_factor, runner.grw_localization_channel
 
     def counted_build(*args):
         built.append(args)
@@ -375,21 +395,17 @@ def test_channel_factor_is_built_once_per_grid_and_width(monkeypatch):
         passed.add(id(factor))
         return channel(rho, p, factor)
 
-    monkeypatch.setattr(runner, "_localization_factor", counted_build)
+    monkeypatch.setattr(runner, "localization_factor", counted_build)
     monkeypatch.setattr(runner, "grw_localization_channel", counted_channel)
     c = parse_config("", {"scenario": "liouville_check", "steps": 2})
     runner._scenario_liouville(c)
     assert built == [(LIOUVILLE_GRID, grid_points(LIOUVILLE_GRID, c.params)[1], c.params.w)]
     assert len(passed) == 1
-    # the factor passed in is the one the channel builds per call without it
-    n = 128
-    rho = _pure(packet_state(n, P, 10.0, 1.0))
-    factor = density._localization_factor(n, rho.dx, P.w)
-    x, _ = grid_points(n, P)
+    # the factor is the channel's damping on the grid's pairwise distances
+    x, dx = grid_points(128, P)
     d = x[:, None] - x[None, :]
-    np.testing.assert_array_equal(factor, np.exp(-(d * d) / (8.0 * P.w**2)))
-    np.testing.assert_array_equal(grw_localization_channel(rho, P, factor).elements,
-                                  grw_localization_channel(rho, P).elements)
+    np.testing.assert_array_equal(localization_factor(128, dx, P.w),
+                                  np.exp(-(d * d) / (8.0 * P.w**2)))
 
 
 def test_channel_entropy_matches_closed_form():
@@ -397,7 +413,7 @@ def test_channel_entropy_matches_closed_form():
     # width-w channel acquires the entropy of a geometric spectrum
     for s2 in (0.5, 1.0, 2.0):
         psi = packet_state(512, P, 10.0, s2)
-        out = grw_localization_channel(_pure(psi), P)
+        out = _channel(_pure(psi))
         expected = reference.gaussian_channel_entropy(s2, P.w)
         assert von_neumann_entropy(out) == pytest.approx(expected, abs=1e-9)
 
@@ -416,7 +432,7 @@ def test_channel_on_orthogonal_mixture_adds_ln2():
     b = packet_state(n, P, 14.0, 1.0)
     mix = _mixture([a, b], [0.5, 0.5])
     assert von_neumann_entropy(mix) == pytest.approx(math.log(2), abs=1e-6)
-    s = von_neumann_entropy(grw_localization_channel(mix, P))
+    s = von_neumann_entropy(_channel(mix))
     expected = reference.gaussian_channel_entropy(1.0, P.w) + math.log(2)
     assert s == pytest.approx(expected, abs=1e-4)
 
@@ -425,11 +441,11 @@ def test_channel_fixed_point_and_trace():
     n = 128
     dx = P.L / (n + 1)
     mixed = GridDensityMatrix(np.eye(n, dtype=complex) / (n * dx), dx)
-    out = grw_localization_channel(mixed, P)
+    out = _channel(mixed)
     np.testing.assert_allclose(out.elements, mixed.elements, atol=1e-15)
     rng = np.random.Generator(np.random.PCG64(11))
     rho = _random_mixed_state(n, rng)
-    out = grw_localization_channel(rho, P)
+    out = _channel(rho)
     assert float(np.trace(out.elements).real) * dx == pytest.approx(1.0, abs=1e-12)
 
 
@@ -439,7 +455,7 @@ def test_channel_requires_resolved_width():
     dx = p_coarse.L / (n + 1)
     rho = GridDensityMatrix(np.eye(n, dtype=complex) / (n * dx), dx)
     with pytest.raises(ValueError):
-        grw_localization_channel(rho, p_coarse)
+        grw_localization_channel(rho, p_coarse, localization_factor(n, dx, p_coarse.w))
 
 
 def test_entropy_pure_and_mixed_limits():
@@ -472,18 +488,19 @@ def test_visibility_coherent_vs_mixture():
     n = 512
     a = packet_state(n, P, 9.0, 1.0)
     b = packet_state(n, P, 11.0, 1.0)
-    sup = superpose([a, b], [1 / math.sqrt(2), -1 / math.sqrt(2)])
+    dx = _dx(a)
+    sup = superpose(np.column_stack([a, b]), [1 / math.sqrt(2), -1 / math.sqrt(2)], dx)
     mix = _mixture([a, b], [0.5, 0.5])
     region = (8.5, 11.5)
-    assert interference_visibility(sup.density(), sup.dx, region) > 0.5
-    assert interference_visibility(mix.density(), mix.dx, region) < 0.3
+    assert interference_visibility(np.abs(sup) ** 2, dx, region) > 0.5
+    assert interference_visibility(mix.density(), dx, region) < 0.3
 
 
 def test_visibility_validation():
     psi = packet_state(128, P, 10.0, 1.0)
     for region in ((5.0, 25.0), (5.0, 5.0), (10.0, 10.1)):  # 10.1 - 10 < dx
         with pytest.raises(ValueError):
-            interference_visibility(psi.density(), psi.dx, region)
+            interference_visibility(psi**2, _dx(psi), region)
 
 
 def test_fringe_content_zero_for_envelope():

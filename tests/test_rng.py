@@ -95,7 +95,7 @@ def test_scalar_paths_equal_array_paths():
     for i, key in enumerate(keys):
         for scalar in (np.uint64(key), key, np.array(key, dtype=np.uint64)):
             assert type(splitmix64(scalar)) is np.uint64 and splitmix64(scalar) == mixed[i]
-            assert type(unit_uniform(scalar)) is np.float64 and unit_uniform(scalar) == uniform[i]
+            assert np.ndim(unit_uniform(scalar)) == 0 and unit_uniform(scalar) == uniform[i]
         assert type(mix(arr[i], arr[-1 - i])) is np.uint64
         assert mix(arr[i], arr[-1 - i]) == pairs[i]
         assert mix(np.uint64(7), key) == events[i]
@@ -198,7 +198,7 @@ def test_unit_interval_equals_the_float_arithmetic_map():
     keys = _random_keys(22)
     u = unit_uniform(keys)
     np.testing.assert_array_equal(u, reference.unit_uniform_array(keys))
-    # the Python-integer scalar path maps the same bits
+    # a 0-d key maps the same bits
     for i in (0, 1, 4_999, 99_999):
         assert unit_uniform(keys[i]) == u[i]
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import branchbox
-from branchbox import branching, runner, stats
+from branchbox import branching, density, runner, stats
 from branchbox.cli import main
 from branchbox.config import LIOUVILLE_GRID, config_lines, parse_config
 from branchbox.density import (
@@ -424,8 +424,8 @@ def test_liouville_series_is_the_evolved_density():
         assert rows[k][var_col] == pytest.approx(prob @ (x - mean) ** 2, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("steps", [1, runner._SERIES_BLOCK - 1, runner._SERIES_BLOCK,
-                                   runner._SERIES_BLOCK + 1])
+@pytest.mark.parametrize("steps", [1, density._SERIES_BLOCK - 1, density._SERIES_BLOCK,
+                                   density._SERIES_BLOCK + 1])
 def test_liouville_series_blocks_equal_the_per_step_rows(steps):
     # factor densities formed a block at a time give the rows of the
     # per-step dense-matmul loop, across and at block boundaries
@@ -457,13 +457,13 @@ def test_factor_densities_are_the_evolved_density(rank):
     psi, weights, dx = random_mixed_factor(
         LIOUVILLE_GRID, p, np.random.Generator(np.random.PCG64(rank)), rank=rank)
     steps = 200
-    blocks = list(runner._factor_densities(prop, psi, weights, p.tau, steps))
-    assert [start for start, _ in blocks] == list(range(0, steps + 1, runner._SERIES_BLOCK))
+    blocks = list(prop.series_densities(psi, weights, p.tau, steps))
+    assert [start for start, _ in blocks] == list(range(0, steps + 1, density._SERIES_BLOCK))
     dens = np.hstack([d for _, d in blocks])
     assert dens.shape == (LIOUVILLE_GRID, steps + 1)
     rho0 = factor_density(psi, weights, dx).elements
     h = reference.build_box_hamiltonian(LIOUVILLE_GRID, p)
-    for k in (0, runner._SERIES_BLOCK - 1, runner._SERIES_BLOCK, runner._SERIES_BLOCK + 1,
+    for k in (0, density._SERIES_BLOCK - 1, density._SERIES_BLOCK, density._SERIES_BLOCK + 1,
               steps):
         want = reference.unitary_step(h, rho0, k * p.tau, p.hbar).diagonal().real
         np.testing.assert_allclose(dens[:, k], want, rtol=0, atol=1e-12 * want.max(),

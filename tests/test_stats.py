@@ -533,7 +533,7 @@ def test_expectation_compare_z_formula():
     ref = weighted_ensemble([0, 4], [0.5, 0.5], time=3.0)
     traj = CollapseBatch(
         time=3.0, center=np.array([0.0, 1.0, 2.0, 3.0]),
-        variance=1.0, n_steps=3,
+        variance=1.0,
     )
     cmp = expectation_compare(traj, ref)
     assert cmp.reference_mean == pytest.approx(1.0, rel=1e-15)
@@ -546,17 +546,17 @@ def test_expectation_compare_z_formula():
 
 def test_expectation_compare_degenerate_spread():
     ref = weighted_ensemble([0, 4], [0.5, 0.5], time=1.0)
-    same = CollapseBatch(1.0, np.full(5, 1.0), 1.0, 1)
+    same = CollapseBatch(1.0, np.full(5, 1.0), 1.0)
     assert expectation_compare(same, ref).z_score == 0.0
-    shifted = CollapseBatch(1.0, np.full(5, 2.0), 1.0, 1)
+    shifted = CollapseBatch(1.0, np.full(5, 2.0), 1.0)
     assert expectation_compare(shifted, ref).z_score == math.inf
-    low = CollapseBatch(1.0, np.full(5, 0.0), 1.0, 1)
+    low = CollapseBatch(1.0, np.full(5, 0.0), 1.0)
     assert expectation_compare(low, ref).z_score == -math.inf
 
 
 def test_expectation_compare_guards():
     ref = weighted_ensemble([0], [1.0], time=1.0)
     with pytest.raises(ValueError):
-        expectation_compare(CollapseBatch(2.0, np.zeros(5), 1.0, 1), ref)
-    with pytest.raises(ValueError):
-        expectation_compare(CollapseBatch(1.0, np.zeros(1), 1.0, 1), ref)
+        expectation_compare(CollapseBatch(2.0, np.zeros(5), 1.0), ref)
+    with pytest.raises(ValueError, match="at least 2 trajectories"):
+        expectation_compare(CollapseBatch(1.0, np.zeros(1), 1.0), ref)
