@@ -161,9 +161,6 @@ class RunConfig:
                     "timing: born_test runs its own deterministic and stochastic-timing "
                     "variants; leave timing = deterministic"
                 )
-            # its chi-square threshold reads scipy.special, about 0.25 s to import:
-            # loaded with the config, it is set-up, and the run times only itself
-            importlib.import_module("scipy.special")
         if self.scenario == "collapse_compare":
             if self.mode != "collapse":
                 raise ConfigError("mode: collapse_compare requires mode = collapse")
@@ -184,6 +181,11 @@ class RunConfig:
                 f"mode: count mode holds born_test's single event; {self.scenario} "
                 "evolves ensembles and requires mode = weighted or collapse"
             )
+        if self.scenario in ("freespread", "liouville_check"):
+            # their runs draw from numpy Generators, and numpy imports numpy.random
+            # on first use, 12-22 ms: loaded with the config, it is set-up, and
+            # the run times only itself
+            importlib.import_module("numpy.random")
 
 
 def _parse_value(key: str, raw: str):

@@ -12,26 +12,30 @@ depend only on its own ensemble, not on what shares the array nor on what
 the run's tables (``branching.Tables``) memoize: each position's folded
 bin masses.  The kernels check nothing: ``RunConfig`` validated the bins.
 
-The checks (diffusion fit, chi-square frequency test, collapse-vs-
-ensemble z-scores) are deliberately plain: ordinary least squares and
-Pearson statistics, with validity preconditions enforced rather than
-silently waived.
+The checks (diffusion fit, chi-square frequency test, two-sample KS test,
+collapse-vs-ensemble z-scores) are deliberately plain: ordinary least
+squares, Pearson statistics and scipy's exact KS path, with validity
+preconditions enforced rather than silently waived.
 """
 
 from __future__ import annotations
 
 import heapq
+import importlib
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-# a lazy namespace, which bench/worker.py reads for its version; scipy.special
-# loads when the chi-square threshold reads it
-import scipy
 
 from .branching import CollapseBatch, Ensemble, Tables
 from .model import _Z_ZERO, ndtr
+
+# scipy's lazy namespace alone, which loads none of its subpackages: nothing
+# here reads it; bench/worker.py reads its version from sys.modules, and this
+# can go once that read tolerates its absence
+importlib.import_module("scipy")
 
 __all__ = [
     "DiffusionEstimate",
@@ -40,6 +44,9 @@ __all__ = [
     "effective_branch_count",
     "fit_diffusion",
     "chi_square_frequencies",
+    "chi_square_quantile",
+    "KSResult",
+    "ks_two_sample",
     "pool_small_cells",
     "sample_branch_centers",
     "expectation_compare",
@@ -67,6 +74,12 @@ class ChiSquareResult:
     threshold: float
     alpha: float
     passed: bool
+
+
+@dataclass(frozen=True)
+class KSResult:
+    statistic: float
+    pvalue: float
 
 
 @dataclass(frozen=True)
@@ -324,7 +337,7 @@ def chi_square_frequencies(
     Refuses to run outside its validity regime (every expected count must
     be at least 5); probabilities must be positive and sum to 1.  Passes
     iff the statistic is below the (1 - alpha) chi-square quantile at
-    cells - 1 degrees of freedom.
+    cells - 1 degrees of freedom (``chi_square_quantile``: alpha in (0, 1/2]).
     """
     obs = np.asarray(observed, float)
     exp = np.asarray(expected, float)
@@ -334,8 +347,6 @@ def chi_square_frequencies(
         raise ValueError("observed counts must be finite and >= 0")
     if np.any(exp <= 0) or abs(exp.sum() - 1.0) > 1e-9:
         raise ValueError("expected probabilities must be > 0 and sum to 1 within 1e-9")
-    if not (0 < alpha < 1):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     n_total = obs.sum()
     scaled = exp * n_total
     if scaled.min() < 5.0 - 1e-12:
@@ -345,14 +356,148 @@ def chi_square_frequencies(
         )
     statistic = float(((obs - scaled) ** 2 / scaled).sum())
     dof = obs.size - 1
-    # the chi-square quantile as scipy.stats.chi2.ppf computes it, bit for
-    # bit; scipy.special loads on first use here (a born_test config loads it
-    # when validated), and scipy.stats is never imported
-    threshold = float(2.0 * scipy.special.gammaincinv(dof / 2, 1.0 - alpha))
+    threshold = chi_square_quantile(dof, alpha)
     return ChiSquareResult(
         statistic=statistic, dof=dof, threshold=threshold,
         alpha=alpha, passed=bool(statistic < threshold),
     )
+
+
+# Stirling's series for mu(a) = ln Gamma(a) - ((a - 1/2) ln a - a + ln(2 pi)/2),
+# in powers of 1/a^2 (B_2n / (2n (2n - 1))); from a = 10 on the first omitted
+# term is below 3e-17
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _log_gamma_kernel(a: float, y: float) -> float:
+    """ln(y^a e^-y / Gamma(a)) for a, y > 0, without the cancellation of its
+    three large logs: a ln(y/a) + a - y is -a (d - ln(1 + d)) at d = (y - a)/a,
+    and Gamma(a) is Stirling's form times e^mu(a)."""
+    if a >= 10.0:
+        r = 1.0 / (a * a)
+        mu = 0.0
+        for c in reversed(_STIRLING):
+            mu = mu * r + c
+        mu /= a
+    else:
+        mu = math.lgamma(a) - ((a - 0.5) * math.log(a) - a + 0.5 * math.log(2.0 * math.pi))
+    d = (y - a) / a
+    return -a * (d - math.log1p(d)) + 0.5 * math.log(a / (2.0 * math.pi)) - mu
+
+
+def _chi_square_log_tail(x: float, dof: int) -> tuple[float, float]:
+    """(ln Q, ln f): the upper tail Q = P(chi^2_dof > x) and the density f at x > 0.
+
+    At integer dof the tail is a finite sum (Abramowitz & Stegun 26.4.4-5).
+    With a = dof/2 and y = x/2, Q = sum_j e^-y y^j / Gamma(j + 1) over
+    j = a - 1, a - 2, ... down to 0 (even dof, a Poisson sum) or 1/2 (odd dof,
+    plus 2 ndtr(-sqrt x)).  The first term is 2 f; each next is j/y times the
+    one before, so the sum is taken in log space from the first term's log.
+    """
+    a, y = 0.5 * dof, 0.5 * x
+    log_first = _log_gamma_kernel(a, y) - math.log(y)
+    log_f = log_first - math.log(2.0)
+    normal = 2.0 * float(ndtr(-math.sqrt(x))) if dof % 2 else 0.0
+    if dof == 1:  # no series: the normal tail alone, -inf once it underflows
+        return (math.log(normal) if normal > 0 else -math.inf), log_f
+    c = np.concatenate(([0.0], np.cumsum(np.log((a - np.arange(1.0, dof // 2)) / y))))
+    top = float(c.max())
+    log_sum = log_first + top + math.log(float(np.exp(c - top).sum()))
+    return (math.log(normal + math.exp(log_sum)) if normal else log_sum), log_f
+
+
+def chi_square_quantile(dof: int, alpha: float) -> float:
+    """The (1 - alpha) quantile of the chi-square distribution at integer dof.
+
+    Solves Q(x) = 1 - (1 - alpha), the upper tail at the double 1 - alpha, as
+    ``scipy.stats.chi2.ppf(1 - alpha, dof)`` reads it, by Newton's method on
+    ln Q from the Wilson-Hilferty start, kept inside a bracket that every
+    step shrinks (a step leaving it bisects instead).  Within 16 ulps of the
+    exact quantile below 400 dof and 40 ulps up to 2000, the bounds
+    ``tests/test_stats.py`` holds it to; not bit-equal to scipy's, which is
+    itself up to 28 ulps from it.  Refuses a dof that is not a positive
+    integer, and alpha outside (0, 1/2] or so small that 1 - alpha rounds to 1.
+    """
+    if isinstance(dof, bool) or not isinstance(dof, numbers.Integral) or dof < 1:
+        raise ValueError(f"dof must be a positive integer, got {dof!r}")
+    if not (0 < alpha <= 0.5):
+        # above 1/2 the tail is near 1, where Q loses the digits of 1 - alpha
+        raise ValueError(f"alpha must be in (0, 1/2], got {alpha}")
+    if 1.0 - alpha == 1.0:
+        raise ValueError(f"alpha {alpha} rounds 1 - alpha to 1: the quantile is infinite")
+    dof = int(dof)
+    log_q = math.log(1.0 - (1.0 - alpha))
+    # the normal quantile of the upper tail, within 4.5e-4 (A&S 26.2.23)
+    t = math.sqrt(-2.0 * math.log(alpha))
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
+    v = 2.0 / (9.0 * dof)
+    x = dof * (1.0 - v + z * math.sqrt(v)) ** 3
+    lo, hi = 0.0, math.inf
+    for _ in range(200):
+        log_tail, log_f = _chi_square_log_tail(x, dof)
+        if log_tail > log_q:
+            lo = x
+        else:
+            hi = x
+        step = (log_tail - log_q) * math.exp(log_tail - log_f)
+        if abs(step) <= 4.0 * np.finfo(float).eps * x:
+            return x + step
+        x += step
+        if not lo < x < hi:  # only ever left of the root, where Q > q: bisect
+            x = 0.5 * (lo + hi)
+    raise ArithmeticError(f"chi-square quantile did not converge at dof {dof}, alpha {alpha}")
+
+
+# ---------------------------------------------------------------------------
+# two-sample test
+
+
+def ks_two_sample(data1, data2, alternative: str = "two-sided") -> KSResult:
+    """Two-sample Kolmogorov-Smirnov test of equal-size samples, exact p-value.
+
+    A port of the one path of ``scipy.stats.ks_2samp`` (scipy's
+    ``stats/_stats_py.py``) that two-sided tests of equal sizes n <= 10^4
+    take, term for term, so statistic and p-value are scipy's bit for bit.
+    The gap between the empirical CDFs is read at every point of both sorted
+    samples (``searchsorted(..., "right")``, so ties count whole); D is the
+    larger one-sided gap.  With h = round(D n), the statistic is
+    h/n and the p-value P(D_{n,n} >= h/n) is the share of lattice paths that
+    leave the band |x - y| < h, 1 at h = 0, after Hodges (1958): an
+    alternating sum of binomial ratios in a Horner-like product.
+
+    Raises ValueError wherever scipy would take another path or return NaN:
+    unequal or empty samples, n > 10^4 (its asymptotic form), a one-sided
+    alternative, a NaN in either sample, or a p-value the product rounds
+    outside [0, 1].
+    """
+    if alternative != "two-sided":
+        raise ValueError(f"only the two-sided test is ported, got alternative={alternative!r}")
+    a, b = np.sort(np.asarray(data1, float)), np.sort(np.asarray(data2, float))
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"need two 1-d samples of one size, got shapes {a.shape} and {b.shape}")
+    n = a.size
+    if not 1 <= n <= 10_000:
+        raise ValueError(f"the exact path needs 1 <= n <= 10000 points per sample, got {n}")
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("samples must not contain NaN")
+    both = np.concatenate([a, b])
+    gap = np.searchsorted(a, both, side="right") / n - np.searchsorted(b, both, side="right") / n
+    # both one-sided gaps are >= 0: past the last point both CDFs read 1
+    h = int(np.round(max(-gap.min(), gap.max()) * n))
+    if h == 0:
+        return KSResult(statistic=0.0, pvalue=1.0)
+    # p = 2 A_0 (1 - A_1 (1 - A_2 (1 - ...))), A_k = binom(2n, n - (k+1) h) / binom(2n, n - k h)
+    p = 0.0
+    for k in range(n // h, -1, -1):
+        p1 = 1.0
+        for j in range(h):
+            p1 = (n - k * h - j) * p1 / (n + k * h + j + 1)
+        p = p1 * (1.0 - p)
+    p = 2 * p
+    if not 0 <= p <= 1:
+        raise ValueError(f"the exact p-value rounds to {p} at n = {n}, h = {h}")
+    return KSResult(statistic=h / n, pvalue=p)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ CASES = {
 GOLDEN = {
     "born_test": (
         "4d6dd077e9a3c6af85b617f087fe3cc9f475e99121f256fd593366b8fc90e289",
-        "64203591695023bca3bf0a54632f4bb726d04ad86b226092bfc1c49d0828e0b4",
+        "3a601f1d7dc7b5de6641f26a7aebd4e87aab6215ebf9830e55f24a92af55e470",
     ),
     "collapse_compare": (
         "bdaa5a2f4635d70d53f651ba90b0fd845fc85fd1ac101159de4195ea2734a790",

@@ -280,6 +280,10 @@ for overrides in (
 ):
     c = parse_config("", overrides | {"output_dir": out})
     assert run_scenario(c).passed, overrides["scenario"]
+# past step 100, so its KS check runs
+c = parse_config("", {"scenario": "freespread", "L": 10_000.0, "steps": 110,
+                      "max_branches": 2000, "output_dir": out})
+assert run_scenario(c).metrics["ks_passes"] >= 18
 loaded = sorted(m for m in sys.modules if m.startswith("scipy.stats"))
 print(loaded)
 sys.exit(1 if loaded else 0)
@@ -298,14 +302,17 @@ for overrides in (
     {"scenario": "peres_test", "L": 40.0, "steps": 5, "max_branches": 200,
      "timing": "poisson"},
     {"scenario": "liouville_check", "steps": 2},
+    {"scenario": "born_test", "mode": "count"},
+    {"scenario": "collapse_compare", "mode": "collapse", "steps": 10},
 ):
     c = parse_config("", overrides | {"output_dir": out})
+    loaded = set(sys.modules)
     assert run_scenario(c).passed, overrides["scenario"]
+    # what a run needs loads with its config, so the run times only itself
+    assert set(sys.modules) <= loaded, sorted(set(sys.modules) - loaded)
 special = sorted(m for m in sys.modules if m.startswith("scipy.special"))
 assert not special, special
 assert "scipy" in sys.modules, "the benchmark reads scipy's version"
-parse_config("", {"scenario": "born_test", "mode": "count"})
-assert "scipy.special" in sys.modules, "a born_test config loads its threshold's module"
 """
 
 
@@ -319,14 +326,13 @@ def _fresh_interpreter(script: str, out) -> subprocess.CompletedProcess:
 
 def test_cold_start_leaves_scipy_stats_unimported(tmp_path):
     # a fresh interpreter, since other tests import scipy.stats in this one;
-    # only freespread's KS check may import it
+    # freespread's KS check is a numpy port of scipy's exact path
     proc = _fresh_interpreter(COLD_START, tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_engine_runs_leave_scipy_special_unimported(tmp_path):
-    # the package's Gaussian CDF is numpy's; only born_test's chi-square
-    # threshold reads scipy.special, and its config loads it at set-up
+    # the package's Gaussian CDF and born_test's chi-square quantile are numpy's
     proc = _fresh_interpreter(NUMPY_ONLY, tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 

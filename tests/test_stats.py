@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,7 @@ from branchbox.stats import (
     _entropy_tv,
     _position_masses,
     chi_square_frequencies,
+    chi_square_quantile,
     effective_branch_count,
     expectation_compare,
     fit_diffusion,
@@ -454,6 +456,11 @@ def test_pool_small_cells_rejects_non_finite():
         pool_small_cells(np.array([1.0, np.nan, 3.0]), np.array([0.2, 0.3, 0.5]))
 
 
+def ulps(got, want):
+    """|got - want| in units of the spacing of doubles at want."""
+    return np.abs(np.asarray(got) - want) / np.spacing(np.abs(want))
+
+
 def test_chi_square_matches_scipy():
     rng = np.random.Generator(np.random.PCG64(14))
     p = np.array([0.2, 0.3, 0.1, 0.4])
@@ -462,18 +469,47 @@ def test_chi_square_matches_scipy():
     ref = sps.chisquare(obs, p * obs.sum())
     assert res.statistic == pytest.approx(ref.statistic, rel=1e-12)
     assert res.dof == 3
-    assert res.threshold == sps.chi2.ppf(0.99, 3)
+    assert ulps(res.threshold, sps.chi2.ppf(0.99, 3)) <= QUANTILE_ULPS
+    assert res.threshold == chi_square_quantile(3, 0.01)
     assert res.passed == (res.statistic < res.threshold)
     assert res.passed
-    # the threshold avoids importing scipy.stats, yet must be its quantile
-    # bit for bit
-    for alpha in (0.001, 0.01, 0.05):
-        for dof in range(1, 2001):
-            cells = dof + 1
-            res = chi_square_frequencies(
-                np.full(cells, 10.0), np.full(cells, 1.0 / cells), alpha=alpha
-            )
-            assert res.threshold == sps.chi2.ppf(1.0 - alpha, dof), (dof, alpha)
+
+
+# Fixed before the quantile was first compared: within 16 ulps below 400 dof,
+# and 40 ulps up to 2000.  The reference is the exact quantile, not scipy's:
+# 2 gammaincinv(dof/2, 1 - alpha) is itself 28 ulps from it at dof 351,
+# alpha 1e-6 (a 50-digit root), where this quantile is within 1.
+QUANTILE_ULPS, QUANTILE_ULPS_LARGE = 16, 40
+
+
+def ulps_from_exact_quantile(x, dof, alpha):
+    """(x - x*) / spacing(x), x* the exact upper-alpha point of chi^2_dof at the
+    double 1 - alpha: one Newton step in 20-digit arithmetic from an x within a
+    few ulps of x* leaves an error far below one ulp."""
+    a, X = mpmath.mpf(dof) / 2, mpmath.mpf(x)
+    tail = mpmath.gammainc(a, X / 2, mpmath.inf, regularized=True)
+    density = mpmath.exp((a - 1) * mpmath.log(X / 2) - X / 2 - mpmath.loggamma(a)) / 2
+    q = 1 - mpmath.mpf(1.0 - alpha)
+    return float((q - tail) / density / mpmath.mpf(float(np.spacing(x))))
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 1e-3, 1e-2, 0.05, 0.5])
+def test_chi_square_quantile_within_ulps_of_exact(alpha):
+    with mpmath.workdps(20):
+        err = np.abs([ulps_from_exact_quantile(chi_square_quantile(dof, alpha), dof, alpha)
+                      for dof in range(1, 2001)])
+    assert err[:399].max() <= QUANTILE_ULPS, 1 + err[:399].argmax()
+    assert err[399:].max() <= QUANTILE_ULPS_LARGE, 400 + err[399:].argmax()
+
+
+def test_chi_square_quantile_refuses_bad_arguments():
+    for dof in (1.5, 2.0, 0, -3, True, np.float64(4.0)):
+        with pytest.raises(ValueError, match="dof"):
+            chi_square_quantile(dof, 0.05)
+    for alpha in (0.0, 1.0, -0.1, 1.5, math.nan, 0.75, 1e-20):
+        with pytest.raises(ValueError, match="alpha"):
+            chi_square_quantile(3, alpha)
+    assert chi_square_quantile(np.int64(3), 0.01) == chi_square_quantile(3, 0.01)
 
 
 def test_chi_square_rejects_wrong_model():
@@ -505,6 +541,79 @@ def test_chi_square_false_positive_rate():
         for _ in range(400)
     )
     assert 15 <= fails <= 70  # binomial(400, 0.1) within ~4.5 sigma
+
+
+# ---------------------------------------------------------------------------
+# two-sample KS test
+
+
+@st.composite
+def ks_sample_pairs(draw):
+    """Equal-size samples: continuous or tied draws, identical (h = 0), disjoint
+    (D = 1, p near 0) or shifted."""
+    n = draw(st.integers(1, 2000))
+    kind = draw(st.sampled_from(["continuous", "ties", "identical", "disjoint", "shifted"]))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    if kind == "ties":
+        levels = draw(st.integers(1, 12))
+        return (rng.integers(0, levels, n).astype(float),
+                rng.integers(0, levels, n).astype(float))
+    a = rng.normal(size=n)
+    if kind == "identical":
+        return a, rng.permutation(a)
+    if kind == "disjoint":
+        return a, a + (a.max() - a.min() + 1.0)
+    shift = draw(st.floats(0.0, 0.5)) if kind == "shifted" else 0.0
+    return a, rng.normal(shift, 1.0, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=ks_sample_pairs())
+@example(pair=(np.array([0.0]), np.array([0.0])))
+@example(pair=(np.array([0.0]), np.array([1.0])))
+@example(pair=(np.arange(2000.0), np.arange(2000.0) + 1e4))
+def test_ks_two_sample_is_scipys_bit_for_bit(pair):
+    a, b = pair
+    try:
+        got = stats.ks_two_sample(a, b)
+    except ValueError as err:
+        # refused exactly where scipy leaves its exact path
+        assert "rounds" in str(err)
+        with pytest.warns(RuntimeWarning, match="Exact calculation unsuccessful"):
+            sps.ks_2samp(a, b)
+        return
+    want = sps.ks_2samp(a, b)
+    assert got.statistic == want.statistic
+    assert got.pvalue == want.pvalue
+
+
+def test_ks_two_sample_edges():
+    a = np.arange(5.0)
+    assert stats.ks_two_sample(a, a[::-1]) == stats.KSResult(statistic=0.0, pvalue=1.0)
+    assert stats.ks_two_sample(a, a + 10.0).statistic == 1.0
+    # D = 1/5: the p-value product rounds to 1 + 2^-52, and scipy falls back to
+    # its asymptotic form
+    with pytest.raises(ValueError, match="rounds"):
+        stats.ks_two_sample(a, a + 0.5)
+    with pytest.warns(RuntimeWarning, match="Switching to method=asymp"):
+        sps.ks_2samp(a, a + 0.5)
+
+
+def test_ks_two_sample_refusals():
+    a = np.arange(10.0)
+    with pytest.raises(ValueError, match="one size"):
+        stats.ks_two_sample(a, a[:9])
+    with pytest.raises(ValueError, match="one size"):
+        stats.ks_two_sample(a.reshape(2, 5), a.reshape(2, 5))
+    for alternative in ("less", "greater"):
+        with pytest.raises(ValueError, match="two-sided"):
+            stats.ks_two_sample(a, a, alternative=alternative)
+    with pytest.raises(ValueError, match="10000"):
+        stats.ks_two_sample(np.arange(10_001.0), np.arange(10_001.0))
+    with pytest.raises(ValueError, match="10000"):
+        stats.ks_two_sample(a[:0], a[:0])
+    with pytest.raises(ValueError, match="NaN"):
+        stats.ks_two_sample(a, np.where(a == 3.0, np.nan, a))
 
 
 # ---------------------------------------------------------------------------
